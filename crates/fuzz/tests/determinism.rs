@@ -6,10 +6,70 @@
 //! accidental nondeterminism leaks (HashMap iteration order, timestamps,
 //! pointer-derived values) anywhere in the generation or oracle stack.
 
-use irdl_fuzz_lib::{run_fuzz_on, FuzzOptions, FuzzTarget};
+use irdl::genir::{instantiate_op, Instantiation};
+use irdl_fuzz_lib::{
+    generate_module, run_fuzz_on, FuzzOptions, FuzzTarget, GenConfig, SplitMix64,
+};
+use irdl_ir::print::op_to_string_generic;
 
 fn options(seed: u64, iters: u64) -> FuzzOptions {
     FuzzOptions { seed, iters, ..FuzzOptions::default() }
+}
+
+/// 64-bit FNV-1a, folded over every generated module's generic text.
+fn fnv1a(hash: u64, text: &str) -> u64 {
+    text.bytes().fold(hash, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Absolute digests of what the constraint sampler emits. Comparing two
+/// runs of one build cannot catch a sampler change that shifts every
+/// witness the same way; these pins can. Any intended change to sampling
+/// order or witnesses must update them deliberately, since the fuzz
+/// corpus and the benchmark inputs move with them.
+#[test]
+fn generated_modules_match_pinned_digest() {
+    let target = FuzzTarget::corpus().expect("corpus compiles");
+    let mut digest = FNV_OFFSET;
+    for seed in [1u64, 7, 0xC0FFEE, 0xD15EA5E] {
+        let mut ctx = target.bundle.instantiate();
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..8 {
+            let module =
+                generate_module(&mut ctx, &target.catalog, &GenConfig::default(), &mut rng);
+            digest = fnv1a(digest, &op_to_string_generic(&ctx, module));
+        }
+    }
+    assert_eq!(
+        digest, 0x4453_e3f5_750a_f402,
+        "generate_module output drifted: {digest:#018x}"
+    );
+}
+
+#[test]
+fn instantiated_corpus_ops_match_pinned_digest() {
+    let target = FuzzTarget::corpus().expect("corpus compiles");
+    let mut ctx = target.bundle.instantiate();
+    let mut digest = FNV_OFFSET;
+    let mut built = 0;
+    for op in &target.catalog.ops {
+        let module = ctx.create_module();
+        let block = ctx.module_block(module);
+        let line = match instantiate_op(&mut ctx, op, block) {
+            Instantiation::Built(_) => {
+                built += 1;
+                op_to_string_generic(&ctx, module)
+            }
+            Instantiation::Skipped(reason) => reason,
+        };
+        digest = fnv1a(digest, &line);
+    }
+    assert!(built > 0);
+    assert_eq!(
+        digest, 0x4932_2816_1d8b_bc02,
+        "instantiate_op output drifted over {built} ops: {digest:#018x}"
+    );
 }
 
 #[test]
