@@ -1,17 +1,19 @@
-//! The compiled constraint language and its evaluator.
+//! The compiled constraint language, as data.
 //!
 //! [`Constraint`] is the runtime form of the paper's Figure 2: type and
 //! attribute constraints, parameter constraints, the generic combinators
 //! (`AnyOf` / `And` / `Not`), constraint variables, and native (IRDL-Rust)
-//! predicates. Evaluation happens against a [`CVal`] — a type or an
-//! attribute — under a [`BindingEnv`] that gives constraint variables their
-//! "equal at every use" semantics (paper §4.6).
+//! predicates. Constraints are checked against a [`CVal`] — a type or an
+//! attribute — only after lowering into a
+//! [`ConstraintProgram`](crate::program::ConstraintProgram), whose binding
+//! environment gives constraint variables their "equal at every use"
+//! semantics (paper §4.6).
 
 use std::sync::Arc;
 
 use irdl_ir::attrs::AttrData;
 use irdl_ir::types::TypeData;
-use irdl_ir::{Attribute, Context, FloatKind, Signedness, Symbol, Type};
+use irdl_ir::{Attribute, Context, FloatKind, Symbol, Type};
 
 use crate::ast::IntKind;
 
@@ -257,627 +259,5 @@ impl std::fmt::Debug for Constraint {
             Constraint::Var(i) => write!(f, "Var({i})"),
             Constraint::Native { name, .. } => write!(f, "Native({name:?})"),
         }
-    }
-}
-
-/// Bindings for constraint variables during one verification.
-///
-/// A variable binds on first successful use; later uses must be equal —
-/// "constraints that need to be satisfied by the same type at each use"
-/// (paper §4.6).
-#[derive(Debug, Clone, Default)]
-pub struct BindingEnv {
-    /// Inline up to 8 variables: specs rarely declare more, so building an
-    /// environment per parsed/verified op stays allocation-free.
-    bindings: irdl_ir::InlineVec<Option<CVal>, 8>,
-}
-
-impl BindingEnv {
-    /// An environment for `n` variables, all unbound.
-    pub fn new(n: usize) -> Self {
-        let mut env = BindingEnv::default();
-        for _ in 0..n {
-            env.bindings.push(None);
-        }
-        env
-    }
-
-    /// The current binding of variable `i`, if any.
-    pub fn binding(&self, i: u32) -> Option<CVal> {
-        self.bindings.get(i as usize).copied().flatten()
-    }
-
-    /// Binds variable `i` (overwriting any previous binding). The
-    /// environment grows as needed, so out-of-range indices are never a
-    /// panic.
-    pub fn bind(&mut self, i: u32, val: CVal) {
-        while i as usize >= self.bindings.len() {
-            self.bindings.push(None);
-        }
-        self.bindings[i as usize] = Some(val);
-    }
-}
-
-/// Evaluates `constraint` against `val` under `env`.
-///
-/// `var_decls` supplies the declared constraint of each variable (checked
-/// on first binding).
-///
-/// `AnyOf` commits the bindings of the first matching alternative; the
-/// evaluator does not backtrack across *subsequent* constraints (matching
-/// is greedy per value, as in upstream IRDL). A specification relying on a
-/// later operand to disambiguate an earlier `AnyOf` choice should bind the
-/// shared part with a constraint variable instead.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first violated constraint.
-pub fn eval(
-    ctx: &Context,
-    constraint: &Constraint,
-    val: CVal,
-    env: &mut BindingEnv,
-    var_decls: &[Constraint],
-) -> Result<(), String> {
-    match constraint {
-        Constraint::Any => Ok(()),
-        Constraint::AnyType => match val {
-            CVal::Type(_) => Ok(()),
-            CVal::Attr(_) => Err(format!("expected a type, got {}", val.display(ctx))),
-        },
-        Constraint::AnyAttr => match val {
-            CVal::Attr(_) => Ok(()),
-            CVal::Type(_) => Err(format!("expected an attribute, got {}", val.display(ctx))),
-        },
-        Constraint::ExactType(expected) => match val {
-            CVal::Type(ty) if ty == *expected => Ok(()),
-            _ => Err(format!(
-                "expected type {}, got {}",
-                expected.display(ctx),
-                val.display(ctx)
-            )),
-        },
-        Constraint::BaseType { dialect, name } => match val {
-            CVal::Type(ty) if ty.parametric_name(ctx) == Some((*dialect, *name)) => Ok(()),
-            _ => Err(format!(
-                "expected a !{}.{} type, got {}",
-                ctx.symbol_str(*dialect),
-                ctx.symbol_str(*name),
-                val.display(ctx)
-            )),
-        },
-        Constraint::ParametricType { dialect, name, params } => {
-            let CVal::Type(ty) = val else {
-                return Err(format!("expected a type, got {}", val.display(ctx)));
-            };
-            if ty.parametric_name(ctx) != Some((*dialect, *name)) {
-                return Err(format!(
-                    "expected a !{}.{} type, got {}",
-                    ctx.symbol_str(*dialect),
-                    ctx.symbol_str(*name),
-                    val.display(ctx)
-                ));
-            }
-            let actual = ty.params(ctx);
-            if actual.len() != params.len() {
-                return Err(format!(
-                    "type {} has {} parameter(s); constraint expects {}",
-                    val.display(ctx),
-                    actual.len(),
-                    params.len()
-                ));
-            }
-            for (attr, pc) in actual.iter().zip(params) {
-                eval(ctx, pc, CVal::from_attr(ctx, *attr), env, var_decls)?;
-            }
-            Ok(())
-        }
-        Constraint::Class(class) => match val {
-            CVal::Type(ty) if class.matches(ctx, ty) => Ok(()),
-            _ => Err(format!("{} does not belong to {class:?}", val.display(ctx))),
-        },
-        Constraint::ExactAttr(expected) => match val {
-            CVal::Attr(attr) if attr == *expected => Ok(()),
-            _ => Err(format!(
-                "expected attribute {}, got {}",
-                expected.display(ctx),
-                val.display(ctx)
-            )),
-        },
-        Constraint::BaseAttr { dialect, name } => match val {
-            CVal::Attr(attr) if attr.parametric_name(ctx) == Some((*dialect, *name)) => Ok(()),
-            _ => Err(format!(
-                "expected a #{}.{} attribute, got {}",
-                ctx.symbol_str(*dialect),
-                ctx.symbol_str(*name),
-                val.display(ctx)
-            )),
-        },
-        Constraint::ParametricAttr { dialect, name, params } => {
-            let CVal::Attr(attr) = val else {
-                return Err(format!("expected an attribute, got {}", val.display(ctx)));
-            };
-            if attr.parametric_name(ctx) != Some((*dialect, *name)) {
-                return Err(format!(
-                    "expected a #{}.{} attribute, got {}",
-                    ctx.symbol_str(*dialect),
-                    ctx.symbol_str(*name),
-                    val.display(ctx)
-                ));
-            }
-            let actual = match ctx.attr_data(attr) {
-                AttrData::Parametric { params, .. } => params.as_slice(),
-                _ => unreachable!("parametric_name implies parametric data"),
-            };
-            if actual.len() != params.len() {
-                return Err(format!(
-                    "attribute {} has {} parameter(s); constraint expects {}",
-                    val.display(ctx),
-                    actual.len(),
-                    params.len()
-                ));
-            }
-            for (a, pc) in actual.iter().zip(params) {
-                eval(ctx, pc, CVal::from_attr(ctx, *a), env, var_decls)?;
-            }
-            Ok(())
-        }
-        Constraint::Int(kind) => {
-            int_matches(ctx, val, *kind, None).map_err(|e| e.to_string())
-        }
-        Constraint::IntLiteral { value, kind } => {
-            int_matches(ctx, val, *kind, Some(*value)).map_err(|e| e.to_string())
-        }
-        Constraint::FloatAttr(kind) => match val {
-            CVal::Attr(attr) => match ctx.attr_data(attr) {
-                AttrData::Float { kind: actual, .. } => match kind {
-                    Some(expected) if actual != expected => Err(format!(
-                        "expected a {} float, got {}",
-                        expected.keyword(),
-                        val.display(ctx)
-                    )),
-                    _ => Ok(()),
-                },
-                _ => Err(format!("expected a float parameter, got {}", val.display(ctx))),
-            },
-            _ => Err(format!("expected a float parameter, got {}", val.display(ctx))),
-        },
-        Constraint::StringAny => match val {
-            CVal::Attr(attr) if matches!(ctx.attr_data(attr), AttrData::String(_)) => Ok(()),
-            _ => Err(format!("expected a string parameter, got {}", val.display(ctx))),
-        },
-        Constraint::StringLiteral(expected) => match val {
-            CVal::Attr(attr) => match ctx.attr_data(attr) {
-                AttrData::String(s) if **s == **expected => Ok(()),
-                _ => Err(format!("expected \"{expected}\", got {}", val.display(ctx))),
-            },
-            _ => Err(format!("expected \"{expected}\", got {}", val.display(ctx))),
-        },
-        Constraint::BoolAttr => match val {
-            CVal::Attr(attr) if matches!(ctx.attr_data(attr), AttrData::Bool(_)) => Ok(()),
-            _ => Err(format!("expected a boolean parameter, got {}", val.display(ctx))),
-        },
-        Constraint::UnitAttr => match val {
-            CVal::Attr(attr) if matches!(ctx.attr_data(attr), AttrData::Unit) => Ok(()),
-            _ => Err(format!("expected the unit attribute, got {}", val.display(ctx))),
-        },
-        Constraint::SymbolRefAttr => match val {
-            CVal::Attr(attr) if matches!(ctx.attr_data(attr), AttrData::SymbolRef(_)) => Ok(()),
-            _ => Err(format!("expected a symbol reference, got {}", val.display(ctx))),
-        },
-        Constraint::LocationAttr => match val {
-            CVal::Attr(attr) if matches!(ctx.attr_data(attr), AttrData::Location { .. }) => Ok(()),
-            _ => Err(format!("expected a location, got {}", val.display(ctx))),
-        },
-        Constraint::TypeIdAttr => match val {
-            CVal::Attr(attr) if matches!(ctx.attr_data(attr), AttrData::TypeId(_)) => Ok(()),
-            _ => Err(format!("expected a type id, got {}", val.display(ctx))),
-        },
-        Constraint::ArrayAny => match val {
-            CVal::Attr(attr) if matches!(ctx.attr_data(attr), AttrData::Array(_)) => Ok(()),
-            _ => Err(format!("expected an array parameter, got {}", val.display(ctx))),
-        },
-        Constraint::ArrayOf(inner) => {
-            let items = array_items(ctx, val)?;
-            for &item in items {
-                eval(ctx, inner, CVal::from_attr(ctx, item), env, var_decls)?;
-            }
-            Ok(())
-        }
-        Constraint::ArrayExact(constraints) => {
-            let items = array_items(ctx, val)?;
-            if items.len() != constraints.len() {
-                return Err(format!(
-                    "expected an array of {} element(s), got {}",
-                    constraints.len(),
-                    items.len()
-                ));
-            }
-            for (item, pc) in items.iter().zip(constraints) {
-                eval(ctx, pc, CVal::from_attr(ctx, *item), env, var_decls)?;
-            }
-            Ok(())
-        }
-        Constraint::EnumAny { dialect, name } => match val {
-            CVal::Attr(attr) => match ctx.attr_data(attr) {
-                AttrData::EnumValue { dialect: d, enum_name: e, .. }
-                    if d == dialect && e == name =>
-                {
-                    Ok(())
-                }
-                _ => Err(format!(
-                    "expected a {}.{} enum value, got {}",
-                    ctx.symbol_str(*dialect),
-                    ctx.symbol_str(*name),
-                    val.display(ctx)
-                )),
-            },
-            _ => Err(format!("expected an enum value, got {}", val.display(ctx))),
-        },
-        Constraint::EnumVariant { dialect, name, variant } => match val {
-            CVal::Attr(attr) => match ctx.attr_data(attr) {
-                AttrData::EnumValue { dialect: d, enum_name: e, variant: v }
-                    if d == dialect && e == name && v == variant =>
-                {
-                    Ok(())
-                }
-                _ => Err(format!(
-                    "expected enum constructor {}.{}, got {}",
-                    ctx.symbol_str(*name),
-                    ctx.symbol_str(*variant),
-                    val.display(ctx)
-                )),
-            },
-            _ => Err(format!("expected an enum value, got {}", val.display(ctx))),
-        },
-        Constraint::NativeParam { kind } => match val {
-            CVal::Attr(attr) => match ctx.attr_data(attr) {
-                AttrData::Native { kind: k, .. } if k == kind => Ok(()),
-                _ => Err(format!(
-                    "expected a native `{}` parameter, got {}",
-                    ctx.symbol_str(*kind),
-                    val.display(ctx)
-                )),
-            },
-            _ => Err(format!("expected a native parameter, got {}", val.display(ctx))),
-        },
-        Constraint::AnyOf(choices) => {
-            let mut last_err = String::from("AnyOf<> with no alternatives never matches");
-            for choice in choices {
-                let mut attempt = env.clone();
-                match eval(ctx, choice, val, &mut attempt, var_decls) {
-                    Ok(()) => {
-                        *env = attempt;
-                        return Ok(());
-                    }
-                    Err(e) => last_err = e,
-                }
-            }
-            Err(format!("{} satisfied no alternative: {last_err}", val.display(ctx)))
-        }
-        Constraint::And(parts) => {
-            for part in parts {
-                eval(ctx, part, val, env, var_decls)?;
-            }
-            Ok(())
-        }
-        Constraint::Not(inner) => {
-            let mut scratch = env.clone();
-            match eval(ctx, inner, val, &mut scratch, var_decls) {
-                Ok(()) => Err(format!(
-                    "{} matches a constraint it must not match",
-                    val.display(ctx)
-                )),
-                Err(_) => Ok(()),
-            }
-        }
-        Constraint::Var(i) => match env.binding(*i) {
-            Some(bound) => {
-                if bound == val {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "constraint variable already bound to {}, got {}",
-                        bound.display(ctx),
-                        val.display(ctx)
-                    ))
-                }
-            }
-            None => {
-                let decl = var_decls.get(*i as usize).cloned().unwrap_or(Constraint::Any);
-                eval(ctx, &decl, val, env, var_decls)?;
-                env.bind(*i, val);
-                Ok(())
-            }
-        },
-        Constraint::Native { name, pred } => pred(ctx, &val)
-            .map_err(|e| format!("native constraint `{name}` failed: {e}")),
-    }
-}
-
-fn array_items(ctx: &Context, val: CVal) -> Result<&[Attribute], String> {
-    match val {
-        CVal::Attr(attr) => match ctx.attr_data(attr) {
-            AttrData::Array(items) => Ok(items),
-            _ => Err(format!("expected an array parameter, got {}", val.display(ctx))),
-        },
-        _ => Err(format!("expected an array parameter, got {}", val.display(ctx))),
-    }
-}
-
-fn int_matches(
-    ctx: &Context,
-    val: CVal,
-    kind: IntKind,
-    literal: Option<i128>,
-) -> Result<(), String> {
-    let CVal::Attr(attr) = val else {
-        return Err(format!("expected an integer parameter, got {}", val.display(ctx)));
-    };
-    let AttrData::Integer { value, ty } = ctx.attr_data(attr) else {
-        return Err(format!("expected an integer parameter, got {}", val.display(ctx)));
-    };
-    let (value, ty) = (*value, *ty);
-    let TypeData::Integer { width, signedness } = ctx.type_data(ty) else {
-        return Err(format!(
-            "expected an integer parameter, got {} of type {}",
-            val.display(ctx),
-            ty.display(ctx)
-        ));
-    };
-    if *width != kind.width {
-        return Err(format!(
-            "expected a {}-bit integer, got {}-bit",
-            kind.width, width
-        ));
-    }
-    let sign_ok = match signedness {
-        Signedness::Signless => true,
-        Signedness::Signed => !kind.unsigned,
-        Signedness::Unsigned => kind.unsigned,
-    };
-    if !sign_ok {
-        return Err(format!(
-            "integer signedness does not match {}",
-            kind.keyword()
-        ));
-    }
-    if !kind.fits(value) {
-        return Err(format!("value {value} does not fit in {}", kind.keyword()));
-    }
-    if let Some(expected) = literal {
-        if value != expected {
-            return Err(format!("expected the literal {expected}, got {value}"));
-        }
-    }
-    Ok(())
-}
-
-/// Attempts to compute the unique value satisfying `constraint` under the
-/// (possibly partial) bindings in `env`. Used by declarative-format type
-/// inference (paper §4.7).
-///
-/// Returns `None` when the constraint does not pin down a single value.
-pub fn concretize(
-    ctx: &mut Context,
-    constraint: &Constraint,
-    env: &BindingEnv,
-) -> Option<CVal> {
-    match constraint {
-        Constraint::ExactType(ty) => Some(CVal::Type(*ty)),
-        Constraint::ExactAttr(attr) => Some(CVal::Attr(*attr)),
-        Constraint::Var(i) => env.binding(*i),
-        Constraint::ParametricType { dialect, name, params } => {
-            let mut args = Vec::with_capacity(params.len());
-            for pc in params {
-                let v = concretize(ctx, pc, env)?;
-                args.push(v.into_attr(ctx));
-            }
-            ctx.parametric_type_syms(*dialect, *name, args).ok().map(CVal::Type)
-        }
-        Constraint::ParametricAttr { dialect, name, params } => {
-            let mut args = Vec::with_capacity(params.len());
-            for pc in params {
-                let v = concretize(ctx, pc, env)?;
-                args.push(v.into_attr(ctx));
-            }
-            ctx.parametric_attr_syms(*dialect, *name, args).ok().map(CVal::Attr)
-        }
-        Constraint::IntLiteral { value, kind } => {
-            // Match the literal's declared signedness, as eval/sample do.
-            let ty = ctx.int_type_with_signedness(
-                kind.width,
-                if kind.unsigned { Signedness::Unsigned } else { Signedness::Signless },
-            );
-            Some(CVal::Attr(ctx.int_attr(*value, ty)))
-        }
-        Constraint::StringLiteral(s) => Some(CVal::Attr(ctx.string_attr(s.clone()))),
-        Constraint::EnumVariant { dialect, name, variant } => {
-            let attr = ctx.intern_attr(AttrData::EnumValue {
-                dialect: *dialect,
-                enum_name: *name,
-                variant: *variant,
-            });
-            Some(CVal::Attr(attr))
-        }
-        Constraint::ArrayExact(items) => {
-            let mut out = Vec::with_capacity(items.len());
-            for pc in items {
-                let v = concretize(ctx, pc, env)?;
-                out.push(v.into_attr(ctx));
-            }
-            Some(CVal::Attr(ctx.array_attr(out)))
-        }
-        Constraint::And(parts) => {
-            // A witness from one conjunct must still satisfy the others.
-            let witness = parts.iter().find_map(|p| concretize(ctx, p, env))?;
-            let mut scratch = env.clone();
-            for part in parts {
-                eval(ctx, part, witness, &mut scratch, &[]).ok()?;
-            }
-            Some(witness)
-        }
-        _ => None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(ctx: &Context, c: &Constraint, val: CVal) -> Result<(), String> {
-        let mut env = BindingEnv::new(0);
-        eval(ctx, c, val, &mut env, &[])
-    }
-
-    #[test]
-    fn exact_type_constraint() {
-        let mut ctx = Context::new();
-        let f32 = ctx.f32_type();
-        let f64 = ctx.f64_type();
-        let c = Constraint::ExactType(f32);
-        assert!(ev(&ctx, &c, CVal::Type(f32)).is_ok());
-        assert!(ev(&ctx, &c, CVal::Type(f64)).is_err());
-    }
-
-    #[test]
-    fn anyof_and_not() {
-        let mut ctx = Context::new();
-        let f32 = ctx.f32_type();
-        let f64 = ctx.f64_type();
-        let i32 = ctx.i32_type();
-        let float_ty = Constraint::AnyOf(vec![
-            Constraint::ExactType(f32),
-            Constraint::ExactType(f64),
-        ]);
-        assert!(ev(&ctx, &float_ty, CVal::Type(f32)).is_ok());
-        assert!(ev(&ctx, &float_ty, CVal::Type(i32)).is_err());
-        let not_f32 = Constraint::Not(Box::new(Constraint::ExactType(f32)));
-        assert!(ev(&ctx, &not_f32, CVal::Type(f64)).is_ok());
-        assert!(ev(&ctx, &not_f32, CVal::Type(f32)).is_err());
-    }
-
-    #[test]
-    fn nonnull_int_from_paper() {
-        // And<int32_t, Not<0 : int32_t>> (paper §4.3).
-        let mut ctx = Context::new();
-        let kind = IntKind { width: 32, unsigned: false };
-        let c = Constraint::And(vec![
-            Constraint::Int(kind),
-            Constraint::Not(Box::new(Constraint::IntLiteral { value: 0, kind })),
-        ]);
-        let three = ctx.i32_attr(3);
-        let zero = ctx.i32_attr(0);
-        assert!(ev(&ctx, &c, CVal::Attr(three)).is_ok());
-        assert!(ev(&ctx, &c, CVal::Attr(zero)).is_err());
-    }
-
-    #[test]
-    fn parametric_type_constraint_binds_vars() {
-        let mut ctx = Context::new();
-        let f32 = ctx.f32_type();
-        let f32a = ctx.type_attr(f32);
-        let complex_f32 = ctx.parametric_type("cmath", "complex", [f32a]).unwrap();
-        let dialect = ctx.symbol("cmath");
-        let name = ctx.symbol("complex");
-        // T bound through !complex<!T>.
-        let decls = vec![Constraint::AnyType];
-        let c = Constraint::ParametricType { dialect, name, params: vec![Constraint::Var(0)] };
-        let mut env = BindingEnv::new(1);
-        eval(&ctx, &c, CVal::Type(complex_f32), &mut env, &decls).unwrap();
-        assert_eq!(env.binding(0), Some(CVal::Type(f32)));
-        // A second use must be equal.
-        let var = Constraint::Var(0);
-        assert!(eval(&ctx, &var, CVal::Type(f32), &mut env, &decls).is_ok());
-        let f64 = ctx.f64_type();
-        assert!(eval(&ctx, &var, CVal::Type(f64), &mut env, &decls).is_err());
-    }
-
-    #[test]
-    fn var_binding_rolls_back_in_anyof() {
-        let mut ctx = Context::new();
-        let f32 = ctx.f32_type();
-        let i32 = ctx.i32_type();
-        let decls = vec![Constraint::ExactType(i32)];
-        // First alternative binds the var but then fails overall; second
-        // alternative succeeds without binding.
-        let c = Constraint::AnyOf(vec![
-            Constraint::And(vec![Constraint::Var(0), Constraint::ExactType(i32)]),
-            Constraint::AnyType,
-        ]);
-        let mut env = BindingEnv::new(1);
-        eval(&ctx, &c, CVal::Type(f32), &mut env, &decls).unwrap();
-        assert_eq!(env.binding(0), None, "failed alternative must not leak bindings");
-    }
-
-    #[test]
-    fn array_constraints() {
-        let mut ctx = Context::new();
-        let one = ctx.i32_attr(1);
-        let two = ctx.i32_attr(2);
-        let s = ctx.string_attr("x");
-        let arr = ctx.array_attr([one, two]);
-        let mixed = ctx.array_attr([one, s]);
-        let kind = IntKind { width: 32, unsigned: false };
-        let all_int = Constraint::ArrayOf(Box::new(Constraint::Int(kind)));
-        assert!(ev(&ctx, &all_int, CVal::Attr(arr)).is_ok());
-        assert!(ev(&ctx, &all_int, CVal::Attr(mixed)).is_err());
-        let pair = Constraint::ArrayExact(vec![Constraint::Int(kind), Constraint::StringAny]);
-        assert!(ev(&ctx, &pair, CVal::Attr(mixed)).is_ok());
-        assert!(ev(&ctx, &pair, CVal::Attr(arr)).is_err());
-    }
-
-    #[test]
-    fn native_predicate() {
-        let mut ctx = Context::new();
-        // BoundedInteger from Listing 10: uint32_t and <= 32.
-        let c = Constraint::And(vec![
-            Constraint::Int(IntKind { width: 32, unsigned: true }),
-            Constraint::Native {
-                name: "bounded_u32".into(),
-                pred: Arc::new(|ctx, val| {
-                    let CVal::Attr(attr) = val else { return Err("not an attr".into()) };
-                    match attr.as_int(ctx) {
-                        Some(v) if v <= 32 => Ok(()),
-                        Some(v) => Err(format!("{v} > 32")),
-                        None => Err("not an integer".into()),
-                    }
-                }),
-            },
-        ]);
-        let ui32 = ctx.int_type_with_signedness(32, Signedness::Unsigned);
-        let ok = ctx.int_attr(7, ui32);
-        let too_big = ctx.int_attr(64, ui32);
-        assert!(ev(&ctx, &c, CVal::Attr(ok)).is_ok());
-        let err = ev(&ctx, &c, CVal::Attr(too_big)).unwrap_err();
-        assert!(err.contains("bounded_u32"), "{err}");
-    }
-
-    #[test]
-    fn concretize_parametric_type() {
-        let mut ctx = Context::new();
-        let f32 = ctx.f32_type();
-        let dialect = ctx.symbol("cmath");
-        let name = ctx.symbol("complex");
-        let c = Constraint::ParametricType {
-            dialect,
-            name,
-            params: vec![Constraint::Var(0)],
-        };
-        let mut env = BindingEnv::new(1);
-        env.bind(0, CVal::Type(f32));
-        let got = concretize(&mut ctx, &c, &env).unwrap();
-        let CVal::Type(ty) = got else { panic!("expected type") };
-        assert_eq!(ty.display(&ctx), "!cmath.complex<f32>");
-    }
-
-    #[test]
-    fn type_classes() {
-        let mut ctx = Context::new();
-        let i32 = ctx.i32_type();
-        let f32 = ctx.f32_type();
-        let c = Constraint::Class(TypeClass::AnyInteger);
-        assert!(ev(&ctx, &c, CVal::Type(i32)).is_ok());
-        assert!(ev(&ctx, &c, CVal::Type(f32)).is_err());
     }
 }

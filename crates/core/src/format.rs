@@ -18,7 +18,8 @@ use irdl_ir::print::Printer;
 use irdl_ir::{Context, OperationState, OpRef, Symbol};
 
 use crate::ast::Variadicity;
-use crate::constraint::{concretize, eval, BindingEnv, CVal};
+use crate::constraint::CVal;
+use crate::program::{take_ctx_scratch, with_ctx_scratch, EvalScratch};
 use crate::verifier::CompiledOp;
 
 /// One element of a compiled format.
@@ -168,29 +169,24 @@ impl FormatSpec {
         Ok(FormatSpec { elems, op })
     }
 
-    /// Builds the binding environment implied by an existing operation, by
+    /// Binds the constraint variables implied by an existing operation, by
     /// evaluating all declarative constraints against its actual types.
-    fn env_for(&self, ctx: &Context, op: OpRef) -> BindingEnv {
-        let mut env = BindingEnv::new(self.op.var_decls.len());
-        for (def, value) in self.op.operands.iter().zip(op.operands(ctx)) {
-            let ty = value.ty(ctx);
-            let _ = eval(ctx, &def.constraint, CVal::Type(ty), &mut env, &self.op.var_decls);
+    /// Failures are ignored; a failed conjunction keeps its prefix's
+    /// bindings.
+    fn bind_vars(&self, ctx: &Context, op: OpRef, scratch: &mut EvalScratch) {
+        let program = self.op.program();
+        scratch.reset(self.op.var_decls.len());
+        for (&root, value) in self.op.operand_roots().iter().zip(op.operands(ctx)) {
+            program.check(ctx, root, CVal::Type(value.ty(ctx)), scratch);
         }
-        for (def, ty) in self.op.results.iter().zip(op.result_types(ctx)) {
-            let _ = eval(ctx, &def.constraint, CVal::Type(*ty), &mut env, &self.op.var_decls);
+        for (&root, &ty) in self.op.result_roots().iter().zip(op.result_types(ctx)) {
+            program.check(ctx, root, CVal::Type(ty), scratch);
         }
-        for (key, constraint) in &self.op.attributes {
-            if let Some(value) = op.attr_sym(ctx, *key) {
-                let _ = eval(
-                    ctx,
-                    constraint,
-                    CVal::from_attr(ctx, value),
-                    &mut env,
-                    &self.op.var_decls,
-                );
+        for &(key, root) in self.op.attr_roots() {
+            if let Some(value) = op.attr_sym(ctx, key) {
+                program.check(ctx, root, CVal::from_attr(ctx, value), scratch);
             }
         }
-        env
     }
 
     fn navigate(
@@ -253,7 +249,26 @@ fn param_index(
 
 impl irdl_ir::OpSyntax for FormatSpec {
     fn print(&self, ctx: &Context, op: OpRef, printer: &mut Printer<'_>) {
-        let env = self.env_for(ctx, op);
+        with_ctx_scratch(ctx, |scratch| self.print_with(ctx, op, printer, scratch));
+    }
+
+    fn parse(&self, parser: &mut OpParser<'_, '_, '_>) -> Result<OperationState> {
+        let mut scratch = take_ctx_scratch(parser.ctx_ref());
+        let result = self.parse_with(parser, &mut scratch);
+        parser.ctx_ref().put_eval_scratch(scratch);
+        result
+    }
+}
+
+impl FormatSpec {
+    fn print_with(
+        &self,
+        ctx: &Context,
+        op: OpRef,
+        printer: &mut Printer<'_>,
+        scratch: &mut EvalScratch,
+    ) {
+        self.bind_vars(ctx, op, scratch);
         printer.token(" ");
         for elem in &self.elems {
             match elem {
@@ -269,7 +284,7 @@ impl irdl_ir::OpSyntax for FormatSpec {
                     }
                 }
                 FormatElem::VarPath { var, path } => {
-                    let Some(bound) = env.binding(*var) else {
+                    let Some(bound) = scratch.binding(*var) else {
                         printer.token("<unbound>");
                         continue;
                     };
@@ -311,7 +326,11 @@ impl irdl_ir::OpSyntax for FormatSpec {
         }
     }
 
-    fn parse(&self, parser: &mut OpParser<'_, '_, '_>) -> Result<OperationState> {
+    fn parse_with(
+        &self,
+        parser: &mut OpParser<'_, '_, '_>,
+        scratch: &mut EvalScratch,
+    ) -> Result<OperationState> {
         let name = parser.op_name();
         // Inline buffers: parsing a typical declarative-format op performs
         // no heap allocation on this path.
@@ -352,9 +371,10 @@ impl irdl_ir::OpSyntax for FormatSpec {
         parser.parse_optional_attr_dict(&mut state)?;
 
         // --- solve for constraint variables -------------------------------
-        let mut env = BindingEnv::new(self.op.var_decls.len());
+        let program = self.op.program();
+        scratch.reset(self.op.var_decls.len());
         for (var, val) in &direct {
-            if let Some(existing) = env.binding(*var) {
+            if let Some(existing) = scratch.binding(*var) {
                 if existing != *val {
                     return Err(parser.error(format!(
                         "conflicting values for constraint variable `{}`",
@@ -362,33 +382,29 @@ impl irdl_ir::OpSyntax for FormatSpec {
                     )));
                 }
             }
-            env.bind(*var, *val);
+            scratch.bind(*var, *val);
         }
         // Bind through the operand constraints (operand types are known).
         for operand in operands.iter() {
             let value = operand.expect("format compile guarantees operand coverage");
             state.operands.push(value);
         }
-        for (def, value) in self.op.operands.iter().zip(state.operands.iter()) {
-            let ty = value.ty(parser.ctx_ref());
-            eval(
-                parser.ctx_ref(),
-                &def.constraint,
-                CVal::Type(ty),
-                &mut env,
-                &self.op.var_decls,
-            )
-            .map_err(|e| parser.error(format!("operand `{}`: {e}", def.name)))?;
+        let operand_defs = self.op.operands.iter().zip(self.op.operand_roots());
+        for ((def, &root), value) in operand_defs.zip(state.operands.iter()) {
+            let ty = CVal::Type(value.ty(parser.ctx_ref()));
+            program
+                .check_explained(parser.ctx_ref(), root, ty, scratch)
+                .map_err(|e| parser.error(format!("operand `{}`: {e}", def.name)))?;
         }
         // Solve parameter-path assignments.
         for (var, path, val) in &paths {
-            self.solve_path(parser.ctx(), *var, path, *val, &mut env)
+            self.solve_path(parser.ctx(), *var, path, *val, scratch)
                 .map_err(|d| d.or_offset(parser.offset()))?;
         }
 
         // --- infer result types ----------------------------------------------
-        for def in &self.op.results {
-            match concretize(parser.ctx(), &def.constraint, &env) {
+        for (def, &root) in self.op.results.iter().zip(self.op.result_roots()) {
+            match program.concretize(parser.ctx(), root, scratch) {
                 Some(CVal::Type(ty)) => state.result_types.push(ty),
                 _ => {
                     return Err(parser.error(format!(
@@ -538,9 +554,9 @@ impl FormatSpec {
         var: u32,
         path: &[String],
         val: CVal,
-        env: &mut BindingEnv,
+        scratch: &mut EvalScratch,
     ) -> Result<()> {
-        if let Some(bound) = env.binding(var) {
+        if let Some(bound) = scratch.binding(var) {
             // Already known (e.g. from an operand): check consistency.
             let navigated = self.navigate(ctx, bound, path)?;
             if navigated != val {
@@ -559,16 +575,15 @@ impl FormatSpec {
                 "only single-level parameter paths can drive type inference",
             ));
         }
-        let decl = &self.op.var_decls[var as usize];
-        let crate::constraint::Constraint::ParametricType { dialect, name, params } = decl
-        else {
+        let program = self.op.program();
+        let decl = program.var_root(var).expect("format variables are declared");
+        let Some((dialect, name, params)) = program.parametric_type(decl) else {
             return Err(Diagnostic::new(format!(
                 "constraint variable `{}` is not declared with a parametric type; \
                  `$var.param` cannot reconstruct it",
                 self.op.var_names[var as usize]
             )));
         };
-        let (dialect, name, params) = (*dialect, *name, params.clone());
         let target =
             param_index(ctx, dialect, name, true, &path[0]).ok_or_else(|| {
                 Diagnostic::new(format!(
@@ -579,11 +594,11 @@ impl FormatSpec {
                 ))
             })?;
         let mut args = Vec::with_capacity(params.len());
-        for (i, pc) in params.iter().enumerate() {
+        for (i, &pc) in params.iter().enumerate() {
             let v = if i == target {
                 val
             } else {
-                concretize(ctx, pc, env).ok_or_else(|| {
+                program.concretize(ctx, pc, scratch).ok_or_else(|| {
                     Diagnostic::new(format!(
                         "cannot infer parameter #{i} of `${}`",
                         self.op.var_names[var as usize]
@@ -596,9 +611,8 @@ impl FormatSpec {
             .parametric_type_syms(dialect, name, args)
             .map_err(|d| d.with_note("while reconstructing a format type"))?;
         // The reconstructed value must satisfy the variable's declaration.
-        eval(ctx, decl, CVal::Type(ty), env, &self.op.var_decls)
-            .map_err(Diagnostic::new)?;
-        env.bind(var, CVal::Type(ty));
+        program.check_explained(ctx, decl, CVal::Type(ty), scratch).map_err(Diagnostic::new)?;
+        scratch.bind(var, CVal::Type(ty));
         Ok(())
     }
 }

@@ -11,26 +11,35 @@
 use irdl_ir::{Attribute, BlockRef, Context, OperationState, OpRef, Type};
 
 use crate::ast::Variadicity;
-use crate::constraint::{BindingEnv, CVal, Constraint, TypeClass};
+use crate::constraint::{CVal, TypeClass};
+use crate::program::{int_attr, ConstraintProgram, EvalScratch, Inst};
 use crate::verifier::CompiledOp;
 
-/// Samples a value satisfying `constraint` under `env`, binding variables
-/// along the way (`var_decls` gives each variable's declared constraint).
+/// Samples a value satisfying node `node` of `program`, binding variables
+/// in `scratch` along the way.
 ///
 /// Returns `None` for constraints with no computable witness (negations of
 /// broad constraints, native predicates whose language is unknown, ...).
 pub fn sample(
     ctx: &mut Context,
-    constraint: &Constraint,
-    env: &mut BindingEnv,
-    var_decls: &[Constraint],
+    program: &ConstraintProgram,
+    node: u32,
+    scratch: &mut EvalScratch,
 ) -> Option<CVal> {
-    match constraint {
-        Constraint::Any | Constraint::AnyType => Some(CVal::Type(ctx.i32_type())),
-        Constraint::AnyAttr => Some(CVal::Attr(ctx.unit_attr())),
-        Constraint::ExactType(ty) => Some(CVal::Type(*ty)),
-        Constraint::ExactAttr(attr) => Some(CVal::Attr(*attr)),
-        Constraint::Class(class) => {
+    let attrs = |ctx: &mut Context, nodes: &[u32], scratch: &mut EvalScratch| {
+        let mut out = Vec::with_capacity(nodes.len());
+        for &n in nodes {
+            let v = sample(ctx, program, n, scratch)?;
+            out.push(v.into_attr(ctx));
+        }
+        Some(out)
+    };
+    match program.inst(node) {
+        Inst::Any | Inst::AnyType => Some(CVal::Type(ctx.i32_type())),
+        Inst::AnyAttr => Some(CVal::Attr(ctx.unit_attr())),
+        Inst::ExactType(ty) => Some(CVal::Type(*ty)),
+        Inst::ExactAttr(attr) => Some(CVal::Attr(*attr)),
+        Inst::Class(class) => {
             let ty = match class {
                 TypeClass::AnyInteger => ctx.i32_type(),
                 TypeClass::AnyFloat => ctx.f32_type(),
@@ -51,16 +60,11 @@ pub fn sample(
             };
             Some(CVal::Type(ty))
         }
-        Constraint::ParametricType { dialect, name, params } => {
-            let (dialect, name, params) = (*dialect, *name, params.clone());
-            let mut args = Vec::with_capacity(params.len());
-            for pc in &params {
-                let v = sample(ctx, pc, env, var_decls)?;
-                args.push(v.into_attr(ctx));
-            }
-            ctx.parametric_type_syms(dialect, name, args).ok().map(CVal::Type)
+        Inst::ParametricType { dialect, name, children } => {
+            let args = attrs(ctx, program.children(*children), scratch)?;
+            ctx.parametric_type_syms(*dialect, *name, args).ok().map(CVal::Type)
         }
-        Constraint::BaseType { dialect, name } => {
+        Inst::BaseType { dialect, name } => {
             // A bare base reference: fall back to the definition's declared
             // arity with maximally generic parameters.
             let (dialect, name) = (*dialect, *name);
@@ -76,70 +80,39 @@ pub fn sample(
             }
             ctx.parametric_type_syms(dialect, name, args).ok().map(CVal::Type)
         }
-        Constraint::ParametricAttr { dialect, name, params } => {
-            let (dialect, name, params) = (*dialect, *name, params.clone());
-            let mut args = Vec::with_capacity(params.len());
-            for pc in &params {
-                let v = sample(ctx, pc, env, var_decls)?;
-                args.push(v.into_attr(ctx));
-            }
-            ctx.parametric_attr_syms(dialect, name, args).ok().map(CVal::Attr)
+        Inst::ParametricAttr { dialect, name, children } => {
+            let args = attrs(ctx, program.children(*children), scratch)?;
+            ctx.parametric_attr_syms(*dialect, *name, args).ok().map(CVal::Attr)
         }
-        Constraint::BaseAttr { dialect, name } => {
-            let (dialect, name) = (*dialect, *name);
-            ctx.parametric_attr_syms(dialect, name, Vec::new()).ok().map(CVal::Attr)
+        Inst::BaseAttr { dialect, name } => {
+            ctx.parametric_attr_syms(*dialect, *name, Vec::new()).ok().map(CVal::Attr)
         }
-        Constraint::Int(kind) => {
-            let ty = ctx.int_type_with_signedness(
-                kind.width,
-                if kind.unsigned {
-                    irdl_ir::Signedness::Unsigned
-                } else {
-                    irdl_ir::Signedness::Signless
-                },
-            );
-            Some(CVal::Attr(ctx.int_attr(1, ty)))
-        }
-        Constraint::IntLiteral { value, kind } => {
-            let ty = ctx.int_type_with_signedness(
-                kind.width,
-                if kind.unsigned {
-                    irdl_ir::Signedness::Unsigned
-                } else {
-                    irdl_ir::Signedness::Signless
-                },
-            );
-            Some(CVal::Attr(ctx.int_attr(*value, ty)))
-        }
-        Constraint::FloatAttr(kind) => {
+        Inst::Int(kind) => Some(CVal::Attr(int_attr(ctx, *kind, 1))),
+        Inst::IntLiteral { value, kind } => Some(CVal::Attr(int_attr(ctx, *kind, *value))),
+        Inst::FloatAttr(kind) => {
             let kind = kind.unwrap_or(irdl_ir::FloatKind::F32);
             Some(CVal::Attr(ctx.float_attr(1.0, kind)))
         }
-        Constraint::StringAny => Some(CVal::Attr(ctx.string_attr("sample"))),
-        Constraint::StringLiteral(s) => Some(CVal::Attr(ctx.string_attr(s.clone()))),
-        Constraint::BoolAttr => Some(CVal::Attr(ctx.bool_attr(true))),
-        Constraint::UnitAttr => Some(CVal::Attr(ctx.unit_attr())),
-        Constraint::SymbolRefAttr => Some(CVal::Attr(ctx.symbol_ref_attr("sampled"))),
-        Constraint::LocationAttr => Some(CVal::Attr(ctx.location_attr("gen.ir", 1, 1))),
-        Constraint::TypeIdAttr => Some(CVal::Attr(ctx.type_id_attr("SampledType"))),
-        Constraint::ArrayAny => Some(CVal::Attr(ctx.array_attr([]))),
-        Constraint::ArrayOf(inner) => {
-            let item = sample(ctx, inner, env, var_decls)?;
-            let item = item.into_attr(ctx);
-            Some(CVal::Attr(ctx.array_attr([item])))
+        Inst::StringAny => Some(CVal::Attr(ctx.string_attr("sample"))),
+        Inst::StringLiteral(s) => Some(CVal::Attr(ctx.string_attr(&**s))),
+        Inst::BoolAttr => Some(CVal::Attr(ctx.bool_attr(true))),
+        Inst::UnitAttr => Some(CVal::Attr(ctx.unit_attr())),
+        Inst::SymbolRefAttr => Some(CVal::Attr(ctx.symbol_ref_attr("sampled"))),
+        Inst::LocationAttr => Some(CVal::Attr(ctx.location_attr("gen.ir", 1, 1))),
+        Inst::TypeIdAttr => Some(CVal::Attr(ctx.type_id_attr("SampledType"))),
+        Inst::ArrayAny => Some(CVal::Attr(ctx.array_attr([]))),
+        Inst::ArrayOf(inner) => {
+            let item = attrs(ctx, &[*inner], scratch)?;
+            Some(CVal::Attr(ctx.array_attr(item)))
         }
-        Constraint::ArrayExact(items) => {
-            let mut out = Vec::with_capacity(items.len());
-            for pc in items {
-                let v = sample(ctx, pc, env, var_decls)?;
-                out.push(v.into_attr(ctx));
-            }
-            Some(CVal::Attr(ctx.array_attr(out)))
+        Inst::ArrayExact(children) => {
+            let items = attrs(ctx, program.children(*children), scratch)?;
+            Some(CVal::Attr(ctx.array_attr(items)))
         }
-        Constraint::EnumAny { dialect, name } | Constraint::EnumVariant { dialect, name, .. } => {
+        Inst::EnumAny { dialect, name } | Inst::EnumVariant { dialect, name, .. } => {
             let (dialect, name) = (*dialect, *name);
-            let variant = match constraint {
-                Constraint::EnumVariant { variant, .. } => Some(*variant),
+            let variant = match program.inst(node) {
+                Inst::EnumVariant { variant, .. } => Some(*variant),
                 _ => ctx
                     .registry()
                     .enum_def(dialect, name)
@@ -151,7 +124,7 @@ pub fn sample(
                 variant,
             })))
         }
-        Constraint::NativeParam { kind } => {
+        Inst::NativeParam { kind } => {
             let kind_name = ctx.symbol_str(*kind).to_string();
             let text = match kind_name.as_str() {
                 "affine_map" => "(d0) -> (d0)",
@@ -159,35 +132,34 @@ pub fn sample(
             };
             ctx.native_attr(&kind_name, text).ok().map(CVal::Attr)
         }
-        Constraint::AnyOf(choices) => {
-            for choice in choices {
-                let mut attempt = env.clone();
-                if let Some(v) = sample(ctx, choice, &mut attempt, var_decls) {
-                    // The sampled witness must actually satisfy the choice
-                    // (sampling a var may have raced a binding).
-                    if crate::constraint::eval(ctx, choice, v, &mut attempt, var_decls).is_ok() {
-                        *env = attempt;
+        Inst::AnyOf(children) => {
+            // The first alternative whose witness actually satisfies it
+            // (sampling a var may have raced a binding) commits.
+            for &choice in program.children(*children) {
+                let mark = scratch.mark();
+                if let Some(v) = sample(ctx, program, choice, scratch) {
+                    if program.check(ctx, choice, v, scratch) {
                         return Some(v);
                     }
                 }
+                scratch.rollback(mark);
             }
             None
         }
-        Constraint::And(parts) => {
+        Inst::And(children) => {
             // Sample the most constrained part first (exact constraints),
             // then check the rest.
-            let witness_source = parts
-                .iter()
-                .max_by_key(|p| constraint_specificity(p))?;
-            let v = sample(ctx, witness_source, env, var_decls)?;
-            let mut attempt = env.clone();
-            for part in parts {
-                crate::constraint::eval(ctx, part, v, &mut attempt, var_decls).ok()?;
+            let parts = program.children(*children);
+            let source = parts.iter().max_by_key(|&&p| specificity(program.inst(p)))?;
+            let v = sample(ctx, program, *source, scratch)?;
+            let mark = scratch.mark();
+            if parts.iter().all(|&part| program.check(ctx, part, v, scratch)) {
+                return Some(v);
             }
-            *env = attempt;
-            Some(v)
+            scratch.rollback(mark);
+            None
         }
-        Constraint::Not(inner) => {
+        Inst::Not(inner) => {
             // Try a few canonical witnesses and keep one the inner
             // constraint rejects.
             let f64 = ctx.f64_type();
@@ -197,53 +169,53 @@ pub fn sample(
             let candidates =
                 [CVal::Type(f64), CVal::Type(i64), CVal::Attr(one), CVal::Attr(s)];
             candidates.into_iter().find(|v| {
-                let mut scratch = env.clone();
-                crate::constraint::eval(ctx, inner, *v, &mut scratch, var_decls).is_err()
+                let mark = scratch.mark();
+                let matched = program.check(ctx, *inner, *v, scratch);
+                scratch.rollback(mark);
+                !matched
             })
         }
-        Constraint::Var(i) => {
-            if let Some(bound) = env.binding(*i) {
+        Inst::Var(i) => {
+            if let Some(bound) = scratch.binding(*i) {
                 return Some(bound);
             }
-            let decl = var_decls.get(*i as usize).cloned().unwrap_or(Constraint::Any);
-            let v = sample(ctx, &decl, env, var_decls)?;
-            env.bind(*i, v);
+            let v = match program.var_root(*i) {
+                Some(decl) => sample(ctx, program, decl, scratch)?,
+                None => CVal::Type(ctx.i32_type()),
+            };
+            scratch.bind(*i, v);
             Some(v)
         }
-        Constraint::Native { .. } => {
+        Inst::Native { .. } => {
             // The predicate's language is unknown; try the stock witnesses
             // used by the corpus categories.
             let i64 = ctx.i64_type();
             let one = ctx.int_attr(1, i64);
             let arr = ctx.array_attr([one]);
             let s = ctx.string_attr("body");
-            let mut scratch = env.clone();
             [CVal::Attr(one), CVal::Attr(arr), CVal::Attr(s)]
                 .into_iter()
-                .find(|v| {
-                    crate::constraint::eval(ctx, constraint, *v, &mut scratch, var_decls)
-                        .is_ok()
-                })
+                .find(|v| program.check(ctx, node, *v, scratch))
         }
     }
 }
 
-fn constraint_specificity(c: &Constraint) -> u32 {
-    match c {
-        Constraint::ExactType(_)
-        | Constraint::ExactAttr(_)
-        | Constraint::IntLiteral { .. }
-        | Constraint::StringLiteral(_)
-        | Constraint::EnumVariant { .. } => 4,
-        Constraint::ParametricType { .. } | Constraint::ParametricAttr { .. } => 3,
-        Constraint::Int(_)
-        | Constraint::FloatAttr(_)
-        | Constraint::Class(_)
-        | Constraint::BaseType { .. }
-        | Constraint::BaseAttr { .. }
-        | Constraint::ArrayOf(_)
-        | Constraint::ArrayExact(_) => 2,
-        Constraint::Native { .. } | Constraint::Not(_) => 0,
+fn specificity(inst: &Inst) -> u32 {
+    match inst {
+        Inst::ExactType(_)
+        | Inst::ExactAttr(_)
+        | Inst::IntLiteral { .. }
+        | Inst::StringLiteral(_)
+        | Inst::EnumVariant { .. } => 4,
+        Inst::ParametricType { .. } | Inst::ParametricAttr { .. } => 3,
+        Inst::Int(_)
+        | Inst::FloatAttr(_)
+        | Inst::Class(_)
+        | Inst::BaseType { .. }
+        | Inst::BaseAttr { .. }
+        | Inst::ArrayOf(_)
+        | Inst::ArrayExact(_) => 2,
+        Inst::Native { .. } | Inst::Not(_) => 0,
         _ => 1,
     }
 }
@@ -270,18 +242,20 @@ pub fn instantiate_op(
     compiled: &CompiledOp,
     block: BlockRef,
 ) -> Instantiation {
-    let mut env = BindingEnv::new(compiled.var_decls.len());
+    let program = compiled.program();
+    let mut scratch = EvalScratch::new();
+    scratch.reset(compiled.var_decls.len());
 
     // --- operand types ----------------------------------------------------
     let mut operand_types: Vec<Type> = Vec::new();
     let mut operand_sizes: Vec<i64> = Vec::new();
-    for def in &compiled.operands {
+    for (def, &root) in compiled.operands.iter().zip(compiled.operand_roots()) {
         // One value per definition, variadic or not; the segment-sizes
         // attribute below records the all-ones layout when needed.
         let count = 1;
         operand_sizes.push(count);
         for _ in 0..count {
-            match sample(ctx, &def.constraint, &mut env, &compiled.var_decls) {
+            match sample(ctx, program, root, &mut scratch) {
                 Some(CVal::Type(ty)) => operand_types.push(ty),
                 _ => {
                     return Instantiation::Skipped(format!(
@@ -296,9 +270,9 @@ pub fn instantiate_op(
     // --- result types -------------------------------------------------------
     let mut result_types: Vec<Type> = Vec::new();
     let mut result_sizes: Vec<i64> = Vec::new();
-    for def in &compiled.results {
+    for (def, &root) in compiled.results.iter().zip(compiled.result_roots()) {
         result_sizes.push(1);
-        match sample(ctx, &def.constraint, &mut env, &compiled.var_decls) {
+        match sample(ctx, program, root, &mut scratch) {
             Some(CVal::Type(ty)) => result_types.push(ty),
             _ => {
                 return Instantiation::Skipped(format!("cannot sample result `{}`", def.name))
@@ -308,14 +282,14 @@ pub fn instantiate_op(
 
     // --- attributes ------------------------------------------------------------
     let mut attributes: Vec<(irdl_ir::Symbol, Attribute)> = Vec::new();
-    for (key, constraint) in &compiled.attributes {
-        match sample(ctx, constraint, &mut env, &compiled.var_decls) {
+    for &(key, root) in compiled.attr_roots() {
+        match sample(ctx, program, root, &mut scratch) {
             Some(v) => {
                 let attr = v.into_attr(ctx);
-                attributes.push((*key, attr));
+                attributes.push((key, attr));
             }
             None => {
-                let key = ctx.symbol_str(*key).to_string();
+                let key = ctx.symbol_str(key).to_string();
                 return Instantiation::Skipped(format!("cannot sample attribute `{key}`"));
             }
         }
@@ -339,14 +313,14 @@ pub fn instantiate_op(
 
     // --- regions -----------------------------------------------------------------
     let mut regions = Vec::new();
-    for def in &compiled.regions {
+    for (index, def) in compiled.regions.iter().enumerate() {
         let mut arg_types = Vec::new();
-        if let Some(args) = &def.args {
-            for arg in args {
+        if let (Some(args), Some(roots)) = (&def.args, compiled.region_arg_roots(index)) {
+            for (arg, &root) in args.iter().zip(roots) {
                 if !matches!(arg.variadicity, Variadicity::Single) {
                     continue;
                 }
-                match sample(ctx, &arg.constraint, &mut env, &compiled.var_decls) {
+                match sample(ctx, program, root, &mut scratch) {
                     Some(CVal::Type(ty)) => arg_types.push(ty),
                     _ => {
                         return Instantiation::Skipped(format!(
@@ -396,6 +370,7 @@ pub fn instantiate_op(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::Constraint;
 
     #[test]
     fn sample_satisfies_what_it_samples() {
@@ -416,12 +391,12 @@ mod tests {
             Constraint::StringLiteral("exact".to_string()),
             Constraint::Class(TypeClass::AnyVector),
         ];
-        for c in &constraints {
-            let mut env = BindingEnv::new(0);
-            let v = sample(&mut ctx, c, &mut env, &[])
+        let (program, roots) = ConstraintProgram::lower(&mut ctx, &[], &constraints);
+        for (c, &root) in constraints.iter().zip(&roots) {
+            let v = sample(&mut ctx, &program, root, &mut EvalScratch::new())
                 .unwrap_or_else(|| panic!("no sample for {c:?}"));
-            let mut env = BindingEnv::new(0);
-            crate::constraint::eval(&ctx, c, v, &mut env, &[])
+            program
+                .explain(&ctx, root, v, &mut EvalScratch::new())
                 .unwrap_or_else(|e| panic!("sample violates {c:?}: {e}"));
         }
     }
@@ -430,10 +405,12 @@ mod tests {
     fn sampled_vars_are_consistent() {
         let mut ctx = Context::new();
         let f32 = ctx.f32_type();
-        let decls = vec![Constraint::ExactType(f32)];
-        let mut env = BindingEnv::new(1);
-        let a = sample(&mut ctx, &Constraint::Var(0), &mut env, &decls).unwrap();
-        let b = sample(&mut ctx, &Constraint::Var(0), &mut env, &decls).unwrap();
+        let decls = [Constraint::ExactType(f32)];
+        let (program, roots) = ConstraintProgram::lower(&mut ctx, &decls, &[Constraint::Var(0)]);
+        let mut scratch = EvalScratch::new();
+        scratch.reset(1);
+        let a = sample(&mut ctx, &program, roots[0], &mut scratch).unwrap();
+        let b = sample(&mut ctx, &program, roots[0], &mut scratch).unwrap();
         assert_eq!(a, b, "a variable samples to one value");
     }
 }

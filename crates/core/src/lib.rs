@@ -75,6 +75,6 @@ pub use compile::{
     compile_dialect, compile_dialect_collecting, compile_dialect_to_recipe,
     dialect_compile_count, register_dialects, register_dialects_with, register_recipe,
 };
-pub use constraint::{BindingEnv, CVal, Constraint};
+pub use constraint::{CVal, Constraint};
 pub use native::NativeRegistry;
 pub use parser::parse_irdl;

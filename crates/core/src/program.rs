@@ -1,48 +1,46 @@
-//! The verifier fast path: flat constraint programs.
+//! Constraint programs: the one evaluator of IRDL constraints.
 //!
-//! [`crate::constraint::eval`] walks the `Rc`-linked [`Constraint`] tree and
-//! renders a `format!` diagnostic for every violation — including the
-//! rejected alternatives of a successful `AnyOf`. That is the right shape
-//! for error reporting and exactly the wrong shape for the hot loop: module
-//! verification re-checks the same uniqued types against the same
-//! constraints thousands of times.
+//! A [`Constraint`] tree is data — frontend output, bundle recipes,
+//! Figure 8 classification. Before anything is checked against it, it is
+//! lowered into a [`ConstraintProgram`]: a contiguous instruction vector
+//! (`Inst`) whose combinators reference their children through an index
+//! pool. Every verdict, rejection message, declarative-format binding and
+//! generated witness comes from walking these nodes.
 //!
-//! This module lowers each [`CompiledOp`] / [`CompiledParams`] into a
-//! [`ConstraintProgram`]: a contiguous instruction vector ([`Inst`]) whose
-//! combinators reference their children through an index pool instead of
-//! heap pointers. Evaluation ([`ConstraintProgram::eval`]) dispatches over
-//! the flat vector, returns a bare verdict (`bool`), and uses a trail-based
-//! undo log for `AnyOf`/`Not` backtracking, so the success path performs no
-//! heap allocation at all. Diagnostics are rendered lazily: only when the
-//! fast path rejects an op does the adapter re-run the retained tree
-//! interpreter to produce the human-readable message.
+//! Evaluation runs one body in one of two reporting modes:
+//!
+//! - *silent* returns a bare verdict, allocates nothing, and memoizes pure
+//!   verdicts in the owning [`Context`];
+//! - *explain* renders why a value was rejected. It runs only after a
+//!   silent rejection and bypasses the verdict cache, so its verdict never
+//!   rests on a cached one.
+//!
+//! Constraint variables bind in an [`EvalScratch`] with a trail, so
+//! `AnyOf`/`Not` backtracking undoes bindings without cloning an
+//! environment: `AnyOf` commits the bindings of the first matching
+//! alternative (matching is greedy per value, as in upstream IRDL), `Not`
+//! never leaks them, and `And` keeps a failed prefix's bindings.
 //!
 //! At lowering time every node is classified as *pure* (its verdict depends
 //! only on the value, not on constraint-variable bindings or native
 //! predicate state). Pure composite nodes get a cache slot; their verdicts
-//! are memoized in the owning [`Context`], keyed on `(verdict domain,
-//! value)`. This is sound because types and attributes are uniqued,
-//! immutable indices: a `!cmath.complex<f32>` checked once is checked
-//! forever.
-
-use std::sync::Arc;
+//! are memoized keyed on `(verdict domain, value)`. This is sound because
+//! types and attributes are uniqued, immutable indices: a
+//! `!cmath.complex<f32>` checked once is checked forever.
 
 use irdl_ir::attrs::AttrData;
-use irdl_ir::diag::{Diagnostic, Result};
 use irdl_ir::types::TypeData;
-use irdl_ir::{Attribute, Context, OpName, OpRef, Signedness, Symbol, Type};
+use irdl_ir::{Attribute, Context, Signedness, Symbol, Type};
 
-use crate::ast::{IntKind, Variadicity};
+use crate::ast::IntKind;
 use crate::constraint::{CVal, Constraint, NativePred, TypeClass};
-use crate::verifier::{CompiledOp, CompiledParams, CompiledRegion};
-use crate::variadic::{resolve_segments_into, OPERAND_SEGMENT_ATTR, RESULT_SEGMENT_ATTR};
 
 /// Sentinel for "this node has no verdict-cache slot".
 const NO_SLOT: u32 = u32::MAX;
 
 /// A `(start, len)` range into [`ConstraintProgram::children`].
 #[derive(Debug, Clone, Copy)]
-struct Children {
+pub(crate) struct Children {
     start: u32,
     len: u32,
 }
@@ -50,7 +48,7 @@ struct Children {
 /// One flat instruction. Mirrors [`Constraint`] but replaces owned
 /// subtrees with index ranges into the shared child pool.
 #[derive(Clone)]
-enum Inst {
+pub(crate) enum Inst {
     Any,
     AnyType,
     AnyAttr,
@@ -81,7 +79,7 @@ enum Inst {
     And(Children),
     Not(u32),
     Var(u32),
-    Native(NativePred),
+    Native { name: Box<str>, pred: NativePred },
 }
 
 #[derive(Clone)]
@@ -91,6 +89,60 @@ struct Node {
     /// cached: leaves are cheaper to re-check than to look up.
     cache_slot: u32,
 }
+
+// ---------------------------------------------------------------------------
+// Reporting modes
+// ---------------------------------------------------------------------------
+
+/// How an evaluation reports a rejection. Both modes run the same body;
+/// the silent instantiation compiles the rendering away.
+pub(crate) trait Mode {
+    /// What a rejection carries.
+    type Fail;
+    /// Whether pure verdicts are read from and written to the cache.
+    const CACHED: bool;
+    /// A rejection described by `msg`, rendered only when explaining.
+    fn fail(msg: impl FnOnce() -> String) -> Self::Fail;
+    /// Rewraps a nested rejection's description.
+    fn wrap(fail: Self::Fail, f: impl FnOnce(String) -> String) -> Self::Fail;
+}
+
+/// Bare verdicts: nothing rendered, nothing allocated, cache in use.
+pub(crate) struct Silent;
+
+impl Mode for Silent {
+    type Fail = ();
+    const CACHED: bool = true;
+    fn fail(_: impl FnOnce() -> String) {}
+    fn wrap(_: (), _: impl FnOnce(String) -> String) {}
+}
+
+/// Rendered rejections, evaluated without the verdict cache.
+pub(crate) struct Explain;
+
+impl Mode for Explain {
+    type Fail = String;
+    const CACHED: bool = false;
+    fn fail(msg: impl FnOnce() -> String) -> String {
+        msg()
+    }
+    fn wrap(fail: String, f: impl FnOnce(String) -> String) -> String {
+        f(fail)
+    }
+}
+
+/// `Ok` when `ok`, otherwise a rejection described by `msg`.
+fn ensure<M: Mode>(ok: bool, msg: impl FnOnce() -> String) -> Result<(), M::Fail> {
+    if ok {
+        Ok(())
+    } else {
+        Err(M::fail(msg))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Programs
+// ---------------------------------------------------------------------------
 
 /// A lowered constraint set: all constraints of one op (or one type/attr
 /// definition) in a single contiguous instruction vector.
@@ -108,13 +160,91 @@ pub struct ConstraintProgram {
 }
 
 impl ConstraintProgram {
-    fn children(&self, range: Children) -> &[u32] {
+    /// Lowers `constraints` (plus the declared constraint of each variable
+    /// in `var_decls`) into one program, reserving verdict-cache domains
+    /// from `ctx`. Returns the program and the root node of each
+    /// constraint, in order.
+    pub fn lower(
+        ctx: &mut Context,
+        var_decls: &[Constraint],
+        constraints: &[Constraint],
+    ) -> (ConstraintProgram, Vec<u32>) {
+        let mut b = Builder::default();
+        let var_roots = var_decls.iter().map(|d| b.lower(d)).collect();
+        let roots = constraints.iter().map(|c| b.lower(c)).collect();
+        (b.finish(ctx, var_roots), roots)
+    }
+
+    pub(crate) fn inst(&self, idx: u32) -> &Inst {
+        &self.nodes[idx as usize].inst
+    }
+
+    pub(crate) fn children(&self, range: Children) -> &[u32] {
         &self.children[range.start as usize..(range.start + range.len) as usize]
+    }
+
+    /// Root node of variable `var`'s declared constraint.
+    pub(crate) fn var_root(&self, var: u32) -> Option<u32> {
+        self.var_roots.get(var as usize).copied()
     }
 
     /// Number of memoizable (pure composite) nodes.
     pub fn num_cache_slots(&self) -> u32 {
         self.num_slots
+    }
+
+    /// `(dialect, name, parameter nodes)` when node `idx` is a parametric
+    /// type pattern.
+    pub(crate) fn parametric_type(&self, idx: u32) -> Option<(Symbol, Symbol, &[u32])> {
+        match self.inst(idx) {
+            Inst::ParametricType { dialect, name, children } => {
+                Some((*dialect, *name, self.children(*children)))
+            }
+            _ => None,
+        }
+    }
+
+    /// Silent verdict of node `root` on `val`; binds variables in
+    /// `scratch` as it goes. Allocation-free.
+    pub fn check(&self, ctx: &Context, root: u32, val: CVal, scratch: &mut EvalScratch) -> bool {
+        self.eval::<Silent>(ctx, root, val, scratch).is_ok()
+    }
+
+    /// Explain-mode evaluation of node `root` on `val`: the rejection
+    /// rendered for humans, or `Ok` exactly when [`Self::check`] accepts.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated constraint.
+    pub fn explain(
+        &self,
+        ctx: &Context,
+        root: u32,
+        val: CVal,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), String> {
+        self.eval::<Explain>(ctx, root, val, scratch)
+    }
+
+    /// [`Self::check`], falling back to [`Self::explain`] from the same
+    /// bindings when the silent verdict rejects.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated constraint.
+    pub(crate) fn check_explained(
+        &self,
+        ctx: &Context,
+        root: u32,
+        val: CVal,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), String> {
+        let mark = scratch.mark();
+        if self.check(ctx, root, val, scratch) {
+            return Ok(());
+        }
+        scratch.rollback(mark);
+        self.explain(ctx, root, val, scratch)
     }
 
     fn cache_key(&self, slot: u32, val: CVal) -> u64 {
@@ -125,174 +255,340 @@ impl ConstraintProgram {
         (((self.domain_base + slot) as u64) << 33) | (tag << 32) | index
     }
 
-    /// Evaluates node `idx` against `val`. Allocation-free; returns the
-    /// bare verdict.
-    fn eval(&self, ctx: &Context, idx: u32, val: CVal, scratch: &mut EvalScratch) -> bool {
+    /// Evaluates node `idx` against `val` in reporting mode `M`.
+    pub(crate) fn eval<M: Mode>(
+        &self,
+        ctx: &Context,
+        idx: u32,
+        val: CVal,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), M::Fail> {
         let node = &self.nodes[idx as usize];
-        if node.cache_slot != NO_SLOT {
+        if M::CACHED && node.cache_slot != NO_SLOT {
             let key = self.cache_key(node.cache_slot, val);
-            if let Some(verdict) = ctx.cached_verdict(key) {
-                return verdict;
-            }
-            let verdict = self.eval_inst(ctx, &node.inst, val, scratch);
-            ctx.cache_verdict(key, verdict);
-            return verdict;
+            let verdict = match ctx.cached_verdict(key) {
+                Some(verdict) => verdict,
+                None => {
+                    let verdict = self.eval_inst::<M>(ctx, &node.inst, val, scratch).is_ok();
+                    ctx.cache_verdict(key, verdict);
+                    verdict
+                }
+            };
+            return ensure::<M>(verdict, String::new);
         }
-        self.eval_inst(ctx, &node.inst, val, scratch)
+        self.eval_inst::<M>(ctx, &node.inst, val, scratch)
     }
 
-    fn eval_inst(&self, ctx: &Context, inst: &Inst, val: CVal, scratch: &mut EvalScratch) -> bool {
+    /// Evaluates each `(node, value)` pair in order, stopping at the first
+    /// rejection.
+    fn eval_each<M: Mode>(
+        &self,
+        ctx: &Context,
+        nodes: &[u32],
+        values: &[Attribute],
+        scratch: &mut EvalScratch,
+    ) -> Result<(), M::Fail> {
+        for (&node, &value) in nodes.iter().zip(values) {
+            self.eval::<M>(ctx, node, CVal::from_attr(ctx, value), scratch)?;
+        }
+        Ok(())
+    }
+
+    fn eval_inst<M: Mode>(
+        &self,
+        ctx: &Context,
+        inst: &Inst,
+        val: CVal,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), M::Fail> {
+        let got = || val.display(ctx);
+        let sym = |s: &Symbol| ctx.symbol_str(*s);
+        let is_attr = |pred: fn(&AttrData) -> bool| attr_data(ctx, val).is_some_and(pred);
         match inst {
-            Inst::Any => true,
-            Inst::AnyType => matches!(val, CVal::Type(_)),
-            Inst::AnyAttr => matches!(val, CVal::Attr(_)),
-            Inst::ExactType(expected) => val == CVal::Type(*expected),
-            Inst::BaseType { dialect, name } => match val {
-                CVal::Type(ty) => ty.parametric_name(ctx) == Some((*dialect, *name)),
-                CVal::Attr(_) => false,
-            },
+            Inst::Any => Ok(()),
+            Inst::AnyType => ensure::<M>(matches!(val, CVal::Type(_)), || {
+                format!("expected a type, got {}", got())
+            }),
+            Inst::AnyAttr => ensure::<M>(matches!(val, CVal::Attr(_)), || {
+                format!("expected an attribute, got {}", got())
+            }),
+            Inst::ExactType(expected) => ensure::<M>(val == CVal::Type(*expected), || {
+                format!("expected type {}, got {}", expected.display(ctx), got())
+            }),
+            Inst::BaseType { dialect, name } => ensure::<M>(
+                matches!(val, CVal::Type(ty) if ty.parametric_name(ctx) == Some((*dialect, *name))),
+                || format!("expected a !{}.{} type, got {}", sym(dialect), sym(name), got()),
+            ),
             Inst::ParametricType { dialect, name, children } => {
-                let CVal::Type(ty) = val else { return false };
-                if ty.parametric_name(ctx) != Some((*dialect, *name)) {
-                    return false;
-                }
-                let actual = ty.params(ctx);
-                let params = self.children(*children);
-                actual.len() == params.len()
-                    && params.iter().zip(actual.iter()).all(|(&pc, &attr)| {
-                        self.eval(ctx, pc, CVal::from_attr(ctx, attr), scratch)
-                    })
+                let CVal::Type(ty) = val else {
+                    return Err(M::fail(|| format!("expected a type, got {}", got())));
+                };
+                ensure::<M>(ty.parametric_name(ctx) == Some((*dialect, *name)), || {
+                    format!("expected a !{}.{} type, got {}", sym(dialect), sym(name), got())
+                })?;
+                let (actual, params) = (ty.params(ctx), self.children(*children));
+                ensure::<M>(actual.len() == params.len(), || {
+                    format!(
+                        "type {} has {} parameter(s); constraint expects {}",
+                        got(),
+                        actual.len(),
+                        params.len()
+                    )
+                })?;
+                self.eval_each::<M>(ctx, params, actual, scratch)
             }
-            Inst::Class(class) => match val {
-                CVal::Type(ty) => class.matches(ctx, ty),
-                CVal::Attr(_) => false,
-            },
-            Inst::ExactAttr(expected) => val == CVal::Attr(*expected),
-            Inst::BaseAttr { dialect, name } => match val {
-                CVal::Attr(attr) => attr.parametric_name(ctx) == Some((*dialect, *name)),
-                CVal::Type(_) => false,
-            },
+            Inst::Class(class) => ensure::<M>(
+                matches!(val, CVal::Type(ty) if class.matches(ctx, ty)),
+                || format!("{} does not belong to {class:?}", got()),
+            ),
+            Inst::ExactAttr(expected) => ensure::<M>(val == CVal::Attr(*expected), || {
+                format!("expected attribute {}, got {}", expected.display(ctx), got())
+            }),
+            Inst::BaseAttr { dialect, name } => ensure::<M>(
+                matches!(val, CVal::Attr(a) if a.parametric_name(ctx) == Some((*dialect, *name))),
+                || format!("expected a #{}.{} attribute, got {}", sym(dialect), sym(name), got()),
+            ),
             Inst::ParametricAttr { dialect, name, children } => {
-                let CVal::Attr(attr) = val else { return false };
-                if attr.parametric_name(ctx) != Some((*dialect, *name)) {
-                    return false;
-                }
+                let CVal::Attr(attr) = val else {
+                    return Err(M::fail(|| format!("expected an attribute, got {}", got())));
+                };
+                ensure::<M>(attr.parametric_name(ctx) == Some((*dialect, *name)), || {
+                    format!("expected a #{}.{} attribute, got {}", sym(dialect), sym(name), got())
+                })?;
                 let AttrData::Parametric { params: actual, .. } = ctx.attr_data(attr) else {
                     unreachable!("parametric_name implies parametric data")
                 };
                 let params = self.children(*children);
-                actual.len() == params.len()
-                    && params.iter().zip(actual.iter()).all(|(&pc, &a)| {
-                        self.eval(ctx, pc, CVal::from_attr(ctx, a), scratch)
-                    })
+                ensure::<M>(actual.len() == params.len(), || {
+                    format!(
+                        "attribute {} has {} parameter(s); constraint expects {}",
+                        got(),
+                        actual.len(),
+                        params.len()
+                    )
+                })?;
+                self.eval_each::<M>(ctx, params, actual, scratch)
             }
-            Inst::Int(kind) => int_ok(ctx, val, *kind, None),
-            Inst::IntLiteral { value, kind } => int_ok(ctx, val, *kind, Some(*value)),
-            Inst::FloatAttr(kind) => match val {
-                CVal::Attr(attr) => match ctx.attr_data(attr) {
-                    AttrData::Float { kind: actual, .. } => {
-                        kind.is_none_or(|expected| *actual == expected)
-                    }
-                    _ => false,
+            Inst::Int(kind) => int_matches::<M>(ctx, val, *kind, None),
+            Inst::IntLiteral { value, kind } => int_matches::<M>(ctx, val, *kind, Some(*value)),
+            Inst::FloatAttr(kind) => match attr_data(ctx, val) {
+                Some(AttrData::Float { kind: actual, .. }) => match kind {
+                    Some(expected) if actual != expected => Err(M::fail(|| {
+                        format!("expected a {} float, got {}", expected.keyword(), got())
+                    })),
+                    _ => Ok(()),
                 },
-                _ => false,
+                _ => Err(M::fail(|| format!("expected a float parameter, got {}", got()))),
             },
-            Inst::StringAny => {
-                attr_of(val).is_some_and(|a| matches!(ctx.attr_data(a), AttrData::String(_)))
-            }
-            Inst::StringLiteral(expected) => attr_of(val).is_some_and(|a| {
-                matches!(ctx.attr_data(a), AttrData::String(s) if **s == **expected)
+            Inst::StringAny => ensure::<M>(is_attr(|d| matches!(d, AttrData::String(_))), || {
+                format!("expected a string parameter, got {}", got())
             }),
-            Inst::BoolAttr => {
-                attr_of(val).is_some_and(|a| matches!(ctx.attr_data(a), AttrData::Bool(_)))
-            }
-            Inst::UnitAttr => {
-                attr_of(val).is_some_and(|a| matches!(ctx.attr_data(a), AttrData::Unit))
-            }
+            Inst::StringLiteral(expected) => ensure::<M>(
+                attr_of(val).is_some_and(|a| {
+                    matches!(ctx.attr_data(a), AttrData::String(s) if **s == **expected)
+                }),
+                || format!("expected \"{expected}\", got {}", got()),
+            ),
+            Inst::BoolAttr => ensure::<M>(is_attr(|d| matches!(d, AttrData::Bool(_))), || {
+                format!("expected a boolean parameter, got {}", got())
+            }),
+            Inst::UnitAttr => ensure::<M>(is_attr(|d| matches!(d, AttrData::Unit)), || {
+                format!("expected the unit attribute, got {}", got())
+            }),
             Inst::SymbolRefAttr => {
-                attr_of(val).is_some_and(|a| matches!(ctx.attr_data(a), AttrData::SymbolRef(_)))
+                ensure::<M>(is_attr(|d| matches!(d, AttrData::SymbolRef(_))), || {
+                    format!("expected a symbol reference, got {}", got())
+                })
             }
             Inst::LocationAttr => {
-                attr_of(val).is_some_and(|a| matches!(ctx.attr_data(a), AttrData::Location { .. }))
+                ensure::<M>(is_attr(|d| matches!(d, AttrData::Location { .. })), || {
+                    format!("expected a location, got {}", got())
+                })
             }
-            Inst::TypeIdAttr => {
-                attr_of(val).is_some_and(|a| matches!(ctx.attr_data(a), AttrData::TypeId(_)))
-            }
-            Inst::ArrayAny => {
-                attr_of(val).is_some_and(|a| matches!(ctx.attr_data(a), AttrData::Array(_)))
-            }
+            Inst::TypeIdAttr => ensure::<M>(is_attr(|d| matches!(d, AttrData::TypeId(_))), || {
+                format!("expected a type id, got {}", got())
+            }),
+            Inst::ArrayAny => ensure::<M>(is_attr(|d| matches!(d, AttrData::Array(_))), || {
+                format!("expected an array parameter, got {}", got())
+            }),
             Inst::ArrayOf(inner) => {
-                let Some(items) = array_items(ctx, val) else { return false };
-                items
-                    .iter()
-                    .all(|&item| self.eval(ctx, *inner, CVal::from_attr(ctx, item), scratch))
+                let items = array_items::<M>(ctx, val)?;
+                for &item in items {
+                    self.eval::<M>(ctx, *inner, CVal::from_attr(ctx, item), scratch)?;
+                }
+                Ok(())
             }
             Inst::ArrayExact(children) => {
-                let Some(items) = array_items(ctx, val) else { return false };
+                let items = array_items::<M>(ctx, val)?;
                 let constraints = self.children(*children);
-                items.len() == constraints.len()
-                    && constraints.iter().zip(items.iter()).all(|(&pc, &item)| {
-                        self.eval(ctx, pc, CVal::from_attr(ctx, item), scratch)
-                    })
+                ensure::<M>(items.len() == constraints.len(), || {
+                    format!(
+                        "expected an array of {} element(s), got {}",
+                        constraints.len(),
+                        items.len()
+                    )
+                })?;
+                self.eval_each::<M>(ctx, constraints, items, scratch)
             }
-            Inst::EnumAny { dialect, name } => attr_of(val).is_some_and(|a| {
-                matches!(ctx.attr_data(a),
-                    AttrData::EnumValue { dialect: d, enum_name: e, .. }
-                        if d == dialect && e == name)
-            }),
-            Inst::EnumVariant { dialect, name, variant } => attr_of(val).is_some_and(|a| {
-                matches!(ctx.attr_data(a),
-                    AttrData::EnumValue { dialect: d, enum_name: e, variant: v }
-                        if d == dialect && e == name && v == variant)
-            }),
-            Inst::NativeParam { kind } => attr_of(val).is_some_and(|a| {
-                matches!(ctx.attr_data(a), AttrData::Native { kind: k, .. } if k == kind)
-            }),
+            Inst::EnumAny { dialect, name } => match attr_of(val) {
+                Some(a) => ensure::<M>(
+                    matches!(ctx.attr_data(a),
+                        AttrData::EnumValue { dialect: d, enum_name: e, .. }
+                            if d == dialect && e == name),
+                    || {
+                        format!("expected a {}.{} enum value, got {}", sym(dialect), sym(name), got())
+                    },
+                ),
+                None => Err(M::fail(|| format!("expected an enum value, got {}", got()))),
+            },
+            Inst::EnumVariant { dialect, name, variant } => match attr_of(val) {
+                Some(a) => ensure::<M>(
+                    matches!(ctx.attr_data(a),
+                        AttrData::EnumValue { dialect: d, enum_name: e, variant: v }
+                            if d == dialect && e == name && v == variant),
+                    || {
+                        format!(
+                            "expected enum constructor {}.{}, got {}",
+                            sym(name),
+                            sym(variant),
+                            got()
+                        )
+                    },
+                ),
+                None => Err(M::fail(|| format!("expected an enum value, got {}", got()))),
+            },
+            Inst::NativeParam { kind } => match attr_of(val) {
+                Some(a) => ensure::<M>(
+                    matches!(ctx.attr_data(a), AttrData::Native { kind: k, .. } if k == kind),
+                    || format!("expected a native `{}` parameter, got {}", sym(kind), got()),
+                ),
+                None => Err(M::fail(|| format!("expected a native parameter, got {}", got()))),
+            },
             Inst::AnyOf(children) => {
                 // Each alternative starts from the bindings as they were at
                 // entry; a failed attempt's bindings are undone via the
-                // trail, a successful one's are committed — exactly the
-                // clone/commit semantics of the tree interpreter.
+                // trail, a successful one's are committed.
+                let mut last = M::fail(|| "AnyOf<> with no alternatives never matches".into());
                 for &choice in self.children(*children) {
                     let mark = scratch.mark();
-                    if self.eval(ctx, choice, val, scratch) {
-                        return true;
+                    match self.eval::<M>(ctx, choice, val, scratch) {
+                        Ok(()) => return Ok(()),
+                        Err(e) => last = e,
                     }
                     scratch.rollback(mark);
                 }
-                false
+                Err(M::wrap(last, |last| {
+                    format!("{} satisfied no alternative: {last}", got())
+                }))
             }
-            Inst::And(children) => self
-                .children(*children)
-                .iter()
-                .all(|&part| self.eval(ctx, part, val, scratch)),
+            Inst::And(children) => {
+                for &part in self.children(*children) {
+                    self.eval::<M>(ctx, part, val, scratch)?;
+                }
+                Ok(())
+            }
             Inst::Not(inner) => {
                 // The probe must not leak bindings whether it succeeds or
-                // fails (the tree interpreter evaluates on a discarded
-                // clone).
+                // fails.
                 let mark = scratch.mark();
-                let matched = self.eval(ctx, *inner, val, scratch);
+                let matched = self.eval::<M>(ctx, *inner, val, scratch).is_ok();
                 scratch.rollback(mark);
-                !matched
+                ensure::<M>(!matched, || {
+                    format!("{} matches a constraint it must not match", got())
+                })
             }
             Inst::Var(i) => match scratch.binding(*i) {
-                Some(bound) => bound == val,
+                Some(bound) => ensure::<M>(bound == val, || {
+                    format!(
+                        "constraint variable already bound to {}, got {}",
+                        bound.display(ctx),
+                        got()
+                    )
+                }),
                 None => {
                     // First use: the value must satisfy the variable's
                     // declared constraint, then it binds.
-                    let decl_ok = match self.var_roots.get(*i as usize) {
-                        Some(&root) => self.eval(ctx, root, val, scratch),
-                        None => true,
-                    };
-                    if decl_ok {
-                        scratch.bind(*i, val);
+                    if let Some(root) = self.var_root(*i) {
+                        self.eval::<M>(ctx, root, val, scratch)?;
                     }
-                    decl_ok
+                    scratch.bind(*i, val);
+                    Ok(())
                 }
             },
-            Inst::Native(pred) => pred(ctx, &val).is_ok(),
+            Inst::Native { name, pred } => pred(ctx, &val)
+                .map_err(|e| M::fail(|| format!("native constraint `{name}` failed: {e}"))),
         }
     }
+
+    /// Computes the unique value node `idx` admits under the (possibly
+    /// partial) bindings in `scratch`. Used by declarative-format type
+    /// inference (paper §4.7).
+    ///
+    /// Returns `None` when the constraint does not pin down a single value.
+    pub(crate) fn concretize(
+        &self,
+        ctx: &mut Context,
+        idx: u32,
+        scratch: &mut EvalScratch,
+    ) -> Option<CVal> {
+        let attrs = |ctx: &mut Context, children: Children, scratch: &mut EvalScratch| {
+            let mut out = Vec::with_capacity(children.len as usize);
+            for &child in self.children(children) {
+                let v = self.concretize(ctx, child, scratch)?;
+                out.push(v.into_attr(ctx));
+            }
+            Some(out)
+        };
+        match self.inst(idx) {
+            Inst::ExactType(ty) => Some(CVal::Type(*ty)),
+            Inst::ExactAttr(attr) => Some(CVal::Attr(*attr)),
+            Inst::Var(i) => scratch.binding(*i),
+            Inst::ParametricType { dialect, name, children } => {
+                let args = attrs(ctx, *children, scratch)?;
+                ctx.parametric_type_syms(*dialect, *name, args).ok().map(CVal::Type)
+            }
+            Inst::ParametricAttr { dialect, name, children } => {
+                let args = attrs(ctx, *children, scratch)?;
+                ctx.parametric_attr_syms(*dialect, *name, args).ok().map(CVal::Attr)
+            }
+            Inst::IntLiteral { value, kind } => Some(CVal::Attr(int_attr(ctx, *kind, *value))),
+            Inst::StringLiteral(s) => Some(CVal::Attr(ctx.string_attr(&**s))),
+            Inst::EnumVariant { dialect, name, variant } => {
+                Some(CVal::Attr(ctx.intern_attr(AttrData::EnumValue {
+                    dialect: *dialect,
+                    enum_name: *name,
+                    variant: *variant,
+                })))
+            }
+            Inst::ArrayExact(children) => {
+                let items = attrs(ctx, *children, scratch)?;
+                Some(CVal::Attr(ctx.array_attr(items)))
+            }
+            Inst::And(children) => {
+                // A witness from one conjunct must still satisfy them all,
+                // variables included; the check binds nothing.
+                let parts = self.children(*children);
+                let witness = parts.iter().find_map(|&p| self.concretize(ctx, p, scratch))?;
+                let mark = scratch.mark();
+                let ok = parts.iter().all(|&p| self.check(ctx, p, witness, scratch));
+                scratch.rollback(mark);
+                ok.then_some(witness)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The integer attribute `value` of `kind`, with the literal's declared
+/// signedness (as evaluation and sampling expect).
+pub(crate) fn int_attr(ctx: &mut Context, kind: IntKind, value: i128) -> Attribute {
+    let signedness = if kind.unsigned { Signedness::Unsigned } else { Signedness::Signless };
+    let ty = ctx.int_type_with_signedness(kind.width, signedness);
+    ctx.int_attr(value, ty)
+}
+
+fn attr_data(ctx: &Context, val: CVal) -> Option<&AttrData> {
+    attr_of(val).map(|a| ctx.attr_data(a))
 }
 
 fn attr_of(val: CVal) -> Option<Attribute> {
@@ -302,32 +598,45 @@ fn attr_of(val: CVal) -> Option<Attribute> {
     }
 }
 
-fn array_items(ctx: &Context, val: CVal) -> Option<&[Attribute]> {
-    match ctx.attr_data(attr_of(val)?) {
-        AttrData::Array(items) => Some(items),
-        _ => None,
+fn array_items<M: Mode>(ctx: &Context, val: CVal) -> Result<&[Attribute], M::Fail> {
+    match attr_data(ctx, val) {
+        Some(AttrData::Array(items)) => Ok(items),
+        _ => Err(M::fail(|| format!("expected an array parameter, got {}", val.display(ctx)))),
     }
 }
 
-/// Allocation-free twin of `constraint::int_matches`.
-fn int_ok(ctx: &Context, val: CVal, kind: IntKind, literal: Option<i128>) -> bool {
-    let Some(attr) = attr_of(val) else { return false };
-    let AttrData::Integer { value, ty } = ctx.attr_data(attr) else {
-        return false;
+fn int_matches<M: Mode>(
+    ctx: &Context,
+    val: CVal,
+    kind: IntKind,
+    literal: Option<i128>,
+) -> Result<(), M::Fail> {
+    let not_int = || format!("expected an integer parameter, got {}", val.display(ctx));
+    let Some(AttrData::Integer { value, ty }) = attr_data(ctx, val) else {
+        return Err(M::fail(not_int));
     };
     let (value, ty) = (*value, *ty);
     let TypeData::Integer { width, signedness } = ctx.type_data(ty) else {
-        return false;
+        return Err(M::fail(|| format!("{} of type {}", not_int(), ty.display(ctx))));
     };
-    if *width != kind.width {
-        return false;
-    }
+    ensure::<M>(*width == kind.width, || {
+        format!("expected a {}-bit integer, got {width}-bit", kind.width)
+    })?;
     let sign_ok = match signedness {
         Signedness::Signless => true,
         Signedness::Signed => !kind.unsigned,
         Signedness::Unsigned => kind.unsigned,
     };
-    sign_ok && kind.fits(value) && literal.is_none_or(|expected| value == expected)
+    ensure::<M>(sign_ok, || format!("integer signedness does not match {}", kind.keyword()))?;
+    ensure::<M>(kind.fits(value), || {
+        format!("value {value} does not fit in {}", kind.keyword())
+    })?;
+    match literal {
+        Some(expected) if value != expected => {
+            Err(M::fail(|| format!("expected the literal {expected}, got {value}")))
+        }
+        _ => Ok(()),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -335,7 +644,8 @@ fn int_ok(ctx: &Context, val: CVal, kind: IntKind, literal: Option<i128>) -> boo
 // ---------------------------------------------------------------------------
 
 /// Bottom-up lowering of [`Constraint`] trees into one flat program.
-struct Builder {
+#[derive(Default)]
+pub(crate) struct Builder {
     nodes: Vec<Node>,
     children: Vec<u32>,
     /// Purity per node, parallel to `nodes`; build-time only.
@@ -344,10 +654,6 @@ struct Builder {
 }
 
 impl Builder {
-    fn new() -> Self {
-        Builder { nodes: Vec::new(), children: Vec::new(), pure: Vec::new(), num_slots: 0 }
-    }
-
     fn push(&mut self, inst: Inst, pure: bool, cacheable: bool) -> u32 {
         let cache_slot = if pure && cacheable {
             let slot = self.num_slots;
@@ -363,107 +669,95 @@ impl Builder {
     }
 
     fn lower_list(&mut self, constraints: &[Constraint]) -> (Children, bool) {
-        let mut indices = Vec::with_capacity(constraints.len());
-        let mut pure = true;
-        for c in constraints {
-            let idx = self.lower(c);
-            pure &= self.pure[idx as usize];
-            indices.push(idx);
-        }
+        let indices: Vec<u32> = constraints.iter().map(|c| self.lower(c)).collect();
+        let pure = indices.iter().all(|&i| self.pure[i as usize]);
         let start = self.children.len() as u32;
         self.children.extend_from_slice(&indices);
         (Children { start, len: indices.len() as u32 }, pure)
     }
 
-    fn lower(&mut self, c: &Constraint) -> u32 {
-        match c {
-            Constraint::Any => self.push(Inst::Any, true, false),
-            Constraint::AnyType => self.push(Inst::AnyType, true, false),
-            Constraint::AnyAttr => self.push(Inst::AnyAttr, true, false),
-            Constraint::ExactType(ty) => self.push(Inst::ExactType(*ty), true, false),
+    /// Lowers a many-child combinator: pure exactly when all its children
+    /// are, and then worth a cache slot.
+    fn composite(&mut self, items: &[Constraint], inst: impl FnOnce(Children) -> Inst) -> u32 {
+        let (children, pure) = self.lower_list(items);
+        self.push(inst(children), pure, true)
+    }
+
+    /// Lowers a one-child combinator, pure exactly when its child is.
+    fn unary(&mut self, inner: &Constraint, inst: fn(u32) -> Inst) -> u32 {
+        let child = self.lower(inner);
+        let pure = self.pure[child as usize];
+        self.push(inst(child), pure, true)
+    }
+
+    pub(crate) fn lower(&mut self, c: &Constraint) -> u32 {
+        let leaf = match c {
+            Constraint::Any => Inst::Any,
+            Constraint::AnyType => Inst::AnyType,
+            Constraint::AnyAttr => Inst::AnyAttr,
+            Constraint::ExactType(ty) => Inst::ExactType(*ty),
             Constraint::BaseType { dialect, name } => {
-                self.push(Inst::BaseType { dialect: *dialect, name: *name }, true, false)
+                Inst::BaseType { dialect: *dialect, name: *name }
             }
-            Constraint::ParametricType { dialect, name, params } => {
-                let (children, pure) = self.lower_list(params);
-                self.push(
-                    Inst::ParametricType { dialect: *dialect, name: *name, children },
-                    pure,
-                    true,
-                )
-            }
-            Constraint::Class(class) => self.push(Inst::Class(*class), true, false),
-            Constraint::ExactAttr(attr) => self.push(Inst::ExactAttr(*attr), true, false),
+            Constraint::Class(class) => Inst::Class(*class),
+            Constraint::ExactAttr(attr) => Inst::ExactAttr(*attr),
             Constraint::BaseAttr { dialect, name } => {
-                self.push(Inst::BaseAttr { dialect: *dialect, name: *name }, true, false)
+                Inst::BaseAttr { dialect: *dialect, name: *name }
+            }
+            Constraint::Int(kind) => Inst::Int(*kind),
+            Constraint::IntLiteral { value, kind } => {
+                Inst::IntLiteral { value: *value, kind: *kind }
+            }
+            Constraint::FloatAttr(kind) => Inst::FloatAttr(*kind),
+            Constraint::StringAny => Inst::StringAny,
+            Constraint::StringLiteral(s) => Inst::StringLiteral(s.as_str().into()),
+            Constraint::BoolAttr => Inst::BoolAttr,
+            Constraint::UnitAttr => Inst::UnitAttr,
+            Constraint::SymbolRefAttr => Inst::SymbolRefAttr,
+            Constraint::LocationAttr => Inst::LocationAttr,
+            Constraint::TypeIdAttr => Inst::TypeIdAttr,
+            Constraint::ArrayAny => Inst::ArrayAny,
+            Constraint::EnumAny { dialect, name } => {
+                Inst::EnumAny { dialect: *dialect, name: *name }
+            }
+            Constraint::EnumVariant { dialect, name, variant } => {
+                Inst::EnumVariant { dialect: *dialect, name: *name, variant: *variant }
+            }
+            Constraint::NativeParam { kind } => Inst::NativeParam { kind: *kind },
+            Constraint::ParametricType { dialect, name, params } => {
+                let (dialect, name) = (*dialect, *name);
+                return self.composite(params, |children| Inst::ParametricType {
+                    dialect,
+                    name,
+                    children,
+                });
             }
             Constraint::ParametricAttr { dialect, name, params } => {
-                let (children, pure) = self.lower_list(params);
-                self.push(
-                    Inst::ParametricAttr { dialect: *dialect, name: *name, children },
-                    pure,
-                    true,
-                )
+                let (dialect, name) = (*dialect, *name);
+                return self.composite(params, |children| Inst::ParametricAttr {
+                    dialect,
+                    name,
+                    children,
+                });
             }
-            Constraint::Int(kind) => self.push(Inst::Int(*kind), true, false),
-            Constraint::IntLiteral { value, kind } => {
-                self.push(Inst::IntLiteral { value: *value, kind: *kind }, true, false)
-            }
-            Constraint::FloatAttr(kind) => self.push(Inst::FloatAttr(*kind), true, false),
-            Constraint::StringAny => self.push(Inst::StringAny, true, false),
-            Constraint::StringLiteral(s) => {
-                self.push(Inst::StringLiteral(s.clone().into_boxed_str()), true, false)
-            }
-            Constraint::BoolAttr => self.push(Inst::BoolAttr, true, false),
-            Constraint::UnitAttr => self.push(Inst::UnitAttr, true, false),
-            Constraint::SymbolRefAttr => self.push(Inst::SymbolRefAttr, true, false),
-            Constraint::LocationAttr => self.push(Inst::LocationAttr, true, false),
-            Constraint::TypeIdAttr => self.push(Inst::TypeIdAttr, true, false),
-            Constraint::ArrayAny => self.push(Inst::ArrayAny, true, false),
-            Constraint::ArrayOf(inner) => {
-                let child = self.lower(inner);
-                let pure = self.pure[child as usize];
-                self.push(Inst::ArrayOf(child), pure, true)
-            }
-            Constraint::ArrayExact(items) => {
-                let (children, pure) = self.lower_list(items);
-                self.push(Inst::ArrayExact(children), pure, true)
-            }
-            Constraint::EnumAny { dialect, name } => {
-                self.push(Inst::EnumAny { dialect: *dialect, name: *name }, true, false)
-            }
-            Constraint::EnumVariant { dialect, name, variant } => self.push(
-                Inst::EnumVariant { dialect: *dialect, name: *name, variant: *variant },
-                true,
-                false,
-            ),
-            Constraint::NativeParam { kind } => {
-                self.push(Inst::NativeParam { kind: *kind }, true, false)
-            }
-            Constraint::AnyOf(choices) => {
-                let (children, pure) = self.lower_list(choices);
-                self.push(Inst::AnyOf(children), pure, true)
-            }
-            Constraint::And(parts) => {
-                let (children, pure) = self.lower_list(parts);
-                self.push(Inst::And(children), pure, true)
-            }
-            Constraint::Not(inner) => {
-                let child = self.lower(inner);
-                let pure = self.pure[child as usize];
-                self.push(Inst::Not(child), pure, true)
-            }
+            Constraint::ArrayExact(items) => return self.composite(items, Inst::ArrayExact),
+            Constraint::AnyOf(choices) => return self.composite(choices, Inst::AnyOf),
+            Constraint::And(parts) => return self.composite(parts, Inst::And),
+            Constraint::ArrayOf(inner) => return self.unary(inner, Inst::ArrayOf),
+            Constraint::Not(inner) => return self.unary(inner, Inst::Not),
             // A variable's verdict depends on the binding environment;
             // a native predicate's on arbitrary host code. Neither may
             // ever be memoized (nor any ancestor).
-            Constraint::Var(i) => self.push(Inst::Var(*i), false, false),
-            Constraint::Native { pred, .. } => {
-                self.push(Inst::Native(pred.clone()), false, false)
+            Constraint::Var(i) => return self.push(Inst::Var(*i), false, false),
+            Constraint::Native { name, pred } => {
+                let inst = Inst::Native { name: name.as_str().into(), pred: pred.clone() };
+                return self.push(inst, false, false);
             }
-        }
+        };
+        self.push(leaf, true, false)
     }
 
-    fn finish(self, ctx: &mut Context, var_roots: Vec<u32>) -> ConstraintProgram {
+    pub(crate) fn finish(self, ctx: &mut Context, var_roots: Vec<u32>) -> ConstraintProgram {
         let domain_base = ctx.reserve_verdict_domains(self.num_slots);
         ConstraintProgram {
             nodes: self.nodes,
@@ -488,8 +782,8 @@ pub struct EvalScratch {
     bindings: Vec<Option<CVal>>,
     /// Variables bound since the last mark, for `AnyOf`/`Not` rollback.
     trail: Vec<u32>,
-    seg_sizes: Vec<usize>,
-    seg_explicit: Vec<i64>,
+    pub(crate) seg_sizes: Vec<usize>,
+    pub(crate) seg_explicit: Vec<i64>,
 }
 
 impl EvalScratch {
@@ -498,17 +792,20 @@ impl EvalScratch {
         Self::default()
     }
 
-    fn reset(&mut self, num_vars: usize) {
+    /// Unbinds everything, sized for `num_vars` variables.
+    pub fn reset(&mut self, num_vars: usize) {
         self.bindings.clear();
         self.bindings.resize(num_vars, None);
         self.trail.clear();
     }
 
-    fn binding(&self, i: u32) -> Option<CVal> {
+    /// The current binding of variable `i`, if any.
+    pub(crate) fn binding(&self, i: u32) -> Option<CVal> {
         self.bindings.get(i as usize).copied().flatten()
     }
 
-    fn bind(&mut self, i: u32, val: CVal) {
+    /// Binds variable `i`, growing the environment as needed.
+    pub(crate) fn bind(&mut self, i: u32, val: CVal) {
         if i as usize >= self.bindings.len() {
             self.bindings.resize(i as usize + 1, None);
         }
@@ -516,11 +813,11 @@ impl EvalScratch {
         self.trail.push(i);
     }
 
-    fn mark(&self) -> usize {
+    pub(crate) fn mark(&self) -> usize {
         self.trail.len()
     }
 
-    fn rollback(&mut self, mark: usize) {
+    pub(crate) fn rollback(&mut self, mark: usize) {
         // Variables only bind while unbound, so undoing is clearing.
         for &i in &self.trail[mark..] {
             self.bindings[i as usize] = None;
@@ -529,380 +826,206 @@ impl EvalScratch {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Per-op programs
-// ---------------------------------------------------------------------------
-
-struct RegionProgram {
-    /// Entry-block argument constraint roots (`None` = unconstrained).
-    arg_roots: Option<Vec<u32>>,
-    arg_variadicity: Vec<Variadicity>,
-    terminator: Option<OpName>,
-}
-
-/// The fast-path form of a [`CompiledOp`]: every constraint lowered into
-/// one [`ConstraintProgram`], with per-slot (operand/result/attribute/
-/// region-argument) roots and pre-resolved variadicity tables.
-pub struct OpProgram {
-    program: ConstraintProgram,
-    operand_roots: Vec<u32>,
-    operand_variadicity: Vec<Variadicity>,
-    result_roots: Vec<u32>,
-    result_variadicity: Vec<Variadicity>,
-    attr_roots: Vec<(Symbol, u32)>,
-    regions: Vec<RegionProgram>,
-    successors: Option<usize>,
-    /// Pre-interned segment-attribute names, so the hot loop never hashes
-    /// a string.
-    operand_seg_sym: Symbol,
-    result_seg_sym: Symbol,
-    num_vars: usize,
-}
-
-impl OpProgram {
-    /// Lowers `op` into its flat program, reserving verdict-cache domains
-    /// from `ctx` for its pure subconstraints.
-    pub fn build(ctx: &mut Context, op: &CompiledOp) -> OpProgram {
-        let mut b = Builder::new();
-        let var_roots: Vec<u32> = op.var_decls.iter().map(|d| b.lower(d)).collect();
-        let operand_roots = op.operands.iter().map(|d| b.lower(&d.constraint)).collect();
-        let result_roots = op.results.iter().map(|d| b.lower(&d.constraint)).collect();
-        let attr_roots = op
-            .attributes
-            .iter()
-            .map(|(key, c)| (*key, b.lower(c)))
-            .collect();
-        let regions = op
-            .regions
-            .iter()
-            .map(|def: &CompiledRegion| RegionProgram {
-                arg_roots: def
-                    .args
-                    .as_ref()
-                    .map(|args| args.iter().map(|a| b.lower(&a.constraint)).collect()),
-                arg_variadicity: def
-                    .args
-                    .as_deref()
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|a| a.variadicity)
-                    .collect(),
-                terminator: def.terminator,
-            })
-            .collect();
-        OpProgram {
-            program: b.finish(ctx, var_roots),
-            operand_roots,
-            operand_variadicity: op.operands.iter().map(|d| d.variadicity).collect(),
-            result_roots,
-            result_variadicity: op.results.iter().map(|d| d.variadicity).collect(),
-            attr_roots,
-            regions,
-            successors: op.successors,
-            operand_seg_sym: ctx.symbol(OPERAND_SEGMENT_ATTR),
-            result_seg_sym: ctx.symbol(RESULT_SEGMENT_ATTR),
-            num_vars: op.var_decls.len(),
-        }
-    }
-
-    /// Number of memoizable subconstraints (observability / tests).
-    pub fn num_cache_slots(&self) -> u32 {
-        self.program.num_cache_slots()
-    }
-
-    /// Fast verdict: `true` iff `op` satisfies every *declarative*
-    /// invariant that [`CompiledOp::verify`] checks (constraints, counts,
-    /// segments, regions, successors). Native verifiers are not consulted;
-    /// the registered [`ProgramOpVerifier`] passes them in separately.
-    /// Performs no heap allocation on the success path.
-    pub fn check(&self, ctx: &Context, op: OpRef, scratch: &mut EvalScratch) -> bool {
-        self.check_declarative(ctx, op, scratch, None)
-    }
-
-    /// [`OpProgram::check`] plus an optional native op verifier
-    /// (taken from the retained [`CompiledOp`]).
-    fn check_declarative(
-        &self,
-        ctx: &Context,
-        op: OpRef,
-        scratch: &mut EvalScratch,
-        native: Option<&crate::native::NativeOpVerifier>,
-    ) -> bool {
-        scratch.reset(self.num_vars);
-
-        // --- operands ----------------------------------------------------
-        if !self.segments(
-            ctx,
-            op,
-            op.num_operands(ctx),
-            &self.operand_variadicity,
-            self.operand_seg_sym,
-            scratch,
-        ) {
-            return false;
-        }
-        let mut cursor = 0usize;
-        for (slot, &root) in self.operand_roots.iter().enumerate() {
-            let size = scratch.seg_sizes[slot];
-            for k in 0..size {
-                let ty = op.operands(ctx)[cursor + k].ty(ctx);
-                if !self.program.eval(ctx, root, CVal::Type(ty), scratch) {
-                    return false;
-                }
-            }
-            cursor += size;
-        }
-
-        // --- results -----------------------------------------------------
-        if !self.segments(
-            ctx,
-            op,
-            op.num_results(ctx),
-            &self.result_variadicity,
-            self.result_seg_sym,
-            scratch,
-        ) {
-            return false;
-        }
-        let mut cursor = 0usize;
-        for (slot, &root) in self.result_roots.iter().enumerate() {
-            let size = scratch.seg_sizes[slot];
-            for k in 0..size {
-                let ty = op.result_types(ctx)[cursor + k];
-                if !self.program.eval(ctx, root, CVal::Type(ty), scratch) {
-                    return false;
-                }
-            }
-            cursor += size;
-        }
-
-        // --- attributes --------------------------------------------------
-        for &(key, root) in &self.attr_roots {
-            let Some(value) = op.attr_sym(ctx, key) else { return false };
-            if !self.program.eval(ctx, root, CVal::from_attr(ctx, value), scratch) {
-                return false;
-            }
-        }
-
-        // --- regions -----------------------------------------------------
-        if op.num_regions(ctx) != self.regions.len() {
-            return false;
-        }
-        for (index, def) in self.regions.iter().enumerate() {
-            if !self.check_region(ctx, op, index, def, scratch) {
-                return false;
-            }
-        }
-
-        // --- successors --------------------------------------------------
-        let actual_succs = op.successors(ctx).len();
-        match self.successors {
-            Some(expected) if actual_succs != expected => return false,
-            None if actual_succs != 0 => return false,
-            _ => {}
-        }
-
-        // --- native global verifier --------------------------------------
-        match native {
-            Some(native) => native(ctx, op).is_ok(),
-            None => true,
-        }
-    }
-
-    fn check_region(
-        &self,
-        ctx: &Context,
-        op: OpRef,
-        index: usize,
-        def: &RegionProgram,
-        scratch: &mut EvalScratch,
-    ) -> bool {
-        let region = op.region(ctx, index);
-        let entry = region.entry_block(ctx);
-        if let Some(arg_roots) = &def.arg_roots {
-            let num_args = entry.map_or(0, |b| b.arg_types(ctx).len());
-            if resolve_segments_into(
-                num_args,
-                &def.arg_variadicity,
-                None,
-                &mut scratch.seg_sizes,
-            )
-            .is_err()
-            {
-                return false;
-            }
-            let mut cursor = 0usize;
-            for (slot, &root) in arg_roots.iter().enumerate() {
-                let size = scratch.seg_sizes[slot];
-                for k in 0..size {
-                    let ty = entry.expect("has args").arg_types(ctx)[cursor + k];
-                    if !self.program.eval(ctx, root, CVal::Type(ty), scratch) {
-                        return false;
-                    }
-                }
-                cursor += size;
-            }
-        }
-        if let Some(term) = def.terminator {
-            let blocks = region.blocks(ctx);
-            if blocks.len() != 1 {
-                return false;
-            }
-            match blocks[0].last_op(ctx) {
-                Some(last) => last.name(ctx) == term,
-                None => false,
-            }
-        } else {
-            true
-        }
-    }
-
-    /// Resolves operand/result segment sizes into `scratch.seg_sizes`.
-    /// Mirrors `CompiledOp::segments`, including reading a present
-    /// segment-sizes attribute even when no definition is variadic.
-    fn segments(
-        &self,
-        ctx: &Context,
-        op: OpRef,
-        total: usize,
-        defs: &[Variadicity],
-        seg_sym: Symbol,
-        scratch: &mut EvalScratch,
-    ) -> bool {
-        let explicit = match op.attr_sym(ctx, seg_sym).and_then(|a| a.as_array(ctx)) {
-            Some(items) => {
-                scratch.seg_explicit.clear();
-                scratch
-                    .seg_explicit
-                    .extend(items.iter().map(|a| a.as_int(ctx).unwrap_or(-1) as i64));
-                true
-            }
-            None => false,
-        };
-        let explicit = explicit.then_some(scratch.seg_explicit.as_slice());
-        resolve_segments_into(total, defs, explicit, &mut scratch.seg_sizes).is_ok()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Verifier adapters
-// ---------------------------------------------------------------------------
-
-/// The registered op verifier: flat-program fast path with lazy, tree-
-/// rendered diagnostics.
-///
-/// The fast path computes a bare verdict with zero allocation; only when it
-/// rejects does the adapter re-run the retained tree interpreter
-/// ([`CompiledOp::verify`]) to produce the exact human-readable diagnostic
-/// the tree path has always produced.
-pub struct ProgramOpVerifier {
-    compiled: Arc<CompiledOp>,
-    program: OpProgram,
-}
-
-impl ProgramOpVerifier {
-    /// Wraps a compiled op and its lowered program.
-    pub fn new(compiled: Arc<CompiledOp>, program: OpProgram) -> Self {
-        ProgramOpVerifier { compiled, program }
-    }
-
-    /// The lowered program (introspection / benchmarks).
-    pub fn program(&self) -> &OpProgram {
-        &self.program
-    }
-}
-
 /// Runs `f` with the context's parked [`EvalScratch`], parking it again
-/// afterwards so the buffers are reused across verifier runs.
+/// afterwards so the buffers are reused across runs.
 ///
 /// The scratch lives on the [`Context`] (not the verifier) so verifier
-/// objects stay stateless and shareable across threads. If the slot is
-/// empty — first use, or a native verifier re-entered verification while a
-/// run was in flight — a fresh scratch is used, which keeps nesting safe.
-fn with_ctx_scratch<R>(ctx: &Context, f: impl FnOnce(&mut EvalScratch) -> R) -> R {
-    let mut scratch: Box<EvalScratch> = match ctx.take_eval_scratch() {
-        Some(parked) => parked.downcast().unwrap_or_default(),
-        None => Box::default(),
-    };
+/// objects stay stateless and shareable across threads. If the pool is
+/// empty — first use, or a hook re-entered evaluation while a run was in
+/// flight — a fresh scratch is used, which keeps nesting safe.
+pub(crate) fn with_ctx_scratch<R>(ctx: &Context, f: impl FnOnce(&mut EvalScratch) -> R) -> R {
+    let mut scratch = take_ctx_scratch(ctx);
     let result = f(&mut scratch);
     ctx.put_eval_scratch(scratch);
     result
 }
 
-impl irdl_ir::OpVerifier for ProgramOpVerifier {
-    fn verify(&self, ctx: &Context, op: OpRef) -> Result<()> {
-        let ok = with_ctx_scratch(ctx, |scratch| {
-            self.program.check_declarative(
-                ctx,
-                op,
-                scratch,
-                self.compiled.native_verifier.as_ref(),
-            )
-        });
-        if ok {
-            return Ok(());
-        }
-        // Failure boundary: only now is a diagnostic rendered.
-        match self.compiled.verify(ctx, op) {
-            Err(diag) => Err(diag),
-            // The two paths are semantically equivalent; this arm is
-            // defensive so a divergence surfaces as an error, not a pass.
-            Ok(()) => Err(Diagnostic::new(format!(
-                "operation `{}` rejected by the verifier fast path",
-                self.compiled.name.display(ctx)
-            ))),
-        }
+/// Takes the context's parked [`EvalScratch`] (or a fresh one); hand it
+/// back with [`Context::put_eval_scratch`].
+pub(crate) fn take_ctx_scratch(ctx: &Context) -> Box<EvalScratch> {
+    match ctx.take_eval_scratch() {
+        Some(parked) => parked.downcast().unwrap_or_default(),
+        None => Box::default(),
     }
 }
 
-/// The registered type/attribute parameter verifier: fast path plus lazy
-/// tree-rendered diagnostics, mirroring [`ProgramOpVerifier`].
-pub struct ProgramParamsVerifier {
-    compiled: Arc<CompiledParams>,
-    program: ConstraintProgram,
-    param_roots: Vec<u32>,
-}
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
 
-impl ProgramParamsVerifier {
-    /// Lowers `compiled`'s parameter constraints into a flat program.
-    pub fn build(ctx: &mut Context, compiled: Arc<CompiledParams>) -> Self {
-        let mut b = Builder::new();
-        let param_roots = compiled.constraints.iter().map(|c| b.lower(c)).collect();
-        ProgramParamsVerifier {
-            program: b.finish(ctx, Vec::new()),
-            param_roots,
-            compiled,
-        }
+    use super::*;
+
+    /// Lowers `c` alone and checks `val` against it, explaining a
+    /// rejection.
+    fn ev(ctx: &mut Context, c: &Constraint, val: CVal) -> Result<(), String> {
+        let (program, roots) = ConstraintProgram::lower(ctx, &[], std::slice::from_ref(c));
+        program.check_explained(ctx, roots[0], val, &mut EvalScratch::new())
     }
 
-    fn check(&self, ctx: &Context, params: &[Attribute], scratch: &mut EvalScratch) -> bool {
-        if params.len() != self.param_roots.len() {
-            return false;
-        }
-        scratch.reset(0);
-        for (&root, &param) in self.param_roots.iter().zip(params) {
-            if !self.program.eval(ctx, root, CVal::from_attr(ctx, param), scratch) {
-                return false;
-            }
-        }
-        match &self.compiled.native_verifier {
-            Some(native) => native(ctx, params).is_ok(),
-            None => true,
-        }
+    #[test]
+    fn exact_type_constraint() {
+        let mut ctx = Context::new();
+        let f32 = ctx.f32_type();
+        let f64 = ctx.f64_type();
+        let c = Constraint::ExactType(f32);
+        assert!(ev(&mut ctx, &c, CVal::Type(f32)).is_ok());
+        assert!(ev(&mut ctx, &c, CVal::Type(f64)).is_err());
     }
-}
 
-impl irdl_ir::ParamsVerifier for ProgramParamsVerifier {
-    fn verify(&self, ctx: &Context, params: &[Attribute]) -> Result<()> {
-        let ok = with_ctx_scratch(ctx, |scratch| self.check(ctx, params, scratch));
-        if ok {
-            return Ok(());
-        }
-        match self.compiled.verify(ctx, params) {
-            Err(diag) => Err(diag),
-            Ok(()) => Err(Diagnostic::new(
-                "parameter list rejected by the verifier fast path",
-            )),
-        }
+    #[test]
+    fn anyof_and_not() {
+        let mut ctx = Context::new();
+        let f32 = ctx.f32_type();
+        let f64 = ctx.f64_type();
+        let i32 = ctx.i32_type();
+        let float_ty = Constraint::AnyOf(vec![
+            Constraint::ExactType(f32),
+            Constraint::ExactType(f64),
+        ]);
+        assert!(ev(&mut ctx, &float_ty, CVal::Type(f32)).is_ok());
+        assert!(ev(&mut ctx, &float_ty, CVal::Type(i32)).is_err());
+        let not_f32 = Constraint::Not(Box::new(Constraint::ExactType(f32)));
+        assert!(ev(&mut ctx, &not_f32, CVal::Type(f64)).is_ok());
+        assert!(ev(&mut ctx, &not_f32, CVal::Type(f32)).is_err());
+    }
+
+    #[test]
+    fn nonnull_int_from_paper() {
+        // And<int32_t, Not<0 : int32_t>> (paper §4.3).
+        let mut ctx = Context::new();
+        let kind = IntKind { width: 32, unsigned: false };
+        let c = Constraint::And(vec![
+            Constraint::Int(kind),
+            Constraint::Not(Box::new(Constraint::IntLiteral { value: 0, kind })),
+        ]);
+        let three = ctx.i32_attr(3);
+        let zero = ctx.i32_attr(0);
+        assert!(ev(&mut ctx, &c, CVal::Attr(three)).is_ok());
+        assert!(ev(&mut ctx, &c, CVal::Attr(zero)).is_err());
+    }
+
+    #[test]
+    fn parametric_type_constraint_binds_vars() {
+        let mut ctx = Context::new();
+        let f32 = ctx.f32_type();
+        let f32a = ctx.type_attr(f32);
+        let complex_f32 = ctx.parametric_type("cmath", "complex", [f32a]).unwrap();
+        let dialect = ctx.symbol("cmath");
+        let name = ctx.symbol("complex");
+        // T bound through !complex<!T>.
+        let c = Constraint::ParametricType { dialect, name, params: vec![Constraint::Var(0)] };
+        let (program, roots) =
+            ConstraintProgram::lower(&mut ctx, &[Constraint::AnyType], &[c, Constraint::Var(0)]);
+        let mut scratch = EvalScratch::new();
+        scratch.reset(1);
+        assert!(program.check(&ctx, roots[0], CVal::Type(complex_f32), &mut scratch));
+        assert_eq!(scratch.binding(0), Some(CVal::Type(f32)));
+        // A second use must be equal.
+        assert!(program.check(&ctx, roots[1], CVal::Type(f32), &mut scratch));
+        let f64 = ctx.f64_type();
+        assert!(!program.check(&ctx, roots[1], CVal::Type(f64), &mut scratch));
+    }
+
+    #[test]
+    fn var_binding_rolls_back_in_anyof() {
+        let mut ctx = Context::new();
+        let f32 = ctx.f32_type();
+        let i32 = ctx.i32_type();
+        // First alternative binds the var but then fails overall; second
+        // alternative succeeds without binding.
+        let c = Constraint::AnyOf(vec![
+            Constraint::And(vec![Constraint::Var(0), Constraint::ExactType(i32)]),
+            Constraint::AnyType,
+        ]);
+        let (program, roots) = ConstraintProgram::lower(&mut ctx, &[Constraint::AnyType], &[c]);
+        let mut scratch = EvalScratch::new();
+        scratch.reset(1);
+        assert!(program.check(&ctx, roots[0], CVal::Type(f32), &mut scratch));
+        assert_eq!(scratch.binding(0), None, "failed alternative must not leak bindings");
+    }
+
+    #[test]
+    fn array_constraints() {
+        let mut ctx = Context::new();
+        let one = ctx.i32_attr(1);
+        let two = ctx.i32_attr(2);
+        let s = ctx.string_attr("x");
+        let arr = ctx.array_attr([one, two]);
+        let mixed = ctx.array_attr([one, s]);
+        let kind = IntKind { width: 32, unsigned: false };
+        let all_int = Constraint::ArrayOf(Box::new(Constraint::Int(kind)));
+        assert!(ev(&mut ctx, &all_int, CVal::Attr(arr)).is_ok());
+        assert!(ev(&mut ctx, &all_int, CVal::Attr(mixed)).is_err());
+        let pair = Constraint::ArrayExact(vec![Constraint::Int(kind), Constraint::StringAny]);
+        assert!(ev(&mut ctx, &pair, CVal::Attr(mixed)).is_ok());
+        assert!(ev(&mut ctx, &pair, CVal::Attr(arr)).is_err());
+    }
+
+    #[test]
+    fn native_predicate() {
+        let mut ctx = Context::new();
+        // BoundedInteger from Listing 10: uint32_t and <= 32.
+        let c = Constraint::And(vec![
+            Constraint::Int(IntKind { width: 32, unsigned: true }),
+            Constraint::Native {
+                name: "bounded_u32".into(),
+                pred: Arc::new(|ctx, val| {
+                    let CVal::Attr(attr) = val else { return Err("not an attr".into()) };
+                    match attr.as_int(ctx) {
+                        Some(v) if v <= 32 => Ok(()),
+                        Some(v) => Err(format!("{v} > 32")),
+                        None => Err("not an integer".into()),
+                    }
+                }),
+            },
+        ]);
+        let ui32 = ctx.int_type_with_signedness(32, Signedness::Unsigned);
+        let ok = ctx.int_attr(7, ui32);
+        let too_big = ctx.int_attr(64, ui32);
+        assert!(ev(&mut ctx, &c, CVal::Attr(ok)).is_ok());
+        let err = ev(&mut ctx, &c, CVal::Attr(too_big)).unwrap_err();
+        assert_eq!(err, "native constraint `bounded_u32` failed: 64 > 32");
+    }
+
+    #[test]
+    fn concretize_parametric_type() {
+        let mut ctx = Context::new();
+        let f32 = ctx.f32_type();
+        let dialect = ctx.symbol("cmath");
+        let name = ctx.symbol("complex");
+        let c = Constraint::ParametricType { dialect, name, params: vec![Constraint::Var(0)] };
+        let (program, roots) = ConstraintProgram::lower(&mut ctx, &[Constraint::AnyType], &[c]);
+        let mut scratch = EvalScratch::new();
+        scratch.reset(1);
+        scratch.bind(0, CVal::Type(f32));
+        let got = program.concretize(&mut ctx, roots[0], &mut scratch).unwrap();
+        let CVal::Type(ty) = got else { panic!("expected type") };
+        assert_eq!(ty.display(&ctx), "!cmath.complex<f32>");
+    }
+
+    #[test]
+    fn concretized_and_respects_variable_declarations() {
+        // And<!f64, !T> with T unbound and declared !i32: the f64 witness
+        // violates T's declaration, so nothing is inferred.
+        let mut ctx = Context::new();
+        let f64 = ctx.f64_type();
+        let i32 = ctx.i32_type();
+        let c = Constraint::And(vec![Constraint::ExactType(f64), Constraint::Var(0)]);
+        let (program, roots) =
+            ConstraintProgram::lower(&mut ctx, &[Constraint::ExactType(i32)], &[c]);
+        let mut scratch = EvalScratch::new();
+        scratch.reset(1);
+        assert_eq!(program.concretize(&mut ctx, roots[0], &mut scratch), None);
+        assert_eq!(scratch.binding(0), None, "the witness check binds nothing");
+    }
+
+    #[test]
+    fn type_classes() {
+        let mut ctx = Context::new();
+        let i32 = ctx.i32_type();
+        let f32 = ctx.f32_type();
+        let c = Constraint::Class(TypeClass::AnyInteger);
+        assert!(ev(&mut ctx, &c, CVal::Type(i32)).is_ok());
+        assert!(ev(&mut ctx, &c, CVal::Type(f32)).is_err());
     }
 }

@@ -6,12 +6,10 @@
 //! wrong: caching a variable-bearing constraint across binding
 //! environments, and key collisions between programs or values.
 
-use std::sync::Arc;
-
 use irdl::ast::Variadicity;
 use irdl::constraint::Constraint;
-use irdl::program::{EvalScratch, OpProgram, ProgramOpVerifier};
-use irdl::verifier::{CompiledArg, CompiledOp};
+use irdl::program::EvalScratch;
+use irdl::verifier::{CompiledArg, CompiledOp, OpDecl};
 use irdl_ir::{Context, OpRef, OperationState, Type};
 
 fn arg(name: &str, constraint: Constraint) -> CompiledArg {
@@ -19,7 +17,7 @@ fn arg(name: &str, constraint: Constraint) -> CompiledArg {
 }
 
 fn one_operand_op(ctx: &mut Context, constraint: Constraint) -> CompiledOp {
-    CompiledOp {
+    let decl = OpDecl {
         name: ctx.op_name("t", "op"),
         var_names: vec![],
         var_decls: vec![],
@@ -29,7 +27,8 @@ fn one_operand_op(ctx: &mut Context, constraint: Constraint) -> CompiledOp {
         regions: vec![],
         successors: None,
         native_verifier: None,
-    }
+    };
+    CompiledOp::new(ctx, decl)
 }
 
 /// Creates a detached `t.op` whose operands have the given types.
@@ -57,7 +56,7 @@ fn variable_bearing_constraints_are_never_cached() {
     let i32 = ctx.i32_type();
 
     let choice = Constraint::AnyOf(vec![Constraint::Var(0), Constraint::ExactType(i32)]);
-    let compiled = CompiledOp {
+    let decl = OpDecl {
         name: ctx.op_name("t", "op"),
         var_names: vec!["T".into()],
         var_decls: vec![Constraint::AnyType],
@@ -68,9 +67,9 @@ fn variable_bearing_constraints_are_never_cached() {
         successors: None,
         native_verifier: None,
     };
-    let program = OpProgram::build(&mut ctx, &compiled);
+    let program = CompiledOp::new(&mut ctx, decl);
     assert_eq!(
-        program.num_cache_slots(),
+        program.program().num_cache_slots(),
         0,
         "a subprogram containing Var must not get a cache slot"
     );
@@ -112,9 +111,8 @@ fn failing_op_does_not_poison_passing_op() {
             Constraint::ExactType(f64),
         ])],
     };
-    let compiled = one_operand_op(&mut ctx, elem);
-    let program = OpProgram::build(&mut ctx, &compiled);
-    assert!(program.num_cache_slots() >= 1, "the parametric pattern is pure");
+    let program = one_operand_op(&mut ctx, elem);
+    assert!(program.program().num_cache_slots() >= 1, "the parametric pattern is pure");
 
     let mut scratch = EvalScratch::new();
     let bad = op_with_operands(&mut ctx, &[complex_i32]);
@@ -143,10 +141,8 @@ fn distinct_programs_never_share_cache_keys() {
 
     // Both programs cache a verdict for the *same* CVal (f64). If their
     // domains overlapped, program B would read A's `false`.
-    let compiled_a = one_operand_op(&mut ctx, Constraint::And(vec![Constraint::ExactType(f32)]));
-    let program_a = OpProgram::build(&mut ctx, &compiled_a);
-    let compiled_b = one_operand_op(&mut ctx, Constraint::And(vec![Constraint::ExactType(f64)]));
-    let program_b = OpProgram::build(&mut ctx, &compiled_b);
+    let program_a = one_operand_op(&mut ctx, Constraint::And(vec![Constraint::ExactType(f32)]));
+    let program_b = one_operand_op(&mut ctx, Constraint::And(vec![Constraint::ExactType(f64)]));
 
     let mut scratch = EvalScratch::new();
     let op = op_with_operands(&mut ctx, &[f64]);
@@ -154,24 +150,32 @@ fn distinct_programs_never_share_cache_keys() {
     assert!(program_b.check(&ctx, op, &mut scratch));
 }
 
-/// The registered verifier renders its diagnostics lazily by re-running
-/// the tree interpreter — the message must be exactly the tree's.
+/// A rejection is re-run in explain mode, which bypasses the verdict
+/// cache: rendering the message reads and writes no cache entry, even
+/// when the silent verdict came from the cache.
 #[test]
-fn lazy_diagnostics_match_the_tree_interpreter() {
+fn explained_rejections_leave_the_cache_alone() {
     use irdl_ir::OpVerifier;
 
     let mut ctx = Context::new();
     let f32 = ctx.f32_type();
     let i32 = ctx.i32_type();
-    let compiled = Arc::new(one_operand_op(&mut ctx, Constraint::ExactType(f32)));
-    let program = OpProgram::build(&mut ctx, &compiled);
-    let verifier = ProgramOpVerifier::new(compiled.clone(), program);
+    let pure = Constraint::AnyOf(vec![Constraint::ExactType(f32)]);
+    let compiled = one_operand_op(&mut ctx, pure);
 
     let good = op_with_operands(&mut ctx, &[f32]);
-    assert!(verifier.verify(&ctx, good).is_ok());
+    assert!(compiled.verify(&ctx, good).is_ok());
 
     let bad = op_with_operands(&mut ctx, &[i32]);
-    let fast = verifier.verify(&ctx, bad).unwrap_err();
-    let tree = compiled.verify(&ctx, bad).unwrap_err();
-    assert_eq!(fast.message(), tree.message());
+    let mut scratch = EvalScratch::new();
+    assert!(!compiled.check(&ctx, bad, &mut scratch), "warms the cache with the rejection");
+    let (entries, stats) = (ctx.verdict_cache_len(), ctx.verdict_cache_stats());
+    let err = compiled.verify(&ctx, bad).unwrap_err();
+    assert_eq!(
+        err.message(),
+        "operand `x` is invalid: i32 satisfied no alternative: expected type f32, got i32"
+    );
+    let (hits, misses) = ctx.verdict_cache_stats();
+    assert_eq!((hits, misses), (stats.0 + 1, stats.1), "only the silent pass reads the cache");
+    assert_eq!(ctx.verdict_cache_len(), entries);
 }

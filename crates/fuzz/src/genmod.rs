@@ -16,8 +16,9 @@
 //!
 //! [`verify_module`]: irdl_ir::verify::verify_module
 
-use irdl::constraint::{BindingEnv, CVal};
+use irdl::constraint::CVal;
 use irdl::genir::sample;
+use irdl::program::EvalScratch;
 use irdl::verifier::CompiledOp;
 use irdl_ir::{Attribute, BlockRef, Context, OperationState, OpRef, Type, Value};
 
@@ -123,7 +124,9 @@ fn instantiate_random(
 ) -> Option<OpRef> {
     use irdl::ast::Variadicity;
 
-    let mut env = BindingEnv::new(compiled.var_decls.len());
+    let program = compiled.program();
+    let mut scratch = EvalScratch::new();
+    scratch.reset(compiled.var_decls.len());
 
     // Segment sizes first: the PRNG draws them up front so the sampled
     // element count matches the emitted segment attributes exactly.
@@ -137,11 +140,11 @@ fn instantiate_random(
 
     let mut operand_types: Vec<Type> = Vec::new();
     let mut operand_sizes: Vec<i64> = Vec::new();
-    for def in &compiled.operands {
+    for (def, &root) in compiled.operands.iter().zip(compiled.operand_roots()) {
         let count = draw_count(rng, &def.variadicity);
         operand_sizes.push(count as i64);
         for _ in 0..count {
-            match sample(ctx, &def.constraint, &mut env, &compiled.var_decls) {
+            match sample(ctx, program, root, &mut scratch) {
                 Some(CVal::Type(ty)) => operand_types.push(ty),
                 _ => return None,
             }
@@ -150,11 +153,11 @@ fn instantiate_random(
 
     let mut result_types: Vec<Type> = Vec::new();
     let mut result_sizes: Vec<i64> = Vec::new();
-    for def in &compiled.results {
+    for (def, &root) in compiled.results.iter().zip(compiled.result_roots()) {
         let count = draw_count(rng, &def.variadicity);
         result_sizes.push(count as i64);
         for _ in 0..count {
-            match sample(ctx, &def.constraint, &mut env, &compiled.var_decls) {
+            match sample(ctx, program, root, &mut scratch) {
                 Some(CVal::Type(ty)) => result_types.push(ty),
                 _ => return None,
             }
@@ -162,10 +165,10 @@ fn instantiate_random(
     }
 
     let mut attributes: Vec<(irdl_ir::Symbol, Attribute)> = Vec::new();
-    for (key, constraint) in &compiled.attributes {
-        let v = sample(ctx, constraint, &mut env, &compiled.var_decls)?;
+    for &(key, root) in compiled.attr_roots() {
+        let v = sample(ctx, program, root, &mut scratch)?;
         let attr = v.into_attr(ctx);
-        attributes.push((*key, attr));
+        attributes.push((key, attr));
     }
     let multi_variadic = |defs: &[irdl::verifier::CompiledArg]| {
         defs.iter().filter(|d| !matches!(d.variadicity, Variadicity::Single)).count() > 1
@@ -187,14 +190,14 @@ fn instantiate_random(
     // payload ops, and — when the definition requires a terminator — a
     // *fully instantiated* terminator op, so hook verification passes.
     let mut regions = Vec::new();
-    for def in &compiled.regions {
+    for (index, def) in compiled.regions.iter().enumerate() {
         let mut arg_types = Vec::new();
-        if let Some(args) = &def.args {
-            for arg in args {
+        if let (Some(args), Some(roots)) = (&def.args, compiled.region_arg_roots(index)) {
+            for (arg, &root) in args.iter().zip(roots) {
                 if !matches!(arg.variadicity, Variadicity::Single) {
                     continue;
                 }
-                match sample(ctx, &arg.constraint, &mut env, &compiled.var_decls) {
+                match sample(ctx, program, root, &mut scratch) {
                     Some(CVal::Type(ty)) => arg_types.push(ty),
                     _ => return None,
                 }

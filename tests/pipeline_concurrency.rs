@@ -109,10 +109,9 @@ fn shared_pipeline_artifacts_are_send_sync() {
     fn _assert_send_sync<T: Send + Sync>() {}
     _assert_send_sync::<DialectBundle>();
     _assert_send_sync::<PatternSet>();
-    _assert_send_sync::<irdl::verifier::CompiledOpVerifier>();
-    _assert_send_sync::<irdl::verifier::CompiledParamsVerifier>();
-    _assert_send_sync::<irdl::program::ProgramOpVerifier>();
-    _assert_send_sync::<irdl::program::ProgramParamsVerifier>();
+    _assert_send_sync::<irdl::verifier::CompiledOp>();
+    _assert_send_sync::<irdl::verifier::CompiledParams>();
+    _assert_send_sync::<irdl::program::ConstraintProgram>();
     _assert_send_sync::<irdl::format::FormatSpec>();
     _assert_send_sync::<irdl::NativeRegistry>();
 }
