@@ -264,15 +264,13 @@ Dialect cmath {
     fn bundle_compiles_once_and_instantiates_many() {
         let natives = NativeRegistry::with_std();
         let sources = vec![("cmath.irdl".to_string(), SPEC.to_string())];
-        let before = crate::compile::dialect_compile_count();
+        // The compile counter's exact deltas are pinned in
+        // `tests/compile_count.rs`, away from tests compiling in parallel.
         let bundle = DialectBundle::compile(&sources, &natives).unwrap();
-        let after_compile = crate::compile::dialect_compile_count();
-        assert_eq!(after_compile - before, 1);
         assert_eq!(bundle.names(), ["cmath"]);
 
         let mut a = bundle.instantiate();
         let mut b = bundle.instantiate();
-        assert_eq!(crate::compile::dialect_compile_count(), after_compile);
 
         // Both instances resolve the compiled dialect and enforce its
         // constraints identically.
@@ -298,10 +296,7 @@ Dialect cmath {
         let bundle = DialectBundle::compile(&sources, &natives).unwrap();
         let bytes = bundle.save().unwrap();
 
-        let before = crate::compile::dialect_compile_count();
         let loaded = DialectBundle::load(&bytes, &natives).unwrap();
-        // Loading registers from recipes: no frontend compilation happens.
-        assert_eq!(crate::compile::dialect_compile_count(), before);
         assert_eq!(loaded.names(), ["cmath"]);
 
         let mut ctx = loaded.instantiate();
