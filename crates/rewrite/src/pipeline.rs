@@ -20,7 +20,7 @@ use std::time::Instant;
 use irdl::DialectBundle;
 use irdl_ir::print::Printer;
 use irdl_ir::verify::ModuleVerifier;
-use irdl_ir::Context;
+use irdl_ir::{Context, OpRef};
 
 use crate::driver::{rewrite_greedily_matched, CheckLevel, MatcherMode};
 use crate::pattern::PatternSet;
@@ -137,11 +137,14 @@ pub enum PipelineInput {
     Bytecode(Vec<u8>),
 }
 
-/// A borrowed view of one input, so the string-slice entry point does not
-/// have to clone the corpus into [`PipelineInput`]s.
-#[derive(Clone, Copy)]
-enum InputRef<'a> {
+/// A borrowed view of one input: what [`run_module`] reads, and what lets
+/// the string-slice entry point avoid cloning the corpus into
+/// [`PipelineInput`]s.
+#[derive(Debug, Clone, Copy)]
+pub enum InputRef<'a> {
+    /// Textual IR, run through the module parser.
     Text(&'a str),
+    /// Module bytecode (magic `IRBC`), run through the bytecode decoder.
     Bytecode(&'a [u8]),
 }
 
@@ -269,14 +272,36 @@ fn worker_loop(
     (results, report)
 }
 
-/// Parse (or decode) → verify → rewrite-to-fixpoint → print for one module.
-fn process_module(
+/// A module after [`run_module`]: parsed, verified and rewritten, and
+/// still live in the context.
+#[derive(Debug, Clone, Copy)]
+pub struct LiveModule {
+    /// The module operation.
+    pub module: OpRef,
+    /// Number of pattern applications.
+    pub rewrites: usize,
+    /// Per-stage timing; `print` is left at zero for the caller.
+    pub timings: StageNanos,
+}
+
+/// Parse (or decode) → verify → rewrite-to-fixpoint → post-rewrite verify
+/// for one module, as every pipeline worker runs it. The module stays in
+/// `ctx` for the caller to print, encode or execute, and to erase.
+///
+/// Verification follows `opts.verify` and `opts.check` as documented on
+/// [`PipelineOptions`]; `opts.jobs` and `opts.generic` are not read.
+///
+/// # Errors
+///
+/// The rendered diagnostic of the first stage that fails. A module that
+/// parsed is erased from `ctx` before the error returns.
+pub fn run_module(
     ctx: &mut Context,
     verifier: &mut ModuleVerifier,
     patterns: &PatternSet,
     input: InputRef<'_>,
     opts: &PipelineOptions,
-) -> Result<ModuleResult, String> {
+) -> Result<LiveModule, String> {
     let mut timings = StageNanos::default();
     let intra_jobs = opts.intra_jobs.max(1);
 
@@ -290,8 +315,6 @@ fn process_module(
     };
     timings.parse = start.elapsed().as_nanos() as u64;
 
-    // On any failure below, the half-processed module must not leak into
-    // the worker's long-lived context.
     let result = (|| {
         if opts.verify {
             let start = Instant::now();
@@ -343,19 +366,38 @@ fn process_module(
                 }
             }
         }
-
-        let start = Instant::now();
-        let mut output = String::new();
-        let mut printer = Printer::new(&mut output);
-        printer.set_generic(opts.generic);
-        printer.print_op(ctx, module);
-        timings.print = start.elapsed().as_nanos() as u64;
-
-        Ok(ModuleResult { output, rewrites, timings })
+        Ok(rewrites)
     })();
 
+    match result {
+        Ok(rewrites) => Ok(LiveModule { module, rewrites, timings }),
+        Err(message) => {
+            // The half-processed module must not leak into a long-lived
+            // context.
+            ctx.erase_op(module);
+            Err(message)
+        }
+    }
+}
+
+/// [`run_module`], then print and erase the module.
+fn process_module(
+    ctx: &mut Context,
+    verifier: &mut ModuleVerifier,
+    patterns: &PatternSet,
+    input: InputRef<'_>,
+    opts: &PipelineOptions,
+) -> Result<ModuleResult, String> {
+    let LiveModule { module, rewrites, mut timings } =
+        run_module(ctx, verifier, patterns, input, opts)?;
+    let start = Instant::now();
+    let mut output = String::new();
+    let mut printer = Printer::new(&mut output);
+    printer.set_generic(opts.generic);
+    printer.print_op(ctx, module);
+    timings.print = start.elapsed().as_nanos() as u64;
     ctx.erase_op(module);
-    result
+    Ok(ModuleResult { output, rewrites, timings })
 }
 
 #[cfg(test)]

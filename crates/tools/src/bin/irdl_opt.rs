@@ -50,14 +50,15 @@
 use std::io::Read;
 
 use irdl::DialectBundle;
-use irdl_ir::bytecode::{decode_module, encode_module, is_module_bytecode};
+use irdl_ir::bytecode::{encode_module, is_module_bytecode};
 use irdl_ir::print::Printer;
 use irdl_ir::verify::ModuleVerifier;
 use irdl_ir::Context;
-use irdl_rewrite::pipeline::{run_batch_inputs, PipelineInput, PipelineOptions, StageNanos};
-use irdl_rewrite::{
-    parse_patterns, rewrite_greedily_matched, CheckLevel, MatcherMode, PatternSet,
+use irdl_rewrite::pipeline::{
+    run_batch_inputs, run_module, InputRef, LiveModule, PipelineInput, PipelineOptions,
+    StageNanos,
 };
+use irdl_rewrite::{parse_patterns, CheckLevel, MatcherMode, PatternSet};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Emit {
@@ -238,6 +239,15 @@ fn run(opts: Options) -> Result<(), String> {
         )));
     }
 
+    let pipeline_opts = PipelineOptions {
+        jobs: opts.jobs,
+        verify: opts.verify,
+        check: opts.check,
+        generic: opts.generic,
+        matcher: opts.matcher,
+        intra_jobs: opts.intra_jobs,
+    };
+
     // Batch mode: several inputs, or an explicit worker count. Dialects
     // and patterns were compiled once above; seal them into a shared
     // bundle and fan the files out.
@@ -261,14 +271,6 @@ fn run(opts: Options) -> Result<(), String> {
             });
         }
         let bundle = DialectBundle::capture(ctx, Vec::new());
-        let pipeline_opts = PipelineOptions {
-            jobs: opts.jobs,
-            verify: opts.verify,
-            check: opts.check,
-            generic: opts.generic,
-            matcher: opts.matcher,
-            intra_jobs: opts.intra_jobs,
-        };
         let report = run_batch_inputs(&bundle, &patterns, &sources, &pipeline_opts);
         if opts.timings {
             for (file, result) in opts.inputs.iter().zip(&report.results) {
@@ -320,42 +322,23 @@ fn run(opts: Options) -> Result<(), String> {
         }
     };
 
-    let mut timings = StageNanos::default();
-    let start = std::time::Instant::now();
-    let module = if is_module_bytecode(&raw) {
-        decode_module(&mut ctx, &raw).map_err(|d| d.to_string())?
+    let text;
+    let input = if is_module_bytecode(&raw) {
+        InputRef::Bytecode(&raw)
     } else {
-        let ir = String::from_utf8(raw)
+        text = String::from_utf8(raw)
             .map_err(|_| "input is neither module bytecode nor UTF-8 text".to_string())?;
-        irdl_ir::parse::parse_module_chunked(&mut ctx, &ir, opts.intra_jobs)
-            .map_err(|d| d.render(&ir))?
+        InputRef::Text(&text)
     };
-    timings.parse = start.elapsed().as_nanos() as u64;
-
-    let mut verifier = ModuleVerifier::new();
-    if opts.verify {
-        let start = std::time::Instant::now();
-        let checked = verifier.verify_parallel(&ctx, module, opts.intra_jobs);
-        timings.verify += start.elapsed().as_nanos() as u64;
-        checked.map_err(|errs| {
-            errs.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
-        })?;
-    }
-
+    let LiveModule { module, rewrites, mut timings } = run_module(
+        &mut ctx,
+        &mut ModuleVerifier::new(),
+        &patterns,
+        input,
+        &pipeline_opts,
+    )?;
     if !patterns.is_empty() {
-        let start = std::time::Instant::now();
-        let outcome =
-            rewrite_greedily_matched(&mut ctx, module, &patterns, opts.check, opts.matcher);
-        timings.rewrite = start.elapsed().as_nanos() as u64;
-        let stats = outcome.map_err(|err| format!("{err}: {}", err.diagnostics[0]))?;
-        eprintln!("applied {} rewrite(s)", stats.rewrites);
-        if opts.verify && opts.check == CheckLevel::Off {
-            let start = std::time::Instant::now();
-            let checked = verifier.verify_parallel(&ctx, module, opts.intra_jobs);
-            timings.verify += start.elapsed().as_nanos() as u64;
-            checked
-                .map_err(|errs| format!("IR invalid after rewriting: {}", errs[0]))?;
-        }
+        eprintln!("applied {rewrites} rewrite(s)");
     }
 
     if opts.interp {
