@@ -13,8 +13,8 @@
 //! The bundle exploits a structural property of [`Context`]: its uniquing
 //! tables are append-only, so a *clone* of a context resolves every
 //! existing index to the same value as the original. The bundle seals the
-//! fully-compiled context as an immutable template; [`instantiate`]
-//! (`DialectBundle::instantiate`) hands each caller a private clone. All
+//! fully-compiled context as an immutable template;
+//! [`DialectBundle::instantiate`] hands each caller a private clone. All
 //! `Arc`'d hook objects are shared (never recompiled), every clone may
 //! intern new symbols/types independently without affecting its siblings,
 //! and the cloned verdict cache arrives warm — and is sound, because the
@@ -36,8 +36,8 @@ use crate::parser::parse_irdl;
 ///
 /// Internally this is a sealed template [`Context`] holding the compiled
 /// registry. `Context` is `Sync` (its verdict cache is sharded and its
-/// counters atomic), so the template is held bare and [`instantiate`]
-/// (`DialectBundle::instantiate`) clones it without taking any lock.
+/// counters atomic), so the template is held bare and
+/// [`instantiate`](Self::instantiate) clones it without taking any lock.
 pub struct DialectBundle {
     template: Context,
     names: Vec<String>,

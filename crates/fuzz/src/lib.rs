@@ -10,7 +10,7 @@
 //! paths. Every input runs
 //! through eight differential oracles ([`oracle`]) that cross-check the
 //! repo's fast paths against their reference implementations; failing
-//! inputs are shrunk by a ddmin reducer ([`reduce`]) and stored with
+//! inputs are shrunk by a ddmin reducer ([`mod@reduce`]) and stored with
 //! their seed under `fuzz/corpus-regressions/`.
 //!
 //! Everything is reproducible: the only randomness source is a

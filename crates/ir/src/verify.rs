@@ -50,19 +50,6 @@ fn verify(ctx: &Context, root: OpRef, run_hooks: bool) -> Result<(), Vec<Diagnos
     ModuleVerifier::new().verify_inner(ctx, root, run_hooks)
 }
 
-/// Verifies a whole module (or any op tree) in one batch walk.
-///
-/// Equivalent to [`verify_op`]; callers that verify repeatedly (rewrite
-/// drivers, fuzz loops) should hold a [`ModuleVerifier`] instead so the
-/// dominance and position scratch tables keep their capacity between runs.
-///
-/// # Errors
-///
-/// Returns every diagnostic discovered.
-pub fn verify_module(ctx: &Context, root: OpRef) -> Result<(), Vec<Diagnostic>> {
-    verify_op(ctx, root)
-}
-
 /// A reusable whole-module verifier.
 ///
 /// Behaves exactly like [`verify_op`], but the dominance cache and the
@@ -101,7 +88,7 @@ impl ModuleVerifier {
     /// (emitted in exactly the order the sequential verifier would visit
     /// them — large subtrees are split into a placement "shell" followed
     /// by units for their nested regions), groups the units into chunks of
-    /// roughly [`PAR_CHUNK_TARGET`] ops, and a `std::thread::scope` pool
+    /// roughly 1024 ops, and a `std::thread::scope` pool
     /// claims chunks off a shared atomic counter. Each worker verifies its
     /// chunks with a private [`DominanceCache`] and a private diagnostic
     /// buffer per chunk; buffers are merged in ascending chunk order, so
@@ -365,15 +352,6 @@ impl IncrementalVerifier {
             Err(std::mem::take(&mut self.diags))
         }
     }
-}
-
-/// Verifies `root`, returning only the first diagnostic (convenience).
-///
-/// # Errors
-///
-/// Returns the first discovered diagnostic.
-pub fn verify_op_first(ctx: &Context, root: OpRef) -> crate::Result<()> {
-    verify_op(ctx, root).map_err(|mut diags| diags.remove(0))
 }
 
 /// Subtrees of at least this many ops are split out of their enclosing

@@ -49,8 +49,8 @@ pub struct RewriteStats {
     pub visited: usize,
 }
 
-/// Failure of [`rewrite_greedily_checked`]: a pattern application left the
-/// IR invalid.
+/// Failure of a checked [`rewrite_greedily_with`] drive: a pattern
+/// application left the IR invalid.
 #[derive(Debug)]
 pub struct RewriteVerifyError {
     /// Name of the pattern whose application produced the invalid IR.
@@ -87,24 +87,6 @@ pub fn rewrite_greedily(
 ) -> RewriteStats {
     rewrite_greedily_with(ctx, container, patterns, CheckLevel::Off)
         .expect("unchecked drive cannot fail")
-}
-
-/// Like [`rewrite_greedily`], but verifies `container` once up front and
-/// incrementally re-verifies the dirty set after every successful pattern
-/// application, stopping at the first application that leaves the IR
-/// invalid. Equivalent to [`rewrite_greedily_with`] at
-/// [`CheckLevel::Incremental`].
-///
-/// # Errors
-///
-/// Returns the offending pattern and diagnostics on the first invalid
-/// intermediate state (pattern `<input>` if the IR was invalid on entry).
-pub fn rewrite_greedily_checked(
-    ctx: &mut Context,
-    container: OpRef,
-    patterns: &PatternSet,
-) -> Result<RewriteStats, RewriteVerifyError> {
-    rewrite_greedily_with(ctx, container, patterns, CheckLevel::Incremental)
 }
 
 /// The checker state for one drive, chosen by [`CheckLevel`].
@@ -471,7 +453,7 @@ mod tests {
         // A correct pattern set passes the checked driver...
         let mut good = PatternSet::new();
         good.add(Arc::new(AddToDouble { add, double }));
-        let stats = rewrite_greedily_checked(&mut ctx, module, &good).unwrap();
+        let stats = rewrite_greedily_with(&mut ctx, module, &good, CheckLevel::Incremental).unwrap();
         assert_eq!(stats.rewrites, 1);
 
         // ...and a buggy one is caught at the first invalid state.
@@ -479,7 +461,7 @@ mod tests {
         ctx.append_op(block, y);
         let mut buggy = PatternSet::new();
         buggy.add(Arc::new(BreaksDominance { add, bad }));
-        let err = rewrite_greedily_checked(&mut ctx, module, &buggy).unwrap_err();
+        let err = rewrite_greedily_with(&mut ctx, module, &buggy, CheckLevel::Incremental).unwrap_err();
         assert_eq!(err.pattern, "breaks-dominance");
         assert!(
             err.diagnostics.iter().any(|d| d.message().contains("dominates")),

@@ -61,7 +61,7 @@ pub mod pattern;
 pub mod pipeline;
 
 pub use driver::{
-    rewrite_greedily, rewrite_greedily_checked, rewrite_greedily_matched, rewrite_greedily_with,
+    rewrite_greedily, rewrite_greedily_matched, rewrite_greedily_with,
     CheckLevel, MatcherMode, RewriteStats, RewriteVerifyError,
 };
 pub use bytecode::{decode_match_programs, encode_match_programs, PROGRAMS_MAGIC};
