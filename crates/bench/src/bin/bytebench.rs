@@ -39,17 +39,18 @@
 //! cargo run -p irdl-bench --bin bytebench --release [-- --quick]
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-use irdl::genir::{instantiate_op, Instantiation};
 use irdl::DialectBundle;
-use irdl_ir::bytecode::{decode_module, encode_module};
-use irdl_ir::parse::parse_module;
+use irdl_bench::measure::{
+    finish, json_f, measure, quick, report_header, CountingAlloc, Measurement,
+};
+use irdl_bench::ModuleSet;
 use irdl_ir::print::op_to_string;
 use irdl_ir::Context;
+
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
 
 // ---------------------------------------------------------------------------
 // Gates
@@ -70,111 +71,8 @@ const REQUIRED_WEIGHTS_SHARED_SPEEDUP: f64 = 10.0;
 const REQUIRED_LOAD_SPEEDUP: f64 = 1.5;
 
 // ---------------------------------------------------------------------------
-// Allocation accounting
-// ---------------------------------------------------------------------------
-
-/// Counts every allocation request so a measured pass can report how many
-/// times it hit the heap. Deallocations are not interesting here.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------------
 // Workloads
 // ---------------------------------------------------------------------------
-
-/// Generates one module text per instantiable corpus op plus one combined
-/// module holding every instance (the `parsebench` corpus workload).
-fn corpus_texts() -> Vec<String> {
-    let mut ctx = Context::new();
-    let natives = irdl_dialects::corpus_natives();
-    let mut texts = Vec::new();
-
-    let big_module = ctx.create_module();
-    let big_block = ctx.module_block(big_module);
-
-    for (dialect_name, source) in irdl_dialects::corpus_sources() {
-        let file = irdl::parse_irdl(&source).expect("corpus parses");
-        for dialect in &file.dialects {
-            let compiled = irdl::compile_dialect_collecting(&mut ctx, dialect, &natives)
-                .unwrap_or_else(|e| panic!("{dialect_name} compiles: {e}"));
-            for op in compiled {
-                let module = ctx.create_module();
-                let block = ctx.module_block(module);
-                match instantiate_op(&mut ctx, &op, block) {
-                    Instantiation::Built(_) => {
-                        texts.push(op_to_string(&ctx, module));
-                        ctx.erase_op(module);
-                        let again = instantiate_op(&mut ctx, &op, big_block);
-                        assert!(matches!(again, Instantiation::Built(_)));
-                    }
-                    // CFG terminators need successor context; skip, as the
-                    // corpus generation test does.
-                    Instantiation::Skipped(_) => ctx.erase_op(module),
-                }
-            }
-        }
-    }
-    texts.push(op_to_string(&ctx, big_module));
-    texts
-}
-
-struct Measurement {
-    units_per_sec: f64,
-    allocs_per_unit: f64,
-}
-
-/// Warm up, calibrate an iteration count targeting `budget` seconds, then
-/// take the best of three timed repeats (noise only ever slows a run
-/// down). `units` is the work per pass.
-fn measure(mut pass: impl FnMut() -> usize, expected: usize, units: usize, budget: f64) -> Measurement {
-    for _ in 0..3 {
-        let ok = pass();
-        assert_eq!(ok, expected, "benchmark pass must process every unit");
-    }
-    let start = Instant::now();
-    black_box(pass());
-    let once = start.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((budget / once) as usize).clamp(3, 50_000);
-
-    let mut best_secs = f64::INFINITY;
-    let allocs_before = allocs();
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(pass());
-        }
-        best_secs = best_secs.min(start.elapsed().as_secs_f64());
-    }
-    let allocs_after = allocs();
-    Measurement {
-        units_per_sec: (units * iters) as f64 / best_secs,
-        allocs_per_unit: (allocs_after - allocs_before) as f64 / (3 * units * iters) as f64,
-    }
-}
 
 struct ModuleLoadReport {
     modules: usize,
@@ -195,55 +93,12 @@ impl ModuleLoadReport {
 /// corpus-registered context (modules are erased per pass so arenas stay
 /// bounded).
 fn run_module_load(budget: f64) -> ModuleLoadReport {
-    let texts = corpus_texts();
-    let (mut ctx, _) = irdl_bench::corpus_context();
-
-    // Encode every text once, from the measurement context itself, and
-    // count ops on the probe pass.
-    let mut encoded = Vec::with_capacity(texts.len());
-    let mut total_ops = 0usize;
-    for text in &texts {
-        let before = ctx.num_ops();
-        let module = parse_module(&mut ctx, text)
-            .unwrap_or_else(|e| panic!("workload text parses: {e}\n{text}"));
-        total_ops += ctx.num_ops() - before;
-        encoded.push(encode_module(&ctx, module).expect("workload module encodes"));
-        ctx.erase_op(module);
-    }
-    let text_bytes = texts.iter().map(String::len).sum();
-    let bytecode_bytes = encoded.iter().map(Vec::len).sum();
-    let expected = texts.len();
-
-    let parse = measure(
-        || {
-            let mut ok = 0;
-            for text in &texts {
-                let module = parse_module(&mut ctx, text).expect("parses");
-                ok += 1;
-                ctx.erase_op(module);
-            }
-            ok
-        },
-        expected,
-        total_ops,
-        budget,
-    );
-    let decode = measure(
-        || {
-            let mut ok = 0;
-            for bytes in &encoded {
-                let module = decode_module(&mut ctx, bytes).expect("decodes");
-                ok += 1;
-                ctx.erase_op(module);
-            }
-            ok
-        },
-        expected,
-        total_ops,
-        budget,
-    );
-
-    ModuleLoadReport { modules: expected, ops: total_ops, text_bytes, bytecode_bytes, parse, decode }
+    let mut set = ModuleSet::new(irdl_bench::corpus_context().0, irdl_bench::corpus_texts());
+    let (modules, ops) = (set.texts.len(), set.ops);
+    let (text_bytes, bytecode_bytes) = (set.text_bytes(), set.bytecode_bytes());
+    let parse = measure(|| set.parse_pass(), modules, ops, budget);
+    let decode = measure(|| set.decode_pass(), modules, ops, budget);
+    ModuleLoadReport { modules, ops, text_bytes, bytecode_bytes, parse, decode }
 }
 
 struct WeightsReport {
@@ -278,7 +133,6 @@ fn run_weights(budget: f64, distinct_arrays: usize) -> WeightsReport {
     let i64t = ctx.i64_type();
     let const_name = ctx.op_name("w", "const");
     let mut texts = Vec::with_capacity(MODULES);
-    let mut encoded = Vec::with_capacity(MODULES);
     for m in 0..MODULES {
         let module = ctx.create_module();
         let block = ctx.module_block(module);
@@ -300,41 +154,13 @@ fn run_weights(budget: f64, distinct_arrays: usize) -> WeightsReport {
             ctx.append_op(block, op);
         }
         texts.push(op_to_string(&ctx, module));
-        encoded.push(encode_module(&ctx, module).expect("weights module encodes"));
         ctx.erase_op(module);
     }
-    let text_bytes = texts.iter().map(String::len).sum();
-    let bytecode_bytes = encoded.iter().map(Vec::len).sum();
     let elements = MODULES * OPS_PER_MODULE * ELEMS;
-
-    let parse = measure(
-        || {
-            let mut ok = 0;
-            for text in &texts {
-                let module = parse_module(&mut ctx, text).expect("parses");
-                ok += 1;
-                ctx.erase_op(module);
-            }
-            ok
-        },
-        MODULES,
-        elements,
-        budget,
-    );
-    let decode = measure(
-        || {
-            let mut ok = 0;
-            for bytes in &encoded {
-                let module = decode_module(&mut ctx, bytes).expect("decodes");
-                ok += 1;
-                ctx.erase_op(module);
-            }
-            ok
-        },
-        MODULES,
-        elements,
-        budget,
-    );
+    let mut set = ModuleSet::new(ctx, texts);
+    let (text_bytes, bytecode_bytes) = (set.text_bytes(), set.bytecode_bytes());
+    let parse = measure(|| set.parse_pass(), MODULES, elements, budget);
+    let decode = measure(|| set.decode_pass(), MODULES, elements, budget);
 
     WeightsReport { modules: MODULES, distinct_arrays, elements, text_bytes, bytecode_bytes, parse, decode }
 }
@@ -390,10 +216,6 @@ fn run_bundle_cold_start(budget: f64) -> BundleReport {
 // Reporting
 // ---------------------------------------------------------------------------
 
-fn json_f(value: f64) -> String {
-    if value.is_finite() { format!("{value:.1}") } else { "null".to_string() }
-}
-
 fn weights_json(key: &str, weights: &WeightsReport) -> String {
     format!(
         concat!(
@@ -426,11 +248,9 @@ fn report_json(
     shared: &WeightsReport,
     bundles: &BundleReport,
 ) -> String {
-    format!(
+    let mut out = report_header("bytecode load paths", "bytebench");
+    out.push_str(&format!(
         concat!(
-            "{{\n",
-            "  \"benchmark\": \"bytecode load paths\",\n",
-            "  \"command\": \"cargo run -p irdl-bench --bin bytebench --release\",\n",
             "  \"required_decode_speedup\": {},\n",
             "  \"required_weights_distinct_speedup\": {},\n",
             "  \"required_weights_shared_speedup\": {},\n",
@@ -479,14 +299,14 @@ fn report_json(
         json_f(bundles.compile.units_per_sec),
         json_f(bundles.load.units_per_sec),
         json_f(bundles.speedup()),
-    )
+    ));
+    out
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     // Quick mode trims the per-workload budget for CI smoke runs; floors
     // stay enforced.
-    let budget = if quick { 0.08 } else { 0.5 };
+    let budget = if quick() { 0.08 } else { 0.5 };
 
     eprintln!("generating corpus module workload...");
     let modules = run_module_load(budget);
@@ -537,50 +357,32 @@ fn main() {
         bundles.speedup(),
     );
 
-    let json = report_json(&modules, &distinct, &shared, &bundles);
-    print!("{json}");
-    if quick {
-        // Smoke runs enforce the floors but must not overwrite the
-        // committed full-budget numbers.
-        eprintln!("quick mode: not rewriting BENCH_bytecode.json");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_bytecode.json");
-        std::fs::write(path, &json).expect("write BENCH_bytecode.json");
-        eprintln!("wrote {path}");
-    }
-
-    let mut failed = false;
+    let mut failures = Vec::new();
     if modules.speedup() < REQUIRED_DECODE_SPEEDUP {
-        eprintln!(
-            "FAIL: module decode speedup {:.2}x is below the required {REQUIRED_DECODE_SPEEDUP}x",
+        failures.push(format!(
+            "module decode speedup {:.2}x is below the required {REQUIRED_DECODE_SPEEDUP}x",
             modules.speedup()
-        );
-        failed = true;
+        ));
     }
     if distinct.speedup() < REQUIRED_WEIGHTS_DISTINCT_SPEEDUP {
-        eprintln!(
-            "FAIL: distinct-weights decode speedup {:.2}x is below the required \
+        failures.push(format!(
+            "distinct-weights decode speedup {:.2}x is below the required \
              {REQUIRED_WEIGHTS_DISTINCT_SPEEDUP}x",
             distinct.speedup()
-        );
-        failed = true;
+        ));
     }
     if shared.speedup() < REQUIRED_WEIGHTS_SHARED_SPEEDUP {
-        eprintln!(
-            "FAIL: shared-weights decode speedup {:.2}x is below the required \
+        failures.push(format!(
+            "shared-weights decode speedup {:.2}x is below the required \
              {REQUIRED_WEIGHTS_SHARED_SPEEDUP}x",
             shared.speedup()
-        );
-        failed = true;
+        ));
     }
     if bundles.speedup() < REQUIRED_LOAD_SPEEDUP {
-        eprintln!(
-            "FAIL: bundle load speedup {:.2}x is below the required {REQUIRED_LOAD_SPEEDUP}x",
+        failures.push(format!(
+            "bundle load speedup {:.2}x is below the required {REQUIRED_LOAD_SPEEDUP}x",
             bundles.speedup()
-        );
-        failed = true;
+        ));
     }
-    if failed {
-        std::process::exit(1);
-    }
+    finish("bytecode", &report_json(&modules, &distinct, &shared, &bundles), &failures);
 }

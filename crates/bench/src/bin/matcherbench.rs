@@ -38,8 +38,8 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use irdl_bench::measure::{finish, paired, quick, report_header, timed};
 use irdl_fuzz_lib::{
     derive_canon_catalog, generate_module, pat_dialect_spec, synthetic_catalog, FuzzTarget,
     GenConfig, SplitMix64,
@@ -92,10 +92,9 @@ fn drive(
 ) -> (f64, usize, String) {
     let mut ctx = target.bundle.instantiate();
     let module = irdl_ir::parse::parse_module(&mut ctx, text).expect("bench module parses");
-    let start = Instant::now();
-    let stats = rewrite_greedily_matched(&mut ctx, module, patterns, CheckLevel::Off, mode)
-        .expect("unchecked drive cannot fail");
-    let secs = start.elapsed().as_secs_f64();
+    let (stats, secs) =
+        timed(|| rewrite_greedily_matched(&mut ctx, module, patterns, CheckLevel::Off, mode));
+    let stats = stats.expect("unchecked drive cannot fail");
     (secs, stats.rewrites, op_to_string(&ctx, module))
 }
 
@@ -129,25 +128,19 @@ fn measure_size(size: usize, rounds: usize) -> SizeResult {
     assert_eq!(scan_rewrites, hot, "every hot root fires exactly once");
 
     // Timed: cold-only module, paired rounds, best round wins.
-    let timed = pat_module(COLD_OPS, 0);
-    let mut scan_best = f64::INFINITY;
-    let mut auto_best = f64::INFINITY;
-    let mut speedup: f64 = 0.0;
-    for _ in 0..rounds {
-        let (scan_secs, r, _) = drive(&target, &patterns, &timed, MatcherMode::Scan);
-        assert_eq!(r, 0, "cold module must not rewrite");
-        let (auto_secs, r, _) = drive(&target, &patterns, &timed, MatcherMode::Auto);
-        assert_eq!(r, 0, "cold module must not rewrite");
-        scan_best = scan_best.min(scan_secs);
-        auto_best = auto_best.min(auto_secs);
-        speedup = speedup.max(scan_secs / auto_secs);
-    }
+    let cold = pat_module(COLD_OPS, 0);
+    let cold_drive = |mode| {
+        let (secs, rewrites, _) = drive(&target, &patterns, &cold, mode);
+        assert_eq!(rewrites, 0, "cold module must not rewrite");
+        secs
+    };
+    let pair = paired(rounds, || cold_drive(MatcherMode::Scan), || cold_drive(MatcherMode::Auto));
 
     SizeResult {
         patterns: size,
-        scan_ns_per_op: scan_best * 1e9 / COLD_OPS as f64,
-        auto_ns_per_op: auto_best * 1e9 / COLD_OPS as f64,
-        speedup,
+        scan_ns_per_op: pair.a_best * 1e9 / COLD_OPS as f64,
+        auto_ns_per_op: pair.b_best * 1e9 / COLD_OPS as f64,
+        speedup: pair.ratio,
         rewrites: scan_rewrites,
         outputs_identical,
     }
@@ -183,39 +176,43 @@ fn measure_corpus(rounds: usize) -> CorpusResult {
         })
         .collect();
 
-    let run = |mode: MatcherMode| -> (f64, Vec<(usize, String)>) {
-        let start = Instant::now();
-        let results =
-            texts.iter().map(|t| { let (_, r, out) = drive(&target, &patterns, t, mode); (r, out) }).collect();
-        (start.elapsed().as_secs_f64(), results)
+    // Each side times its whole batch, setup included, and keeps every
+    // round's results for the differential check.
+    let run = |mode: MatcherMode, rounds_out: &mut Vec<Vec<(usize, String)>>| {
+        let (results, secs) = timed(|| {
+            texts
+                .iter()
+                .map(|t| {
+                    let (_, r, out) = drive(&target, &patterns, t, mode);
+                    (r, out)
+                })
+                .collect()
+        });
+        rounds_out.push(results);
+        secs
     };
-    let mut scan_best = f64::INFINITY;
-    let mut auto_best = f64::INFINITY;
-    let mut speedup: f64 = 0.0;
-    let mut outputs_identical = true;
-    for _ in 0..rounds {
-        let (scan_secs, scan_results) = run(MatcherMode::Scan);
-        let (auto_secs, auto_results) = run(MatcherMode::Auto);
-        outputs_identical &= scan_results == auto_results;
-        scan_best = scan_best.min(scan_secs);
-        auto_best = auto_best.min(auto_secs);
-        speedup = speedup.max(scan_secs / auto_secs);
-    }
+    let (mut scan_results, mut auto_results) = (Vec::new(), Vec::new());
+    let pair = paired(
+        rounds,
+        || run(MatcherMode::Scan, &mut scan_results),
+        || run(MatcherMode::Auto, &mut auto_results),
+    );
 
     CorpusResult {
         derived_patterns: derived,
         modules: CORPUS_MODULES,
-        scan_ms: scan_best * 1e3,
-        auto_ms: auto_best * 1e3,
-        speedup,
-        outputs_identical,
+        scan_ms: pair.a_best * 1e3,
+        auto_ms: pair.b_best * 1e3,
+        speedup: pair.ratio,
+        outputs_identical: scan_results == auto_results,
     }
 }
 
 fn report_json(sizes: &[SizeResult], corpus: &CorpusResult, compiles_measured: u64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"pattern dispatch: shared matcher automaton vs per-pattern scan\",\n");
-    out.push_str("  \"command\": \"cargo run -p irdl-bench --bin matcherbench --release\",\n");
+    let mut out = report_header(
+        "pattern dispatch: shared matcher automaton vs per-pattern scan",
+        "matcherbench",
+    );
     out.push_str(&format!("  \"ops_per_module\": {COLD_OPS},\n"));
     out.push_str(&format!("  \"required_speedup_at_largest\": {REQUIRED_SPEEDUP:.1},\n"));
     out.push_str(&format!(
@@ -255,8 +252,7 @@ fn report_json(sizes: &[SizeResult], corpus: &CorpusResult, compiles_measured: u
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let rounds = if quick { 3 } else { 7 };
+    let rounds = if quick() { 3 } else { 7 };
 
     let mut results = Vec::new();
     for size in SIZES {
@@ -294,43 +290,23 @@ fn main() {
         corpus.derived_patterns, corpus.modules, corpus.scan_ms, corpus.auto_ms, corpus.speedup,
     );
 
-    let json = report_json(&results, &corpus, 0);
-    print!("{json}");
-
-    if quick {
-        // Smoke runs enforce the gates but must not overwrite the
-        // committed full-budget numbers.
-        eprintln!("quick mode: not rewriting BENCH_matcher.json");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_matcher.json");
-        std::fs::write(path, &json).expect("write BENCH_matcher.json");
-        eprintln!("wrote {path}");
-    }
-
-    let mut failed = false;
-    for s in &results {
-        if !s.outputs_identical {
-            eprintln!(
-                "FAIL: catalog {}: scan and automaton drives diverge (this is a \
-                 correctness bug, not a performance miss)",
-                s.patterns
-            );
-            failed = true;
-        }
+    let mut failures = Vec::new();
+    for s in results.iter().filter(|s| !s.outputs_identical) {
+        failures.push(format!(
+            "catalog {}: scan and automaton drives diverge (this is a \
+             correctness bug, not a performance miss)",
+            s.patterns
+        ));
     }
     if !corpus.outputs_identical {
-        eprintln!("FAIL: corpus canon drive diverges between scan and automaton");
-        failed = true;
+        failures.push("corpus canon drive diverges between scan and automaton".to_string());
     }
     let gated = results.last().expect("at least one size");
     if gated.speedup < REQUIRED_SPEEDUP {
-        eprintln!(
-            "FAIL: {}-pattern speedup {:.2}x is below the required {REQUIRED_SPEEDUP:.1}x",
+        failures.push(format!(
+            "{}-pattern speedup {:.2}x is below the required {REQUIRED_SPEEDUP:.1}x",
             gated.patterns, gated.speedup
-        );
-        failed = true;
+        ));
     }
-    if failed {
-        std::process::exit(1);
-    }
+    finish("matcher", &report_json(&results, &corpus, 0), &failures);
 }

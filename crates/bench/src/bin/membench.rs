@@ -33,17 +33,18 @@
 //! machine-relative throughput floors (load-sensitive); the deterministic
 //! allocation gates are always enforced.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use irdl::genir::{instantiate_op, Instantiation};
-use irdl_ir::bytecode::{decode_module, encode_module};
-use irdl_ir::parse::parse_module;
-use irdl_ir::print::op_to_string;
+use irdl_bench::measure::{
+    allocs, finish, json_f, measure, quick, report_header, CountingAlloc, Measurement,
+};
+use irdl_bench::ModuleSet;
 use irdl_ir::{ChangeJournal, Context, OpRef, OperationState};
 use irdl_rewrite::Rewriter;
+
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
 
 // ---------------------------------------------------------------------------
 // Gates and baselines
@@ -66,108 +67,8 @@ const PR8_PARSE_OPS_PER_SEC: f64 = 1_002_322.7;
 const PR8_DECODE_OPS_PER_SEC: f64 = 2_007_525.5;
 
 // ---------------------------------------------------------------------------
-// Allocation accounting
-// ---------------------------------------------------------------------------
-
-/// Counts every allocation request (including reallocs) so a measured pass
-/// can report how many times it hit the heap.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------------
 // Workloads
 // ---------------------------------------------------------------------------
-
-/// Generates one module text per instantiable corpus op plus one combined
-/// module holding every instance (the same set `bytebench` loads).
-fn corpus_texts() -> Vec<String> {
-    let mut ctx = Context::new();
-    let natives = irdl_dialects::corpus_natives();
-    let mut texts = Vec::new();
-
-    let big_module = ctx.create_module();
-    let big_block = ctx.module_block(big_module);
-
-    for (dialect_name, source) in irdl_dialects::corpus_sources() {
-        let file = irdl::parse_irdl(&source).expect("corpus parses");
-        for dialect in &file.dialects {
-            let compiled = irdl::compile_dialect_collecting(&mut ctx, dialect, &natives)
-                .unwrap_or_else(|e| panic!("{dialect_name} compiles: {e}"));
-            for op in compiled {
-                let module = ctx.create_module();
-                let block = ctx.module_block(module);
-                match instantiate_op(&mut ctx, &op, block) {
-                    Instantiation::Built(_) => {
-                        texts.push(op_to_string(&ctx, module));
-                        ctx.erase_op(module);
-                        let again = instantiate_op(&mut ctx, &op, big_block);
-                        assert!(matches!(again, Instantiation::Built(_)));
-                    }
-                    Instantiation::Skipped(_) => ctx.erase_op(module),
-                }
-            }
-        }
-    }
-    texts.push(op_to_string(&ctx, big_module));
-    texts
-}
-
-struct Measurement {
-    ops_per_sec: f64,
-    allocs_per_op: f64,
-}
-
-/// Warm up, calibrate an iteration count targeting `budget` seconds, then
-/// take the best of three timed repeats. Allocations are averaged across
-/// all timed passes — the count is deterministic per pass once warm.
-fn measure(mut pass: impl FnMut() -> usize, ops: usize, budget: f64) -> Measurement {
-    for _ in 0..3 {
-        black_box(pass());
-    }
-    let start = Instant::now();
-    black_box(pass());
-    let once = start.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((budget / once) as usize).clamp(3, 50_000);
-
-    let mut best_secs = f64::INFINITY;
-    let allocs_before = allocs();
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(pass());
-        }
-        best_secs = best_secs.min(start.elapsed().as_secs_f64());
-    }
-    let allocs_after = allocs();
-    Measurement {
-        ops_per_sec: (ops * iters) as f64 / best_secs,
-        allocs_per_op: (allocs_after - allocs_before) as f64 / (3 * ops * iters) as f64,
-    }
-}
 
 struct LoadReport {
     modules: usize,
@@ -180,48 +81,11 @@ struct LoadReport {
 /// corpus-registered context, erasing each module after the load so
 /// arenas and pools reach steady state.
 fn run_construction(budget: f64) -> LoadReport {
-    let texts = corpus_texts();
-    let (mut ctx, _) = irdl_bench::corpus_context();
-
-    let mut encoded = Vec::with_capacity(texts.len());
-    let mut total_ops = 0usize;
-    for text in &texts {
-        let before = ctx.num_ops();
-        let module = parse_module(&mut ctx, text)
-            .unwrap_or_else(|e| panic!("workload text parses: {e}\n{text}"));
-        total_ops += ctx.num_ops() - before;
-        encoded.push(encode_module(&ctx, module).expect("workload module encodes"));
-        ctx.erase_op(module);
-    }
-
-    let parse = measure(
-        || {
-            let mut ok = 0;
-            for text in &texts {
-                let module = parse_module(&mut ctx, text).expect("parses");
-                ok += 1;
-                ctx.erase_op(module);
-            }
-            ok
-        },
-        total_ops,
-        budget,
-    );
-    let decode = measure(
-        || {
-            let mut ok = 0;
-            for bytes in &encoded {
-                let module = decode_module(&mut ctx, bytes).expect("decodes");
-                ok += 1;
-                ctx.erase_op(module);
-            }
-            ok
-        },
-        total_ops,
-        budget,
-    );
-
-    LoadReport { modules: texts.len(), ops: total_ops, parse, decode }
+    let mut set = ModuleSet::new(irdl_bench::corpus_context().0, irdl_bench::corpus_texts());
+    let (modules, ops) = (set.texts.len(), set.ops);
+    let parse = measure(|| set.parse_pass(), modules, ops, budget);
+    let decode = measure(|| set.decode_pass(), modules, ops, budget);
+    LoadReport { modules, ops, parse, decode }
 }
 
 struct RewriteReport {
@@ -291,16 +155,10 @@ fn run_steady_rewrite(steps: usize) -> RewriteReport {
 // Reporting
 // ---------------------------------------------------------------------------
 
-fn json_f(value: f64) -> String {
-    if value.is_finite() { format!("{value:.1}") } else { "null".to_string() }
-}
-
 fn report_json(load: &LoadReport, rewrite: &RewriteReport) -> String {
-    format!(
+    let mut out = report_header("op construction allocations", "membench");
+    out.push_str(&format!(
         concat!(
-            "{{\n",
-            "  \"benchmark\": \"op construction allocations\",\n",
-            "  \"command\": \"cargo run -p irdl-bench --bin membench --release\",\n",
             "  \"max_parse_allocs_per_op\": {},\n",
             "  \"max_decode_allocs_per_op\": {},\n",
             "  \"max_rewrite_allocs_per_step\": {},\n",
@@ -341,22 +199,23 @@ fn report_json(load: &LoadReport, rewrite: &RewriteReport) -> String {
         json_f(PR8_DECODE_OPS_PER_SEC),
         load.modules,
         load.ops,
-        json_f(load.parse.ops_per_sec),
-        load.parse.allocs_per_op,
-        load.parse.ops_per_sec / PR8_PARSE_OPS_PER_SEC,
+        json_f(load.parse.units_per_sec),
+        load.parse.allocs_per_unit,
+        load.parse.units_per_sec / PR8_PARSE_OPS_PER_SEC,
         load.modules,
         load.ops,
-        json_f(load.decode.ops_per_sec),
-        load.decode.allocs_per_op,
-        load.decode.ops_per_sec / PR8_DECODE_OPS_PER_SEC,
+        json_f(load.decode.units_per_sec),
+        load.decode.allocs_per_unit,
+        load.decode.units_per_sec / PR8_DECODE_OPS_PER_SEC,
         rewrite.steps,
         rewrite.total_allocs,
         json_f(rewrite.steps_per_sec),
-    )
+    ));
+    out
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick();
     let budget = if quick { 0.08 } else { 0.5 };
     let rewrite_steps = if quick { 20_000 } else { 200_000 };
 
@@ -366,17 +225,17 @@ fn main() {
         "text_parse: {} modules / {} ops, {:.0} ops/s, {:.2} allocs/op ({:.2}x vs PR 8)",
         load.modules,
         load.ops,
-        load.parse.ops_per_sec,
-        load.parse.allocs_per_op,
-        load.parse.ops_per_sec / PR8_PARSE_OPS_PER_SEC,
+        load.parse.units_per_sec,
+        load.parse.allocs_per_unit,
+        load.parse.units_per_sec / PR8_PARSE_OPS_PER_SEC,
     );
     eprintln!(
         "bytecode_decode: {} modules / {} ops, {:.0} ops/s, {:.2} allocs/op ({:.2}x vs PR 8)",
         load.modules,
         load.ops,
-        load.decode.ops_per_sec,
-        load.decode.allocs_per_op,
-        load.decode.ops_per_sec / PR8_DECODE_OPS_PER_SEC,
+        load.decode.units_per_sec,
+        load.decode.allocs_per_unit,
+        load.decode.units_per_sec / PR8_DECODE_OPS_PER_SEC,
     );
 
     let rewrite = run_steady_rewrite(rewrite_steps);
@@ -385,59 +244,42 @@ fn main() {
         rewrite.steps, rewrite.total_allocs, rewrite.steps_per_sec,
     );
 
-    let json = report_json(&load, &rewrite);
-    print!("{json}");
-    if quick {
-        eprintln!("quick mode: not rewriting BENCH_mem.json");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_mem.json");
-        std::fs::write(path, &json).expect("write BENCH_mem.json");
-        eprintln!("wrote {path}");
+    let mut failures = Vec::new();
+    if load.parse.allocs_per_unit > MAX_PARSE_ALLOCS_PER_OP {
+        failures.push(format!(
+            "parse at {:.2} allocs/op exceeds the {MAX_PARSE_ALLOCS_PER_OP} gate",
+            load.parse.allocs_per_unit
+        ));
     }
-
-    let mut failed = false;
-    if load.parse.allocs_per_op > MAX_PARSE_ALLOCS_PER_OP {
-        eprintln!(
-            "FAIL: parse at {:.2} allocs/op exceeds the {MAX_PARSE_ALLOCS_PER_OP} gate",
-            load.parse.allocs_per_op
-        );
-        failed = true;
-    }
-    if load.decode.allocs_per_op > MAX_DECODE_ALLOCS_PER_OP {
-        eprintln!(
-            "FAIL: decode at {:.2} allocs/op exceeds the {MAX_DECODE_ALLOCS_PER_OP} gate",
-            load.decode.allocs_per_op
-        );
-        failed = true;
+    if load.decode.allocs_per_unit > MAX_DECODE_ALLOCS_PER_OP {
+        failures.push(format!(
+            "decode at {:.2} allocs/op exceeds the {MAX_DECODE_ALLOCS_PER_OP} gate",
+            load.decode.allocs_per_unit
+        ));
     }
     if rewrite.total_allocs > MAX_REWRITE_ALLOCS {
-        eprintln!(
-            "FAIL: steady-state rewrite performed {} allocations over {} steps (gate: {})",
+        failures.push(format!(
+            "steady-state rewrite performed {} allocations over {} steps (gate: {})",
             rewrite.total_allocs, rewrite.steps, MAX_REWRITE_ALLOCS
-        );
-        failed = true;
+        ));
     }
     // Throughput floors compare against fixed numbers recorded on an idle
     // machine, so they are only meaningful in full runs.
     if !quick {
-        if load.parse.ops_per_sec < REQUIRED_THROUGHPUT_SPEEDUP * PR8_PARSE_OPS_PER_SEC {
-            eprintln!(
-                "FAIL: parse throughput {:.0} ops/s is below {REQUIRED_THROUGHPUT_SPEEDUP}x \
+        if load.parse.units_per_sec < REQUIRED_THROUGHPUT_SPEEDUP * PR8_PARSE_OPS_PER_SEC {
+            failures.push(format!(
+                "parse throughput {:.0} ops/s is below {REQUIRED_THROUGHPUT_SPEEDUP}x \
                  the PR 8 baseline ({PR8_PARSE_OPS_PER_SEC} ops/s)",
-                load.parse.ops_per_sec
-            );
-            failed = true;
+                load.parse.units_per_sec
+            ));
         }
-        if load.decode.ops_per_sec < REQUIRED_THROUGHPUT_SPEEDUP * PR8_DECODE_OPS_PER_SEC {
-            eprintln!(
-                "FAIL: decode throughput {:.0} ops/s is below {REQUIRED_THROUGHPUT_SPEEDUP}x \
+        if load.decode.units_per_sec < REQUIRED_THROUGHPUT_SPEEDUP * PR8_DECODE_OPS_PER_SEC {
+            failures.push(format!(
+                "decode throughput {:.0} ops/s is below {REQUIRED_THROUGHPUT_SPEEDUP}x \
                  the PR 8 baseline ({PR8_DECODE_OPS_PER_SEC} ops/s)",
-                load.decode.ops_per_sec
-            );
-            failed = true;
+                load.decode.units_per_sec
+            ));
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
+    finish("mem", &report_json(&load, &rewrite), &failures);
 }

@@ -25,14 +25,18 @@
 //! cargo run -p irdl-bench --bin parsebench --release [-- --quick]
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::time::Instant;
 
-use irdl::genir::{instantiate_op, Instantiation};
+use irdl_bench::measure::{
+    finish, json_f, measure, quick, report_header, CountingAlloc, Measurement,
+};
+use irdl_bench::ModuleSet;
 use irdl_ir::parse::parse_module;
-use irdl_ir::print::{op_to_string, print_op_into, PrintScratch};
+use irdl_ir::print::{print_op_into, PrintScratch};
 use irdl_ir::Context;
+
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
 
 // ---------------------------------------------------------------------------
 // Pre-change baseline
@@ -50,172 +54,8 @@ const BASELINE_PRINT_ALLOCS_PER_OP: f64 = 19.3;
 const REQUIRED_PARSE_SPEEDUP: f64 = 1.5;
 
 // ---------------------------------------------------------------------------
-// Allocation accounting
-// ---------------------------------------------------------------------------
-
-/// Counts every allocation request so a measured pass can report how many
-/// times it hit the heap. Deallocations are not interesting here.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------------
 // Workloads
 // ---------------------------------------------------------------------------
-
-/// A set of module texts parsed into a long-lived corpus-registered context
-/// each pass; parsed modules are erased so arenas stay bounded.
-struct ParseWorkload {
-    ctx: Context,
-    texts: Vec<String>,
-    /// Total operations across all texts, counted once on a probe parse.
-    total_ops: usize,
-    /// Total source bytes across all texts.
-    bytes: usize,
-}
-
-impl ParseWorkload {
-    fn new(mut ctx: Context, texts: Vec<String>) -> ParseWorkload {
-        let bytes = texts.iter().map(String::len).sum();
-        let mut total_ops = 0usize;
-        for text in &texts {
-            let before = ctx.num_ops();
-            let module = parse_module(&mut ctx, text)
-                .unwrap_or_else(|e| panic!("workload text parses: {e}\n{text}"));
-            total_ops += ctx.num_ops() - before;
-            ctx.erase_op(module);
-        }
-        ParseWorkload { ctx, texts, total_ops, bytes }
-    }
-
-    /// One pass: parse every text, erase the parsed module.
-    fn pass(&mut self) -> usize {
-        let mut ok = 0;
-        for text in &self.texts {
-            let module = parse_module(&mut self.ctx, text).expect("parses");
-            ok += 1;
-            self.ctx.erase_op(module);
-        }
-        ok
-    }
-}
-
-/// Generates `(per-op module texts, one combined large module text)` from
-/// the corpus: every instantiable operation is built from its compiled
-/// constraints via `genir` and printed.
-fn corpus_texts() -> (Vec<String>, String) {
-    let mut ctx = Context::new();
-    let natives = irdl_dialects::corpus_natives();
-    let mut texts = Vec::new();
-
-    // The combined module accumulates every instance in one body.
-    let big_module = ctx.create_module();
-    let big_block = ctx.module_block(big_module);
-
-    for (dialect_name, source) in irdl_dialects::corpus_sources() {
-        let file = irdl::parse_irdl(&source).expect("corpus parses");
-        for dialect in &file.dialects {
-            let compiled = irdl::compile_dialect_collecting(&mut ctx, dialect, &natives)
-                .unwrap_or_else(|e| panic!("{dialect_name} compiles: {e}"));
-            for op in compiled {
-                let module = ctx.create_module();
-                let block = ctx.module_block(module);
-                match instantiate_op(&mut ctx, &op, block) {
-                    Instantiation::Built(_) => {}
-                    // CFG terminators need successor context; skip, as the
-                    // corpus generation test does.
-                    Instantiation::Skipped(_) => {
-                        ctx.erase_op(module);
-                        continue;
-                    }
-                }
-                texts.push(op_to_string(&ctx, module));
-                ctx.erase_op(module);
-                if instantiate_op(&mut ctx, &op, big_block).is_skipped() {
-                    unreachable!("skipped ops are filtered above");
-                }
-            }
-        }
-    }
-    let big = op_to_string(&ctx, big_module);
-    (texts, big)
-}
-
-trait InstantiationExt {
-    fn is_skipped(&self) -> bool;
-}
-
-impl InstantiationExt for Instantiation {
-    fn is_skipped(&self) -> bool {
-        matches!(self, Instantiation::Skipped(_))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Measurement
-// ---------------------------------------------------------------------------
-
-struct Measurement {
-    units_per_sec: f64,
-    allocs_per_unit: f64,
-}
-
-/// Warm up, calibrate an iteration count targeting `budget` seconds of
-/// measurement, then time the pass and report per-unit throughput plus
-/// steady-state allocations. `units` is the work per pass (ops parsed or
-/// printed).
-fn measure(mut pass: impl FnMut() -> usize, expected: usize, units: usize, budget: f64) -> Measurement {
-    for _ in 0..3 {
-        let ok = pass();
-        assert_eq!(ok, expected, "benchmark pass must process every unit");
-    }
-    let start = Instant::now();
-    black_box(pass());
-    let once = start.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((budget / once) as usize).clamp(3, 50_000);
-
-    // Best of three timed repeats: scheduling noise only ever slows a run
-    // down, so the fastest repeat is the most faithful estimate.
-    let mut best_secs = f64::INFINITY;
-    let allocs_before = allocs();
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(pass());
-        }
-        best_secs = best_secs.min(start.elapsed().as_secs_f64());
-    }
-    let allocs_after = allocs();
-    Measurement {
-        units_per_sec: (units * iters) as f64 / best_secs,
-        allocs_per_unit: (allocs_after - allocs_before) as f64 / (3 * units * iters) as f64,
-    }
-}
 
 struct ParseReport {
     name: &'static str,
@@ -248,18 +88,10 @@ fn run_parse(
     baseline: f64,
     budget: f64,
 ) -> ParseReport {
-    let mut w = ParseWorkload::new(ctx, texts);
-    let expected = w.texts.len();
-    let units = w.total_ops;
-    let measurement = measure(|| w.pass(), expected, units, budget);
-    ParseReport {
-        name,
-        modules: expected,
-        ops: w.total_ops,
-        bytes: w.bytes,
-        measurement,
-        baseline_ops_per_sec: baseline,
-    }
+    let mut set = ModuleSet::new(ctx, texts);
+    let (modules, ops, bytes) = (set.texts.len(), set.ops, set.text_bytes());
+    let measurement = measure(|| set.parse_pass(), modules, ops, budget);
+    ParseReport { name, modules, ops, bytes, measurement, baseline_ops_per_sec: baseline }
 }
 
 /// Per-op printing into one reusable buffer with reusable id-map scratch.
@@ -296,18 +128,12 @@ fn run_print(big_text: &str, budget: f64) -> (usize, Measurement) {
 // Reporting
 // ---------------------------------------------------------------------------
 
-fn json_f(value: f64) -> String {
-    if value.is_finite() { format!("{value:.1}") } else { "null".to_string() }
-}
-
 fn report_json(
     parses: &[ParseReport],
     print_ops: usize,
     print: &Measurement,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"zero-copy text pipeline\",\n");
-    out.push_str("  \"command\": \"cargo run -p irdl-bench --bin parsebench --release\",\n");
+    let mut out = report_header("zero-copy text pipeline", "parsebench");
     out.push_str(&format!(
         "  \"required_parse_speedup\": {REQUIRED_PARSE_SPEEDUP},\n"
     ));
@@ -368,13 +194,13 @@ fn report_json(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     // Quick mode trims the per-workload budget for CI smoke runs; floors
     // stay enforced.
-    let budget = if quick { 0.06 } else { 0.4 };
+    let budget = if quick() { 0.06 } else { 0.4 };
 
     eprintln!("generating corpus texts...");
-    let (texts, big) = corpus_texts();
+    let mut texts = irdl_bench::corpus_texts();
+    let big = texts.pop().expect("the combined module comes last");
     let chain = irdl_bench::mul_chain_source(2048);
 
     let parses = vec![
@@ -402,8 +228,6 @@ fn main() {
     ];
     let (print_ops, print) = run_print(&big, budget);
 
-    let json = report_json(&parses, print_ops, &print);
-    print!("{json}");
     for r in &parses {
         eprintln!(
             "{}: {} modules / {} ops / {} bytes, {:.0} ops/s ({:.1} MB/s), \
@@ -423,33 +247,19 @@ fn main() {
         print_ops, print.units_per_sec, print.allocs_per_unit,
     );
 
-    if quick {
-        // Smoke runs enforce the floors but must not overwrite the
-        // committed full-budget numbers.
-        eprintln!("quick mode: not rewriting BENCH_textio.json");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_textio.json");
-        std::fs::write(path, &json).expect("write BENCH_textio.json");
-        eprintln!("wrote {path}");
-    }
-
-    let mut failed = false;
+    let mut failures = Vec::new();
     let corpus = &parses[0];
     if corpus.baseline_ops_per_sec > 0.0 && corpus.speedup() < REQUIRED_PARSE_SPEEDUP {
-        eprintln!(
-            "FAIL: corpus parse speedup {:.2}x is below the required {REQUIRED_PARSE_SPEEDUP}x",
+        failures.push(format!(
+            "corpus parse speedup {:.2}x is below the required {REQUIRED_PARSE_SPEEDUP}x",
             corpus.speedup()
-        );
-        failed = true;
+        ));
     }
     if BASELINE_PRINT_ALLOCS_PER_OP > 0.0 && print.allocs_per_unit > 0.0 {
-        eprintln!(
-            "FAIL: buffered printer allocates {:.2} per op at steady state (must be 0)",
+        failures.push(format!(
+            "buffered printer allocates {:.2} per op at steady state (must be 0)",
             print.allocs_per_unit
-        );
-        failed = true;
+        ));
     }
-    if failed {
-        std::process::exit(1);
-    }
+    finish("textio", &report_json(&parses, print_ops, &print), &failures);
 }

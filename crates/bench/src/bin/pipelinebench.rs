@@ -28,10 +28,9 @@
 //! cargo run -p irdl-bench --bin pipelinebench --release [-- --quick]
 //! ```
 
-use std::time::Instant;
-
 use irdl::genir::{instantiate_op, Instantiation};
 use irdl::DialectBundle;
+use irdl_bench::measure::{cores, finish, paired, quick, report_header, timed};
 use irdl_ir::print::op_to_string;
 use irdl_rewrite::pipeline::{run_batch, PipelineOptions, PipelineReport};
 use irdl_rewrite::PatternSet;
@@ -95,23 +94,17 @@ fn corpus_inputs(bundle: &DialectBundle) -> Vec<String> {
 // Measurement
 // ---------------------------------------------------------------------------
 
-struct BatchTiming {
-    secs: f64,
-    report: PipelineReport,
-}
-
+/// One timed batch run at `jobs` workers; returns its seconds and report.
 fn timed_batch(
     bundle: &DialectBundle,
     patterns: &PatternSet,
     inputs: &[String],
     jobs: usize,
-) -> BatchTiming {
+) -> (f64, PipelineReport) {
     let opts = PipelineOptions { jobs, verify: true, ..Default::default() };
-    let start = Instant::now();
-    let report = run_batch(bundle, patterns, inputs, &opts);
-    let secs = start.elapsed().as_secs_f64();
+    let (report, secs) = timed(|| run_batch(bundle, patterns, inputs, &opts));
     assert_eq!(report.errors(), 0, "every corpus module must pipeline cleanly");
-    BatchTiming { secs, report }
+    (secs, report)
 }
 
 /// The speedup floor, scaled to what the host can physically deliver with
@@ -133,7 +126,6 @@ fn required_speedup(cores: usize) -> f64 {
 /// Everything the JSON report (and the gates) need from the measured runs.
 struct Summary {
     modules: usize,
-    cores: usize,
     required: f64,
     speedup: f64,
     seq_best: f64,
@@ -146,7 +138,6 @@ struct Summary {
 fn report_json(s: &Summary, last_parallel: &PipelineReport) -> String {
     let Summary {
         modules,
-        cores,
         required,
         speedup,
         seq_best,
@@ -155,11 +146,9 @@ fn report_json(s: &Summary, last_parallel: &PipelineReport) -> String {
         compiles_measured,
         outputs_identical,
     } = *s;
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"batch pipeline: shared dialect bundle across cores\",\n");
-    out.push_str("  \"command\": \"cargo run -p irdl-bench --bin pipelinebench --release\",\n");
+    let mut out =
+        report_header("batch pipeline: shared dialect bundle across cores", "pipelinebench");
     out.push_str(&format!("  \"jobs\": {JOBS},\n"));
-    out.push_str(&format!("  \"cores\": {cores},\n"));
     out.push_str(&format!(
         "  \"required_speedup\": {required:.2},\n  \"required_speedup_note\": \
          \"2.5 with >= 4 cores, 1.3 on 2-3 cores; on 1 core no speedup is \
@@ -199,8 +188,7 @@ fn report_json(s: &Summary, last_parallel: &PipelineReport) -> String {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let rounds = if quick { 2 } else { 5 };
+    let rounds = if quick() { 2 } else { 5 };
 
     let natives = irdl_dialects::corpus_natives();
     let sources = irdl_dialects::corpus_sources();
@@ -234,39 +222,36 @@ fn main() {
 
     // Warm-up: one sequential pass (also the output baseline) and one
     // parallel pass.
-    let baseline = timed_batch(&bundle, &patterns, &inputs, 1);
-    let warm_par = timed_batch(&bundle, &patterns, &inputs, JOBS);
+    let (_, baseline) = timed_batch(&bundle, &patterns, &inputs, 1);
+    let (_, warm_par) = timed_batch(&bundle, &patterns, &inputs, JOBS);
     let outputs_identical = baseline
-        .report
         .results
         .iter()
-        .zip(&warm_par.report.results)
+        .zip(&warm_par.results)
         .all(|(s, p)| match (s, p) {
             (Ok(s), Ok(p)) => s.output == p.output,
             _ => false,
         });
     assert!(outputs_identical, "parallel outputs must be byte-identical and input-ordered");
 
-    let mut speedup: f64 = 0.0;
-    let mut seq_best = f64::INFINITY;
-    let mut par_best = f64::INFINITY;
-    let mut last_parallel = warm_par.report;
-    for _ in 0..rounds {
-        let seq = timed_batch(&bundle, &patterns, &inputs, 1);
-        let par = timed_batch(&bundle, &patterns, &inputs, JOBS);
-        speedup = speedup.max(seq.secs / par.secs);
-        seq_best = seq_best.min(seq.secs);
-        par_best = par_best.min(par.secs);
-        last_parallel = par.report;
-    }
+    let mut last_parallel = warm_par;
+    let pair = paired(
+        rounds,
+        || timed_batch(&bundle, &patterns, &inputs, 1).0,
+        || {
+            let (secs, report) = timed_batch(&bundle, &patterns, &inputs, JOBS);
+            last_parallel = report;
+            secs
+        },
+    );
+    let (speedup, seq_best, par_best) = (pair.ratio, pair.a_best, pair.b_best);
 
     let compiles_measured = irdl::dialect_compile_count() - compiles_setup;
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let cores = cores();
     let required = required_speedup(cores);
 
     let summary = Summary {
         modules: inputs.len(),
-        cores,
         required,
         speedup,
         seq_best,
@@ -275,8 +260,6 @@ fn main() {
         compiles_measured,
         outputs_identical,
     };
-    let json = report_json(&summary, &last_parallel);
-    print!("{json}");
     eprintln!(
         "pipeline: {} modules, seq {:.1} modules/s, {JOBS}-worker {:.1} modules/s \
          ({speedup:.2}x paired, {cores} core(s), floor {required:.2}x)",
@@ -293,29 +276,15 @@ fn main() {
         );
     }
 
-    if quick {
-        // Smoke runs enforce the gates but must not overwrite the
-        // committed full-budget numbers.
-        eprintln!("quick mode: not rewriting BENCH_pipeline.json");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-        std::fs::write(path, &json).expect("write BENCH_pipeline.json");
-        eprintln!("wrote {path}");
-    }
-
-    let mut failed = false;
+    let mut failures = Vec::new();
     if compiles_measured != 0 {
-        eprintln!(
-            "FAIL: {compiles_measured} dialect compilation(s) during measurement; \
+        failures.push(format!(
+            "{compiles_measured} dialect compilation(s) during measurement; \
              the bundle must compile everything exactly once at setup"
-        );
-        failed = true;
+        ));
     }
     if speedup < required {
-        eprintln!("FAIL: speedup {speedup:.2}x is below the required {required:.2}x");
-        failed = true;
+        failures.push(format!("speedup {speedup:.2}x is below the required {required:.2}x"));
     }
-    if failed {
-        std::process::exit(1);
-    }
+    finish("pipeline", &report_json(&summary, &last_parallel), &failures);
 }

@@ -29,15 +29,16 @@
 //! cargo run -p irdl-bench --bin rewritebench --release [-- --quick]
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::time::Instant;
-
+use irdl_bench::measure::{
+    allocs, finish, iterations, paired, quick, report_header, timed, CountingAlloc,
+};
 use irdl_bench::{mul_chain_module, showcase_context};
 use irdl_ir::print::op_to_string;
-use irdl_ir::{Context, OpName, OperationState, OpRef};
-use irdl_rewrite::{
-    rewrite_greedily_with, CheckLevel, PatternSet, RewritePattern, Rewriter,
-};
+use irdl_ir::{Context, OpName, OpRef, OperationState};
+use irdl_rewrite::{rewrite_greedily_with, CheckLevel, PatternSet, RewritePattern, Rewriter};
+
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
 
 /// Chain length for the gated configuration. Long enough that the O(n^2)
 /// full-check drive is clearly separated from the O(n) incremental one,
@@ -53,39 +54,6 @@ const REQUIRED_SPEEDUP: f64 = 5.0;
 /// per-check diagnostics scratch — far below this bound. A per-rewrite
 /// copy of the worklist or journal would blow straight past it.
 const MAX_INCR_ALLOCS_PER_REWRITE: f64 = 32.0;
-
-// ---------------------------------------------------------------------------
-// Allocation accounting
-// ---------------------------------------------------------------------------
-
-/// Counts every allocation request so a measured drive can report how many
-/// times it hit the heap. Deallocations are not interesting here.
-struct CountingAlloc;
-
-static ALLOCS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(std::sync::atomic::Ordering::Relaxed)
-}
 
 // ---------------------------------------------------------------------------
 // Workload
@@ -153,11 +121,9 @@ struct Drive {
 fn drive_once(w: &Workload, check: CheckLevel) -> Drive {
     let mut ctx = w.pristine.clone();
     let allocs_before = allocs();
-    let start = Instant::now();
-    let stats = rewrite_greedily_with(&mut ctx, w.module, &w.patterns, check)
-        .expect("the chain stays valid under rewriting");
-    let secs = start.elapsed().as_secs_f64();
+    let (stats, secs) = timed(|| rewrite_greedily_with(&mut ctx, w.module, &w.patterns, check));
     let allocs = allocs() - allocs_before;
+    let stats = stats.expect("the chain stays valid under rewriting");
     assert_eq!(stats.rewrites, CHAIN_LEN, "one rewrite per chain op");
     Drive { secs, allocs }
 }
@@ -175,117 +141,43 @@ fn drive_output(w: &Workload, check: CheckLevel) -> String {
 // Measurement
 // ---------------------------------------------------------------------------
 
-/// Warm up and calibrate an iteration count targeting `budget` seconds per
-/// timed round.
-fn calibrate(w: &Workload, check: CheckLevel, budget: f64) -> usize {
-    for _ in 0..2 {
-        drive_once(w, check);
-    }
-    let once = drive_once(w, check).secs.max(1e-9);
-    ((budget / once) as usize).clamp(3, 10_000)
+/// A drive at one check level with its iteration count calibrated to
+/// `budget` seconds per round after two warm-up drives.
+struct Level {
+    check: CheckLevel,
+    iters: usize,
+    /// Allocations per rewrite in the latest round: the steady state.
+    allocs_per_rewrite: f64,
 }
 
-/// One timed round of `iters` drives; returns per-drive seconds and
-/// per-drive allocations.
-fn round(w: &Workload, check: CheckLevel, iters: usize) -> (f64, f64) {
-    let mut secs = 0.0;
-    let mut drive_allocs = 0u64;
-    for _ in 0..iters {
-        let drive = drive_once(w, check);
-        secs += drive.secs;
-        drive_allocs += drive.allocs;
-    }
-    (secs / iters as f64, drive_allocs as f64 / iters as f64)
-}
-
-/// Best-of-rounds for one check level.
-#[derive(Clone, Copy)]
-struct Measurement {
-    best_secs: f64,
-    allocs_per_drive: f64,
-}
-
-impl Measurement {
-    fn new() -> Measurement {
-        Measurement { best_secs: f64::INFINITY, allocs_per_drive: 0.0 }
+impl Level {
+    fn calibrate(w: &Workload, check: CheckLevel, budget: f64) -> Level {
+        for _ in 0..2 {
+            drive_once(w, check);
+        }
+        let iters = iterations(drive_once(w, check).secs, budget);
+        Level { check, iters, allocs_per_rewrite: 0.0 }
     }
 
-    fn record(&mut self, w: &Workload, check: CheckLevel, iters: usize) -> f64 {
-        let (secs, allocs_per_drive) = round(w, check, iters);
-        self.best_secs = self.best_secs.min(secs);
-        // Steady-state allocations only: keep the last round's figure.
-        self.allocs_per_drive = allocs_per_drive;
-        secs
+    /// One round of `iters` drives; returns the mean drive time.
+    fn round(&mut self, w: &Workload) -> f64 {
+        let mut secs = 0.0;
+        let mut drive_allocs = 0u64;
+        for _ in 0..self.iters {
+            let drive = drive_once(w, self.check);
+            secs += drive.secs;
+            drive_allocs += drive.allocs;
+        }
+        self.allocs_per_rewrite = drive_allocs as f64 / (self.iters * CHAIN_LEN) as f64;
+        secs / self.iters as f64
     }
-
-    fn drives_per_sec(&self) -> f64 {
-        1.0 / self.best_secs
-    }
-
-    fn allocs_per_rewrite(&self) -> f64 {
-        self.allocs_per_drive / CHAIN_LEN as f64
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reporting
-// ---------------------------------------------------------------------------
-
-struct Summary {
-    speedup: f64,
-    unchecked: Measurement,
-    full: Measurement,
-    incremental: Measurement,
-    outputs_identical: bool,
-}
-
-fn report_json(s: &Summary) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "{\n  \"benchmark\": \"checked greedy rewriting: incremental vs full re-verification\",\n",
-    );
-    out.push_str("  \"command\": \"cargo run -p irdl-bench --bin rewritebench --release\",\n");
-    out.push_str(&format!("  \"required_speedup\": {REQUIRED_SPEEDUP:.1},\n"));
-    out.push_str(&format!("  \"chain_len\": {CHAIN_LEN},\n"));
-    out.push_str(&format!("  \"rewrites_per_drive\": {CHAIN_LEN},\n"));
-    out.push_str(&format!("  \"speedup\": {:.2},\n", s.speedup));
-    out.push_str(&format!(
-        "  \"unchecked_drives_per_sec\": {:.1},\n",
-        s.unchecked.drives_per_sec()
-    ));
-    out.push_str(&format!(
-        "  \"full_checked_drives_per_sec\": {:.1},\n",
-        s.full.drives_per_sec()
-    ));
-    out.push_str(&format!(
-        "  \"incremental_checked_drives_per_sec\": {:.1},\n",
-        s.incremental.drives_per_sec()
-    ));
-    out.push_str(&format!(
-        "  \"incremental_check_overhead\": {:.2},\n",
-        s.incremental.best_secs / s.unchecked.best_secs
-    ));
-    out.push_str(&format!(
-        "  \"full_allocs_per_rewrite\": {:.1},\n",
-        s.full.allocs_per_rewrite()
-    ));
-    out.push_str(&format!(
-        "  \"incremental_allocs_per_rewrite\": {:.1},\n",
-        s.incremental.allocs_per_rewrite()
-    ));
-    out.push_str(&format!(
-        "  \"max_incremental_allocs_per_rewrite\": {MAX_INCR_ALLOCS_PER_REWRITE:.1},\n"
-    ));
-    out.push_str(&format!("  \"outputs_identical\": {}\n}}\n", s.outputs_identical));
-    out
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     // Quick mode trims the per-round budget for CI smoke runs; the speedup
     // floor stays enforced, so the budget stays large enough for the
     // full/incremental ratio to be stable on a loaded machine.
-    let budget = if quick { 0.15 } else { 0.4 };
+    let budget = if quick() { 0.15 } else { 0.4 };
     let rounds = 3;
 
     let workload = build_workload();
@@ -301,57 +193,70 @@ fn main() {
         "the cascade must rewrite the whole chain"
     );
 
-    let off_iters = calibrate(&workload, CheckLevel::Off, budget);
-    let full_iters = calibrate(&workload, CheckLevel::Full, budget);
-    let incr_iters = calibrate(&workload, CheckLevel::Incremental, budget);
+    let mut unchecked = Level::calibrate(&workload, CheckLevel::Off, budget);
+    let mut full = Level::calibrate(&workload, CheckLevel::Full, budget);
+    let mut incremental = Level::calibrate(&workload, CheckLevel::Incremental, budget);
 
-    let mut unchecked = Measurement::new();
-    let mut full = Measurement::new();
-    let mut incremental = Measurement::new();
-    let mut speedup: f64 = 0.0;
-    for _ in 0..rounds {
-        unchecked.record(&workload, CheckLevel::Off, off_iters);
-        let full_secs = full.record(&workload, CheckLevel::Full, full_iters);
-        let incr_secs = incremental.record(&workload, CheckLevel::Incremental, incr_iters);
-        speedup = speedup.max(full_secs / incr_secs);
-    }
+    let unchecked_best =
+        (0..rounds).map(|_| unchecked.round(&workload)).fold(f64::INFINITY, f64::min);
+    // The gated quantity: full over incremental, paired per round.
+    let pair = paired(rounds, || full.round(&workload), || incremental.round(&workload));
+    let speedup = pair.ratio;
 
-    let summary = Summary { speedup, unchecked, full, incremental, outputs_identical };
-    let json = report_json(&summary);
-    print!("{json}");
+    let mut json = report_header(
+        "checked greedy rewriting: incremental vs full re-verification",
+        "rewritebench",
+    );
+    json.push_str(&format!(
+        concat!(
+            "  \"required_speedup\": {:.1},\n",
+            "  \"chain_len\": {},\n",
+            "  \"rewrites_per_drive\": {},\n",
+            "  \"speedup\": {:.2},\n",
+            "  \"unchecked_drives_per_sec\": {:.1},\n",
+            "  \"full_checked_drives_per_sec\": {:.1},\n",
+            "  \"incremental_checked_drives_per_sec\": {:.1},\n",
+            "  \"incremental_check_overhead\": {:.2},\n",
+            "  \"full_allocs_per_rewrite\": {:.1},\n",
+            "  \"incremental_allocs_per_rewrite\": {:.1},\n",
+            "  \"max_incremental_allocs_per_rewrite\": {:.1},\n",
+            "  \"outputs_identical\": {}\n",
+            "}}\n",
+        ),
+        REQUIRED_SPEEDUP,
+        CHAIN_LEN,
+        CHAIN_LEN,
+        speedup,
+        1.0 / unchecked_best,
+        1.0 / pair.a_best,
+        1.0 / pair.b_best,
+        pair.b_best / unchecked_best,
+        full.allocs_per_rewrite,
+        incremental.allocs_per_rewrite,
+        MAX_INCR_ALLOCS_PER_REWRITE,
+        outputs_identical,
+    ));
     eprintln!(
         "rewrite: {CHAIN_LEN}-op chain, full-checked {:.1} drives/s, incremental \
          {:.1} drives/s ({speedup:.2}x paired, floor {REQUIRED_SPEEDUP:.1}x), \
          incremental allocs/rewrite {:.1}",
-        full.drives_per_sec(),
-        incremental.drives_per_sec(),
-        incremental.allocs_per_rewrite(),
+        1.0 / pair.a_best,
+        1.0 / pair.b_best,
+        incremental.allocs_per_rewrite,
     );
 
-    if quick {
-        // Smoke runs enforce the gates but must not overwrite the
-        // committed full-budget numbers.
-        eprintln!("quick mode: not rewriting BENCH_rewrite.json");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_rewrite.json");
-        std::fs::write(path, &json).expect("write BENCH_rewrite.json");
-        eprintln!("wrote {path}");
-    }
-
-    let mut failed = false;
+    let mut failures = Vec::new();
     if speedup < REQUIRED_SPEEDUP {
-        eprintln!("FAIL: speedup {speedup:.2}x is below the required {REQUIRED_SPEEDUP:.1}x");
-        failed = true;
+        failures.push(format!(
+            "speedup {speedup:.2}x is below the required {REQUIRED_SPEEDUP:.1}x"
+        ));
     }
-    if incremental.allocs_per_rewrite() > MAX_INCR_ALLOCS_PER_REWRITE {
-        eprintln!(
-            "FAIL: {:.1} allocations per incremental checked rewrite exceeds the \
+    if incremental.allocs_per_rewrite > MAX_INCR_ALLOCS_PER_REWRITE {
+        failures.push(format!(
+            "{:.1} allocations per incremental checked rewrite exceeds the \
              {MAX_INCR_ALLOCS_PER_REWRITE:.1} ceiling",
-            incremental.allocs_per_rewrite()
-        );
-        failed = true;
+            incremental.allocs_per_rewrite
+        ));
     }
-    if failed {
-        std::process::exit(1);
-    }
+    finish("rewrite", &json, &failures);
 }

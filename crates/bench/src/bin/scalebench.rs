@@ -36,8 +36,7 @@
 //! [`lex_chunked`]: irdl_ir::lexer::lex_chunked
 //! [`lex`]: irdl_ir::lexer::lex
 
-use std::time::Instant;
-
+use irdl_bench::measure::{cores, finish, paired, quick, report_header, timed, Pair};
 use irdl_fuzz_lib::genscale::{generate_scale_module, scale_bundle, ScaleConfig, ScaleShape};
 use irdl_ir::lexer::{lex, lex_chunked};
 use irdl_ir::print::op_to_string;
@@ -93,67 +92,53 @@ fn required_lex_speedup(cores: usize) -> f64 {
 // Measurement
 // ---------------------------------------------------------------------------
 
-/// One paired verification measurement over `rounds` rounds: sequential
-/// and parallel verify back-to-back each round (so load spikes hit both
-/// sides), best-round speedup and best absolute times kept.
-struct VerifyPair {
-    speedup: f64,
-    seq_best: f64,
-    par_best: f64,
-}
-
-fn paired_verify(ctx: &Context, module: OpRef, workers: usize, rounds: usize) -> VerifyPair {
-    // Warm-up pass per side (first touch faults in the arenas).
+/// Sequential vs parallel verification, paired per round, after one
+/// warm-up pass per side (first touch faults in the arenas).
+fn paired_verify(ctx: &Context, module: OpRef, workers: usize, rounds: usize) -> Pair {
     ModuleVerifier::new().verify(ctx, module).expect("scale module verifies");
     ModuleVerifier::new()
         .verify_parallel(ctx, module, workers)
         .expect("scale module verifies in parallel");
-
-    let mut pair = VerifyPair { speedup: 0.0, seq_best: f64::INFINITY, par_best: f64::INFINITY };
-    for _ in 0..rounds {
-        let start = Instant::now();
-        let seq_verdict = ModuleVerifier::new().verify(ctx, module);
-        let seq = start.elapsed().as_secs_f64();
-
-        let start = Instant::now();
-        let par_verdict = ModuleVerifier::new().verify_parallel(ctx, module, workers);
-        let par = start.elapsed().as_secs_f64();
-
-        assert!(seq_verdict.is_ok() && par_verdict.is_ok(), "both sides must accept");
-        pair.speedup = pair.speedup.max(seq / par);
-        pair.seq_best = pair.seq_best.min(seq);
-        pair.par_best = pair.par_best.min(par);
-    }
-    pair
+    paired(
+        rounds,
+        || {
+            let (verdict, secs) = timed(|| ModuleVerifier::new().verify(ctx, module));
+            verdict.expect("sequential verify accepts");
+            secs
+        },
+        || {
+            let (verdict, secs) =
+                timed(|| ModuleVerifier::new().verify_parallel(ctx, module, workers));
+            verdict.expect("parallel verify accepts");
+            secs
+        },
+    )
 }
 
-/// Paired lex measurement over the same rounds discipline, with the
-/// token-stream identity asserted on every parallel run.
-fn paired_lex(source: &str, workers: usize, rounds: usize) -> VerifyPair {
+/// Whole vs chunked lexing, paired per round, after checking once that the
+/// chunked token stream equals the whole lex.
+fn paired_lex(source: &str, workers: usize, rounds: usize) -> Pair {
     let whole = lex(source).expect("scale module text lexes");
     assert_eq!(
         lex_chunked(source, workers).expect("chunked lex succeeds"),
         whole,
         "chunked token stream must equal the whole lex"
     );
+    let tokens = whole.len();
     drop(whole);
-
-    let mut pair = VerifyPair { speedup: 0.0, seq_best: f64::INFINITY, par_best: f64::INFINITY };
-    for _ in 0..rounds {
-        let start = Instant::now();
-        let seq_tokens = lex(source).expect("lex");
-        let seq = start.elapsed().as_secs_f64();
-
-        let start = Instant::now();
-        let par_tokens = lex_chunked(source, workers).expect("chunked lex");
-        let par = start.elapsed().as_secs_f64();
-
-        assert_eq!(seq_tokens.len(), par_tokens.len());
-        pair.speedup = pair.speedup.max(seq / par);
-        pair.seq_best = pair.seq_best.min(seq);
-        pair.par_best = pair.par_best.min(par);
-    }
-    pair
+    paired(
+        rounds,
+        || {
+            let (lexed, secs) = timed(|| lex(source).expect("lex"));
+            assert_eq!(lexed.len(), tokens);
+            secs
+        },
+        || {
+            let (lexed, secs) = timed(|| lex_chunked(source, workers).expect("chunked lex"));
+            assert_eq!(lexed.len(), tokens);
+            secs
+        },
+    )
 }
 
 /// Renders a verification outcome to a canonical string so sequential
@@ -168,20 +153,17 @@ fn render_verdict(outcome: &Result<(), Vec<irdl_ir::Diagnostic>>) -> String {
 }
 
 /// Gate: an invalid giant module produces byte-identical diagnostics at
-/// workers 1, 2, and 8. Returns the diagnostic count.
-fn check_diag_identity(ctx: &Context, module: OpRef) -> (bool, usize) {
+/// workers 1, 2, and 8. Returns the diagnostic count and the first worker
+/// count whose diagnostics diverge, if any.
+fn check_diag_identity(ctx: &Context, module: OpRef) -> (usize, Option<usize>) {
     let sequential = ModuleVerifier::new().verify(ctx, module);
     let baseline = render_verdict(&sequential);
     let count = sequential.as_ref().map_or_else(Vec::len, |()| 0);
     assert!(count > 0, "the diagnostics module must actually be invalid");
-    for workers in [1, 2, 8] {
-        let parallel = ModuleVerifier::new().verify_parallel(ctx, module, workers);
-        if render_verdict(&parallel) != baseline {
-            eprintln!("FAIL: diagnostics diverge from sequential at workers={workers}");
-            return (false, count);
-        }
-    }
-    (true, count)
+    let diverging = [1, 2, 8].into_iter().find(|&workers| {
+        render_verdict(&ModuleVerifier::new().verify_parallel(ctx, module, workers)) != baseline
+    });
+    (count, diverging)
 }
 
 // ---------------------------------------------------------------------------
@@ -189,14 +171,13 @@ fn check_diag_identity(ctx: &Context, module: OpRef) -> (bool, usize) {
 // ---------------------------------------------------------------------------
 
 struct Summary {
-    cores: usize,
     workers: usize,
     wide_ops: usize,
     deep_ops: usize,
-    wide: VerifyPair,
-    deep: VerifyPair,
+    wide: Pair,
+    deep: Pair,
     lex_bytes: usize,
-    lex: VerifyPair,
+    lex: Pair,
     required_verify: f64,
     required_lex: f64,
     diags_identical: bool,
@@ -206,10 +187,10 @@ struct Summary {
 }
 
 fn report_json(s: &Summary) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"intra-module parallelism: giant-module verify + chunked lex\",\n");
-    out.push_str("  \"command\": \"cargo run -p irdl-bench --bin scalebench --release\",\n");
-    out.push_str(&format!("  \"cores\": {},\n", s.cores));
+    let mut out = report_header(
+        "intra-module parallelism: giant-module verify + chunked lex",
+        "scalebench",
+    );
     out.push_str(&format!("  \"workers\": {},\n", s.workers));
     out.push_str(&format!(
         "  \"required_verify_speedup\": {:.3},\n  \"required_verify_speedup_note\": \
@@ -225,13 +206,13 @@ fn report_json(s: &Summary) -> String {
          only the chunked path pays, and with no second core nothing offsets them\",\n",
         s.required_lex
     ));
-    let section = |name: &str, ops: usize, pair: &VerifyPair| {
+    let section = |name: &str, ops: usize, pair: &Pair| {
         format!(
             "  \"{name}\": {{ \"ops\": {ops}, \"speedup\": {:.3}, \
              \"sequential_mops_per_sec\": {:.2}, \"parallel_mops_per_sec\": {:.2} }},\n",
-            pair.speedup,
-            ops as f64 / pair.seq_best / 1.0e6,
-            ops as f64 / pair.par_best / 1.0e6,
+            pair.ratio,
+            ops as f64 / pair.a_best / 1.0e6,
+            ops as f64 / pair.b_best / 1.0e6,
         )
     };
     out.push_str(&section("verify_wide", s.wide_ops, &s.wide));
@@ -240,9 +221,9 @@ fn report_json(s: &Summary) -> String {
         "  \"lex_chunked\": {{ \"source_bytes\": {}, \"speedup\": {:.3}, \
          \"sequential_mb_per_sec\": {:.1}, \"parallel_mb_per_sec\": {:.1} }},\n",
         s.lex_bytes,
-        s.lex.speedup,
-        s.lex_bytes as f64 / s.lex.seq_best / 1.0e6,
-        s.lex_bytes as f64 / s.lex.par_best / 1.0e6,
+        s.lex.ratio,
+        s.lex_bytes as f64 / s.lex.a_best / 1.0e6,
+        s.lex_bytes as f64 / s.lex.b_best / 1.0e6,
     ));
     out.push_str(&format!(
         "  \"diagnostics_identical\": {{ \"workers_checked\": [1, 2, 8], \
@@ -258,12 +239,12 @@ fn report_json(s: &Summary) -> String {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick();
     let rounds = if quick { 2 } else { 5 };
     let (wide_ops, deep_ops) =
         if quick { (QUICK_WIDE_OPS, QUICK_DEEP_OPS) } else { (FULL_WIDE_OPS, FULL_DEEP_OPS) };
 
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let cores = cores();
     // On a 1-core host the parallel path must still run to measure its
     // overhead, so the worker pool never drops below 2.
     let workers = cores.max(2);
@@ -292,30 +273,31 @@ fn main() {
     // recompile a dialect.
     let compiles_setup = irdl::dialect_compile_count();
 
-    let (diags_identical, diag_count) = check_diag_identity(&diag_ctx, diag_module);
+    let (diag_count, diverging) = check_diag_identity(&diag_ctx, diag_module);
+    let diags_identical = diverging.is_none();
     eprintln!("diagnostics: {diag_count} errors, byte-identical at workers 1/2/8: {diags_identical}");
 
     let wide = paired_verify(&wide_ctx, wide_module, workers, rounds);
     eprintln!(
         "verify wide: {wide_total} ops, seq {:.2} Mops/s, {workers}-worker {:.2} Mops/s ({:.2}x paired)",
-        wide_total as f64 / wide.seq_best / 1.0e6,
-        wide_total as f64 / wide.par_best / 1.0e6,
-        wide.speedup,
+        wide_total as f64 / wide.a_best / 1.0e6,
+        wide_total as f64 / wide.b_best / 1.0e6,
+        wide.ratio,
     );
     let deep = paired_verify(&deep_ctx, deep_module, workers, rounds);
     eprintln!(
         "verify deep: {deep_total} ops, seq {:.2} Mops/s, {workers}-worker {:.2} Mops/s ({:.2}x paired)",
-        deep_total as f64 / deep.seq_best / 1.0e6,
-        deep_total as f64 / deep.par_best / 1.0e6,
-        deep.speedup,
+        deep_total as f64 / deep.a_best / 1.0e6,
+        deep_total as f64 / deep.b_best / 1.0e6,
+        deep.ratio,
     );
     let lex_pair = paired_lex(&wide_text, workers, rounds);
     eprintln!(
         "lex chunked: {} MB, seq {:.1} MB/s, {workers}-worker {:.1} MB/s ({:.2}x paired)",
         wide_text.len() / (1 << 20),
-        wide_text.len() as f64 / lex_pair.seq_best / 1.0e6,
-        wide_text.len() as f64 / lex_pair.par_best / 1.0e6,
-        lex_pair.speedup,
+        wide_text.len() as f64 / lex_pair.a_best / 1.0e6,
+        wide_text.len() as f64 / lex_pair.b_best / 1.0e6,
+        lex_pair.ratio,
     );
 
     let compiles_measured = irdl::dialect_compile_count() - compiles_setup;
@@ -323,7 +305,6 @@ fn main() {
     let required_lex = required_lex_speedup(cores);
 
     let summary = Summary {
-        cores,
         workers,
         wide_ops: wide_total,
         deep_ops: deep_total,
@@ -338,45 +319,29 @@ fn main() {
         compiles_setup,
         compiles_measured,
     };
-    let json = report_json(&summary);
-    print!("{json}");
-
-    if quick {
-        // Smoke runs enforce the gates but must not overwrite the
-        // committed full-budget numbers.
-        eprintln!("quick mode: not rewriting BENCH_scale.json");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
-        std::fs::write(path, &json).expect("write BENCH_scale.json");
-        eprintln!("wrote {path}");
+    let mut failures = Vec::new();
+    if let Some(workers) = diverging {
+        failures.push(format!(
+            "parallel diagnostics at workers={workers} are not byte-identical to sequential"
+        ));
     }
-
-    let mut failed = false;
-    if !summary.diags_identical {
-        eprintln!("FAIL: parallel diagnostics are not byte-identical to sequential");
-        failed = true;
-    }
-    if summary.compiles_measured != 0 {
-        eprintln!(
-            "FAIL: {} dialect compilation(s) during measurement; setup must compile everything",
-            summary.compiles_measured
-        );
-        failed = true;
+    if compiles_measured != 0 {
+        failures.push(format!(
+            "{compiles_measured} dialect compilation(s) during measurement; \
+             setup must compile everything"
+        ));
     }
     for (name, pair, floor) in [
         ("verify_wide", &summary.wide, required_verify),
         ("verify_deep", &summary.deep, required_verify),
         ("lex_chunked", &summary.lex, required_lex),
     ] {
-        if pair.speedup < floor {
-            eprintln!(
-                "FAIL: {name} speedup {:.3}x is below the required {floor:.3}x ({cores} core(s))",
-                pair.speedup
-            );
-            failed = true;
+        if pair.ratio < floor {
+            failures.push(format!(
+                "{name} speedup {:.3}x is below the required {floor:.3}x ({cores} core(s))",
+                pair.ratio
+            ));
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
+    finish("scale", &report_json(&summary), &failures);
 }

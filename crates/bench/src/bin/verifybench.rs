@@ -24,49 +24,18 @@
 //! cargo run -p irdl-bench --bin verifybench --release [-- --quick]
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use irdl::genir::{instantiate_op, Instantiation};
 use irdl::program::EvalScratch;
 use irdl::verifier::CompiledOp;
+use irdl_bench::measure::{
+    finish, json_f, measure, quick, report_header, CountingAlloc, Measurement,
+};
 use irdl_ir::{Context, Diagnostic, OpRef, OpVerifier, Symbol};
 
-// ---------------------------------------------------------------------------
-// Allocation accounting
-// ---------------------------------------------------------------------------
-
-/// Counts every allocation request so a measured pass can report how many
-/// times it hit the heap. Deallocations are not interesting here.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
+static A: CountingAlloc = CountingAlloc;
 
 // ---------------------------------------------------------------------------
 // Workloads
@@ -219,58 +188,6 @@ fn mul_chain_workload(n: usize) -> Workload {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Measurement
-// ---------------------------------------------------------------------------
-
-struct Measurement {
-    ops_per_sec: f64,
-    allocs_per_pass: f64,
-}
-
-/// Warm up and calibrate an iteration count targeting `budget` seconds per
-/// timed round.
-fn calibrate(pass: &mut impl FnMut() -> usize, expected: usize, budget: f64) -> usize {
-    for _ in 0..3 {
-        let ok = pass();
-        assert_eq!(ok, expected, "benchmark pass must verify every instance");
-    }
-    let start = Instant::now();
-    black_box(pass());
-    let once = start.elapsed().as_secs_f64().max(1e-9);
-    ((budget / once) as usize).clamp(5, 50_000)
-}
-
-/// One timed round of `iters` passes; returns elapsed seconds and the
-/// number of heap allocations the round performed.
-fn round(pass: &mut impl FnMut() -> usize, iters: usize) -> (f64, u64) {
-    let allocs_before = allocs();
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(pass());
-    }
-    (start.elapsed().as_secs_f64(), allocs() - allocs_before)
-}
-
-/// Calibrates `pass`, then times `ROUNDS` rounds of it. Scheduling noise
-/// only ever slows a round down, so the fastest round is the most faithful
-/// estimate; allocations are averaged over every pass.
-fn measure(pass: &mut impl FnMut() -> usize, expected: usize, budget: f64) -> Measurement {
-    const ROUNDS: usize = 3;
-    let iters = calibrate(pass, expected, budget);
-    let mut best_secs = f64::INFINITY;
-    let mut total_allocs = 0;
-    for _ in 0..ROUNDS {
-        let (secs, allocs) = round(pass, iters);
-        best_secs = best_secs.min(secs);
-        total_allocs += allocs;
-    }
-    Measurement {
-        ops_per_sec: (expected * iters) as f64 / best_secs,
-        allocs_per_pass: total_allocs as f64 / (ROUNDS * iters) as f64,
-    }
-}
-
 struct WorkloadReport {
     name: &'static str,
     instances: usize,
@@ -279,16 +196,23 @@ struct WorkloadReport {
     handwritten: Option<Measurement>,
 }
 
+impl WorkloadReport {
+    /// Allocations per verification pass over every instance.
+    fn allocs_per_pass(&self, m: &Measurement) -> f64 {
+        m.allocs_per_unit * self.instances as f64
+    }
+}
+
 fn run_workload(name: &'static str, workload: &Workload, budget: f64) -> WorkloadReport {
     let expected = workload.instances.len();
     let mut scratch = EvalScratch::new();
     WorkloadReport {
         name,
         instances: expected,
-        fast: measure(&mut || workload.pass_fast(), expected, budget),
-        program: measure(&mut || workload.pass_program(&mut scratch), expected, budget),
+        fast: measure(|| workload.pass_fast(), expected, expected, budget),
+        program: measure(|| workload.pass_program(&mut scratch), expected, expected, budget),
         handwritten: workload.listing2.map(|complex| {
-            measure(&mut || workload.pass_handwritten(complex), expected, budget)
+            measure(|| workload.pass_handwritten(complex), expected, expected, budget)
         }),
     }
 }
@@ -297,25 +221,16 @@ fn run_workload(name: &'static str, workload: &Workload, budget: f64) -> Workloa
 // Reporting
 // ---------------------------------------------------------------------------
 
-fn json_f(value: f64) -> String {
-    if value.is_finite() { format!("{value:.1}") } else { "null".to_string() }
-}
-
-fn report_json(reports: &[WorkloadReport], cores: usize, cache: (usize, u64, u64)) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"registered IRDL verifier vs Listing 2 hand-written\",\n");
-    out.push_str(
-        "  \"command\": \"cargo run -p irdl-bench --bin verifybench --release\",\n",
-    );
-    out.push_str(&format!("  \"cores\": {cores},\n"));
+fn report_json(reports: &[WorkloadReport], cache: (usize, u64, u64)) -> String {
+    let mut out = report_header("registered IRDL verifier vs Listing 2 hand-written", "verifybench");
     out.push_str("  \"gate\": \"fast_allocs_per_pass == 0 on every workload\",\n");
     out.push_str("  \"workloads\": {\n");
     for (i, r) in reports.iter().enumerate() {
         let handwritten = match &r.handwritten {
             Some(h) => format!(
                 ",\n      \"handwritten_ops_per_sec\": {},\n      \"fast_vs_handwritten\": {:.2}",
-                json_f(h.ops_per_sec),
-                r.fast.ops_per_sec / h.ops_per_sec
+                json_f(h.units_per_sec),
+                r.fast.units_per_sec / h.units_per_sec
             ),
             None => String::new(),
         };
@@ -331,10 +246,10 @@ fn report_json(reports: &[WorkloadReport], cores: usize, cache: (usize, u64, u64
             ),
             r.name,
             r.instances,
-            json_f(r.fast.ops_per_sec),
-            json_f(r.program.ops_per_sec),
-            json_f(r.fast.allocs_per_pass),
-            json_f(r.program.allocs_per_pass),
+            json_f(r.fast.units_per_sec),
+            json_f(r.program.units_per_sec),
+            json_f(r.allocs_per_pass(&r.fast)),
+            json_f(r.allocs_per_pass(&r.program)),
             handwritten,
             if i + 1 == reports.len() { "" } else { "," },
         ));
@@ -352,10 +267,9 @@ fn report_json(reports: &[WorkloadReport], cores: usize, cache: (usize, u64, u64
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     // Quick mode trims the per-workload budget for CI smoke runs; the
     // allocation gate stays enforced.
-    let budget = if quick { 0.1 } else { 0.4 };
+    let budget = if quick() { 0.1 } else { 0.4 };
     let corpus = corpus_workload();
     let chain = mul_chain_workload(512);
 
@@ -368,34 +282,26 @@ fn main() {
     // memoization do real work.
     let (hits, misses) = corpus.ctx.verdict_cache_stats();
     let cache = (corpus.ctx.verdict_cache_len(), hits, misses);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let json = report_json(&reports, cores, cache);
-    print!("{json}");
     for r in &reports {
         eprintln!(
             "{}: {} instances, fast {:.0} ops/s, program check {:.0} ops/s, \
              fast allocs/pass {:.1}",
-            r.name, r.instances, r.fast.ops_per_sec, r.program.ops_per_sec,
-            r.fast.allocs_per_pass,
+            r.name, r.instances, r.fast.units_per_sec, r.program.units_per_sec,
+            r.allocs_per_pass(&r.fast),
         );
     }
 
-    if quick {
-        // Smoke runs enforce the gate but must not overwrite the committed
-        // full-budget numbers.
-        eprintln!("quick mode: not rewriting BENCH_verifier.json");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_verifier.json");
-        std::fs::write(path, &json).expect("write BENCH_verifier.json");
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(r) = reports.iter().find(|r| r.fast.allocs_per_pass != 0.0) {
-        eprintln!(
-            "FAIL: {} allocates {:.1} times per verification pass on valid IR",
-            r.name, r.fast.allocs_per_pass
-        );
-        std::process::exit(1);
-    }
+    let failures: Vec<String> = reports
+        .iter()
+        .filter(|r| r.allocs_per_pass(&r.fast) != 0.0)
+        .map(|r| {
+            format!(
+                "{} allocates {:.1} times per verification pass on valid IR",
+                r.name,
+                r.allocs_per_pass(&r.fast)
+            )
+        })
+        .collect();
+    finish("verifier", &report_json(&reports, cache), &failures);
 }
