@@ -34,10 +34,9 @@
 //! allocation gates are always enforced.
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use irdl_bench::measure::{
-    allocs, finish, json_f, measure, quick, report_header, CountingAlloc, Measurement,
+    allocs, finish, json_f, measure, quick, report_header, timed, CountingAlloc, Measurement,
 };
 use irdl_bench::ModuleSet;
 use irdl_ir::{ChangeJournal, Context, OpRef, OperationState};
@@ -140,15 +139,15 @@ fn run_steady_rewrite(steps: usize) -> RewriteReport {
     }
 
     let before = allocs();
-    let start = Instant::now();
-    for _ in 0..steps {
-        current = step(&mut ctx, &mut journal, current);
-    }
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
+    let ((), secs) = timed(|| {
+        for _ in 0..steps {
+            current = step(&mut ctx, &mut journal, current);
+        }
+    });
     let total_allocs = allocs() - before;
     black_box(current);
 
-    RewriteReport { steps, total_allocs, steps_per_sec: steps as f64 / secs }
+    RewriteReport { steps, total_allocs, steps_per_sec: steps as f64 / secs.max(1e-9) }
 }
 
 // ---------------------------------------------------------------------------

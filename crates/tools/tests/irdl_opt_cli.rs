@@ -53,8 +53,9 @@ fn text(bytes: &[u8]) -> String {
 }
 
 /// Runs `args` + `input` once on the single-input path and once with
-/// `--jobs 2`, and returns `(single, batch)` after removing the batch
-/// framing. Both runs must agree on the exit status.
+/// `--jobs 2`. Both runs must agree on the exit status. Returns the
+/// single-input run and the text both runs printed (the module on success,
+/// the error otherwise), with the framing removed.
 fn single_and_batch(args: &[&str], input: &str) -> (Output, String, String) {
     let mut single_args = args.to_vec();
     single_args.push(input);
@@ -106,6 +107,7 @@ fn conorm_rewrite_prints_the_same_module() {
         assert!(!single_text.contains("arith.mulf"), "{single_text}");
         assert_eq!(single_text, batch_text, "{args:?}");
     }
+    std::fs::remove_dir_all(dir).expect("remove scratch dir");
 }
 
 #[test]
@@ -123,6 +125,7 @@ fn constraint_violation_reports_the_same_error() {
         assert!(single_text.contains("cmath.mul"), "{args:?}: {single_text}");
         assert_eq!(single_text, batch_text, "{args:?}");
     }
+    std::fs::remove_dir_all(dir).expect("remove scratch dir");
 }
 
 #[test]
@@ -133,4 +136,5 @@ fn parse_error_reports_the_same_error() {
     assert_eq!(single.status.code(), Some(1));
     assert!(single_text.contains("error at 1:"), "{single_text}");
     assert_eq!(single_text, batch_text);
+    std::fs::remove_dir_all(dir).expect("remove scratch dir");
 }
