@@ -70,6 +70,6 @@ pub use fold::{fold_patterns, FoldConstants};
 pub use matcher::{matcher_compile_count, MatchProgram, PatternMatcher, Pred};
 pub use pattern::{PatternSet, RewritePattern, Rewriter};
 pub use pipeline::{
-    run_batch, run_batch_inputs, ModuleResult, PipelineInput, PipelineOptions, PipelineReport,
+    run_batch, run_batch_inputs, InputRef, ModuleResult, PipelineOptions, PipelineReport,
     WorkerReport,
 };

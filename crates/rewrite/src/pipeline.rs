@@ -123,29 +123,33 @@ impl PipelineReport {
     }
 }
 
-/// One input to the batch pipeline.
+/// One input to the pipeline, borrowed.
 ///
 /// The two variants are interchangeable: a bytecode input decodes to the
 /// same in-memory module its text form parses to, runs through the same
 /// rewrite driver, and prints the same output. Mixing them in one batch is
 /// fine — merge order is by input index either way.
-#[derive(Debug, Clone)]
-pub enum PipelineInput {
-    /// Textual IR, run through the module parser.
-    Text(String),
-    /// Module bytecode (magic `IRBC`), run through the bytecode decoder.
-    Bytecode(Vec<u8>),
-}
-
-/// A borrowed view of one input: what [`run_module`] reads, and what lets
-/// the string-slice entry point avoid cloning the corpus into
-/// [`PipelineInput`]s.
 #[derive(Debug, Clone, Copy)]
 pub enum InputRef<'a> {
     /// Textual IR, run through the module parser.
     Text(&'a str),
     /// Module bytecode (magic `IRBC`), run through the bytecode decoder.
     Bytecode(&'a [u8]),
+}
+
+impl InputRef<'_> {
+    /// Parses (text, lexed on `intra_jobs` threads) or decodes (bytecode)
+    /// this input into a module in `ctx`, returning the rendered
+    /// diagnostic on failure.
+    pub fn load(self, ctx: &mut Context, intra_jobs: usize) -> Result<OpRef, String> {
+        match self {
+            InputRef::Text(source) => irdl_ir::parse::parse_module_chunked(ctx, source, intra_jobs)
+                .map_err(|d| d.render(source)),
+            InputRef::Bytecode(bytes) => {
+                irdl_ir::bytecode::decode_module(ctx, bytes).map_err(|d| d.to_string())
+            }
+        }
+    }
 }
 
 /// One processed module tagged with its input index, so per-worker result
@@ -166,31 +170,15 @@ pub fn run_batch(
     opts: &PipelineOptions,
 ) -> PipelineReport {
     let refs: Vec<InputRef<'_>> = inputs.iter().map(|s| InputRef::Text(s)).collect();
-    run_refs(bundle, patterns, &refs, opts)
+    run_batch_inputs(bundle, patterns, &refs, opts)
 }
 
 /// [`run_batch`] for mixed text/bytecode corpora.
 ///
-/// A [`PipelineInput::Bytecode`] entry is decoded instead of parsed (its
+/// An [`InputRef::Bytecode`] entry is decoded instead of parsed (its
 /// decode time is reported as the `parse` stage) and then verified,
 /// rewritten, and printed exactly like a text entry.
 pub fn run_batch_inputs(
-    bundle: &DialectBundle,
-    patterns: &PatternSet,
-    inputs: &[PipelineInput],
-    opts: &PipelineOptions,
-) -> PipelineReport {
-    let refs: Vec<InputRef<'_>> = inputs
-        .iter()
-        .map(|input| match input {
-            PipelineInput::Text(s) => InputRef::Text(s),
-            PipelineInput::Bytecode(b) => InputRef::Bytecode(b),
-        })
-        .collect();
-    run_refs(bundle, patterns, &refs, opts)
-}
-
-fn run_refs(
     bundle: &DialectBundle,
     patterns: &PatternSet,
     inputs: &[InputRef<'_>],
@@ -306,13 +294,7 @@ pub fn run_module(
     let intra_jobs = opts.intra_jobs.max(1);
 
     let start = Instant::now();
-    let module = match input {
-        InputRef::Text(source) => irdl_ir::parse::parse_module_chunked(ctx, source, intra_jobs)
-            .map_err(|d| d.render(source))?,
-        InputRef::Bytecode(bytes) => {
-            irdl_ir::bytecode::decode_module(ctx, bytes).map_err(|d| d.to_string())?
-        }
-    };
+    let module = input.load(ctx, intra_jobs)?;
     timings.parse = start.elapsed().as_nanos() as u64;
 
     let result = (|| {
@@ -552,17 +534,24 @@ Pattern add_to_double {
         let baseline = run_batch(&bundle, &patterns, &texts, &PipelineOptions::default());
 
         let mut ctx = bundle.instantiate();
-        let mixed: Vec<PipelineInput> = texts
+        let encoded: Vec<Vec<u8>> = texts
             .iter()
+            .map(|text| {
+                let module = irdl_ir::parse::parse_module(&mut ctx, text).unwrap();
+                let bytes = irdl_ir::bytecode::encode_module(&ctx, module).unwrap();
+                ctx.erase_op(module);
+                bytes
+            })
+            .collect();
+        let mixed: Vec<InputRef<'_>> = texts
+            .iter()
+            .zip(&encoded)
             .enumerate()
-            .map(|(i, text)| {
+            .map(|(i, (text, bytes))| {
                 if i % 2 == 0 {
-                    let module = irdl_ir::parse::parse_module(&mut ctx, text).unwrap();
-                    let bytes = irdl_ir::bytecode::encode_module(&ctx, module).unwrap();
-                    ctx.erase_op(module);
-                    PipelineInput::Bytecode(bytes)
+                    InputRef::Bytecode(bytes)
                 } else {
-                    PipelineInput::Text(text.clone())
+                    InputRef::Text(text)
                 }
             })
             .collect();
@@ -585,10 +574,8 @@ Pattern add_to_double {
     #[test]
     fn corrupt_bytecode_input_fails_only_its_slot() {
         let (bundle, patterns) = toy_setup();
-        let inputs = vec![
-            PipelineInput::Text(toy_inputs(1).remove(0)),
-            PipelineInput::Bytecode(b"not bytecode".to_vec()),
-        ];
+        let text = toy_inputs(1).remove(0);
+        let inputs = [InputRef::Text(&text), InputRef::Bytecode(b"not bytecode")];
         let report = run_batch_inputs(&bundle, &patterns, &inputs, &PipelineOptions::default());
         assert_eq!(report.errors(), 1);
         assert!(report.results[0].is_ok());

@@ -1,8 +1,8 @@
 //! `irdl-bc`: the bytecode toolbox.
 //!
-//! Converts between the textual and binary forms of the stack's three
-//! bytecode file kinds — `IRBC` modules, `IRDB` dialect bundles, and
-//! `IRMP` match-program catalogs — and inspects their section structure:
+//! Converts between the textual and binary forms of the stack's two
+//! bytecode file kinds — `IRBC` modules and `IRDB` dialect bundles — and
+//! inspects their section structure:
 //!
 //! ```text
 //! irdl-bc encode --corpus input.ir -o input.mlirbc
@@ -25,25 +25,20 @@
 //! registry so corpus specs compile; `-o FILE` writes output to a file
 //! instead of stdout; `--generic` makes `decode` print the generic form.
 
-use std::io::Read;
-
 use irdl::artifact::{BUNDLE_MAGIC, SECTION_RECIPES};
 use irdl::{DialectBundle, NativeRegistry};
 use irdl_ir::bytecode::{
-    decode_module, encode_module, is_module_bytecode, ByteReader, MODULE_MAGIC, SECTION_OPS,
-    SECTION_POOL, SECTION_STRINGS,
+    decode_module, encode_module, ByteReader, MODULE_MAGIC, SECTION_OPS, SECTION_POOL,
+    SECTION_STRINGS,
 };
 use irdl_ir::print::Printer;
-use irdl_ir::Context;
-use irdl_rewrite::bytecode::{PROGRAMS_MAGIC, SECTION_PROGRAMS};
+use irdl_tools::cli::{self, DialectArgs, Input};
 
 struct Options {
     command: String,
-    irdl_files: Vec<String>,
+    dialects: DialectArgs,
     inputs: Vec<String>,
     output: Option<String>,
-    showcase: bool,
-    corpus: bool,
     generic: bool,
 }
 
@@ -64,25 +59,20 @@ fn parse_args() -> Result<Options, String> {
     };
     let mut opts = Options {
         command,
-        irdl_files: Vec::new(),
+        dialects: DialectArgs::default(),
         inputs: Vec::new(),
         output: None,
-        showcase: false,
-        corpus: false,
         generic: false,
     };
     while let Some(arg) = args.next() {
+        if opts.dialects.parse_flag(&arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
-            "--irdl" => {
-                let file = args.next().ok_or("--irdl needs a file argument")?;
-                opts.irdl_files.push(file);
-            }
             "-o" | "--output" => {
                 let file = args.next().ok_or("-o needs a file argument")?;
                 opts.output = Some(file);
             }
-            "--showcase" => opts.showcase = true,
-            "--corpus" => opts.corpus = true,
             "--generic" => opts.generic = true,
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
@@ -95,18 +85,9 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Reads the single input (file or stdin) as raw bytes.
-fn read_input(opts: &Options) -> Result<Vec<u8>, String> {
-    match opts.inputs.first() {
-        Some(file) => std::fs::read(file).map_err(|e| format!("cannot read `{file}`: {e}")),
-        None => {
-            let mut buffer = Vec::new();
-            std::io::stdin()
-                .read_to_end(&mut buffer)
-                .map_err(|e| format!("cannot read stdin: {e}"))?;
-            Ok(buffer)
-        }
-    }
+/// The single input: a file, or stdin.
+fn input_path(opts: &Options) -> Option<&str> {
+    opts.inputs.first().map(String::as_str)
 }
 
 /// Writes `bytes` to `-o FILE`, or to stdout.
@@ -116,57 +97,34 @@ fn write_output(opts: &Options, bytes: &[u8]) -> Result<(), String> {
             std::fs::write(file, bytes).map_err(|e| format!("cannot write `{file}`: {e}"))
         }
         None => {
-            use std::io::Write;
-            let mut out = std::io::stdout().lock();
-            if out.write_all(bytes).is_err() {
-                std::process::exit(0);
-            }
+            cli::write_stdout(bytes);
             Ok(())
         }
     }
 }
 
-/// Builds a context with the requested dialect registrations.
-fn make_context(opts: &Options) -> Result<Context, String> {
-    let mut ctx = Context::new();
-    if opts.showcase {
-        irdl_dialects::showcase::register_showcase(&mut ctx).map_err(|d| d.to_string())?;
-    }
-    if opts.corpus {
-        irdl_dialects::register_corpus(&mut ctx).map(|_| ()).map_err(|d| d.to_string())?;
-    }
-    let natives = irdl_dialects::corpus_natives();
-    for file in &opts.irdl_files {
-        let source = std::fs::read_to_string(file)
-            .map_err(|e| format!("cannot read `{file}`: {e}"))?;
-        irdl::register_dialects_with(&mut ctx, &source, &natives)
-            .map_err(|d| format!("{file}:\n{}", d.render(&source)))?;
-    }
-    Ok(ctx)
-}
-
 fn cmd_encode(opts: &Options) -> Result<(), String> {
-    let mut ctx = make_context(opts)?;
-    let raw = read_input(opts)?;
-    if is_module_bytecode(&raw) {
-        return write_output(opts, &raw); // already bytecode: pass through
-    }
-    let ir = String::from_utf8(raw).map_err(|_| "input is not UTF-8 text".to_string())?;
+    let mut ctx = opts.dialects.load()?.ctx;
+    let ir = match cli::read_input(input_path(opts))? {
+        Input::Bytecode(bytes) => return write_output(opts, &bytes), // already bytecode: pass through
+        Input::Text(ir) => ir,
+    };
     let module = irdl_ir::parse::parse_module(&mut ctx, &ir).map_err(|d| d.render(&ir))?;
     let bytes = encode_module(&ctx, module).map_err(|d| d.to_string())?;
     write_output(opts, &bytes)
 }
 
 fn cmd_decode(opts: &Options) -> Result<(), String> {
-    let mut ctx = make_context(opts)?;
-    let raw = read_input(opts)?;
-    if !is_module_bytecode(&raw) {
-        return Err(if raw.starts_with(&BUNDLE_MAGIC) || raw.starts_with(&PROGRAMS_MAGIC) {
+    let mut ctx = opts.dialects.load()?.ctx;
+    let raw = cli::read_bytes(input_path(opts))?;
+    let is_bundle = raw.starts_with(&BUNDLE_MAGIC);
+    let Ok(Input::Bytecode(raw)) = Input::sniff(raw) else {
+        return Err(if is_bundle {
             "input is not a module file (try `irdl-bc inspect`)".to_string()
         } else {
             "input does not start with the IRBC module magic".to_string()
         });
-    }
+    };
     let module = decode_module(&mut ctx, &raw).map_err(|d| d.to_string())?;
     let mut out = String::new();
     let mut printer = Printer::new(&mut out);
@@ -177,19 +135,20 @@ fn cmd_decode(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_bundle(opts: &Options) -> Result<(), String> {
-    if opts.irdl_files.is_empty() && opts.inputs.is_empty() {
+    if opts.dialects.irdl_files.is_empty() && opts.inputs.is_empty() {
         return Err("bundle needs at least one IRDL file".to_string());
     }
     // `--corpus` selects the corpus native-hook registry (a superset of
     // the std hooks) so corpus specs like builtin.irdl bundle directly.
-    let natives =
-        if opts.corpus { irdl_dialects::corpus_natives() } else { NativeRegistry::with_std() };
+    let natives = if opts.dialects.corpus {
+        irdl_dialects::corpus_natives()
+    } else {
+        NativeRegistry::with_std()
+    };
     // Positional arguments to `bundle` are IRDL specs, same as --irdl.
     let mut sources = Vec::new();
-    for file in opts.irdl_files.iter().chain(&opts.inputs) {
-        let source = std::fs::read_to_string(file)
-            .map_err(|e| format!("cannot read `{file}`: {e}"))?;
-        sources.push((file.clone(), source));
+    for file in opts.dialects.irdl_files.iter().chain(&opts.inputs) {
+        sources.push((file.clone(), cli::read_text(Some(file))?));
     }
     let bundle = DialectBundle::compile(&sources, &natives).map_err(|d| d.to_string())?;
     let bytes = bundle.save().map_err(|d| d.to_string())?;
@@ -206,13 +165,12 @@ fn section_name(magic: &[u8; 4], tag: u8) -> &'static str {
         SECTION_POOL => "pool",
         SECTION_OPS if *magic == MODULE_MAGIC => "ops",
         SECTION_RECIPES if *magic == BUNDLE_MAGIC => "recipes",
-        SECTION_PROGRAMS if *magic == PROGRAMS_MAGIC => "programs",
         _ => "unknown",
     }
 }
 
 fn cmd_inspect(opts: &Options) -> Result<(), String> {
-    let raw = read_input(opts)?;
+    let raw = cli::read_bytes(input_path(opts))?;
     let mut r = ByteReader::new(&raw);
     let magic: [u8; 4] = r
         .take(4)
@@ -222,7 +180,6 @@ fn cmd_inspect(opts: &Options) -> Result<(), String> {
     let kind = match magic {
         MODULE_MAGIC => "module",
         BUNDLE_MAGIC => "dialect bundle",
-        PROGRAMS_MAGIC => "match-program catalog",
         other => {
             return Err(format!("unrecognized magic {other:?} (not an IRDL bytecode file)"))
         }
@@ -247,13 +204,7 @@ fn cmd_inspect(opts: &Options) -> Result<(), String> {
 }
 
 fn main() {
-    let opts = match parse_args() {
-        Ok(opts) => opts,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args().unwrap_or_else(|message| cli::fail(2, &message));
     let result = match opts.command.as_str() {
         "encode" => cmd_encode(&opts),
         "decode" => cmd_decode(&opts),
@@ -262,7 +213,6 @@ fn main() {
         _ => unreachable!("parse_args validated the command"),
     };
     if let Err(message) = result {
-        eprintln!("error: {message}");
-        std::process::exit(1);
+        cli::fail(1, &message);
     }
 }

@@ -5,67 +5,27 @@
 //! irdl-doc --corpus                     # docs for the 28-dialect corpus
 //! ```
 
+use irdl_tools::cli::{self, DialectArgs};
+
 fn main() {
-    let mut corpus = false;
-    let mut files = Vec::new();
+    // Positional specs register like `--irdl` files, with the corpus
+    // natives, so corpus spec files document out of the box.
+    let mut dialects = DialectArgs::default();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--corpus" => corpus = true,
+            "--corpus" => dialects.corpus = true,
             "--help" | "-h" => {
                 eprintln!("usage: irdl-doc [--corpus] [FILE]...");
                 std::process::exit(0);
             }
-            other if !other.starts_with('-') => files.push(other.to_string()),
-            other => {
-                eprintln!("error: unknown option `{other}`");
-                std::process::exit(2);
-            }
+            other if !other.starts_with('-') => dialects.irdl_files.push(other.to_string()),
+            other => cli::fail(2, &format!("unknown option `{other}`")),
         }
     }
 
-    let mut ctx = irdl_ir::Context::new();
-    let mut names: Vec<String> = Vec::new();
-    // The corpus natives are a superset of the stock registry, so corpus
-    // spec files document out of the box.
-    let natives = irdl_dialects::corpus_natives();
-    if corpus {
-        match irdl_dialects::register_corpus(&mut ctx) {
-            Ok(registered) => names.extend(registered),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
+    let loaded = dialects.load().unwrap_or_else(|message| cli::fail(1, &message));
+    if loaded.names.is_empty() {
+        cli::fail(2, "nothing to document (pass IRDL files or --corpus)");
     }
-    for file in &files {
-        let source = match std::fs::read_to_string(file) {
-            Ok(source) => source,
-            Err(e) => {
-                eprintln!("error: cannot read `{file}`: {e}");
-                std::process::exit(1);
-            }
-        };
-        match irdl::register_dialects_with(&mut ctx, &source, &natives) {
-            Ok(registered) => names.extend(registered),
-            Err(d) => {
-                eprintln!("{file}:\n{}", d.render(&source));
-                std::process::exit(1);
-            }
-        }
-    }
-    if names.is_empty() {
-        eprintln!("error: nothing to document (pass IRDL files or --corpus)");
-        std::process::exit(2);
-    }
-    write_stdout(&irdl_tools::docgen::render_markdown(&ctx, &names));
+    cli::write_stdout(irdl_tools::docgen::render_markdown(&loaded.ctx, &loaded.names));
 }
-/// Writes `text` to stdout, exiting quietly if the reader closed the pipe
-/// (e.g. `irdl-doc --corpus | head`).
-fn write_stdout(text: &str) {
-    use std::io::Write;
-    let mut out = std::io::stdout().lock();
-    if out.write_all(text.as_bytes()).is_err() {
-        std::process::exit(0);
-    }
-}
-

@@ -7,9 +7,8 @@
 //! echo '...' | irdl-fmt         # format stdin
 //! ```
 
-use std::io::Read;
-
 use irdl::printer::print_source;
+use irdl_tools::cli;
 
 fn main() {
     let mut check = false;
@@ -24,45 +23,20 @@ fn main() {
                 std::process::exit(0);
             }
             other if !other.starts_with('-') => files.push(other.to_string()),
-            other => {
-                eprintln!("error: unknown option `{other}`");
-                std::process::exit(2);
-            }
+            other => cli::fail(2, &format!("unknown option `{other}`")),
         }
     }
 
-    let mut dirty = false;
     if files.is_empty() {
-        let mut source = String::new();
-        if let Err(e) = std::io::stdin().read_to_string(&mut source) {
-            eprintln!("error: cannot read stdin: {e}");
-            std::process::exit(1);
-        }
-        match format_one("<stdin>", &source) {
-            Ok(formatted) => write_stdout(&formatted),
-            Err(message) => {
-                eprintln!("{message}");
-                std::process::exit(1);
-            }
-        }
+        let source = cli::read_text(None).unwrap_or_else(|message| cli::fail(1, &message));
+        cli::write_stdout(format_one(cli::STDIN, &source));
         return;
     }
 
+    let mut dirty = false;
     for file in &files {
-        let source = match std::fs::read_to_string(file) {
-            Ok(source) => source,
-            Err(e) => {
-                eprintln!("error: cannot read `{file}`: {e}");
-                std::process::exit(1);
-            }
-        };
-        let formatted = match format_one(file, &source) {
-            Ok(formatted) => formatted,
-            Err(message) => {
-                eprintln!("{message}");
-                std::process::exit(1);
-            }
-        };
+        let source = cli::read_text(Some(file)).unwrap_or_else(|message| cli::fail(1, &message));
+        let formatted = format_one(file, &source);
         if check {
             if formatted != source {
                 eprintln!("{file}: not canonically formatted");
@@ -71,13 +45,12 @@ fn main() {
         } else if write {
             if formatted != source {
                 if let Err(e) = std::fs::write(file, &formatted) {
-                    eprintln!("error: cannot write `{file}`: {e}");
-                    std::process::exit(1);
+                    cli::fail(1, &format!("cannot write `{file}`: {e}"));
                 }
                 eprintln!("reformatted {file}");
             }
         } else {
-            write_stdout(&formatted);
+            cli::write_stdout(formatted);
         }
     }
     if dirty {
@@ -85,19 +58,13 @@ fn main() {
     }
 }
 
-
-/// Writes `text` to stdout, exiting quietly if the reader closed the pipe
-/// (e.g. `irdl-doc --corpus | head`).
-fn write_stdout(text: &str) {
-    use std::io::Write;
-    let mut out = std::io::stdout().lock();
-    if out.write_all(text.as_bytes()).is_err() {
-        std::process::exit(0);
+/// Formats `source`, or prints its diagnostic under `name` and exits 1.
+fn format_one(name: &str, source: &str) -> String {
+    match irdl::parse_irdl(source) {
+        Ok(ast) => print_source(&ast),
+        Err(d) => {
+            eprintln!("{name}:\n{}", d.render(source));
+            std::process::exit(1)
+        }
     }
-}
-
-fn format_one(name: &str, source: &str) -> Result<String, String> {
-    let ast = irdl::parse_irdl(source)
-        .map_err(|d| format!("{name}:\n{}", d.render(source)))?;
-    Ok(print_source(&ast))
 }

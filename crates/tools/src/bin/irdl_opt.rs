@@ -42,23 +42,22 @@
 //! decoded as module bytecode, anything else is parsed as text. Text and
 //! bytecode inputs can be mixed freely in one batch.
 //!
-//! With several input files (or `--jobs > 1`), dialects and patterns are
-//! compiled once into a shared bundle and the files are fanned out across
-//! the workers; outputs are printed in input order, separated by the
-//! `// -----` split marker.
+//! With several input files (or `--jobs > 1`, which batches a lone file or
+//! stdin too), dialects and patterns are compiled once into a shared
+//! bundle and the inputs are fanned out across the workers; outputs are
+//! printed in input order, separated by the `// -----` split marker.
 
-use std::io::Read;
+use std::sync::Arc;
 
 use irdl::DialectBundle;
-use irdl_ir::bytecode::{encode_module, is_module_bytecode};
+use irdl_ir::bytecode::encode_module;
 use irdl_ir::print::Printer;
 use irdl_ir::verify::ModuleVerifier;
-use irdl_ir::Context;
 use irdl_rewrite::pipeline::{
-    run_batch_inputs, run_module, InputRef, LiveModule, PipelineInput, PipelineOptions,
-    StageNanos,
+    run_batch_inputs, run_module, LiveModule, PipelineOptions, StageNanos,
 };
-use irdl_rewrite::{parse_patterns, CheckLevel, MatcherMode, PatternSet};
+use irdl_rewrite::{parse_patterns, CheckLevel, FoldConstants, MatcherMode, PatternSet};
+use irdl_tools::cli::{self, DialectArgs, Dialects};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Emit {
@@ -67,11 +66,9 @@ enum Emit {
 }
 
 struct Options {
-    irdl_files: Vec<String>,
+    dialects: DialectArgs,
     pattern_files: Vec<String>,
     inputs: Vec<String>,
-    showcase: bool,
-    corpus: bool,
     verify: bool,
     check: CheckLevel,
     matcher: MatcherMode,
@@ -87,11 +84,9 @@ struct Options {
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
-        irdl_files: Vec::new(),
+        dialects: DialectArgs::default(),
         pattern_files: Vec::new(),
         inputs: Vec::new(),
-        showcase: false,
-        corpus: false,
         verify: false,
         check: CheckLevel::Off,
         matcher: MatcherMode::Auto,
@@ -106,11 +101,10 @@ fn parse_args() -> Result<Options, String> {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if opts.dialects.parse_flag(&arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
-            "--irdl" => {
-                let file = args.next().ok_or("--irdl needs a file argument")?;
-                opts.irdl_files.push(file);
-            }
             "--patterns" => {
                 let file = args.next().ok_or("--patterns needs a file argument")?;
                 opts.pattern_files.push(file);
@@ -137,8 +131,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.seed =
                     n.parse::<u64>().map_err(|_| format!("invalid --seed value `{n}`"))?;
             }
-            "--showcase" => opts.showcase = true,
-            "--corpus" => opts.corpus = true,
             "--verify" => opts.verify = true,
             "--verify-each" => opts.check = CheckLevel::Incremental,
             other if other.starts_with("--verify-each=") => {
@@ -197,26 +189,12 @@ fn parse_args() -> Result<Options, String> {
 }
 
 fn run(opts: Options) -> Result<(), String> {
-    let mut ctx = Context::new();
-    if opts.showcase {
-        irdl_dialects_showcase(&mut ctx)?;
-    }
-    if opts.corpus {
-        // Registered through the same native hooks the corpus tests use.
-        irdl_corpus(&mut ctx)?;
-    }
-    let natives = irdl_dialects::corpus_natives();
-    for file in &opts.irdl_files {
-        let source = std::fs::read_to_string(file)
-            .map_err(|e| format!("cannot read `{file}`: {e}"))?;
-        irdl::register_dialects_with(&mut ctx, &source, &natives)
-            .map_err(|d| format!("{file}:\n{}", d.render(&source)))?;
-    }
+    let Dialects { mut ctx, semantics, .. } = opts.dialects.load()?;
+    let semantics = Arc::new(semantics);
 
     let mut patterns = PatternSet::new();
     for file in &opts.pattern_files {
-        let source = std::fs::read_to_string(file)
-            .map_err(|e| format!("cannot read `{file}`: {e}"))?;
+        let source = cli::read_text(Some(file))?;
         let set = parse_patterns(&mut ctx, &source)
             .map_err(|d| format!("{file}:\n{}", d.render(&source)))?;
         for pattern in set.patterns() {
@@ -225,18 +203,9 @@ fn run(opts: Options) -> Result<(), String> {
     }
 
     if opts.fold {
-        // Fold over whichever evaluation semantics are registered:
-        // corpus > showcase > empty (folds nothing, still a valid drive).
-        let semantics = if opts.corpus {
-            irdl_dialects::corpus_semantics()
-        } else if opts.showcase {
-            irdl_dialects::showcase_semantics()
-        } else {
-            irdl_interp::EvalRegistry::new()
-        };
-        patterns.add(std::sync::Arc::new(irdl_rewrite::FoldConstants::new(
-            std::sync::Arc::new(semantics),
-        )));
+        // Fold over whichever evaluation semantics are registered (with
+        // none, it folds nothing and is still a valid drive).
+        patterns.add(Arc::new(FoldConstants::new(semantics.clone())));
     }
 
     let pipeline_opts = PipelineOptions {
@@ -248,38 +217,36 @@ fn run(opts: Options) -> Result<(), String> {
         intra_jobs: opts.intra_jobs,
     };
 
+    // The named files, or stdin.
+    let paths: Vec<Option<&str>> = if opts.inputs.is_empty() {
+        vec![None]
+    } else {
+        opts.inputs.iter().map(|file| Some(file.as_str())).collect()
+    };
+    let names: Vec<&str> = paths.iter().map(|path| path.unwrap_or(cli::STDIN)).collect();
+
     // Batch mode: several inputs, or an explicit worker count. Dialects
     // and patterns were compiled once above; seal them into a shared
-    // bundle and fan the files out.
-    if opts.inputs.len() > 1 || opts.jobs > 1 {
+    // bundle and fan the inputs out.
+    if paths.len() > 1 || opts.jobs > 1 {
         if opts.emit == Emit::Bytecode {
             return Err("--emit=bytecode supports a single input (got a batch)".to_string());
         }
         if opts.interp {
             return Err("--interp supports a single input (got a batch)".to_string());
         }
-        let mut sources = Vec::with_capacity(opts.inputs.len());
-        for file in &opts.inputs {
-            let bytes =
-                std::fs::read(file).map_err(|e| format!("cannot read `{file}`: {e}"))?;
-            sources.push(if is_module_bytecode(&bytes) {
-                PipelineInput::Bytecode(bytes)
-            } else {
-                PipelineInput::Text(String::from_utf8(bytes).map_err(|_| {
-                    format!("`{file}` is neither module bytecode nor UTF-8 text")
-                })?)
-            });
-        }
+        let inputs =
+            paths.iter().map(|&path| cli::read_input(path)).collect::<Result<Vec<_>, _>>()?;
+        let refs: Vec<_> = inputs.iter().map(cli::Input::as_ref).collect();
         let bundle = DialectBundle::capture(ctx, Vec::new());
-        let report = run_batch_inputs(&bundle, &patterns, &sources, &pipeline_opts);
+        let report = run_batch_inputs(&bundle, &patterns, &refs, &pipeline_opts);
         if opts.timings {
-            for (file, result) in opts.inputs.iter().zip(&report.results) {
+            for (name, result) in names.iter().zip(&report.results) {
                 if let Ok(module) = result {
-                    eprintln!("timings: {file}: {}", format_timings(&module.timings));
+                    eprintln!("timings: {name}: {}", format_timings(&module.timings));
                 }
             }
         }
-        let mut failed = false;
         let total_rewrites: usize = report
             .results
             .iter()
@@ -288,53 +255,24 @@ fn run(opts: Options) -> Result<(), String> {
         if !patterns.is_empty() {
             eprintln!("applied {total_rewrites} rewrite(s)");
         }
-        for (file, result) in opts.inputs.iter().zip(&report.results) {
+        for (name, result) in names.iter().zip(&report.results) {
             match result {
-                Ok(module) => {
-                    write_stdout("// ----- ");
-                    write_stdout(file);
-                    write_stdout("\n");
-                    write_stdout(&module.output);
-                    write_stdout("\n");
-                }
-                Err(message) => {
-                    eprintln!("error: {file}:\n{message}");
-                    failed = true;
-                }
+                Ok(module) => cli::write_stdout(format!("// ----- {name}\n{}\n", module.output)),
+                Err(message) => eprintln!("error: {name}:\n{message}"),
             }
         }
-        if failed {
+        if report.errors() > 0 {
             return Err(format!("{} input(s) failed", report.errors()));
         }
         return Ok(());
     }
 
-    let raw = match opts.inputs.first() {
-        Some(file) => {
-            std::fs::read(file).map_err(|e| format!("cannot read `{file}`: {e}"))?
-        }
-        None => {
-            let mut buffer = Vec::new();
-            std::io::stdin()
-                .read_to_end(&mut buffer)
-                .map_err(|e| format!("cannot read stdin: {e}"))?;
-            buffer
-        }
-    };
-
-    let text;
-    let input = if is_module_bytecode(&raw) {
-        InputRef::Bytecode(&raw)
-    } else {
-        text = String::from_utf8(raw)
-            .map_err(|_| "input is neither module bytecode nor UTF-8 text".to_string())?;
-        InputRef::Text(&text)
-    };
+    let input = cli::read_input(paths[0])?;
     let LiveModule { module, rewrites, mut timings } = run_module(
         &mut ctx,
         &mut ModuleVerifier::new(),
         &patterns,
-        input,
+        input.as_ref(),
         &pipeline_opts,
     )?;
     if !patterns.is_empty() {
@@ -342,19 +280,11 @@ fn run(opts: Options) -> Result<(), String> {
     }
 
     if opts.interp {
-        let registry = if opts.corpus {
-            irdl_dialects::corpus_semantics()
-        } else if opts.showcase {
-            irdl_dialects::showcase_semantics()
-        } else {
-            irdl_interp::EvalRegistry::new()
-        };
         let eval_opts =
             irdl_interp::EvalOptions { input_seed: opts.seed, ..Default::default() };
-        let exec = irdl_interp::run_module(&ctx, &registry, module, eval_opts);
-        let trapped = exec.trap.is_some();
-        write_stdout(&irdl_tools::report::render_execution(&exec));
-        if trapped {
+        let exec = irdl_interp::run_module(&ctx, &semantics, module, eval_opts);
+        cli::write_stdout(irdl_tools::report::render_execution(&exec));
+        if exec.trap.is_some() {
             std::process::exit(1);
         }
         return Ok(());
@@ -368,18 +298,17 @@ fn run(opts: Options) -> Result<(), String> {
             printer.set_generic(opts.generic);
             printer.print_op(&ctx, module);
             timings.print = start.elapsed().as_nanos() as u64;
-            write_stdout(&out);
-            write_stdout("\n");
+            out.push('\n');
+            cli::write_stdout(out);
         }
         Emit::Bytecode => {
             let bytes = encode_module(&ctx, module).map_err(|d| d.to_string())?;
             timings.print = start.elapsed().as_nanos() as u64;
-            write_stdout_bytes(&bytes);
+            cli::write_stdout(bytes);
         }
     }
     if opts.timings {
-        let label = opts.inputs.first().map(String::as_str).unwrap_or("<stdin>");
-        eprintln!("timings: {label}: {}", format_timings(&timings));
+        eprintln!("timings: {}: {}", names[0], format_timings(&timings));
     }
     Ok(())
 }
@@ -396,41 +325,9 @@ fn format_timings(timings: &StageNanos) -> String {
     )
 }
 
-
-/// Writes `text` to stdout, exiting quietly if the reader closed the pipe
-/// (e.g. `irdl-doc --corpus | head`).
-fn write_stdout(text: &str) {
-    write_stdout_bytes(text.as_bytes());
-}
-
-/// Writes raw bytes to stdout (bytecode emission), exiting quietly if the
-/// reader closed the pipe.
-fn write_stdout_bytes(bytes: &[u8]) {
-    use std::io::Write;
-    let mut out = std::io::stdout().lock();
-    if out.write_all(bytes).is_err() {
-        std::process::exit(0);
-    }
-}
-
-fn irdl_dialects_showcase(ctx: &mut Context) -> Result<(), String> {
-    irdl_dialects::showcase::register_showcase(ctx).map_err(|d| d.to_string())
-}
-
-fn irdl_corpus(ctx: &mut Context) -> Result<(), String> {
-    irdl_dialects::register_corpus(ctx).map(|_| ()).map_err(|d| d.to_string())
-}
-
 fn main() {
-    let opts = match parse_args() {
-        Ok(opts) => opts,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args().unwrap_or_else(|message| cli::fail(2, &message));
     if let Err(message) = run(opts) {
-        eprintln!("error: {message}");
-        std::process::exit(1);
+        cli::fail(1, &message);
     }
 }

@@ -22,22 +22,19 @@
 //! - `--digest`       print the canonical execution digest (the exact
 //!   form the translation-validation oracle compares) instead of the
 //!   human-oriented report
-//! - `<file>`         the IR input (defaults to stdin)
+//! - `<file>`         the IR input (defaults to stdin): text, or module
+//!   bytecode (`IRBC`, e.g. from `irdl-opt --emit=bytecode`)
 //!
 //! Prints one line per observed sink (`name(values...)`) followed by a
 //! status line; exits 1 on a trap so scripts can branch on the outcome.
 
-use std::io::Read;
-
-use irdl_interp::{run_module, EvalOptions, EvalRegistry};
-use irdl_ir::Context;
+use irdl_interp::{run_module, EvalOptions};
+use irdl_tools::cli::{self, DialectArgs, Dialects};
 use irdl_tools::report::render_execution;
 
 struct Options {
-    irdl_files: Vec<String>,
+    dialects: DialectArgs,
     input: Option<String>,
-    showcase: bool,
-    corpus: bool,
     seed: u64,
     fuel: u64,
     strict: bool,
@@ -46,10 +43,8 @@ struct Options {
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
-        irdl_files: Vec::new(),
+        dialects: DialectArgs::default(),
         input: None,
-        showcase: false,
-        corpus: false,
         seed: 0,
         fuel: EvalOptions::default().fuel,
         strict: false,
@@ -57,11 +52,10 @@ fn parse_args() -> Result<Options, String> {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if opts.dialects.parse_flag(&arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
-            "--irdl" => {
-                let file = args.next().ok_or("--irdl needs a file argument")?;
-                opts.irdl_files.push(file);
-            }
             "--seed" => {
                 let n = args.next().ok_or("--seed needs a number argument")?;
                 opts.seed =
@@ -72,8 +66,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.fuel =
                     n.parse::<u64>().map_err(|_| format!("invalid --fuel value `{n}`"))?;
             }
-            "--showcase" => opts.showcase = true,
-            "--corpus" => opts.corpus = true,
             "--strict" => opts.strict = true,
             "--digest" => opts.digest = true,
             "--help" | "-h" => {
@@ -96,65 +88,29 @@ fn parse_args() -> Result<Options, String> {
 }
 
 fn run(opts: Options) -> Result<bool, String> {
-    let mut ctx = Context::new();
-    let mut registry = EvalRegistry::new();
-    if opts.showcase {
-        irdl_dialects::showcase::register_showcase(&mut ctx).map_err(|d| d.to_string())?;
-        registry = irdl_dialects::showcase_semantics();
-    }
-    if opts.corpus {
-        irdl_dialects::register_corpus(&mut ctx).map_err(|d| d.to_string())?;
-        registry = irdl_dialects::corpus_semantics();
-    }
-    let natives = irdl_dialects::corpus_natives();
-    for file in &opts.irdl_files {
-        let source = std::fs::read_to_string(file)
-            .map_err(|e| format!("cannot read `{file}`: {e}"))?;
-        irdl::register_dialects_with(&mut ctx, &source, &natives)
-            .map_err(|d| format!("{file}:\n{}", d.render(&source)))?;
-    }
-
-    let ir = match &opts.input {
-        Some(file) => std::fs::read_to_string(file)
-            .map_err(|e| format!("cannot read `{file}`: {e}"))?,
-        None => {
-            let mut buffer = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buffer)
-                .map_err(|e| format!("cannot read stdin: {e}"))?;
-            buffer
-        }
-    };
-    let module = irdl_ir::parse::parse_module(&mut ctx, &ir).map_err(|d| d.render(&ir))?;
+    let Dialects { mut ctx, semantics, .. } = opts.dialects.load()?;
+    let input = cli::read_input(opts.input.as_deref())?;
+    let module = input.as_ref().load(&mut ctx, 1)?;
 
     let eval_opts = EvalOptions {
         fuel: opts.fuel,
         input_seed: opts.seed,
         strict: opts.strict,
     };
-    let exec = run_module(&ctx, &registry, module, eval_opts);
+    let exec = run_module(&ctx, &semantics, module, eval_opts);
     if opts.digest {
-        print!("{}", exec.digest());
+        cli::write_stdout(exec.digest());
     } else {
-        print!("{}", render_execution(&exec));
+        cli::write_stdout(render_execution(&exec));
     }
     Ok(exec.trap.is_none())
 }
 
 fn main() {
-    let opts = match parse_args() {
-        Ok(opts) => opts,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args().unwrap_or_else(|message| cli::fail(2, &message));
     match run(opts) {
         Ok(true) => {}
         Ok(false) => std::process::exit(1),
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(1);
-        }
+        Err(message) => cli::fail(1, &message),
     }
 }

@@ -1,6 +1,7 @@
-//! The other command-line tools end to end: `irdl-run`, `irdl-bc`,
-//! `irdl-doc` and `irdl-fmt`. Each case pins the exact stdout, the exit
-//! status and, for the failures, the exact stderr.
+//! The command-line tools end to end: `irdl-run`, `irdl-bc`, `irdl-doc`
+//! and `irdl-fmt`, plus the input handling `irdl-opt` shares with them.
+//! Each case pins the exact stdout, the exit status and, for the failures,
+//! the exact stderr.
 //!
 //! Every case runs inside its own scratch directory and names its files
 //! relative to it, so diagnostics that quote a file name are
@@ -102,6 +103,7 @@ impl Drop for Scratch {
     }
 }
 
+const IRDL_OPT: &str = env!("CARGO_BIN_EXE_irdl-opt");
 const IRDL_RUN: &str = env!("CARGO_BIN_EXE_irdl-run");
 const IRDL_BC: &str = env!("CARGO_BIN_EXE_irdl-bc");
 const IRDL_DOC: &str = env!("CARGO_BIN_EXE_irdl-doc");
@@ -138,6 +140,32 @@ fn irdl_run_prints_the_showcase_observations() {
     assert_ok(
         &dir.run(IRDL_RUN, &["--showcase"], Some(SHOWCASE_INPUT.as_bytes())),
         SHOWCASE_REPORT,
+    );
+}
+
+#[test]
+fn irdl_run_decodes_module_bytecode() {
+    let dir = Scratch::new("run-bytecode");
+    dir.write("m.ir", SHOWCASE_INPUT);
+    let encoded = dir.run(IRDL_OPT, &["--showcase", "--emit=bytecode", "m.ir"], None);
+    assert_eq!(encoded.status.code(), Some(0));
+    std::fs::write(dir.0.join("m.irbc"), &encoded.stdout).expect("write bytecode");
+    assert_ok(&dir.run(IRDL_RUN, &["--showcase", "m.irbc"], None), SHOWCASE_REPORT);
+    assert_ok(
+        &dir.run(IRDL_RUN, &["--showcase", "--digest", "m.irbc"], None),
+        "observe func.return_op(12.5 : f32)\nreturn\n",
+    );
+    assert_ok(&dir.run(IRDL_RUN, &["--showcase"], Some(&encoded.stdout)), SHOWCASE_REPORT);
+}
+
+#[test]
+fn irdl_opt_batch_reads_stdin_as_the_one_input() {
+    let dir = Scratch::new("opt-jobs-stdin");
+    let stdin = Some(SHOWCASE_INPUT.as_bytes());
+    assert_ok(&dir.run(IRDL_OPT, &["--showcase"], stdin), SHOWCASE_PRINTED);
+    assert_ok(
+        &dir.run(IRDL_OPT, &["--showcase", "--jobs", "2"], stdin),
+        &format!("// ----- <stdin>\n{SHOWCASE_PRINTED}"),
     );
 }
 
@@ -235,7 +263,7 @@ fn irdl_doc_reports_a_spec_that_does_not_compile() {
     assert_fails(
         &dir.run(IRDL_DOC, &["bad.irdl"], None),
         1,
-        "bad.irdl:\n\
+        "error: bad.irdl:\n\
          error at 2:30: unknown name `nosuch` in dialect `bad`\n  \
          |   Operation x { Operands (a: !nosuch) }\n  \
          |                              ^\n  \
