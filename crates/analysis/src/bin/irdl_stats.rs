@@ -23,26 +23,9 @@ fn main() {
         args.iter().map(String::as_str).collect()
     };
     for name in wanted {
-        let text = match name {
-            "table1" => figures::table1(),
-            "fig3" => figures::fig3(),
-            "fig4" => figures::fig4(&stats),
-            "fig5a" => figures::fig5a(&stats),
-            "fig5b" => figures::fig5b(&stats),
-            "fig6a" => figures::fig6a(&stats),
-            "fig6b" => figures::fig6b(&stats),
-            "fig7a" => figures::fig7a(&stats),
-            "fig7b" => figures::fig7b(&stats),
-            "fig8" => figures::fig8(&stats),
-            "fig9" => figures::fig9(&stats),
-            "fig10" => figures::fig10(&stats),
-            "fig11" => figures::fig11(&stats),
-            "fig12" => figures::fig12(&stats),
-            "all" => figures::render_all(&stats),
-            other => {
-                eprintln!("unknown figure `{other}`; see --help in the README");
-                std::process::exit(2);
-            }
+        let Some(text) = figures::render(name, &stats) else {
+            eprintln!("unknown figure `{name}`; see --help in the README");
+            std::process::exit(2);
         };
         write_stdout(&text);
         write_stdout("\n");

@@ -1,8 +1,8 @@
 //! Regeneration of every table and figure of the paper's evaluation (§6).
 //!
 //! Each function renders one artifact as text and is backed by the
-//! structured accessors in [`crate::stats`]; the benchmark harness and the
-//! `irdl-stats` CLI call these functions directly.
+//! structured accessors in [`crate::stats`]. [`render`] picks one by name
+//! for the `irdl-stats` CLI and the `dialect_stats` example.
 
 use irdl::introspect::OpReport;
 
@@ -334,6 +334,30 @@ pub fn render_all(stats: &CorpusStats) -> String {
     out
 }
 
+/// Renders the artifact called `name` — `table1`, `fig3` … `fig12` (with
+/// the `a`/`b` panels of figures 5–7), or `all` — or `None` for any other
+/// name.
+pub fn render(name: &str, stats: &CorpusStats) -> Option<String> {
+    Some(match name {
+        "table1" => table1(),
+        "fig3" => fig3(),
+        "fig4" => fig4(stats),
+        "fig5a" => fig5a(stats),
+        "fig5b" => fig5b(stats),
+        "fig6a" => fig6a(stats),
+        "fig6b" => fig6b(stats),
+        "fig7a" => fig7a(stats),
+        "fig7b" => fig7b(stats),
+        "fig8" => fig8(stats),
+        "fig9" => fig9(stats),
+        "fig10" => fig10(stats),
+        "fig11" => fig11(stats),
+        "fig12" => fig12(stats),
+        "all" => render_all(stats),
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,5 +425,13 @@ mod tests {
     fn render_all_is_stable() {
         let s = stats();
         assert_eq!(render_all(&s), render_all(&s));
+    }
+
+    #[test]
+    fn render_dispatches_by_name() {
+        let s = stats();
+        assert_eq!(render("fig4", &s), Some(fig4(&s)));
+        assert_eq!(render("all", &s), Some(render_all(&s)));
+        assert_eq!(render("fig13", &s), None);
     }
 }

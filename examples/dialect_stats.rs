@@ -36,26 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         args.iter().map(String::as_str).collect()
     };
     for figure in wanted {
-        let text = match figure {
-            "table1" => figures::table1(),
-            "fig3" => figures::fig3(),
-            "fig4" => figures::fig4(&stats),
-            "fig5a" => figures::fig5a(&stats),
-            "fig5b" => figures::fig5b(&stats),
-            "fig6a" => figures::fig6a(&stats),
-            "fig6b" => figures::fig6b(&stats),
-            "fig7a" => figures::fig7a(&stats),
-            "fig7b" => figures::fig7b(&stats),
-            "fig8" => figures::fig8(&stats),
-            "fig9" => figures::fig9(&stats),
-            "fig10" => figures::fig10(&stats),
-            "fig11" => figures::fig11(&stats),
-            "fig12" => figures::fig12(&stats),
-            "all" => figures::render_all(&stats),
-            other => {
-                eprintln!("unknown figure `{other}`");
-                std::process::exit(2);
-            }
+        let Some(text) = figures::render(figure, &stats) else {
+            eprintln!("unknown figure `{figure}`");
+            std::process::exit(2);
         };
         println!("{text}");
     }
