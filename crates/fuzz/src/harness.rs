@@ -21,8 +21,8 @@ use crate::genpat::{derive_canon_catalog, pat_dialect_spec, random_catalog};
 use crate::genspec::generate_spec;
 use crate::mutate::mutate_text;
 use crate::oracle::{
-    check_bytecode, check_cache, check_drive, check_fixpoint, check_incremental, check_jobs,
-    check_matcher, check_parallel_verify, check_translation_validation, OracleFailure,
+    check_jobs, check_matcher, oracle, OracleFailure, OracleScope, OracleSeeds,
+    JOBS_ORACLE_WORKERS, ORACLES,
 };
 use crate::rng::SplitMix64;
 
@@ -218,24 +218,12 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
         let text = op_to_string(&ctx, module);
         drop(ctx);
 
-        let incremental_seed = rng.next_u64();
-        let input_seed = rng.next_u64();
-        let checks = [
-            check_fixpoint(&iter_target.bundle, &text),
-            check_incremental(&iter_target.bundle, &text, incremental_seed, 24),
-            check_cache(&iter_target.bundle, &text),
-            check_drive(&iter_target.bundle, &text),
-            check_bytecode(&iter_target.bundle, &text),
-            check_parallel_verify(&iter_target.bundle, &text),
-            check_translation_validation(&iter_target.bundle, &text, input_seed),
-        ];
-        for check in checks {
-            if let Err(failure) = check {
-                let _ = writeln!(
-                    report.log,
-                    "iter {iter}: oracle `{}` diverged",
-                    failure.oracle
-                );
+        let mutation = rng.next_u64();
+        let input = rng.next_u64();
+        let seeds = OracleSeeds { mutation, input };
+        for oracle in ORACLES.iter().filter(|oracle| oracle.scope != OracleScope::Batches) {
+            if let Err(failure) = (oracle.check)(&iter_target.bundle, &text, seeds) {
+                let _ = writeln!(report.log, "iter {iter}: oracle `{}` diverged", oracle.name);
                 report.failures.push(failure);
                 break 'iterations;
             }
@@ -277,51 +265,19 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
             let mutant = mutate_text(&text, &mut rng);
             report.mutants += 1;
             // The parser must reject gracefully (no panic); accepted
-            // mutants must satisfy the fixpoint and verifier oracles.
-            if let Err(failure) = check_fixpoint(&iter_target.bundle, &mutant) {
-                let _ = writeln!(
-                    report.log,
-                    "iter {iter}: oracle `{}` diverged on a text mutant",
-                    failure.oracle
-                );
-                report.failures.push(failure);
-                break 'iterations;
-            }
-            if let Err(failure) = check_cache(&iter_target.bundle, &mutant) {
-                let _ = writeln!(report.log, "iter {iter}: cache oracle diverged on a mutant");
-                report.failures.push(failure);
-                break 'iterations;
-            }
-            // Accepted mutants must also round-trip through bytecode.
-            if let Err(failure) = check_bytecode(&iter_target.bundle, &mutant) {
-                let _ =
-                    writeln!(report.log, "iter {iter}: bytecode oracle diverged on a mutant");
-                report.failures.push(failure);
-                break 'iterations;
-            }
-            // And verify identically under the parallel verifier —
-            // mutants are where malformed placements and broken dominance
-            // actually reach the planner.
-            if let Err(failure) = check_parallel_verify(&iter_target.bundle, &mutant) {
-                let _ = writeln!(
-                    report.log,
-                    "iter {iter}: parallel-verify oracle diverged on a mutant"
-                );
-                report.failures.push(failure);
-                break 'iterations;
-            }
-            // Accepted mutants must also survive translation validation:
-            // mutated attribute payloads and operand rewires are where
-            // fold/DCE preconditions actually get stressed.
-            if let Err(failure) =
-                check_translation_validation(&iter_target.bundle, &mutant, input_seed)
-            {
-                let _ = writeln!(
-                    report.log,
-                    "iter {iter}: translation-validation oracle diverged on a mutant"
-                );
-                report.failures.push(failure);
-                break 'iterations;
+            // mutants must pass every oracle scoped to mutants: malformed
+            // placements, broken dominance, mutated attribute payloads and
+            // operand rewires are what they stress.
+            for oracle in ORACLES.iter().filter(|oracle| oracle.scope == OracleScope::Mutants) {
+                if let Err(failure) = (oracle.check)(&iter_target.bundle, &mutant, seeds) {
+                    let _ = writeln!(
+                        report.log,
+                        "iter {iter}: oracle `{}` diverged on a text mutant",
+                        oracle.name
+                    );
+                    report.failures.push(failure);
+                    break 'iterations;
+                }
             }
         }
 
@@ -331,7 +287,8 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
         if iter % 8 != 7 {
             batch_texts.push(text);
             if batch_texts.len() >= opts.batch.max(1) {
-                if let Err(failure) = check_jobs(&target.bundle, &batch_texts, 4) {
+                let checked = check_jobs(&target.bundle, &batch_texts, JOBS_ORACLE_WORKERS);
+                if let Err(failure) = checked {
                     let _ = writeln!(report.log, "iter {iter}: jobs oracle diverged");
                     report.failures.push(failure);
                     break 'iterations;
@@ -354,7 +311,7 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
     }
 
     if report.failures.is_empty() && !batch_texts.is_empty() {
-        if let Err(failure) = check_jobs(&target.bundle, &batch_texts, 4) {
+        if let Err(failure) = check_jobs(&target.bundle, &batch_texts, JOBS_ORACLE_WORKERS) {
             let _ = writeln!(report.log, "final batch: jobs oracle diverged");
             report.failures.push(failure);
         }
@@ -367,4 +324,32 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
         report.failures.len()
     );
     Ok(report)
+}
+
+/// Does the oracle called `oracle` still fail on `text`? The predicate
+/// ddmin shrinks a failing input under: a candidate is kept only if the
+/// *same* oracle still fails on it.
+///
+/// Covers every oracle in [`ORACLES`] plus the harness's own `generate`
+/// (the smallest module that still parses and still fails full
+/// verification) and `spec-compile` (the smallest spec the frontend still
+/// rejects). Any other name (the matcher oracle, which needs its catalog)
+/// never reproduces, so its input is stored unreduced.
+pub fn oracle_fails(bundle: &DialectBundle, oracle_name: &str, seed: u64, text: &str) -> bool {
+    match oracle_name {
+        "generate" => {
+            let mut ctx = bundle.instantiate();
+            match irdl_ir::parse::parse_module(&mut ctx, text) {
+                Ok(module) => ModuleVerifier::new().verify(&ctx, module).is_err(),
+                Err(_) => false,
+            }
+        }
+        "spec-compile" => FuzzTarget::from_sources(
+            &[("reduced".to_string(), text.to_string())],
+            &irdl::NativeRegistry::new(),
+        )
+        .is_err(),
+        name => oracle(name)
+            .is_some_and(|oracle| (oracle.check)(bundle, text, OracleSeeds::same(seed)).is_err()),
+    }
 }

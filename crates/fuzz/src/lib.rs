@@ -8,7 +8,7 @@
 //! pattern-catalog generator ([`genpat`]) emits random declarative
 //! rewrite catalogs, and a mutation engine ([`mutate`]) covers the reject
 //! paths. Every input runs
-//! through eight differential oracles ([`oracle`]) that cross-check the
+//! through nine differential oracles ([`oracle`]) that cross-check the
 //! repo's fast paths against their reference implementations; failing
 //! inputs are shrunk by a ddmin reducer ([`mod@reduce`]) and stored with
 //! their seed under `fuzz/corpus-regressions/`.
@@ -35,11 +35,12 @@ pub use genmod::{generate_module, GenConfig};
 pub use genpat::{derive_canon_catalog, pat_dialect_spec, random_catalog, synthetic_catalog};
 pub use genscale::{generate_scale_module, scale_bundle, ScaleConfig, ScaleShape};
 pub use genspec::generate_spec;
-pub use harness::{run_fuzz, run_fuzz_on, FuzzOptions, FuzzReport, FuzzTarget};
+pub use harness::{oracle_fails, run_fuzz, run_fuzz_on, FuzzOptions, FuzzReport, FuzzTarget};
 pub use mutate::{mutate_structured, mutate_text, MutationPolicy};
 pub use oracle::{
-    check_matcher, check_parallel_verify, check_translation_validation, oracle_patterns,
-    replay_all, tv_patterns, OracleFailure, OraclePatterns, TvPatterns,
+    check_matcher, check_parallel_verify, check_translation_validation, oracle, oracle_patterns,
+    replay_all, tv_patterns, Oracle, OracleFailure, OraclePatterns, OracleScope, OracleSeeds,
+    TvPatterns, ORACLES,
 };
 pub use reduce::reduce;
 pub use regression::{load_case, write_regression, RegressionCase};

@@ -534,24 +534,106 @@ pub fn check_translation_validation(
     Ok(())
 }
 
-/// Runs every single-input oracle on `text`, collecting all divergences
-/// (the jobs oracle needs a batch and is run separately by the harness;
-/// the matcher oracle additionally needs a catalog).
-pub fn replay_all(bundle: &DialectBundle, text: &str, seed: u64) -> Vec<OracleFailure> {
-    let mut failures = Vec::new();
-    for check in [
-        check_fixpoint(bundle, text),
-        check_incremental(bundle, text, seed, 24),
-        check_cache(bundle, text),
-        check_drive(bundle, text),
-        check_bytecode(bundle, text),
-        check_parallel_verify(bundle, text),
-        check_jobs(bundle, std::slice::from_ref(&text.to_string()), 2),
-        check_translation_validation(bundle, text, seed),
-    ] {
-        if let Err(f) = check {
-            failures.push(f);
-        }
+/// Worker count the jobs oracle compares against `--jobs 1`.
+pub const JOBS_ORACLE_WORKERS: usize = 4;
+
+/// The seeds a single-input oracle may draw on beyond the input text.
+#[derive(Debug, Clone, Copy)]
+pub struct OracleSeeds {
+    /// Seeds the incremental oracle's journaled mutation sequence.
+    pub mutation: u64,
+    /// Seeds the interpreter inputs translation validation executes on.
+    pub input: u64,
+}
+
+impl OracleSeeds {
+    /// Both seeds set to `seed`: a stored case records the one seed its
+    /// oracle drew on.
+    pub fn same(seed: u64) -> OracleSeeds {
+        OracleSeeds { mutation: seed, input: seed }
     }
-    failures
+}
+
+/// Which inputs the fuzz loop runs a single-input oracle on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OracleScope {
+    /// Every generated module and its text mutants.
+    Mutants,
+    /// Every generated module.
+    Modules,
+    /// Batches of generated modules (the jobs oracle); replay and
+    /// reduction run it on a one-module batch.
+    Batches,
+}
+
+/// One single-input oracle.
+pub struct Oracle {
+    /// The name failures and stored cases carry.
+    pub name: &'static str,
+    /// Runs the oracle on one input.
+    pub check: fn(&DialectBundle, &str, OracleSeeds) -> Result<(), OracleFailure>,
+    /// Which inputs the fuzz loop runs it on.
+    pub scope: OracleScope,
+}
+
+/// Every oracle that needs nothing but one input, in the order the fuzz
+/// loop and [`replay_all`] run them. The matcher oracle is not here: it
+/// also needs a pattern catalog.
+pub const ORACLES: &[Oracle] = &[
+    Oracle {
+        name: "fixpoint",
+        check: |bundle, text, _| check_fixpoint(bundle, text),
+        scope: OracleScope::Mutants,
+    },
+    Oracle {
+        name: "incremental",
+        check: |bundle, text, seeds| check_incremental(bundle, text, seeds.mutation, 24),
+        scope: OracleScope::Modules,
+    },
+    Oracle {
+        name: "cache",
+        check: |bundle, text, _| check_cache(bundle, text),
+        scope: OracleScope::Mutants,
+    },
+    Oracle {
+        name: "drive",
+        check: |bundle, text, _| check_drive(bundle, text),
+        scope: OracleScope::Modules,
+    },
+    Oracle {
+        name: "bytecode",
+        check: |bundle, text, _| check_bytecode(bundle, text),
+        scope: OracleScope::Mutants,
+    },
+    Oracle {
+        name: "parallel-verify",
+        check: |bundle, text, _| check_parallel_verify(bundle, text),
+        scope: OracleScope::Mutants,
+    },
+    Oracle {
+        name: "jobs",
+        check: |bundle, text, _| {
+            check_jobs(bundle, &[text.to_string()], JOBS_ORACLE_WORKERS)
+        },
+        scope: OracleScope::Batches,
+    },
+    Oracle {
+        name: "translation-validation",
+        check: |bundle, text, seeds| check_translation_validation(bundle, text, seeds.input),
+        scope: OracleScope::Mutants,
+    },
+];
+
+/// The oracle in [`ORACLES`] called `name`.
+pub fn oracle(name: &str) -> Option<&'static Oracle> {
+    ORACLES.iter().find(|oracle| oracle.name == name)
+}
+
+/// Runs every oracle in [`ORACLES`] on `text`, collecting all
+/// divergences.
+pub fn replay_all(bundle: &DialectBundle, text: &str, seed: u64) -> Vec<OracleFailure> {
+    ORACLES
+        .iter()
+        .filter_map(|oracle| (oracle.check)(bundle, text, OracleSeeds::same(seed)).err())
+        .collect()
 }

@@ -29,14 +29,10 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use irdl_fuzz_lib::oracle::{
-    check_bytecode, check_cache, check_drive, check_fixpoint, check_incremental, check_jobs,
-};
 use irdl_fuzz_lib::{
-    load_case, reduce, replay_all, run_fuzz_on, write_regression, FuzzOptions, FuzzTarget,
+    load_case, oracle_fails, reduce, replay_all, run_fuzz_on, write_regression, FuzzOptions,
+    FuzzTarget,
 };
-use irdl_ir::parse::parse_module;
-use irdl_ir::verify::ModuleVerifier;
 
 enum Command {
     Run(FuzzOptions, PathBuf),
@@ -133,39 +129,6 @@ fn usage() -> String {
         .to_string()
 }
 
-/// Does `oracle` still diverge on `text`? The reduction predicate: ddmin
-/// keeps shrinking as long as this returns true.
-fn oracle_fails(target: &FuzzTarget, oracle: &str, seed: u64, text: &str) -> bool {
-    let bundle = &target.bundle;
-    match oracle {
-        "fixpoint" => check_fixpoint(bundle, text).is_err(),
-        "incremental" => check_incremental(bundle, text, seed, 24).is_err(),
-        "cache" => check_cache(bundle, text).is_err(),
-        "drive" => check_drive(bundle, text).is_err(),
-        "bytecode" => check_bytecode(bundle, text).is_err(),
-        "jobs" => check_jobs(bundle, std::slice::from_ref(&text.to_string()), 4).is_err(),
-        "generate" => {
-            // A generated module failed full verification: minimal = the
-            // smallest module that still parses and still fails.
-            let mut ctx = bundle.instantiate();
-            match parse_module(&mut ctx, text) {
-                Ok(module) => ModuleVerifier::new().verify(&ctx, module).is_err(),
-                Err(_) => false,
-            }
-        }
-        "spec-compile" => {
-            // A generated spec failed to compile: minimal = the smallest
-            // spec the frontend still rejects.
-            FuzzTarget::from_sources(
-                &[("reduced".to_string(), text.to_string())],
-                &irdl::NativeRegistry::new(),
-            )
-            .is_err()
-        }
-        _ => !replay_all(bundle, text, seed).is_empty(),
-    }
-}
-
 fn cmd_run(opts: FuzzOptions, out: &Path) -> i32 {
     let target = match FuzzTarget::corpus() {
         Ok(t) => t,
@@ -187,7 +150,7 @@ fn cmd_run(opts: FuzzOptions, out: &Path) -> i32 {
     eprintln!("irdl-fuzz: oracle `{}` diverged:\n{}", failure.oracle, failure.detail);
     let case_seed = if failure.seed != 0 { failure.seed } else { opts.seed };
     let mut predicate =
-        |text: &str| oracle_fails(&target, failure.oracle, case_seed, text);
+        |text: &str| oracle_fails(&target.bundle, failure.oracle, case_seed, text);
     let reduced = if predicate(&failure.input) {
         reduce(&target.bundle, &failure.input, &mut predicate)
     } else {
@@ -246,7 +209,7 @@ fn cmd_reduce(path: &Path, out: Option<&Path>) -> i32 {
         }
     };
     let mut predicate =
-        |text: &str| oracle_fails(&target, &case.oracle, case.seed, text);
+        |text: &str| oracle_fails(&target.bundle, &case.oracle, case.seed, text);
     if !predicate(&case.text) {
         eprintln!(
             "irdl-fuzz: {} no longer reproduces oracle `{}`; nothing to reduce",

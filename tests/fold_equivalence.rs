@@ -20,8 +20,8 @@ use irdl_repro::dialects::eval::{
     register_builtin_eval, register_complex_eval, register_fuzz_eval, register_scf_eval,
 };
 use irdl_repro::fuzz::{
-    check_translation_validation, generate_module, load_case, reduce, FuzzTarget, GenConfig,
-    SplitMix64,
+    check_translation_validation, generate_module, load_case, oracle_fails, reduce, FuzzTarget,
+    GenConfig, SplitMix64,
 };
 use irdl_repro::interp::{
     int_width, run_module, EvalOptions, EvalRegistry, EvalValue, Semantics,
@@ -177,14 +177,11 @@ fn planted_fold_bug_is_caught_and_reduced_to_the_stored_case() {
     );
 
     // Drill step 2: ddmin must strip the decoys while the divergence
-    // keeps reproducing.
-    let reduced = reduce(&target.bundle, text, &mut |candidate| {
-        check_translation_validation(&target.bundle, candidate, seed).is_err()
-    });
-    assert!(
-        check_translation_validation(&target.bundle, &reduced, seed).is_err(),
-        "reduction must preserve the failure"
-    );
+    // keeps reproducing, under the predicate `irdl-fuzz` reduces with.
+    let mut predicate =
+        |candidate: &str| oracle_fails(&target.bundle, failure.oracle, seed, candidate);
+    let reduced = reduce(&target.bundle, text, &mut predicate);
+    assert!(predicate(&reduced), "reduction must preserve the failure");
     assert!(!reduced.contains("fuzz.src"), "decoy ops must be stripped:\n{reduced}");
     assert!(reduced.contains("fuzz.muli"), "the folded op must survive:\n{reduced}");
 
