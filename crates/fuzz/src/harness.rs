@@ -21,7 +21,7 @@ use crate::genpat::{derive_canon_catalog, pat_dialect_spec, random_catalog};
 use crate::genspec::generate_spec;
 use crate::mutate::mutate_text;
 use crate::oracle::{
-    check_jobs, check_matcher, oracle, OracleFailure, OracleScope, OracleSeeds,
+    check_jobs, check_matcher, oracle_by_name, OracleFailure, OracleScope, OracleSeeds,
     JOBS_ORACLE_WORKERS, ORACLES,
 };
 use crate::rng::SplitMix64;
@@ -349,7 +349,7 @@ pub fn oracle_fails(bundle: &DialectBundle, oracle_name: &str, seed: u64, text: 
             &irdl::NativeRegistry::new(),
         )
         .is_err(),
-        name => oracle(name)
+        name => oracle_by_name(name)
             .is_some_and(|oracle| (oracle.check)(bundle, text, OracleSeeds::same(seed)).is_err()),
     }
 }

@@ -625,7 +625,7 @@ pub const ORACLES: &[Oracle] = &[
 ];
 
 /// The oracle in [`ORACLES`] called `name`.
-pub fn oracle(name: &str) -> Option<&'static Oracle> {
+pub fn oracle_by_name(name: &str) -> Option<&'static Oracle> {
     ORACLES.iter().find(|oracle| oracle.name == name)
 }
 
