@@ -52,7 +52,6 @@
 //! # Ok::<(), irdl_ir::Diagnostic>(())
 //! ```
 
-pub mod bytecode;
 pub mod driver;
 pub mod dsl;
 pub mod fold;
@@ -64,7 +63,6 @@ pub use driver::{
     rewrite_greedily, rewrite_greedily_matched, rewrite_greedily_with,
     CheckLevel, MatcherMode, RewriteStats, RewriteVerifyError,
 };
-pub use bytecode::{decode_match_programs, encode_match_programs, PROGRAMS_MAGIC};
 pub use dsl::{parse_patterns, DeclarativePattern};
 pub use fold::{fold_patterns, FoldConstants};
 pub use matcher::{matcher_compile_count, MatchProgram, PatternMatcher, Pred};
