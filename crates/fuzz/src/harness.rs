@@ -21,7 +21,7 @@ use crate::genpat::{derive_canon_catalog, pat_dialect_spec, random_catalog};
 use crate::genspec::generate_spec;
 use crate::mutate::mutate_text;
 use crate::oracle::{
-    check_jobs, check_matcher, oracle_by_name, OracleFailure, OracleScope, OracleSeeds,
+    check_jobs, check_matcher, OracleFailure, OracleScope, OracleSeeds,
     JOBS_ORACLE_WORKERS, ORACLES,
 };
 use crate::rng::SplitMix64;
@@ -326,7 +326,7 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
     Ok(report)
 }
 
-/// Does the oracle called `oracle` still fail on `text`? The predicate
+/// Does the oracle called `name` still fail on `text`? The predicate
 /// ddmin shrinks a failing input under: a candidate is kept only if the
 /// *same* oracle still fails on it.
 ///
@@ -335,8 +335,8 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
 /// verification) and `spec-compile` (the smallest spec the frontend still
 /// rejects). Any other name (the matcher oracle, which needs its catalog)
 /// never reproduces, so its input is stored unreduced.
-pub fn oracle_fails(bundle: &DialectBundle, oracle_name: &str, seed: u64, text: &str) -> bool {
-    match oracle_name {
+pub fn oracle_fails(bundle: &DialectBundle, name: &str, seed: u64, text: &str) -> bool {
+    match name {
         "generate" => {
             let mut ctx = bundle.instantiate();
             match irdl_ir::parse::parse_module(&mut ctx, text) {
@@ -349,7 +349,8 @@ pub fn oracle_fails(bundle: &DialectBundle, oracle_name: &str, seed: u64, text: 
             &irdl::NativeRegistry::new(),
         )
         .is_err(),
-        name => oracle_by_name(name)
-            .is_some_and(|oracle| (oracle.check)(bundle, text, OracleSeeds::same(seed)).is_err()),
+        _ => ORACLES.iter().any(|oracle| {
+            oracle.name == name && (oracle.check)(bundle, text, OracleSeeds::same(seed)).is_err()
+        }),
     }
 }

@@ -38,9 +38,9 @@ pub use genspec::generate_spec;
 pub use harness::{oracle_fails, run_fuzz, run_fuzz_on, FuzzOptions, FuzzReport, FuzzTarget};
 pub use mutate::{mutate_structured, mutate_text, MutationPolicy};
 pub use oracle::{
-    check_matcher, check_parallel_verify, check_translation_validation, oracle_by_name,
-    oracle_patterns, replay_all, tv_patterns, Oracle, OracleFailure, OraclePatterns, OracleScope,
-    OracleSeeds, TvPatterns, ORACLES,
+    check_matcher, check_parallel_verify, check_translation_validation, oracle_patterns,
+    replay_all, tv_patterns, Oracle, OracleFailure, OraclePatterns, OracleScope, OracleSeeds,
+    TvPatterns, ORACLES,
 };
 pub use reduce::reduce;
 pub use regression::{load_case, write_regression, RegressionCase};

@@ -624,11 +624,6 @@ pub const ORACLES: &[Oracle] = &[
     },
 ];
 
-/// The oracle in [`ORACLES`] called `name`.
-pub fn oracle_by_name(name: &str) -> Option<&'static Oracle> {
-    ORACLES.iter().find(|oracle| oracle.name == name)
-}
-
 /// Runs every oracle in [`ORACLES`] on `text`, collecting all
 /// divergences.
 pub fn replay_all(bundle: &DialectBundle, text: &str, seed: u64) -> Vec<OracleFailure> {

@@ -106,7 +106,8 @@ fn write_output(opts: &Options, bytes: &[u8]) -> Result<(), String> {
 fn cmd_encode(opts: &Options) -> Result<(), String> {
     let mut ctx = opts.dialects.load()?.ctx;
     let ir = match cli::read_input(input_path(opts))? {
-        Input::Bytecode(bytes) => return write_output(opts, &bytes), // already bytecode: pass through
+        // Already bytecode: pass it through.
+        Input::Bytecode(bytes) => return write_output(opts, &bytes),
         Input::Text(ir) => ir,
     };
     let module = irdl_ir::parse::parse_module(&mut ctx, &ir).map_err(|d| d.render(&ir))?;
