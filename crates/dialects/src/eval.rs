@@ -21,7 +21,9 @@
 //! the machine's deterministic uninterpreted model, keeping every module
 //! executable.
 
-use irdl_interp::{float_kind, int_width, EvalRegistry, EvalValue, Machine, Trap, TrapKind};
+use irdl_interp::{
+    float_kind, int_width, EvalRegistry, EvalValue, EvalValues, Machine, Trap, TrapKind,
+};
 use irdl_ir::types::{FloatKind, TypeData};
 use irdl_ir::{Context, OperationState, OpRef, Type};
 
@@ -57,12 +59,12 @@ fn run_region_yield(
     op: OpRef,
     idx: usize,
     args: &[EvalValue],
-) -> Result<Vec<EvalValue>, Trap> {
-    let Some(&region) = op.regions(machine.ctx()).get(idx) else { return Ok(Vec::new()) };
+) -> Result<EvalValues, Trap> {
+    let Some(&region) = op.regions(machine.ctx()).get(idx) else { return Ok(EvalValues::new()) };
     let term = machine.run_region_to_terminator(region, args)?;
     Ok(match term {
         Some(term) => machine.operand_values(term),
-        None => Vec::new(),
+        None => EvalValues::new(),
     })
 }
 
@@ -74,13 +76,18 @@ fn run_condition_region(
     op: OpRef,
     idx: usize,
     args: &[EvalValue],
-) -> Result<(bool, Vec<EvalValue>), Trap> {
-    let Some(&region) = op.regions(machine.ctx()).get(idx) else { return Ok((false, Vec::new())) };
+) -> Result<(bool, EvalValues), Trap> {
+    let Some(&region) = op.regions(machine.ctx()).get(idx) else {
+        return Ok((false, EvalValues::new()));
+    };
     let Some(term) = machine.run_region_to_terminator(region, args)? else {
-        return Ok((false, Vec::new()));
+        return Ok((false, EvalValues::new()));
     };
     let mut values = machine.operand_values(term);
-    if term.name(machine.ctx()).display(machine.ctx()) == "scf.condition" && !values.is_empty() {
+    let (ctx, name) = (machine.ctx(), term.name(machine.ctx()));
+    let is_condition =
+        ctx.symbol_str(name.dialect) == "scf" && ctx.symbol_str(name.name) == "condition";
+    if is_condition && !values.is_empty() {
         let cond = values.remove(0);
         Ok((cond.is_true(), values))
     } else {
@@ -92,13 +99,13 @@ fn run_condition_region(
 pub fn register_builtin_eval(reg: &mut EvalRegistry) {
     reg.register_fn("builtin.module", |machine, op| {
         run_region_yield(machine, op, 0, &[])?;
-        Ok(Vec::new())
+        Ok(EvalValues::new())
     });
     // A function body runs once, with derived inputs for its entry
     // arguments — "called once on symbolic inputs".
     reg.register_fn("builtin.func", |machine, op| {
         run_region_yield(machine, op, 0, &[])?;
-        Ok(Vec::new())
+        Ok(EvalValues::new())
     });
     reg.register_fn("builtin.unrealized_conversion_cast", |machine, op| {
         Ok(machine.operand_values(op))
@@ -109,12 +116,12 @@ pub fn register_builtin_eval(reg: &mut EvalRegistry) {
 pub fn register_scf_eval(reg: &mut EvalRegistry) {
     // Region terminators: pure value carriers, read back by the parent op.
     for name in ["scf.yield", "scf.condition", "scf.reduce_return"] {
-        reg.register_fn(name, |_, _| Ok(Vec::new()));
+        reg.register_fn(name, |_, _| Ok(EvalValues::new()));
     }
     reg.register_fn("scf.execute_region", |machine, op| run_region_yield(machine, op, 0, &[]));
     reg.register_fn("scf.barrier", |machine, op| {
         run_region_yield(machine, op, 0, &[])?;
-        Ok(vec![EvalValue::int(1, 1)])
+        Ok([EvalValue::int(1, 1)].into())
     });
     reg.register_fn("scf.if_op", |machine, op| {
         let cond = match op.operands(machine.ctx()).first() {
@@ -140,12 +147,12 @@ pub fn register_scf_eval(reg: &mut EvalRegistry) {
                 format!("non-positive step {step} with lower bound {lb} < upper bound {ub}"),
             ));
         }
-        let mut carried: Vec<EvalValue> = vals[3..].to_vec();
+        let mut carried: EvalValues = vals[3..].iter().copied().collect();
         let mut iv = lb;
         while iv < ub {
             machine.charge_fuel(op)?;
-            let mut args = vec![EvalValue::int(iv, 64)];
-            args.extend_from_slice(&carried);
+            let mut args: EvalValues = [EvalValue::int(iv, 64)].into();
+            args.extend(carried.iter().copied());
             carried = run_region_yield(machine, op, 0, &args)?;
             let Some(next) = iv.checked_add(step) else { break };
             iv = next;
@@ -155,8 +162,7 @@ pub fn register_scf_eval(reg: &mut EvalRegistry) {
     reg.register_fn("scf.while_op", |machine, op| {
         let vals = machine.operand_values(op);
         // Operands are `inits..., token`; the token is a pure data value.
-        let mut state: Vec<EvalValue> =
-            vals[..vals.len().saturating_sub(1)].to_vec();
+        let mut state: EvalValues = vals[..vals.len().saturating_sub(1)].iter().copied().collect();
         loop {
             let (go_on, args) = run_condition_region(machine, op, 0, &state)?;
             if !go_on {
@@ -205,7 +211,7 @@ fn register_complex_unary(
             return machine.uninterpreted(op);
         };
         let (re, im) = f(z);
-        Ok(vec![EvalValue::complex(re, im, result_kind(machine.ctx(), op))])
+        Ok([EvalValue::complex(re, im, result_kind(machine.ctx(), op))].into())
     });
 }
 
@@ -224,7 +230,7 @@ fn register_complex_binary(reg: &mut EvalRegistry, name: &str, f: ComplexBinop) 
             return machine.uninterpreted(op);
         };
         let (re, im) = f(lhs, rhs);
-        Ok(vec![EvalValue::complex(re, im, result_kind(machine.ctx(), op))])
+        Ok([EvalValue::complex(re, im, result_kind(machine.ctx(), op))].into())
     });
 }
 
@@ -235,7 +241,7 @@ fn register_complex_proj(reg: &mut EvalRegistry, name: &str, f: fn((f64, f64)) -
         let Some(z) = vals.first().and_then(|v| v.as_complex()) else {
             return machine.uninterpreted(op);
         };
-        Ok(vec![EvalValue::float(f(z), result_kind(machine.ctx(), op))])
+        Ok([EvalValue::float(f(z), result_kind(machine.ctx(), op))].into())
     });
 }
 
@@ -244,7 +250,7 @@ fn complex_div(
     machine: &mut Machine<'_>,
     op: OpRef,
     name: &'static str,
-) -> Result<Vec<EvalValue>, Trap> {
+) -> Result<EvalValues, Trap> {
     let vals = machine.operand_values(op);
     let (Some((a, b)), Some((c, d))) = (
         vals.first().and_then(|v| v.as_complex()),
@@ -257,7 +263,7 @@ fn complex_div(
     }
     let denom = c * c + d * d;
     let (re, im) = ((a * c + b * d) / denom, (b * c - a * d) / denom);
-    Ok(vec![EvalValue::complex(re, im, result_kind(machine.ctx(), op))])
+    Ok([EvalValue::complex(re, im, result_kind(machine.ctx(), op))].into())
 }
 
 /// Registers semantics for the corpus `complex` dialect (15 ops).
@@ -267,7 +273,7 @@ pub fn register_complex_eval(reg: &mut EvalRegistry) {
     // can both read and materialize.
     reg.register_const("complex.constant", |ctx, op| {
         let kind = complex_kind(ctx, *op.result_types(ctx).first()?)?;
-        Some(vec![EvalValue::complex(0.0, 0.0, kind)])
+        Some([EvalValue::complex(0.0, 0.0, kind)].into())
     });
     register_complex_proj(reg, "complex.abs", |(re, im)| re.hypot(im));
     register_complex_proj(reg, "complex.re", |(re, _)| re);
@@ -293,7 +299,7 @@ pub fn register_complex_eval(reg: &mut EvalRegistry) {
         ) else {
             return machine.uninterpreted(op);
         };
-        Ok(vec![EvalValue::complex(re, im, result_kind(machine.ctx(), op))])
+        Ok([EvalValue::complex(re, im, result_kind(machine.ctx(), op))].into())
     });
 }
 
@@ -320,27 +326,27 @@ pub fn register_fuzz_eval(reg: &mut EvalRegistry) {
         let attr = op.attr(ctx, "value")?;
         let ty = *op.result_types(ctx).first()?;
         if let Some(v) = attr.as_int(ctx) {
-            return Some(vec![EvalValue::int(v, int_width(ctx, ty)?)]);
+            return Some([EvalValue::int(v, int_width(ctx, ty)?)].into());
         }
-        Some(vec![EvalValue::float(attr.as_float(ctx)?, float_kind(ctx, ty)?)])
+        Some([EvalValue::float(attr.as_float(ctx)?, float_kind(ctx, ty)?)].into())
     });
     reg.register_fn("fuzz.addi", |machine, op| {
         let Some((lhs, rhs, width)) = int_binop_inputs(machine, op) else {
             return machine.uninterpreted(op);
         };
-        Ok(vec![EvalValue::int(lhs.wrapping_add(rhs), width)])
+        Ok([EvalValue::int(lhs.wrapping_add(rhs), width)].into())
     });
     reg.register_fn("fuzz.subi", |machine, op| {
         let Some((lhs, rhs, width)) = int_binop_inputs(machine, op) else {
             return machine.uninterpreted(op);
         };
-        Ok(vec![EvalValue::int(lhs.wrapping_sub(rhs), width)])
+        Ok([EvalValue::int(lhs.wrapping_sub(rhs), width)].into())
     });
     reg.register_fn("fuzz.muli", |machine, op| {
         let Some((lhs, rhs, width)) = int_binop_inputs(machine, op) else {
             return machine.uninterpreted(op);
         };
-        Ok(vec![EvalValue::int(lhs.wrapping_mul(rhs), width)])
+        Ok([EvalValue::int(lhs.wrapping_mul(rhs), width)].into())
     });
     reg.register_fn("fuzz.divi", |machine, op| {
         let Some((lhs, rhs, width)) = int_binop_inputs(machine, op) else {
@@ -350,7 +356,7 @@ pub fn register_fuzz_eval(reg: &mut EvalRegistry) {
             return Err(Trap::new(TrapKind::DivByZero, "fuzz.divi", "divisor is zero"));
         }
         let q = if lhs == i128::MIN && rhs == -1 { lhs } else { lhs / rhs };
-        Ok(vec![EvalValue::int(q, width)])
+        Ok([EvalValue::int(q, width)].into())
     });
     reg.register_materializer(std::sync::Arc::new(
         |ctx: &mut Context, value: &EvalValue, ty: Type| {
@@ -415,13 +421,13 @@ pub fn showcase_semantics() -> EvalRegistry {
     reg.register_const("cmath.create_constant", |ctx, op| {
         let re = op.attr(ctx, "re")?.as_float(ctx)?;
         let im = op.attr(ctx, "im")?.as_float(ctx)?;
-        Some(vec![EvalValue::complex(re, im, FloatKind::F32)])
+        Some([EvalValue::complex(re, im, FloatKind::F32)].into())
     });
 
     reg.register_const("arith.constant", |ctx, op| {
         let v = op.attr(ctx, "value")?.as_float(ctx)?;
         let kind = float_kind(ctx, *op.result_types(ctx).first()?)?;
-        Some(vec![EvalValue::float(v, kind)])
+        Some([EvalValue::float(v, kind)].into())
     });
     for (name, f) in
         [("arith.mulf", (|a, b| a * b) as fn(f64, f64) -> f64), ("arith.addf", |a, b| a + b)]
@@ -434,15 +440,15 @@ pub fn showcase_semantics() -> EvalRegistry {
             ) else {
                 return machine.uninterpreted(op);
             };
-            Ok(vec![EvalValue::float(f(lhs, rhs), result_kind(machine.ctx(), op))])
+            Ok([EvalValue::float(f(lhs, rhs), result_kind(machine.ctx(), op))].into())
         });
     }
 
     reg.register_fn("func.func_op", |machine, op| {
         run_region_yield(machine, op, 0, &[])?;
-        Ok(Vec::new())
+        Ok(EvalValues::new())
     });
-    reg.register_fn("func.return_op", |_, _| Ok(Vec::new()));
+    reg.register_fn("func.return_op", |_, _| Ok(EvalValues::new()));
 
     // Dialect-native materializers first (materializers are tried in
     // registration order): floats become `arith.constant`, f32 complex

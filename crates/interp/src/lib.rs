@@ -36,7 +36,9 @@ mod trap;
 mod value;
 
 pub use machine::{float_kind, int_width, run_module, EvalOptions, Execution, Machine};
-pub use registry::{bundle_semantics, ConstMaterializer, EvalRegistry, OpEvaluator, Semantics};
+pub use registry::{
+    bundle_semantics, ConstMaterializer, EvalRegistry, EvalValues, OpEvaluator, Semantics,
+};
 pub use trap::{Trap, TrapKind};
 pub use irdl_ir::types::FloatKind;
 pub use value::{canon_float_bits, hash_str, mix, wrap_int, EvalValue};

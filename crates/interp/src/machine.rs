@@ -21,11 +21,11 @@
 use std::collections::HashMap;
 
 use irdl_ir::types::{FloatKind, TypeData};
-use irdl_ir::{BlockRef, Context, OpRef, RegionRef, Type, Value};
+use irdl_ir::{BlockRef, Context, InlineVec, OpRef, RegionRef, Type, Value};
 
-use crate::registry::EvalRegistry;
+use crate::registry::{EvalRegistry, EvalValues};
 use crate::trap::{Trap, TrapKind};
-use crate::value::{hash_str, mix, EvalValue};
+use crate::value::{hash_qualified, hash_str, mix, EvalValue};
 
 /// Options for one execution.
 #[derive(Debug, Clone, Copy)]
@@ -107,6 +107,46 @@ pub fn int_width(ctx: &Context, ty: Type) -> Option<u32> {
     }
 }
 
+/// Registers held inline before the register file moves to a map: enough
+/// for a single-op evaluation (constant folding) of up to four operands.
+const INLINE_REGS: usize = 4;
+
+/// The register file: a short inline list of bindings, moved into a map
+/// by the first write that does not fit. Folding one op therefore never
+/// allocates, while a module run pays one map like before.
+#[derive(Default)]
+struct Registers {
+    /// The bindings while `map` is empty.
+    inline: InlineVec<(Value, EvalValue), INLINE_REGS>,
+    map: HashMap<Value, EvalValue>,
+}
+
+impl Registers {
+    fn get(&self, v: Value) -> Option<EvalValue> {
+        if self.map.is_empty() {
+            self.inline.iter().find(|(key, _)| *key == v).map(|&(_, val)| val)
+        } else {
+            self.map.get(&v).copied()
+        }
+    }
+
+    fn set(&mut self, v: Value, val: EvalValue) {
+        if self.map.is_empty() {
+            if let Some(slot) = self.inline.iter_mut().find(|(key, _)| *key == v) {
+                slot.1 = val;
+                return;
+            }
+            if self.inline.len() < INLINE_REGS {
+                self.inline.push((v, val));
+                return;
+            }
+            self.map.extend(self.inline.iter().copied());
+            self.inline.clear();
+        }
+        self.map.insert(v, val);
+    }
+}
+
 /// The register machine. Dialect evaluators receive `&mut Machine` and use
 /// it to read operands, run nested regions, charge loop fuel, and derive
 /// deterministic inputs.
@@ -114,7 +154,7 @@ pub struct Machine<'a> {
     ctx: &'a Context,
     registry: &'a EvalRegistry,
     opts: EvalOptions,
-    regs: HashMap<Value, EvalValue>,
+    regs: Registers,
     fuel: u64,
     steps: u64,
     observed: Vec<(String, Vec<EvalValue>)>,
@@ -128,7 +168,7 @@ impl<'a> Machine<'a> {
             ctx,
             registry,
             opts,
-            regs: HashMap::new(),
+            regs: Registers::default(),
             fuel: opts.fuel,
             steps: 0,
             observed: Vec::new(),
@@ -145,24 +185,24 @@ impl<'a> Machine<'a> {
     /// unverified IR) resolves to a deterministic input derived from its
     /// type, so even malformed modules execute reproducibly.
     pub fn get(&mut self, v: Value) -> EvalValue {
-        if let Some(val) = self.regs.get(&v) {
-            return *val;
+        if let Some(val) = self.regs.get(v) {
+            return val;
         }
         let ty = v.ty(self.ctx);
         let val = self.input_value(ty, 0x0bad_def5);
-        self.regs.insert(v, val);
+        self.regs.set(v, val);
         val
     }
 
     /// Writes `v` into the register file.
     pub fn set(&mut self, v: Value, val: EvalValue) {
-        self.regs.insert(v, val);
+        self.regs.set(v, val);
     }
 
     /// The current values of `op`'s operands, in order.
-    pub fn operand_values(&mut self, op: OpRef) -> Vec<EvalValue> {
-        let operands: Vec<Value> = op.operands(self.ctx).to_vec();
-        operands.into_iter().map(|v| self.get(v)).collect()
+    pub fn operand_values(&mut self, op: OpRef) -> EvalValues {
+        let ctx = self.ctx;
+        op.operands(ctx).iter().map(|&v| self.get(v)).collect()
     }
 
     /// Charges one unit of control-transfer fuel on behalf of `op`.
@@ -200,7 +240,7 @@ impl<'a> Machine<'a> {
     /// # Errors
     ///
     /// Propagates traps from region execution.
-    pub fn uninterpreted(&mut self, op: OpRef) -> Result<Vec<EvalValue>, Trap> {
+    pub fn uninterpreted(&mut self, op: OpRef) -> Result<EvalValues, Trap> {
         self.uninterpreted_hits += 1;
         if self.opts.strict {
             return Err(Trap::new(
@@ -209,15 +249,16 @@ impl<'a> Machine<'a> {
                 "no evaluator registered for this operation",
             ));
         }
-        for region in op.regions(self.ctx).to_vec() {
+        let ctx = self.ctx;
+        for &region in op.regions(ctx) {
             self.run_region_to_terminator(region, &[])?;
         }
         let h = self.op_hash(op);
-        let result_types: Vec<Type> = op.result_types(self.ctx).to_vec();
-        Ok(result_types
-            .into_iter()
+        Ok(op
+            .result_types(ctx)
+            .iter()
             .enumerate()
-            .map(|(i, ty)| value_for_type(self.ctx, ty, mix(h, i as u64 + 1)))
+            .map(|(i, &ty)| value_for_type(ctx, ty, mix(h, i as u64 + 1)))
             .collect())
     }
 
@@ -226,16 +267,17 @@ impl<'a> Machine<'a> {
     /// print/parse round-trips and across semantics-preserving rewrites of
     /// the surrounding module.
     fn op_hash(&mut self, op: OpRef) -> u64 {
-        let mut h = mix(self.opts.input_seed, hash_str(&op.name(self.ctx).display(self.ctx)));
-        let attrs: Vec<(irdl_ir::Symbol, irdl_ir::Attribute)> =
-            op.attributes(self.ctx).to_vec();
-        for (key, attr) in attrs {
-            let key_fp = hash_str(self.ctx.symbol_str(key));
-            let val_fp = hash_str(&attr.display(self.ctx));
+        let ctx = self.ctx;
+        let name = op.name(ctx);
+        let name_fp = hash_qualified(ctx.symbol_str(name.dialect), ctx.symbol_str(name.name));
+        let mut h = mix(self.opts.input_seed, name_fp);
+        for &(key, attr) in op.attributes(ctx) {
+            let key_fp = hash_str(ctx.symbol_str(key));
+            let val_fp = hash_str(&attr.display(ctx));
             h = mix(h, mix(key_fp, val_fp));
         }
-        for val in self.operand_values(op) {
-            h = mix(h, val.fingerprint());
+        for &operand in op.operands(ctx) {
+            h = mix(h, self.get(operand).fingerprint());
         }
         h
     }
@@ -255,12 +297,12 @@ impl<'a> Machine<'a> {
         let is_sink = num_operands > 0
             && (0..op.num_results(self.ctx)).all(|i| op.result(self.ctx, i).is_unused(self.ctx));
         if is_sink {
-            let name = op.name(self.ctx).display(self.ctx);
-            let values = self.operand_values(op);
-            self.observed.push((name, values));
+            let values = self.operand_values(op).to_vec();
+            self.observed.push((op.name(self.ctx).display(self.ctx), values));
         }
 
-        let values = match self.registry.evaluator_for(self.ctx, op) {
+        let registry = self.registry;
+        let values = match registry.evaluator_for(self.ctx, op) {
             Some(evaluator) => evaluator.eval(self, op)?,
             None => self.uninterpreted(op)?,
         };
@@ -300,10 +342,10 @@ impl<'a> Machine<'a> {
     ) -> Result<Option<OpRef>, Trap> {
         let Some(entry) = region.entry_block(self.ctx) else { return Ok(None) };
         self.bind_block_args(region, entry, args);
+        let ctx = self.ctx;
         let mut block = entry;
         loop {
-            let ops: Vec<OpRef> = block.ops(self.ctx).to_vec();
-            let Some((&last, body)) = ops.split_last() else { return Ok(None) };
+            let Some((&last, body)) = block.ops(ctx).split_last() else { return Ok(None) };
             for &op in body {
                 self.eval_op(op)?;
             }

@@ -169,15 +169,28 @@ pub fn mix(a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a string, for hashing op names, type spellings, and
-/// attribute spellings into the input derivation.
-pub fn hash_str(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in s.bytes() {
+/// The FNV-1a offset basis: the hash of the empty string.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash `h` over `bytes`: feeding a string in pieces
+/// gives the same hash as feeding it whole.
+fn fnv_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
         h ^= u64::from(byte);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a over a string, for hashing op names, type spellings, and
+/// attribute spellings into the input derivation.
+pub fn hash_str(s: &str) -> u64 {
+    fnv_extend(FNV_OFFSET, s.as_bytes())
+}
+
+/// [`hash_str`] of the qualified name `dialect.op`, without building it.
+pub fn hash_qualified(dialect: &str, op: &str) -> u64 {
+    fnv_extend(fnv_extend(fnv_extend(FNV_OFFSET, dialect.as_bytes()), b"."), op.as_bytes())
 }
 
 #[cfg(test)]
@@ -210,6 +223,13 @@ mod tests {
         let b = EvalValue::float(-f64::NAN, FloatKind::F32);
         assert_eq!(a, EvalValue::Float { bits: CANON_NAN, kind: FloatKind::F64 });
         assert_eq!(b, EvalValue::Float { bits: CANON_NAN, kind: FloatKind::F32 });
+    }
+
+    #[test]
+    fn qualified_hash_matches_the_joined_name() {
+        for (dialect, op) in [("cmath", "mul"), ("", ""), ("a.b", "c"), ("a", "b.c"), ("x", "")] {
+            assert_eq!(hash_qualified(dialect, op), hash_str(&format!("{dialect}.{op}")));
+        }
     }
 
     #[test]

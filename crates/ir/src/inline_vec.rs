@@ -286,6 +286,13 @@ impl<T: Copy, const N: usize> From<Vec<T>> for InlineVec<T, N> {
     }
 }
 
+impl<T: Copy, const N: usize, const M: usize> From<[T; M]> for InlineVec<T, N> {
+    /// Copies `array`; allocates only when `M` exceeds the inline capacity.
+    fn from(array: [T; M]) -> Self {
+        array.into_iter().collect()
+    }
+}
+
 impl<'a, T: Copy, const N: usize> IntoIterator for &'a InlineVec<T, N> {
     type Item = &'a T;
     type IntoIter = std::slice::Iter<'a, T>;

@@ -33,24 +33,46 @@
 //! lowers to a [`MatchProgram`] (see [`crate::matcher`]): the driver can
 //! test the whole catalog against an op with one automaton evaluation
 //! instead of one `try_match` walk per pattern.
-
-use std::collections::HashMap;
+//!
+//! Variables are resolved to slot numbers when the pattern is parsed, and
+//! each operand that another match op defines records that op's index.
+//! Matching and rewriting then bind values in a small inline array indexed
+//! by slot, so applying a pattern allocates nothing beyond the ops it
+//! creates.
 
 use irdl_ir::diag::{Diagnostic, Result};
 use irdl_ir::lexer::{lex, Spanned, Token};
-use irdl_ir::{Attribute, Context, OpName, OperationState, OpRef, Symbol, Value};
+use irdl_ir::{Attribute, Context, InlineVec, OpName, OperationState, OpRef, Symbol, Value};
 
 use crate::matcher::{MatchProgram, OpPath, Pred, ValuePos};
 use crate::pattern::{PatternSet, RewritePattern, Rewriter};
+
+/// A pattern variable: its slot in the pattern's binding array, assigned
+/// in order of first appearance.
+type Var = usize;
+
+/// Values bound to a pattern's variables, by slot.
+type Bindings = InlineVec<Option<Value>, 16>;
+
+/// The op matched by each `Match` template, by template index.
+type MatchedOps = InlineVec<Option<OpRef>, 8>;
+
+/// One operand of a `Match` template.
+#[derive(Debug, Clone, Copy)]
+struct MatchOperand {
+    var: Var,
+    /// The other match op whose result `var` names, if any: the operand
+    /// must then be that op's result, matched recursively.
+    producer: Option<usize>,
+}
 
 /// One operation template in a `Match` block.
 #[derive(Debug, Clone)]
 struct MatchOp {
     /// Variable bound to the single result (`None` for zero-result ops).
-    def: Option<String>,
+    def: Option<Var>,
     name: OpName,
-    /// Operand variable names.
-    operands: Vec<String>,
+    operands: Vec<MatchOperand>,
     /// Required attribute values from the `{key = literal, ...}` clause.
     attrs: Vec<(Symbol, Attribute)>,
 }
@@ -58,13 +80,13 @@ struct MatchOp {
 /// One operation template in a `Rewrite` block.
 #[derive(Debug, Clone)]
 struct RewriteOp {
-    def: Option<String>,
+    def: Option<Var>,
     name: OpName,
-    operands: Vec<String>,
+    operands: Vec<Var>,
     /// Attributes to set on the materialized op.
     attrs: Vec<(Symbol, Attribute)>,
     /// `typeof(%v)` sources for each result (one per result).
-    result_types_of: Vec<String>,
+    result_types_of: Vec<Var>,
 }
 
 /// A parsed declarative pattern; implements [`RewritePattern`].
@@ -73,10 +95,12 @@ pub struct DeclarativePattern {
     name: String,
     /// Relative priority from the optional `benefit N` clause (default 1).
     benefit: usize,
+    /// Variable names by slot.
+    vars: Vec<String>,
     match_ops: Vec<MatchOp>,
     rewrite_ops: Vec<RewriteOp>,
     /// `Replace <root def var> with <replacement var>`.
-    replace_with: String,
+    replace_with: Var,
 }
 
 /// Parses a sequence of `Pattern` definitions into a [`PatternSet`].
@@ -96,7 +120,18 @@ pub fn parse_patterns(ctx: &mut Context, source: &str) -> Result<PatternSet> {
 }
 
 /// Parsed `[%def =] dialect.op(%operand, ...) [{key = value, ...}]`.
-type OpHead = (Option<String>, OpName, Vec<String>, Vec<(Symbol, Attribute)>);
+type OpHead = (Option<Var>, OpName, Vec<Var>, Vec<(Symbol, Attribute)>);
+
+/// The slot of the variable `name` in `vars`, appending it on first use.
+fn slot(vars: &mut Vec<String>, name: String) -> Var {
+    match vars.iter().position(|v| *v == name) {
+        Some(var) => var,
+        None => {
+            vars.push(name);
+            vars.len() - 1
+        }
+    }
+}
 
 struct DslParser<'s, 'c> {
     ctx: &'c mut Context,
@@ -181,12 +216,13 @@ impl<'s, 'c> DslParser<'s, 'c> {
         self.expect(&Token::LBrace)?;
         self.expect_keyword("Match")?;
         self.expect(&Token::LBrace)?;
-        let mut match_ops = Vec::new();
+        let mut vars = Vec::new();
+        let mut match_heads = Vec::new();
         while self.peek() != &Token::RBrace {
-            match_ops.push(self.parse_match_op()?);
+            match_heads.push(self.parse_op_head(&mut vars)?);
         }
         self.expect(&Token::RBrace)?;
-        if match_ops.is_empty() {
+        if match_heads.is_empty() {
             return Err(self.error("Match block must contain at least one operation"));
         }
         self.expect_keyword("Rewrite")?;
@@ -197,19 +233,20 @@ impl<'s, 'c> DslParser<'s, 'c> {
             if matches!(self.peek(), Token::Ident(s) if *s == "Replace") {
                 self.bump();
                 let target = self.expect_value()?;
-                let root_def = match_ops
+                let root_def = match_heads
                     .last()
-                    .and_then(|op| op.def.clone())
+                    .and_then(|(def, ..)| *def)
                     .ok_or_else(|| self.error("root operation binds no result"))?;
-                if target != root_def {
+                if target != vars[root_def] {
                     return Err(self.error(format!(
-                        "Replace target `%{target}` must be the root's result `%{root_def}`"
+                        "Replace target `%{target}` must be the root's result `%{}`",
+                        vars[root_def]
                     )));
                 }
                 self.expect_keyword("with")?;
-                replace_with = Some(self.expect_value()?);
+                replace_with = Some(slot(&mut vars, self.expect_value()?));
             } else {
-                rewrite_ops.push(self.parse_rewrite_op()?);
+                rewrite_ops.push(self.parse_rewrite_op(&mut vars)?);
             }
         }
         self.expect(&Token::RBrace)?;
@@ -220,28 +257,70 @@ impl<'s, 'c> DslParser<'s, 'c> {
         // operand or result var) or defined by an earlier rewrite op, so a
         // failed lookup can never occur mid-rewrite (which would leave
         // partially materialized IR behind).
-        let mut bound: Vec<&str> = Vec::new();
-        for op in &match_ops {
-            bound.extend(op.operands.iter().map(String::as_str));
-            bound.extend(op.def.as_deref());
+        let mut bound = vec![false; vars.len()];
+        for (def, _, operands, _) in &match_heads {
+            for &var in operands.iter().chain(def) {
+                bound[var] = true;
+            }
         }
         for op in &rewrite_ops {
-            for var in op.operands.iter().chain(op.result_types_of.iter()) {
-                if !bound.contains(&var.as_str()) {
+            for &var in op.operands.iter().chain(&op.result_types_of) {
+                if !bound[var] {
                     return Err(self.error(format!(
-                        "rewrite references `%{var}`, which neither the match nor an \
-                         earlier rewrite op binds"
+                        "rewrite references `%{}`, which neither the match nor an \
+                         earlier rewrite op binds",
+                        vars[var]
                     )));
                 }
             }
-            bound.extend(op.def.as_deref());
+            if let Some(def) = op.def {
+                bound[def] = true;
+            }
         }
-        if !bound.contains(&replace_with.as_str()) {
+        if !bound[replace_with] {
             return Err(self.error(format!(
-                "Replace uses `%{replace_with}`, which nothing binds"
+                "Replace uses `%{}`, which nothing binds",
+                vars[replace_with]
             )));
         }
-        Ok(DeclarativePattern { name, benefit, match_ops, rewrite_ops, replace_with })
+        // An operand names a producer when some match op defines its
+        // variable (the first such op, and never the op itself).
+        let defs: Vec<Option<Var>> = match_heads.iter().map(|(def, ..)| *def).collect();
+        let match_ops: Vec<MatchOp> = match_heads
+            .into_iter()
+            .enumerate()
+            .map(|(index, (def, name, operands, attrs))| MatchOp {
+                def,
+                name,
+                operands: operands
+                    .into_iter()
+                    .map(|var| MatchOperand {
+                        var,
+                        producer: defs
+                            .iter()
+                            .position(|&d| d == Some(var))
+                            .filter(|&p| p != index),
+                    })
+                    .collect(),
+                attrs,
+            })
+            .collect();
+        // Matching walks from the root through producers only, so an op
+        // outside that DAG could never be bound.
+        let mut reached = vec![false; match_ops.len()];
+        let mut stack = vec![match_ops.len() - 1];
+        while let Some(index) = stack.pop() {
+            if !std::mem::replace(&mut reached[index], true) {
+                stack.extend(match_ops[index].operands.iter().filter_map(|o| o.producer));
+            }
+        }
+        if let Some(stray) = reached.iter().position(|&r| !r) {
+            return Err(self.error(format!(
+                "match operation `{}` does not feed the root operation",
+                match_ops[stray].name.display(self.ctx)
+            )));
+        }
+        Ok(DeclarativePattern { name, benefit, vars, match_ops, rewrite_ops, replace_with })
     }
 
     /// Parses the optional `{key = literal, ...}` attribute clause.
@@ -288,11 +367,11 @@ impl<'s, 'c> DslParser<'s, 'c> {
         Ok(attrs)
     }
 
-    fn parse_op_head(&mut self) -> Result<OpHead> {
+    fn parse_op_head(&mut self, vars: &mut Vec<String>) -> Result<OpHead> {
         let def = if matches!(self.peek(), Token::ValueId(_)) {
             let def = self.expect_value()?;
             self.expect(&Token::Equals)?;
-            Some(def)
+            Some(slot(vars, def))
         } else {
             None
         };
@@ -311,7 +390,7 @@ impl<'s, 'c> DslParser<'s, 'c> {
         let mut operands = Vec::new();
         if self.peek() != &Token::RParen {
             loop {
-                operands.push(self.expect_value()?);
+                operands.push(slot(vars, self.expect_value()?));
                 if !matches!(self.peek(), Token::Comma) {
                     break;
                 }
@@ -323,20 +402,15 @@ impl<'s, 'c> DslParser<'s, 'c> {
         Ok((def, name, operands, attrs))
     }
 
-    fn parse_match_op(&mut self) -> Result<MatchOp> {
-        let (def, name, operands, attrs) = self.parse_op_head()?;
-        Ok(MatchOp { def, name, operands, attrs })
-    }
-
-    fn parse_rewrite_op(&mut self) -> Result<RewriteOp> {
-        let (def, name, operands, attrs) = self.parse_op_head()?;
+    fn parse_rewrite_op(&mut self, vars: &mut Vec<String>) -> Result<RewriteOp> {
+        let (def, name, operands, attrs) = self.parse_op_head(vars)?;
         let mut result_types_of = Vec::new();
         if self.peek() == &Token::Colon {
             self.bump();
             loop {
                 self.expect_keyword("typeof")?;
                 self.expect(&Token::LParen)?;
-                result_types_of.push(self.expect_value()?);
+                result_types_of.push(slot(vars, self.expect_value()?));
                 self.expect(&Token::RParen)?;
                 if self.peek() != &Token::Comma {
                     break;
@@ -356,19 +430,11 @@ impl<'s, 'c> DslParser<'s, 'c> {
 impl DeclarativePattern {
     /// Attempts to match the pattern DAG rooted at `root`, returning value
     /// and operation bindings on success.
-    fn try_match(
-        &self,
-        ctx: &Context,
-        root: OpRef,
-    ) -> Option<(HashMap<String, Value>, Vec<OpRef>)> {
-        let mut values: HashMap<String, Value> = HashMap::new();
-        let mut ops: Vec<Option<OpRef>> = vec![None; self.match_ops.len()];
+    fn try_match(&self, ctx: &Context, root: OpRef) -> Option<(Bindings, MatchedOps)> {
+        let mut values: Bindings = std::iter::repeat_n(None, self.vars.len()).collect();
+        let mut ops: MatchedOps = std::iter::repeat_n(None, self.match_ops.len()).collect();
         let root_index = self.match_ops.len() - 1;
-        if !self.match_op_at(ctx, root_index, root, &mut values, &mut ops) {
-            return None;
-        }
-        let matched = ops.into_iter().map(|o| o.expect("all ops bound on success")).collect();
-        Some((values, matched))
+        self.match_op_at(ctx, root_index, root, &mut values, &mut ops).then_some((values, ops))
     }
 
     fn match_op_at(
@@ -376,8 +442,8 @@ impl DeclarativePattern {
         ctx: &Context,
         index: usize,
         candidate: OpRef,
-        values: &mut HashMap<String, Value>,
-        ops: &mut Vec<Option<OpRef>>,
+        values: &mut Bindings,
+        ops: &mut MatchedOps,
     ) -> bool {
         if let Some(bound) = ops[index] {
             return bound == candidate;
@@ -399,37 +465,23 @@ impl DeclarativePattern {
             }
         }
         ops[index] = Some(candidate);
-        for (slot, var) in template.operands.iter().enumerate() {
+        for (slot, operand) in template.operands.iter().enumerate() {
             let actual = candidate.operand(ctx, slot);
-            // Is this variable the result of another match op?
-            if let Some(producer_index) =
-                self.match_ops.iter().position(|m| m.def.as_deref() == Some(var.as_str()))
-            {
-                if producer_index != index {
-                    let Some(def_op) = actual.defining_op(ctx) else {
-                        ops[index] = None;
-                        return false;
-                    };
-                    if !self.match_op_at(ctx, producer_index, def_op, values, ops) {
-                        ops[index] = None;
-                        return false;
-                    }
-                    values.insert(var.clone(), actual);
-                    continue;
-                }
+            let matched = match operand.producer {
+                // The variable is the result of another match op.
+                Some(producer) => actual
+                    .defining_op(ctx)
+                    .is_some_and(|def_op| self.match_op_at(ctx, producer, def_op, values, ops)),
+                None => values[operand.var].is_none_or(|bound| bound == actual),
+            };
+            if !matched {
+                ops[index] = None;
+                return false;
             }
-            match values.get(var) {
-                Some(bound) if *bound != actual => {
-                    ops[index] = None;
-                    return false;
-                }
-                _ => {
-                    values.insert(var.clone(), actual);
-                }
-            }
+            values[operand.var] = Some(actual);
         }
-        if let Some(def) = &template.def {
-            values.insert(def.clone(), candidate.result(ctx, 0));
+        if let Some(def) = template.def {
+            values[def] = Some(candidate.result(ctx, 0));
         }
         true
     }
@@ -441,16 +493,17 @@ impl DeclarativePattern {
     /// program accepts exactly the ops `try_match` accepts — a complete
     /// (not merely conservative) lowering.
     ///
-    /// Returns `None` for shapes the position encoding cannot express
-    /// (operand slots beyond `u8`); such patterns fall back to opaque
-    /// dispatch.
+    /// `values` and `op_paths` are indexed by variable slot and match op
+    /// index. Returns `None` for shapes the position encoding cannot
+    /// express (operand slots beyond `u8`); such patterns fall back to
+    /// opaque dispatch.
     fn lower_op(
         &self,
         index: usize,
         path: OpPath,
         preds: &mut Vec<Pred>,
-        values: &mut HashMap<String, ValuePos>,
-        op_paths: &mut HashMap<usize, OpPath>,
+        values: &mut [Option<ValuePos>],
+        op_paths: &mut [Option<OpPath>],
     ) -> Option<()> {
         let template = &self.match_ops[index];
         // Mirrors the arity checks; `name` is checked by the caller (the
@@ -466,17 +519,12 @@ impl DeclarativePattern {
         for (key, value) in &template.attrs {
             preds.push(Pred::AttrEq { path: path.clone(), key: *key, value: *value });
         }
-        op_paths.insert(index, path.clone());
-        for (slot, var) in template.operands.iter().enumerate() {
+        op_paths[index] = Some(path.clone());
+        for (slot, operand) in template.operands.iter().enumerate() {
             let slot = u8::try_from(slot).ok()?;
             let pos = ValuePos::Operand { path: path.clone(), index: slot };
-            let producer = self
-                .match_ops
-                .iter()
-                .position(|m| m.def.as_deref() == Some(var.as_str()))
-                .filter(|&p| p != index);
-            if let Some(producer_index) = producer {
-                match op_paths.get(&producer_index) {
+            if let Some(producer) = operand.producer {
+                match &op_paths[producer] {
                     // Revisit: `bound == candidate` in the concrete walk.
                     // The producer binds exactly one result, so op equality
                     // is value equality of this operand with that result.
@@ -488,29 +536,35 @@ impl DeclarativePattern {
                         preds.push(Pred::OperandDef {
                             path: path.clone(),
                             index: slot,
-                            name: self.match_ops[producer_index].name,
+                            name: self.match_ops[producer].name,
                         });
                         let mut child = path.clone();
                         child.push(slot);
-                        self.lower_op(producer_index, child, preds, values, op_paths)?;
+                        self.lower_op(producer, child, preds, values, op_paths)?;
                     }
                 }
-                values.insert(var.clone(), pos);
+                values[operand.var] = Some(pos);
             } else {
-                match values.get(var) {
+                match &values[operand.var] {
                     Some(first) => {
                         preds.push(Pred::ValueEq { a: first.clone(), b: pos });
                     }
                     None => {
-                        values.insert(var.clone(), pos);
+                        values[operand.var] = Some(pos);
                     }
                 }
             }
         }
-        if let Some(def) = &template.def {
-            values.insert(def.clone(), ValuePos::Result { path });
+        if let Some(def) = template.def {
+            values[def] = Some(ValuePos::Result { path });
         }
         Some(())
+    }
+
+    /// The value bound to `var`. Parse-time validation guarantees every
+    /// variable a rewrite reads is bound by then.
+    fn bound(values: &Bindings, var: Var) -> Value {
+        values[var].expect("parse-time validation binds every rewrite variable")
     }
 }
 
@@ -534,8 +588,8 @@ impl RewritePattern for DeclarativePattern {
             root_index,
             Vec::new(),
             &mut preds,
-            &mut HashMap::new(),
-            &mut HashMap::new(),
+            &mut vec![None; self.vars.len()],
+            &mut vec![None; self.match_ops.len()],
         )?;
         Some(MatchProgram { root: Some(self.match_ops[root_index].name), preds })
     }
@@ -545,36 +599,26 @@ impl RewritePattern for DeclarativePattern {
         let Some((mut values, matched)) = self.try_match(rewriter.ctx(), root) else {
             return false;
         };
-        // Materialize the rewrite ops in order. Parse-time validation
-        // guarantees every referenced variable is bound.
+        // Materialize the rewrite ops in order.
         for template in &self.rewrite_ops {
-            let mut operands = Vec::with_capacity(template.operands.len());
-            for var in &template.operands {
-                let value = values[var];
-                operands.push(value);
-            }
-            let mut result_types = Vec::with_capacity(template.result_types_of.len());
-            for source in &template.result_types_of {
-                let value = values[source];
-                result_types.push(value.ty(rewriter.ctx()));
-            }
+            let ctx = rewriter.ctx();
             let mut state = OperationState::new(template.name)
-                .add_operands(operands)
-                .add_result_types(result_types);
+                .add_operands(template.operands.iter().map(|&var| Self::bound(&values, var)))
+                .add_result_types(
+                    template.result_types_of.iter().map(|&var| Self::bound(&values, var).ty(ctx)),
+                );
             for (key, value) in &template.attrs {
                 state = state.add_attribute(*key, *value);
             }
             let op = rewriter.insert_before_root(state);
-            if let Some(def) = &template.def {
-                let result = op.result(rewriter.ctx(), 0);
-                values.insert(def.clone(), result);
+            if let Some(def) = template.def {
+                values[def] = Some(op.result(rewriter.ctx(), 0));
             }
         }
-        let replacement = values[&self.replace_with];
-        rewriter.replace_root(&[replacement]);
+        rewriter.replace_root(&[Self::bound(&values, self.replace_with)]);
         // Clean up interior matched ops that became dead (skip the root,
         // which replace_root already erased).
-        for op in matched.into_iter().rev() {
+        for &op in matched.iter().rev().flatten() {
             if op != root && op.is_live(rewriter.ctx()) {
                 rewriter.erase_if_unused(op);
             }
@@ -772,6 +816,19 @@ Pattern conorm {
         )
         .unwrap_err();
         assert!(err.to_string().contains("root"), "{err}");
+    }
+
+    /// A match op that no producer edge leads to from the root could
+    /// never be bound; the parser rejects it instead of matching without it.
+    #[test]
+    fn match_op_outside_the_root_dag_is_a_parse_error() {
+        let mut ctx = Context::new();
+        let err = parse_patterns(
+            &mut ctx,
+            "Pattern p { Match { %x = a.f(%y) %r = a.g(%z) } Rewrite { Replace %r with %y } }",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("`a.f` does not feed the root"), "{err}");
     }
 
     #[test]

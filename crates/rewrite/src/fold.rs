@@ -20,11 +20,18 @@
 //!
 //! Each successful fold strictly decreases the number of non-constant ops
 //! with used results, so greedy application terminates.
+//!
+//! The pattern runs on every op, so a declined attempt must be cheap: the
+//! evaluator lookup, the "is itself a constant" check and the operand
+//! reads all happen before anything is allocated, and the operand,
+//! result-type and replacement lists live inline. Evaluation uses a
+//! [`Machine`] whose register file holds a few operands without a heap
+//! table, so only the materialized constants reach the allocator.
 
 use std::sync::Arc;
 
-use irdl_interp::{EvalOptions, EvalRegistry, EvalValue, Machine};
-use irdl_ir::{OpRef, Value};
+use irdl_interp::{EvalOptions, EvalRegistry, EvalValues, Machine};
+use irdl_ir::{Context, InlineVec, OpRef, Type, Value};
 
 use crate::pattern::{PatternSet, RewritePattern, Rewriter};
 
@@ -42,8 +49,7 @@ impl FoldConstants {
 
     /// The constant operand values of `op`, if every operand is a result
     /// of a constant-model op.
-    fn constant_operands(&self, rewriter: &Rewriter<'_>, op: OpRef) -> Option<Vec<EvalValue>> {
-        let ctx = rewriter.ctx();
+    fn constant_operands(&self, ctx: &Context, op: OpRef) -> Option<EvalValues> {
         op.operands(ctx)
             .iter()
             .map(|&operand| {
@@ -73,42 +79,41 @@ impl RewritePattern for FoldConstants {
             || !op.regions(ctx).is_empty()
             || !op.successors(ctx).is_empty()
             || (0..num_results).all(|i| op.result(ctx, i).is_unused(ctx))
-            || self.semantics.constant_values(ctx, op).is_some()
         {
             return false;
         }
         let Some(evaluator) = self.semantics.evaluator_for(ctx, op) else { return false };
-        let Some(operand_values) = self.constant_operands(rewriter, op) else { return false };
+        if evaluator.constant(ctx, op).is_some() {
+            return false;
+        }
+        let Some(operand_values) = self.constant_operands(ctx, op) else { return false };
 
-        // Evaluate in a throwaway machine with just the operand registers
-        // set. A trap (the fold would erase a runtime trap) or any visit
-        // to the uninterpreted model (the result would depend on the input
-        // seed) vetoes the fold.
-        let values = {
-            let ctx = rewriter.ctx();
-            let mut machine = Machine::new(ctx, &self.semantics, EvalOptions::default());
-            for (&operand, &value) in op.operands(ctx).iter().zip(&operand_values) {
-                machine.set(operand, value);
-            }
-            match evaluator.eval(&mut machine, op) {
-                Ok(values) if machine.uninterpreted_hits() == 0 => values,
-                _ => return false,
-            }
+        // Evaluate with just the operand registers set. A trap (the fold
+        // would erase a runtime trap) or any visit to the uninterpreted
+        // model (the result would depend on the input seed) vetoes the
+        // fold.
+        let mut machine = Machine::new(ctx, &self.semantics, EvalOptions::default());
+        for (&operand, &value) in op.operands(ctx).iter().zip(&operand_values) {
+            machine.set(operand, value);
+        }
+        let values = match evaluator.eval(&mut machine, op) {
+            Ok(values) if machine.uninterpreted_hits() == 0 => values,
+            _ => return false,
         };
         if values.len() != num_results {
             return false;
         }
 
         // Materialize every result before touching the IR: all-or-nothing.
-        let result_types: Vec<_> = op.result_types(rewriter.ctx()).to_vec();
-        let mut states = Vec::with_capacity(values.len());
-        for (value, ty) in values.iter().zip(result_types) {
+        let result_types: InlineVec<Type, 4> = op.result_types(ctx).iter().copied().collect();
+        let mut states = Vec::with_capacity(num_results);
+        for (value, &ty) in values.iter().zip(result_types.iter()) {
             match self.semantics.materialize(rewriter.ctx_mut(), value, ty) {
                 Some(state) => states.push(state),
                 None => return false,
             }
         }
-        let replacements: Vec<Value> = states
+        let replacements: InlineVec<Value, 4> = states
             .into_iter()
             .map(|state| rewriter.insert_before_root(state).result(rewriter.ctx(), 0))
             .collect();
