@@ -58,18 +58,6 @@ impl Diagnostic {
         self
     }
 
-    /// Shifts a known offset forward by `base`.
-    ///
-    /// Used when a diagnostic was produced against a slice of a larger
-    /// buffer (chunked lexing) and must be re-anchored to absolute
-    /// positions. A diagnostic with no offset is returned unchanged.
-    pub fn rebase_offset(mut self, base: usize) -> Self {
-        if let Some(offset) = self.offset.as_mut() {
-            *offset += base;
-        }
-        self
-    }
-
     /// Renders the diagnostic against `source`, resolving the byte offset to
     /// a line/column pair and quoting the offending line.
     pub fn render(&self, source: &str) -> String {

@@ -10,14 +10,18 @@
 //! - text parse stays within the membench construction budget
 //!   (≤ 3 allocs/op) and bytecode decode within ≤ 2 allocs/op;
 //! - bytecode encode allocates per module, not per op: a warmed 512-op
-//!   module encodes with at most 64 allocations in total (30 measured).
+//!   module encodes with at most 64 allocations in total (30 measured);
+//! - text parse streams its tokens: the heap a warmed parse holds only
+//!   while it runs stays within 2 bytes per source byte (1.45 measured;
+//!   parsing from a whole-source token buffer held 35.8).
 //!
-//! Everything runs inside one `#[test]` so no concurrent test thread can
-//! perturb the global counter.
+//! The counters are per thread, so nothing but the gate's own thread (not
+//! even the test harness) can perturb them, and the gates run in one
+//! `#[test]` so each sees the context the previous ones warmed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use irdl_ir::bytecode::{decode_module, encode_module};
 use irdl_ir::parse::parse_module;
@@ -25,20 +29,36 @@ use irdl_ir::{Context, OperationState};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count, its live bytes, and the most live
+    /// bytes at once since the last reset.
+    static COUNTS: Cell<(u64, i64, i64)> = const { Cell::new((0, 0, 0)) };
+}
+
+/// Records `allocs` allocations and a change of `bytes` in live bytes
+/// (`try_with`: nothing is recorded during thread teardown).
+fn record(allocs: u64, bytes: i64) {
+    let _ = COUNTS.try_with(|counts| {
+        let (n, live, peak) = counts.get();
+        counts.set((n + allocs, live + bytes, peak.max(live + bytes)));
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record(1, layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(0, -(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // A moving realloc holds both blocks for a moment.
+        record(1, new_size as i64);
+        record(0, -(layout.size() as i64));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -47,7 +67,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    COUNTS.with(|counts| counts.get().0)
 }
 
 /// Counts the allocations `f` performs.
@@ -154,6 +174,34 @@ fn check_parse_budget(ctx: &mut Context) {
     assert!(per_op <= 3.0, "parse at {per_op:.2} allocs/op exceeds the 3.0 gate");
 }
 
+/// A warmed parse's transient heap (its peak live bytes minus what is
+/// still live once it returns) stays within 2 bytes per source byte: the
+/// lexer streams tokens into a two-slot lookahead instead of a buffer
+/// holding the whole source's tokens at 48 bytes each.
+fn check_parse_transient_heap(ctx: &mut Context) {
+    const BUDGET_PER_SOURCE_BYTE: f64 = 2.0;
+    let text = chain_source(16_384);
+    for _ in 0..2 {
+        let module = parse_module(ctx, &text).expect("chain parses");
+        ctx.erase_op(module);
+    }
+    COUNTS.with(|counts| {
+        let (n, live, _) = counts.get();
+        counts.set((n, live, live));
+    });
+    let module = parse_module(ctx, &text).expect("chain parses");
+    let (_, live, peak) = COUNTS.with(Cell::get);
+    let transient = peak - live;
+    ctx.erase_op(module);
+    let per_byte = transient as f64 / text.len() as f64;
+    assert!(
+        per_byte <= BUDGET_PER_SOURCE_BYTE,
+        "parse held {transient} transient bytes for {} source bytes ({per_byte:.2} per byte), \
+         over the {BUDGET_PER_SOURCE_BYTE} gate",
+        text.len()
+    );
+}
+
 /// Bytecode decode must stay within the membench construction budget.
 fn check_decode_budget(ctx: &mut Context) {
     const OPS: usize = 65;
@@ -200,6 +248,7 @@ fn compact_storage_alloc_gates() {
     check_steady_create_erase(&mut ctx);
     check_erase_subtree_no_alloc(&mut ctx);
     check_parse_budget(&mut ctx);
+    check_parse_transient_heap(&mut ctx);
     check_decode_budget(&mut ctx);
     check_encode_budget(&mut ctx);
 }

@@ -48,12 +48,12 @@ pub struct PipelineOptions {
     pub matcher: MatcherMode,
     /// Print results in the generic form.
     pub generic: bool,
-    /// Threads used *inside* one module (clamped to at least 1): chunked
-    /// lexing of text inputs and parallel verification. Orthogonal to
-    /// `jobs`, which fans out *across* modules — a giant single module
-    /// gains nothing from `jobs` but scales with `intra_jobs`. Both paths
-    /// are byte-identical to their sequential counterparts and fall back
-    /// to them on small modules, so `intra_jobs > 1` is always safe.
+    /// Threads used *inside* one module (clamped to at least 1), for
+    /// verification only: parsing is sequential. Orthogonal to `jobs`,
+    /// which fans out *across* modules — a giant single module gains
+    /// nothing from `jobs` but scales with `intra_jobs`. Parallel
+    /// verification is byte-identical to the sequential verifier and falls
+    /// back to it on small modules, so `intra_jobs > 1` is always safe.
     pub intra_jobs: usize,
 }
 
@@ -138,13 +138,13 @@ pub enum InputRef<'a> {
 }
 
 impl InputRef<'_> {
-    /// Parses (text, lexed on `intra_jobs` threads) or decodes (bytecode)
-    /// this input into a module in `ctx`, returning the rendered
-    /// diagnostic on failure.
-    pub fn load(self, ctx: &mut Context, intra_jobs: usize) -> Result<OpRef, String> {
+    /// Parses (text) or decodes (bytecode) this input into a module in
+    /// `ctx`, returning the rendered diagnostic on failure.
+    pub fn load(self, ctx: &mut Context) -> Result<OpRef, String> {
         match self {
-            InputRef::Text(source) => irdl_ir::parse::parse_module_chunked(ctx, source, intra_jobs)
-                .map_err(|d| d.render(source)),
+            InputRef::Text(source) => {
+                irdl_ir::parse::parse_module(ctx, source).map_err(|d| d.render(source))
+            }
             InputRef::Bytecode(bytes) => {
                 irdl_ir::bytecode::decode_module(ctx, bytes).map_err(|d| d.to_string())
             }
@@ -294,7 +294,7 @@ pub fn run_module(
     let intra_jobs = opts.intra_jobs.max(1);
 
     let start = Instant::now();
-    let module = input.load(ctx, intra_jobs)?;
+    let module = input.load(ctx)?;
     timings.parse = start.elapsed().as_nanos() as u64;
 
     let result = (|| {
@@ -582,9 +582,9 @@ Pattern add_to_double {
         assert!(report.results[1].as_ref().unwrap_err().contains("magic"));
     }
 
-    /// `intra_jobs > 1` (chunked lexing + parallel verification) must
-    /// produce outputs byte-identical to the sequential run, including on
-    /// a module large enough to actually take both threaded paths.
+    /// `intra_jobs > 1` (parallel verification) must produce outputs
+    /// byte-identical to the sequential run, including on a module large
+    /// enough to actually take the threaded path.
     #[test]
     fn intra_jobs_is_byte_identical() {
         let (bundle, patterns) = toy_setup();

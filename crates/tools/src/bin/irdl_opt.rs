@@ -31,9 +31,9 @@
 //! - `--emit=F`          output format: `text` (the default) or
 //!   `bytecode` (the `IRBC` binary module format, single input only)
 //! - `--jobs <n>`        process inputs on `n` worker threads
-//! - `--intra-jobs <n>`  threads *inside* each module: chunked lexing and
-//!   parallel verification (byte-identical to sequential; orthogonal to
-//!   `--jobs`, which fans out across modules)
+//! - `--intra-jobs <n>`  threads *inside* each module, for verification
+//!   only (byte-identical to sequential; orthogonal to `--jobs`, which
+//!   fans out across modules)
 //! - `--timings`         report per-stage wall-clock times
 //!   (parse/verify/rewrite/print) on stderr, per input
 //! - `<file>...`         the IR inputs (defaults to stdin)

@@ -90,7 +90,7 @@ fn parse_args() -> Result<Options, String> {
 fn run(opts: Options) -> Result<bool, String> {
     let Dialects { mut ctx, semantics, .. } = opts.dialects.load()?;
     let input = cli::read_input(opts.input.as_deref())?;
-    let module = input.as_ref().load(&mut ctx, 1)?;
+    let module = input.as_ref().load(&mut ctx)?;
 
     let eval_opts = EvalOptions {
         fuel: opts.fuel,
