@@ -10,6 +10,7 @@ use crate::block::{BlockData, BlockRef};
 use crate::dialect::DialectRegistry;
 use crate::entity::{EntityArena, UniqueArena};
 use crate::op::{OpRef, OperationData, OperationState, UseLink};
+use crate::parse::ParseScratch;
 use crate::region::{RegionData, RegionRef};
 use crate::symbol::Symbol;
 use crate::types::{Type, TypeData};
@@ -55,6 +56,8 @@ pub struct Context {
     spill_pool: SpillPool,
     /// Reusable traversal buffers for `erase_op`'s subtree walk.
     erase_scratch: EraseScratch,
+    /// The text parser's scope tables, reused from one parse to the next.
+    parse_scratch: ParseScratch,
 }
 
 /// Capacity cap per spill-pool bucket: enough to absorb any realistic
@@ -225,6 +228,7 @@ impl Clone for Context {
             eval_scratch: Mutex::new(Vec::new()),
             spill_pool: SpillPool::default(),
             erase_scratch: EraseScratch::default(),
+            parse_scratch: ParseScratch::default(),
         }
     }
 }
@@ -269,6 +273,7 @@ impl Context {
             eval_scratch: Mutex::new(Vec::new()),
             spill_pool: SpillPool::default(),
             erase_scratch: EraseScratch::default(),
+            parse_scratch: ParseScratch::default(),
         };
         crate::builtin::register_builtin_dialect(&mut ctx);
         ctx
@@ -562,6 +567,10 @@ impl Context {
 
     pub(crate) fn erase_scratch_mut(&mut self) -> &mut EraseScratch {
         &mut self.erase_scratch
+    }
+
+    pub(crate) fn parse_scratch_mut(&mut self) -> &mut ParseScratch {
+        &mut self.parse_scratch
     }
 
     /// Harvests the spill buffers of an erased operation's payload into
