@@ -13,7 +13,12 @@
 //!   module encodes with at most 64 allocations in total (30 measured);
 //! - text parse streams its tokens: the heap a warmed parse holds only
 //!   while it runs stays within 2 bytes per source byte (1.45 measured;
-//!   parsing from a whole-source token buffer held 35.8).
+//!   parsing from a whole-source token buffer held 35.8);
+//! - decimal value names (`%0`, `%1`, ...) are never interned: they meet
+//!   the same parse budgets as `%v0`-style names, leave nothing in the
+//!   context's symbol table, and a name as large as `%4294967296` or
+//!   `%99999999999999999999` costs a tiny file no more heap than a small
+//!   name does.
 //!
 //! The counters are per thread, so nothing but the gate's own thread (not
 //! even the test harness) can perturb them, and the gates run in one
@@ -145,19 +150,25 @@ fn check_erase_subtree_no_alloc(ctx: &mut Context) {
 }
 
 /// A straight-line module in the quoted generic form, paralleling the
-/// membench corpus workload but self-contained (no registry needed).
-fn chain_source(n: usize) -> String {
-    let mut out = String::from("%v0 = \"t.src\"() : () -> f32\n");
+/// membench corpus workload but self-contained (no registry needed). Its
+/// values are named `%{prefix}0`, `%{prefix}1`, ...
+fn chain_source(n: usize, prefix: &str) -> String {
+    let mut out = format!("%{prefix}0 = \"t.src\"() : () -> f32\n");
     for i in 0..n {
-        out.push_str(&format!("%v{} = \"t.mid\"(%v{i}) : (f32) -> f32\n", i + 1));
+        out.push_str(&format!("%{prefix}{} = \"t.mid\"(%{prefix}{i}) : (f32) -> f32\n", i + 1));
     }
     out
 }
 
+/// Both spellings of the chain: `%v0`-style names resolve through the
+/// per-scope symbol maps, the printer's `%0`-style ones through the
+/// dense table.
+const NAME_PREFIXES: [&str; 2] = ["v", ""];
+
 /// Text parse must stay within the membench construction budget.
-fn check_parse_budget(ctx: &mut Context) {
+fn check_parse_budget(ctx: &mut Context, prefix: &str) {
     const OPS: usize = 65; // 64 chain ops + the source op
-    let text = chain_source(64);
+    let text = chain_source(64, prefix);
     for _ in 0..3 {
         let module = parse_module(ctx, &text).expect("chain parses");
         ctx.erase_op(module);
@@ -171,16 +182,16 @@ fn check_parse_budget(ctx: &mut Context) {
         }
     });
     let per_op = used as f64 / (PASSES * OPS as u64) as f64;
-    assert!(per_op <= 3.0, "parse at {per_op:.2} allocs/op exceeds the 3.0 gate");
+    assert!(per_op <= 3.0, "parse of `%{prefix}N` names at {per_op:.2} allocs/op exceeds the 3.0 gate");
 }
 
 /// A warmed parse's transient heap (its peak live bytes minus what is
 /// still live once it returns) stays within 2 bytes per source byte: the
 /// lexer streams tokens into a two-slot lookahead instead of a buffer
 /// holding the whole source's tokens at 48 bytes each.
-fn check_parse_transient_heap(ctx: &mut Context) {
+fn check_parse_transient_heap(ctx: &mut Context, prefix: &str) {
     const BUDGET_PER_SOURCE_BYTE: f64 = 2.0;
-    let text = chain_source(16_384);
+    let text = chain_source(16_384, prefix);
     for _ in 0..2 {
         let module = parse_module(ctx, &text).expect("chain parses");
         ctx.erase_op(module);
@@ -196,16 +207,63 @@ fn check_parse_transient_heap(ctx: &mut Context) {
     let per_byte = transient as f64 / text.len() as f64;
     assert!(
         per_byte <= BUDGET_PER_SOURCE_BYTE,
-        "parse held {transient} transient bytes for {} source bytes ({per_byte:.2} per byte), \
-         over the {BUDGET_PER_SOURCE_BYTE} gate",
+        "parse of `%{prefix}N` names held {transient} transient bytes for {} source bytes \
+         ({per_byte:.2} per byte), over the {BUDGET_PER_SOURCE_BYTE} gate",
         text.len()
     );
+}
+
+/// Decimal value names are resolved by number and never interned, so
+/// parsing the numbered chain leaves none of them in the symbol table.
+fn check_decimal_names_not_interned(ctx: &mut Context) {
+    let module = parse_module(ctx, &chain_source(16_384, "")).expect("chain parses");
+    ctx.erase_op(module);
+    assert_eq!(ctx.symbol_lookup("16383"), None, "`%16383` was interned");
+    assert_eq!(ctx.symbol_lookup("0"), None, "`%0` was interned");
+}
+
+/// The peak heap a parse of `text` adds above what was live before it.
+fn parse_peak_heap(ctx: &mut Context, text: &str) -> i64 {
+    let (n, start, _) = COUNTS.with(Cell::get);
+    COUNTS.with(|counts| counts.set((n, start, start)));
+    let module = parse_module(ctx, text).expect("tiny module parses");
+    let (_, _, peak) = COUNTS.with(Cell::get);
+    ctx.erase_op(module);
+    peak - start
+}
+
+/// A decimal name far past the source length must not size anything by
+/// its number: a tiny file defining and using `%1000000`, `%4294967296`
+/// (past `u32::MAX`) or `%99999999999999999999` (past `u64::MAX`) parses
+/// within 64 bytes per source byte of the heap the same file takes with
+/// the name `%1` (measured: 14 to 40 bytes more in all, the interned
+/// name; a table sized by the number would take megabytes).
+fn check_huge_decimal_names(ctx: &mut Context) {
+    const SLACK_PER_SOURCE_BYTE: i64 = 64;
+    let tiny = |name: &str| {
+        format!("%{name} = \"t.a\"() : () -> i32\n\"t.use\"(%{name}) : (i32) -> ()\n")
+    };
+    for _ in 0..3 {
+        parse_peak_heap(ctx, &tiny("1"));
+    }
+    let small = parse_peak_heap(ctx, &tiny("1"));
+    for name in ["1000000", "4294967296", "99999999999999999999"] {
+        let text = tiny(name);
+        let peak = parse_peak_heap(ctx, &text);
+        let budget = small + SLACK_PER_SOURCE_BYTE * text.len() as i64;
+        assert!(
+            peak <= budget,
+            "parsing `%{name}` in {} bytes peaked at {peak} heap bytes, over {budget} \
+             (`%1`: {small})",
+            text.len()
+        );
+    }
 }
 
 /// Bytecode decode must stay within the membench construction budget.
 fn check_decode_budget(ctx: &mut Context) {
     const OPS: usize = 65;
-    let text = chain_source(64);
+    let text = chain_source(64, "v");
     let module = parse_module(ctx, &text).expect("chain parses");
     let bytes = encode_module(ctx, module).expect("chain encodes");
     ctx.erase_op(module);
@@ -230,7 +288,7 @@ fn check_decode_budget(ctx: &mut Context) {
 /// handful of table and buffer allocations, not a few per op.
 fn check_encode_budget(ctx: &mut Context) {
     const BUDGET: u64 = 64;
-    let text = chain_source(511); // the source op + 511 chain ops
+    let text = chain_source(511, "v"); // the source op + 511 chain ops
     let module = parse_module(ctx, &text).expect("chain parses");
     for _ in 0..3 {
         black_box(encode_module(ctx, module).expect("chain encodes"));
@@ -247,8 +305,12 @@ fn compact_storage_alloc_gates() {
     let mut ctx = Context::new();
     check_steady_create_erase(&mut ctx);
     check_erase_subtree_no_alloc(&mut ctx);
-    check_parse_budget(&mut ctx);
-    check_parse_transient_heap(&mut ctx);
+    for prefix in NAME_PREFIXES {
+        check_parse_budget(&mut ctx, prefix);
+        check_parse_transient_heap(&mut ctx, prefix);
+    }
+    check_decimal_names_not_interned(&mut ctx);
+    check_huge_decimal_names(&mut ctx);
     check_decode_budget(&mut ctx);
     check_encode_budget(&mut ctx);
 }
