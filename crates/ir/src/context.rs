@@ -60,10 +60,16 @@ pub struct Context {
     parse_scratch: ParseScratch,
 }
 
-/// Capacity cap per spill-pool bucket: enough to absorb any realistic
-/// create/erase burst, small enough that a pathological module can't pin
-/// unbounded memory after it is erased.
+/// Buffers parked per spill-pool bucket: enough to absorb any realistic
+/// create/erase burst.
 const SPILL_POOL_CAP: usize = 32;
+
+/// Largest buffer capacity (in elements) the pool parks; larger buffers
+/// are freed. With [`SPILL_POOL_CAP`] this bounds what the pool can pin
+/// after a pathological module is erased: at most 32 × 256 elements per
+/// bucket, well under a megabyte for all seven, where capping the count
+/// alone let four erased million-operand ops pin 99.5 MB.
+const SPILL_POOL_MAX_CAPACITY: usize = 256;
 
 /// Buckets of recycled spill buffers, one per `OperationData` list type.
 #[derive(Debug, Default)]
@@ -78,10 +84,11 @@ pub(crate) struct SpillPool {
 }
 
 impl SpillPool {
-    /// Parks a harvested spill buffer in `bucket` (drops it past the cap).
+    /// Parks a harvested spill buffer in `bucket`; drops it when the
+    /// bucket is full or the buffer is larger than the pool keeps.
     fn stash<T>(bucket: &mut Vec<Vec<T>>, buf: Option<Vec<T>>) {
         if let Some(mut buf) = buf {
-            if bucket.len() < SPILL_POOL_CAP {
+            if bucket.len() < SPILL_POOL_CAP && buf.capacity() <= SPILL_POOL_MAX_CAPACITY {
                 buf.clear();
                 bucket.push(buf);
             }

@@ -14,6 +14,11 @@
 //! - text parse streams its tokens: the heap a warmed parse holds only
 //!   while it runs stays within 2 bytes per source byte (1.45 measured;
 //!   parsing from a whole-source token buffer held 35.8);
+//! - ops of up to three operands keep their operand and use-link lists
+//!   inline: a warmed parse and erase of a `t.fma` chain allocates
+//!   nothing per op;
+//! - the spill pool parks only small buffers: erasing four
+//!   million-operand ops leaves the live heap where it started;
 //! - decimal value names (`%0`, `%1`, ...) are never interned: they meet
 //!   the same parse budgets as `%v0`-style names, leave nothing in the
 //!   context's symbol table, and a name as large as `%4294967296` or
@@ -260,6 +265,84 @@ fn check_huge_decimal_names(ctx: &mut Context) {
     }
 }
 
+/// A chain of `n` three-operand ops in the quoted generic form: each
+/// `t.fma` reads the previous value twice and the source once.
+fn fma_chain_source(n: usize) -> String {
+    let mut out = String::from("%v0 = \"t.src\"() : () -> f32\n");
+    for i in 0..n {
+        out.push_str(&format!(
+            "%v{} = \"t.fma\"(%v{i}, %v{i}, %v0) : (f32, f32, f32) -> f32\n",
+            i + 1
+        ));
+    }
+    out
+}
+
+/// Allocations made by `passes` warmed parse-and-erase cycles of `text`.
+fn parse_erase_allocs(ctx: &mut Context, text: &str, passes: u64) -> u64 {
+    for _ in 0..3 {
+        let module = parse_module(ctx, text).expect("chain parses");
+        ctx.erase_op(module);
+    }
+    count(|| {
+        for _ in 0..passes {
+            let module = parse_module(ctx, text).expect("chain parses");
+            black_box(module);
+            ctx.erase_op(module);
+        }
+    })
+}
+
+/// Three operands and their three use-links fit in the op record, so a
+/// warmed parse and erase of a chain of `t.fma` ops allocates nothing
+/// per op: doubling the chain from 256 to 512 ops adds only what the
+/// module's own lists take to grow once more (2 allocations measured;
+/// the gate allows 4). With two inline slots each op spilled both lists:
+/// 514 more allocations per pass, two per extra op.
+fn check_three_operand_ops_stay_inline(ctx: &mut Context) {
+    const OPS: usize = 256;
+    const PASSES: u64 = 8;
+    const LIST_GROWTH: u64 = 4;
+    let short = parse_erase_allocs(ctx, &fma_chain_source(OPS), PASSES);
+    let long = parse_erase_allocs(ctx, &fma_chain_source(2 * OPS), PASSES);
+    let extra = long.saturating_sub(short) / PASSES;
+    assert!(
+        extra <= LIST_GROWTH,
+        "a warmed parse and erase of {} `t.fma` ops made {extra} more allocations than of \
+         {OPS} ({:.3} per extra op); the gate is 0 per op, {LIST_GROWTH} for the module's lists",
+        2 * OPS,
+        extra as f64 / OPS as f64
+    );
+}
+
+/// The spill pool parks only small buffers: creating and erasing four
+/// million-operand ops one after another leaves the context's live heap
+/// where it started, within a fixed slack. When the pool capped only the
+/// number of buffers it kept, those erasures left 99.5 MB live for the
+/// context's lifetime.
+fn check_spill_pool_frees_large_buffers(ctx: &mut Context) {
+    const OPERANDS: usize = 1_000_000;
+    const SLACK_BYTES: i64 = 1 << 20;
+    let f32t = ctx.f32_type();
+    let name = ctx.op_name("t", "wide");
+    let src = ctx.create_op(OperationState::new(name).add_result_types([f32t]));
+    let feed = src.result(ctx, 0);
+    let start = COUNTS.with(Cell::get).1;
+    for _ in 0..4 {
+        let op = ctx.create_op(
+            OperationState::new(name).add_operands(std::iter::repeat_n(feed, OPERANDS)),
+        );
+        ctx.erase_op(op);
+    }
+    let pinned = COUNTS.with(Cell::get).1 - start;
+    ctx.erase_op(src);
+    assert!(
+        pinned <= SLACK_BYTES,
+        "erasing four {OPERANDS}-operand ops left {pinned} bytes live, over the \
+         {SLACK_BYTES}-byte slack"
+    );
+}
+
 /// Bytecode decode must stay within the membench construction budget.
 fn check_decode_budget(ctx: &mut Context) {
     const OPS: usize = 65;
@@ -311,6 +394,8 @@ fn compact_storage_alloc_gates() {
     }
     check_decimal_names_not_interned(&mut ctx);
     check_huge_decimal_names(&mut ctx);
+    check_three_operand_ops_stay_inline(&mut ctx);
     check_decode_budget(&mut ctx);
     check_encode_budget(&mut ctx);
+    check_spill_pool_frees_large_buffers(&mut ctx);
 }

@@ -83,7 +83,9 @@ fn run_sequence(seed: u64, steps: usize) {
 
     for _ in 0..steps {
         match rng.below(4) {
-            // Create an op with 0-3 random operands and 0-2 results.
+            // Create an op with 0-6 random operands and 0-2 results:
+            // up to three stay inline, more spill, so the chains are
+            // checked through both kinds of operand storage.
             0 => {
                 let values: Vec<Value> = live
                     .iter()
@@ -91,7 +93,7 @@ fn run_sequence(seed: u64, steps: usize) {
                     .map(|(op, i)| op.result(&ctx, i))
                     .collect();
                 let operands: Vec<Value> =
-                    (0..rng.below(4)).map(|_| values[rng.below(values.len())]).collect();
+                    (0..rng.below(7)).map(|_| values[rng.below(values.len())]).collect();
                 let results = rng.below(3);
                 let op = ctx.create_op(
                     OperationState::new(name)
