@@ -224,7 +224,7 @@ fn read_int_kind(r: &mut ByteReader<'_>) -> Result<IntKind> {
 /// Encodes one resolved constraint against `pool`.
 pub fn encode_constraint<'s>(
     ctx: &'s Context,
-    pool: &mut Pool<'s>,
+    pool: &mut Pool,
     w: &mut ByteWriter,
     c: &'s Constraint,
 ) {
@@ -379,7 +379,7 @@ pub fn encode_constraint<'s>(
 /// `natives`.
 pub fn decode_constraint(
     ctx: &mut Context,
-    pool: &mut DecodedPool<'_>,
+    pool: &mut DecodedPool,
     natives: &NativeRegistry,
     r: &mut ByteReader<'_>,
 ) -> Result<Constraint> {
@@ -388,7 +388,7 @@ pub fn decode_constraint(
 
 fn decode_constraint_list(
     ctx: &mut Context,
-    pool: &mut DecodedPool<'_>,
+    pool: &mut DecodedPool,
     natives: &NativeRegistry,
     r: &mut ByteReader<'_>,
     depth: u32,
@@ -403,7 +403,7 @@ fn decode_constraint_list(
 
 fn decode_constraint_at(
     ctx: &mut Context,
-    pool: &mut DecodedPool<'_>,
+    pool: &mut DecodedPool,
     natives: &NativeRegistry,
     r: &mut ByteReader<'_>,
     depth: u32,
@@ -506,7 +506,7 @@ fn decode_constraint_at(
 // Recipe codec
 // ---------------------------------------------------------------------------
 
-fn write_opt_str<'s>(pool: &mut Pool<'s>, w: &mut ByteWriter, s: Option<&'s str>) {
+fn write_opt_str(pool: &mut Pool, w: &mut ByteWriter, s: Option<&str>) {
     match s {
         Some(s) => {
             w.u8(1);
@@ -517,7 +517,7 @@ fn write_opt_str<'s>(pool: &mut Pool<'s>, w: &mut ByteWriter, s: Option<&'s str>
     }
 }
 
-fn read_opt_string(pool: &DecodedPool<'_>, r: &mut ByteReader<'_>) -> Result<Option<String>> {
+fn read_opt_string(pool: &DecodedPool, r: &mut ByteReader<'_>) -> Result<Option<String>> {
     match r.u8()? {
         0 => Ok(None),
         1 => Ok(Some(pool.string(r)?.to_string())),
@@ -525,7 +525,7 @@ fn read_opt_string(pool: &DecodedPool<'_>, r: &mut ByteReader<'_>) -> Result<Opt
     }
 }
 
-fn write_str<'s>(pool: &mut Pool<'s>, w: &mut ByteWriter, s: &'s str) {
+fn write_str(pool: &mut Pool, w: &mut ByteWriter, s: &str) {
     let id = pool.str_id(s);
     w.varint(u64::from(id));
 }
@@ -549,7 +549,7 @@ fn variadicity_from(tag: u8) -> Option<Variadicity> {
 
 fn encode_args<'s>(
     ctx: &'s Context,
-    pool: &mut Pool<'s>,
+    pool: &mut Pool,
     w: &mut ByteWriter,
     args: &'s [ArgRecipe],
 ) {
@@ -563,7 +563,7 @@ fn encode_args<'s>(
 
 fn decode_args(
     ctx: &mut Context,
-    pool: &mut DecodedPool<'_>,
+    pool: &mut DecodedPool,
     natives: &NativeRegistry,
     r: &mut ByteReader<'_>,
 ) -> Result<Vec<ArgRecipe>> {
@@ -581,7 +581,7 @@ fn decode_args(
 
 fn encode_recipe<'s>(
     ctx: &'s Context,
-    pool: &mut Pool<'s>,
+    pool: &mut Pool,
     w: &mut ByteWriter,
     recipe: &'s DialectRecipe,
 ) {
@@ -669,7 +669,7 @@ fn encode_recipe<'s>(
 
 fn decode_recipe(
     ctx: &mut Context,
-    pool: &mut DecodedPool<'_>,
+    pool: &mut DecodedPool,
     natives: &NativeRegistry,
     r: &mut ByteReader<'_>,
 ) -> Result<DialectRecipe> {

@@ -7,6 +7,9 @@
 //! LLVM struct bodies, ...) are carried by [`AttrData::Native`], the
 //! mechanism behind IRDL-C++'s `TypeOrAttrParam` directive.
 
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
+
 use crate::context::Context;
 use crate::entity::entity_handle;
 use crate::symbol::Symbol;
@@ -18,7 +21,11 @@ entity_handle! {
 }
 
 /// The structural payload of an [`Attribute`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// `Hash` goes through a borrowed view of the payload (`AttrRef`), so the
+/// uniquing table can be probed without an owned payload (see
+/// `Context::intern_attr_ref`).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttrData {
     /// The `unit` attribute: presence is the information.
     Unit,
@@ -86,6 +93,127 @@ pub enum AttrData {
     },
 }
 
+/// An [`AttrData`] with borrowed payloads: the key the uniquing table is
+/// probed with, so interning an attribute that already exists builds no
+/// owned payload. Its variants mirror `AttrData`'s one for one, which
+/// keeps the two forms' `Eq` and `Hash` in agreement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum AttrRef<'a> {
+    Unit,
+    Bool(bool),
+    Integer { value: i128, ty: Type },
+    Float { bits: u64, kind: FloatKind },
+    String(&'a str),
+    Array(&'a [Attribute]),
+    TypeAttr(Type),
+    SymbolRef(Symbol),
+    EnumValue { dialect: Symbol, enum_name: Symbol, variant: Symbol },
+    Location { file: &'a str, line: u32, col: u32 },
+    TypeId(Symbol),
+    Native { kind: Symbol, text: &'a str },
+    Parametric { dialect: Symbol, name: Symbol, params: &'a [Attribute] },
+}
+
+impl AttrData {
+    /// The borrowed form of this payload.
+    pub(crate) fn as_ref(&self) -> AttrRef<'_> {
+        match self {
+            AttrData::Unit => AttrRef::Unit,
+            AttrData::Bool(b) => AttrRef::Bool(*b),
+            AttrData::Integer { value, ty } => AttrRef::Integer { value: *value, ty: *ty },
+            AttrData::Float { bits, kind } => AttrRef::Float { bits: *bits, kind: *kind },
+            AttrData::String(s) => AttrRef::String(s),
+            AttrData::Array(items) => AttrRef::Array(items),
+            AttrData::TypeAttr(ty) => AttrRef::TypeAttr(*ty),
+            AttrData::SymbolRef(sym) => AttrRef::SymbolRef(*sym),
+            AttrData::EnumValue { dialect, enum_name, variant } => AttrRef::EnumValue {
+                dialect: *dialect,
+                enum_name: *enum_name,
+                variant: *variant,
+            },
+            AttrData::Location { file, line, col } => {
+                AttrRef::Location { file, line: *line, col: *col }
+            }
+            AttrData::TypeId(sym) => AttrRef::TypeId(*sym),
+            AttrData::Native { kind, text } => AttrRef::Native { kind: *kind, text },
+            AttrData::Parametric { dialect, name, params } => {
+                AttrRef::Parametric { dialect: *dialect, name: *name, params }
+            }
+        }
+    }
+}
+
+impl AttrRef<'_> {
+    /// An owned copy, for a table miss.
+    fn to_data(self) -> AttrData {
+        match self {
+            AttrRef::Unit => AttrData::Unit,
+            AttrRef::Bool(b) => AttrData::Bool(b),
+            AttrRef::Integer { value, ty } => AttrData::Integer { value, ty },
+            AttrRef::Float { bits, kind } => AttrData::Float { bits, kind },
+            AttrRef::String(s) => AttrData::String(s.into()),
+            AttrRef::Array(items) => AttrData::Array(items.to_vec()),
+            AttrRef::TypeAttr(ty) => AttrData::TypeAttr(ty),
+            AttrRef::SymbolRef(sym) => AttrData::SymbolRef(sym),
+            AttrRef::EnumValue { dialect, enum_name, variant } => {
+                AttrData::EnumValue { dialect, enum_name, variant }
+            }
+            AttrRef::Location { file, line, col } => {
+                AttrData::Location { file: file.into(), line, col }
+            }
+            AttrRef::TypeId(sym) => AttrData::TypeId(sym),
+            AttrRef::Native { kind, text } => AttrData::Native { kind, text: text.into() },
+            AttrRef::Parametric { dialect, name, params } => {
+                AttrData::Parametric { dialect, name, params: params.to_vec() }
+            }
+        }
+    }
+}
+
+/// Either form of an attribute payload, viewed as its [`AttrRef`]: lets
+/// `AttrData` lend itself to the uniquing table as a borrowed key.
+pub(crate) trait AttrKey {
+    fn key(&self) -> AttrRef<'_>;
+}
+
+impl AttrKey for AttrData {
+    fn key(&self) -> AttrRef<'_> {
+        self.as_ref()
+    }
+}
+
+impl AttrKey for AttrRef<'_> {
+    fn key(&self) -> AttrRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn AttrKey + 'a> for AttrData {
+    fn borrow(&self) -> &(dyn AttrKey + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn AttrKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl PartialEq for dyn AttrKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn AttrKey + '_ {}
+
+impl Hash for AttrData {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_ref().hash(state);
+    }
+}
+
 impl Attribute {
     /// Returns the structural payload of this attribute.
     pub fn data(self, ctx: &Context) -> &AttrData {
@@ -150,6 +278,12 @@ impl Context {
     /// Interns an arbitrary [`AttrData`], without running dialect verifiers.
     pub fn intern_attr(&mut self, data: AttrData) -> Attribute {
         Attribute(self.attrs_mut().intern(data))
+    }
+
+    /// Interns the attribute `key` describes, building an owned
+    /// [`AttrData`] only when it is new.
+    pub(crate) fn intern_attr_ref(&mut self, key: AttrRef<'_>) -> Attribute {
+        Attribute(self.attrs_mut().intern_with(&key as &dyn AttrKey, |key| key.key().to_data()))
     }
 
     /// The `unit` attribute.
@@ -300,6 +434,53 @@ mod tests {
         let c = ctx.i32_attr(8);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// The borrowed key of every kind of payload finds the entry its
+    /// owned form interned, and interns an equal entry the same way: the
+    /// two forms agree on `Eq` and `Hash`.
+    #[test]
+    fn borrowed_keys_find_owned_entries() {
+        use crate::types::TypeData;
+        let mut ctx = Context::new();
+        let i32 = ctx.i32_type();
+        let f32 = ctx.f32_type();
+        let (d, n, v) = (ctx.symbol("d"), ctx.symbol("n"), ctx.symbol("v"));
+        let one = ctx.i32_attr(1);
+        let types = [
+            TypeData::Integer { width: 7, signedness: crate::types::Signedness::Unsigned },
+            TypeData::Float(FloatKind::BF16),
+            TypeData::Index,
+            TypeData::Function { inputs: vec![i32, f32], results: vec![f32] },
+            TypeData::Vector { dims: vec![4, 8], elem: f32 },
+            TypeData::Tensor { dims: vec![-1, 3], elem: i32 },
+            TypeData::MemRef { dims: vec![16], elem: i32 },
+            TypeData::Parametric { dialect: d, name: n, params: vec![one] },
+        ];
+        for data in types {
+            let owned = ctx.intern_type(data.clone());
+            assert_eq!(ctx.intern_type_ref(data.as_ref()), owned, "{data:?}");
+        }
+        let attrs = [
+            AttrData::Unit,
+            AttrData::Bool(true),
+            AttrData::Integer { value: -5, ty: i32 },
+            AttrData::Float { bits: 2.5f64.to_bits(), kind: FloatKind::F64 },
+            AttrData::String("borrowed".into()),
+            AttrData::Array(vec![one, one]),
+            AttrData::TypeAttr(f32),
+            AttrData::SymbolRef(n),
+            AttrData::EnumValue { dialect: d, enum_name: n, variant: v },
+            AttrData::Location { file: "f.ir".into(), line: 3, col: 9 },
+            AttrData::TypeId(v),
+            AttrData::Native { kind: n, text: "map".into() },
+            AttrData::Parametric { dialect: d, name: n, params: vec![one] },
+        ];
+        for data in attrs {
+            // Interned first through the key, then found by the owned form.
+            let borrowed = ctx.intern_attr_ref(data.as_ref());
+            assert_eq!(ctx.intern_attr(data.clone()), borrowed, "{data:?}");
+        }
     }
 
     #[test]

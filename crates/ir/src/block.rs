@@ -1,6 +1,6 @@
 //! Basic blocks: ordered operation sequences with typed arguments.
 
-use crate::context::Context;
+use crate::context::{Context, SpillPool};
 use crate::entity::entity_handle;
 use crate::op::OpRef;
 use crate::region::RegionRef;
@@ -90,22 +90,23 @@ impl BlockRef {
 
 impl Context {
     /// Creates a detached block with the given argument types.
+    ///
+    /// Its op and argument lists draw their buffers from the context's
+    /// pool (see [`Context::append_op`]), so a warmed context builds
+    /// blocks without allocating.
     pub fn create_block(&mut self, arg_types: impl IntoIterator<Item = Type>) -> BlockRef {
-        let arg_types: Vec<Type> = arg_types.into_iter().collect();
-        let arg_first_use = vec![None; arg_types.len()];
-        BlockRef(self.blocks_mut().alloc(BlockData {
-            arg_types,
-            arg_first_use,
-            ops: Vec::new(),
-            parent: None,
-        }))
+        let block = BlockRef(self.blocks_mut().alloc(BlockData::default()));
+        for ty in arg_types {
+            self.add_block_arg(block, ty);
+        }
+        block
     }
 
     /// Appends a block argument of type `ty`, returning the new value.
     pub fn add_block_arg(&mut self, block: BlockRef, ty: Type) -> Value {
-        let data = self.block_data_mut(block);
-        data.arg_types.push(ty);
-        data.arg_first_use.push(None);
+        let (data, pool) = self.block_data_and_pool(block);
+        SpillPool::push(&mut data.arg_types, ty, &mut pool.block_arg_types);
+        SpillPool::push(&mut data.arg_first_use, None, &mut pool.block_arg_heads);
         Value::BlockArg { block, index: (data.arg_types.len() - 1) as u32 }
     }
 
@@ -116,7 +117,8 @@ impl Context {
     /// Panics if `block` is already attached to a region.
     pub fn append_block(&mut self, region: RegionRef, block: BlockRef) {
         assert!(self.block_data(block).parent.is_none(), "block already attached");
-        self.region_data_mut(region).blocks.push(block);
+        let (data, pool) = self.region_data_and_pool(region);
+        SpillPool::push(&mut data.blocks, block, &mut pool.region_blocks);
         self.block_data_mut(block).parent = Some(region);
     }
 

@@ -13,7 +13,10 @@
 //! policy: readers reject a different *version* byte, but tolerate extra
 //! sections within their version.
 //!
-//! A module file ([`MODULE_MAGIC`]) carries three sections:
+//! A module file ([`MODULE_MAGIC`]) carries three sections, each exactly
+//! once: a repeated strings, pool or ops section is an error located at
+//! the repeat's payload (a second ops section would otherwise orphan the
+//! first root).
 //!
 //! 1. **strings** — every string the module needs, length-prefixed,
 //!    deduplicated, followed by the symbol intern order (see below);
@@ -27,24 +30,41 @@
 //!
 //! # Encoding
 //!
-//! [`encode_module`] makes one pass over the operation tree and allocates
-//! per module, not per op. It reads operand, type, attribute, successor,
-//! region, block and op lists through borrows of the context. Each nested
-//! region is encoded into the enclosing body buffer and its length varint
-//! is then rotated in front of it. The [`Pool`] interns an entry's
-//! children first, keeping their ids on one shared stack, and then
-//! appends the entry to one flat byte buffer; its string table borrows
-//! its strings. The output `Vec` is sized exactly once, from the section
-//! lengths, and the three sections are written straight into it.
+//! [`encode_module`] makes one pass over the operation tree and, once its
+//! context is warm, allocates only its output. It reads operand, type,
+//! attribute, successor, region, block and op lists through borrows of
+//! the context. Each nested region is encoded into the enclosing body
+//! buffer and its length varint is then rotated in front of it. The
+//! [`Pool`] interns an entry's children first, keeping their ids on one
+//! shared stack, and then appends the entry to one flat byte buffer; its
+//! string table copies each distinct string once into one text buffer.
+//! The output `Vec` is sized exactly once, from the section lengths, and
+//! the three sections are written straight into it.
+//!
+//! # Scratch
+//!
+//! Neither direction keeps a table of its own between calls. The
+//! encoder's pool, value numbering, block index and body buffer form one
+//! `EncodeScratch` that the [`Context`] parks in a `Mutex<Option<_>>`
+//! (encoding takes `&Context`): [`encode_module`] takes it on entry and
+//! puts it back, emptied, on exit, and a concurrent second encode simply
+//! starts a fresh one. The decoder's string table, symbol and pool
+//! tables, value list, child-list buffers and failure log form a
+//! `DecodeScratch` kept as a plain context field, like the text parser's
+//! scopes. Neither holds a borrow, so both outlive the input they served:
+//! each string table copies its strings into one text buffer of its own.
 //!
 //! # Zero-copy rules
 //!
 //! Decoding works straight off the input `&[u8]`: no token stream, no
-//! intermediate AST. Strings are interned once each via the string table
-//! (`&str` subslices of the input go directly into the interner), pool
-//! entries intern once each into the context's uniquing tables, and
-//! operations are built through the ordinary [`OperationState`] builder
-//! API — the decoded module is indistinguishable from a parsed one.
+//! intermediate AST. Each string is checked to be UTF-8 and copied once,
+//! into the string table's text buffer, and interned at most once from
+//! there; pool entries intern once each into the context's uniquing tables,
+//! probed with borrowed keys so an entry the context already holds builds
+//! no owned payload. Operations are built through the ordinary
+//! [`OperationState`] builder API, with spilled lists drawn from the
+//! context's pool — the decoded module is indistinguishable from a parsed
+//! one, and a warmed decode allocates nothing.
 //!
 //! Symbol-backed strings record their *intern order* (ascending symbol
 //! index in the encoding context). The decoder pre-interns symbols in that
@@ -56,19 +76,23 @@
 //! Decoding is corruption-safe: malformed input produces a
 //! [`Diagnostic`] naming the file offset, never a panic, and never an
 //! allocation proportional to a corrupt count field (counts are validated
-//! against the bytes actually remaining). Parametric type/attr verifiers
+//! against the bytes actually remaining). A failed decode erases the IR
+//! it had built, so a worker decoding many files into one context leaks
+//! nothing. Parametric type/attr verifiers
 //! are *not* re-run during decode — verification stays a separate,
 //! explicit pass, exactly as it is after parsing.
 
-use crate::attrs::{AttrData, Attribute};
+use std::hash::{Hash, Hasher};
+
+use crate::attrs::{AttrData, AttrRef, Attribute};
 use crate::block::BlockRef;
 use crate::context::Context;
 use crate::diag::{Diagnostic, Result};
-use crate::fasthash::FastMap;
-use crate::op::{OpName, OpRef, OperationState};
+use crate::fasthash::{FastHasher, FastMap};
+use crate::op::{OpName, OpRef, OperationState, PartialIr};
 use crate::region::RegionRef;
 use crate::symbol::Symbol;
-use crate::types::{FloatKind, Signedness, Type, TypeData};
+use crate::types::{FloatKind, Signedness, Type, TypeData, TypeRef};
 use crate::value::Value;
 
 /// Magic bytes of a module bytecode file (`.mlirbc`).
@@ -395,13 +419,20 @@ fn signedness_from(tag: u8) -> Option<Signedness> {
 /// and then appends its bytes to one flat buffer: no entry has a buffer of
 /// its own.
 ///
-/// The table borrows its strings for `'s`, the lifetime of the context
-/// (and of whatever else, such as dialect recipes, the body is encoded
-/// from): interning a string copies nothing.
+/// The string table copies each distinct string once into one text
+/// buffer and finds it again by a hash of its content, so the pool
+/// borrows nothing: [`Pool::clear`] readies it for the next module with
+/// every buffer's capacity kept.
 #[derive(Default)]
-pub struct Pool<'s> {
-    strings: Vec<&'s str>,
-    string_ids: FastMap<&'s str, u32>,
+pub struct Pool {
+    /// Every distinct string, back to back.
+    text: String,
+    /// Each string's byte range in `text`, by string id.
+    spans: Vec<(usize, usize)>,
+    /// String ids by content hash. A string whose hash is already taken
+    /// by other content is keyed by the next free hash value, so lookups
+    /// probe forward until the content matches or a key is free.
+    string_ids: FastMap<u64, u32>,
     /// `(symbol index in the encoding context, string id)` for every
     /// symbol-backed string: emitted sorted so the decoder re-interns
     /// symbols in the encoder's relative order.
@@ -415,25 +446,54 @@ pub struct Pool<'s> {
     attr_ids: FastMap<Attribute, u32>,
 }
 
-impl<'s> Pool<'s> {
+impl Pool {
     /// An empty pool.
-    pub fn new() -> Pool<'s> {
+    pub fn new() -> Pool {
         Pool::default()
     }
 
+    /// Empties the pool, keeping its buffers for the next module.
+    pub fn clear(&mut self) {
+        self.text.clear();
+        self.spans.clear();
+        self.string_ids.clear();
+        self.symbol_order.clear();
+        self.entries.buf.clear();
+        self.entry_count = 0;
+        self.child_ids.clear();
+        self.type_ids.clear();
+        self.attr_ids.clear();
+    }
+
+    /// The string with table id `id`.
+    fn string(&self, id: u32) -> &str {
+        let (start, end) = self.spans[id as usize];
+        &self.text[start..end]
+    }
+
     /// Interns `s` into the string table.
-    pub fn str_id(&mut self, s: &'s str) -> u32 {
-        let next = self.strings.len() as u32;
-        let id = *self.string_ids.entry(s).or_insert(next);
-        if id == next {
-            self.strings.push(s);
+    pub fn str_id(&mut self, s: &str) -> u32 {
+        let mut hasher = FastHasher::default();
+        s.hash(&mut hasher);
+        let mut key = hasher.finish();
+        loop {
+            match self.string_ids.get(&key) {
+                Some(&id) if self.string(id) == s => return id,
+                Some(_) => key = key.wrapping_add(1),
+                None => break,
+            }
         }
+        let id = self.spans.len() as u32;
+        self.string_ids.insert(key, id);
+        let start = self.text.len();
+        self.text.push_str(s);
+        self.spans.push((start, self.text.len()));
         id
     }
 
     /// Interns the string behind `sym`, recording its intern order.
-    pub fn symbol_id(&mut self, ctx: &'s Context, sym: Symbol) -> u32 {
-        let next = self.strings.len() as u32;
+    pub fn symbol_id(&mut self, ctx: &Context, sym: Symbol) -> u32 {
+        let next = self.spans.len() as u32;
         let id = self.str_id(ctx.symbol_str(sym));
         if id == next {
             self.symbol_order.push((sym.index() as u32, id));
@@ -442,7 +502,7 @@ impl<'s> Pool<'s> {
     }
 
     /// Interns both halves of an operation name.
-    pub fn op_name_ids(&mut self, ctx: &'s Context, name: OpName) -> (u32, u32) {
+    pub fn op_name_ids(&mut self, ctx: &Context, name: OpName) -> (u32, u32) {
         (self.symbol_id(ctx, name.dialect), self.symbol_id(ctx, name.name))
     }
 
@@ -456,7 +516,7 @@ impl<'s> Pool<'s> {
 
     /// Returns the pool id of `ty`, encoding it (and its children) on
     /// first use.
-    pub fn type_id(&mut self, ctx: &'s Context, ty: Type) -> u32 {
+    pub fn type_id(&mut self, ctx: &Context, ty: Type) -> u32 {
         if let Some(&id) = self.type_ids.get(&ty) {
             return id;
         }
@@ -527,7 +587,7 @@ impl<'s> Pool<'s> {
 
     /// Returns the pool id of `attr`, encoding it (and its children) on
     /// first use.
-    pub fn attr_id(&mut self, ctx: &'s Context, attr: Attribute) -> u32 {
+    pub fn attr_id(&mut self, ctx: &Context, attr: Attribute) -> u32 {
         if let Some(&id) = self.attr_ids.get(&attr) {
             return id;
         }
@@ -620,8 +680,9 @@ impl<'s> Pool<'s> {
 
     /// Payload lengths of the strings and pool sections.
     fn payload_lens(&self) -> (usize, usize) {
-        let strings = varint_len(self.strings.len() as u64)
-            + self.strings.iter().map(|s| varint_len(s.len() as u64) + s.len()).sum::<usize>()
+        let strings = varint_len(self.spans.len() as u64)
+            + self.spans.iter().map(|&(start, end)| varint_len((end - start) as u64)).sum::<usize>()
+            + self.text.len()
             + varint_len(self.symbol_order.len() as u64)
             + self.symbol_order.iter().map(|&(_, id)| varint_len(u64::from(id))).sum::<usize>();
         let pool = varint_len(u64::from(self.entry_count)) + self.entries.len();
@@ -641,9 +702,9 @@ impl<'s> Pool<'s> {
         let (strings, pool) = self.payload_lens();
         out.u8(SECTION_STRINGS);
         out.varint(strings as u64);
-        out.varint(self.strings.len() as u64);
-        for s in &self.strings {
-            out.str(s);
+        out.varint(self.spans.len() as u64);
+        for id in 0..self.spans.len() as u32 {
+            out.str(self.string(id));
         }
         out.varint(self.symbol_order.len() as u64);
         for &(_, id) in &self.symbol_order {
@@ -669,43 +730,86 @@ enum PoolValue {
 }
 
 /// The decoded string table and constant pool of one bytecode file.
-pub struct DecodedPool<'a> {
-    strings: Vec<&'a str>,
+///
+/// The table copies each string, once it is checked to be UTF-8, into
+/// one text buffer, so the pool borrows nothing from its input. An
+/// entry's child lists are read into buffers the pool keeps and interned
+/// through borrowed keys, so an entry the context already holds costs no
+/// allocation. A module decoder parks the pool in the [`Context`]
+/// between files.
+#[derive(Default)]
+pub struct DecodedPool {
+    /// Every string of the strings section, back to back.
+    text: String,
+    /// Each string's byte range in `text`, by string id.
+    strings: Vec<(usize, usize)>,
     symbols: Vec<Option<Symbol>>,
     values: Vec<PoolValue>,
+    /// The child lists of the entry being read.
+    types: Vec<Type>,
+    attrs: Vec<Attribute>,
+    dims: Vec<u64>,
+    signed_dims: Vec<i64>,
 }
 
-impl<'a> DecodedPool<'a> {
+impl DecodedPool {
     /// An empty pool (for files without pool sections).
-    pub fn empty() -> DecodedPool<'a> {
-        DecodedPool { strings: Vec::new(), symbols: Vec::new(), values: Vec::new() }
+    pub fn empty() -> DecodedPool {
+        DecodedPool::default()
+    }
+
+    /// Empties the pool, keeping every buffer.
+    fn clear(&mut self) {
+        self.text.clear();
+        self.strings.clear();
+        self.symbols.clear();
+        self.values.clear();
+        self.types.clear();
+        self.attrs.clear();
+        self.dims.clear();
+        self.signed_dims.clear();
     }
 
     /// Decodes a strings section payload. Symbol-order entries are
     /// interned into `ctx` immediately, reproducing the encoder's relative
     /// symbol order.
-    pub fn read_strings(&mut self, ctx: &mut Context, r: &mut ByteReader<'a>) -> Result<()> {
+    pub fn read_strings(&mut self, ctx: &mut Context, r: &mut ByteReader<'_>) -> Result<()> {
         let count = r.count(1)?;
-        self.strings = Vec::with_capacity(count);
+        self.text.clear();
+        self.strings.clear();
         for _ in 0..count {
-            self.strings.push(r.str()?);
+            let s = r.str()?;
+            let start = self.text.len();
+            self.text.push_str(s);
+            self.strings.push((start, self.text.len()));
         }
-        self.symbols = vec![None; self.strings.len()];
+        self.symbols.clear();
+        self.symbols.resize(count, None);
         let order = r.count(1)?;
         for _ in 0..order {
             let id = r.varint()? as usize;
-            let Some(&s) = self.strings.get(id) else {
-                return Err(r.error(format!("symbol order references string {id} of {}", self.strings.len())));
+            let Some(s) = self.str_at(id) else {
+                return Err(r.error(format!("symbol order references string {id} of {count}")));
             };
             self.symbols[id] = Some(ctx.symbol(s));
         }
         Ok(())
     }
 
+    /// The string with table id `id`, if there is one.
+    fn str_at(&self, id: usize) -> Option<&str> {
+        let &(start, end) = self.strings.get(id)?;
+        Some(&self.text[start..end])
+    }
+
     /// Decodes a pool section payload, interning every entry into `ctx`.
-    pub fn read_pool(&mut self, ctx: &mut Context, r: &mut ByteReader<'a>) -> Result<()> {
+    /// Entries with list or string payloads are probed with borrowed
+    /// keys over the pool's buffers; the rest are built owned, which
+    /// allocates nothing and keeps the table lookup monomorphic.
+    pub fn read_pool(&mut self, ctx: &mut Context, r: &mut ByteReader<'_>) -> Result<()> {
         let count = r.count(1)?;
-        self.values = Vec::with_capacity(count);
+        self.values.clear();
+        self.values.reserve(count);
         for index in 0..count {
             let tag = r.u8()?;
             let value = match tag {
@@ -722,44 +826,44 @@ impl<'a> DecodedPool<'a> {
                 }
                 T_INDEX => PoolValue::Type(ctx.intern_type(TypeData::Index)),
                 T_FUNCTION => {
-                    let inputs = self.type_list(index, r)?;
-                    let results = self.type_list(index, r)?;
-                    PoolValue::Type(ctx.intern_type(TypeData::Function { inputs, results }))
+                    self.types.clear();
+                    let values = &self.values;
+                    let n_inputs = read_list(&mut self.types, r, |r| type_at(values, index, r))?;
+                    read_list(&mut self.types, r, |r| type_at(values, index, r))?;
+                    let (inputs, results) = self.types.split_at(n_inputs);
+                    PoolValue::Type(ctx.intern_type_ref(TypeRef::Function { inputs, results }))
                 }
                 T_VECTOR => {
-                    let n = r.count(1)?;
-                    let mut dims = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        dims.push(r.varint()?);
-                    }
-                    let elem = self.type_ref(index, r)?;
-                    PoolValue::Type(ctx.intern_type(TypeData::Vector { dims, elem }))
+                    self.dims.clear();
+                    read_list(&mut self.dims, r, |r| r.varint())?;
+                    let elem = type_at(&self.values, index, r)?;
+                    PoolValue::Type(ctx.intern_type_ref(TypeRef::Vector { dims: &self.dims, elem }))
                 }
                 T_TENSOR | T_MEMREF => {
-                    let n = r.count(1)?;
-                    let mut dims = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        dims.push(r.zigzag()?);
-                    }
-                    let elem = self.type_ref(index, r)?;
-                    let data = if tag == T_TENSOR {
-                        TypeData::Tensor { dims, elem }
+                    self.signed_dims.clear();
+                    read_list(&mut self.signed_dims, r, |r| r.zigzag())?;
+                    let elem = type_at(&self.values, index, r)?;
+                    let dims = &self.signed_dims[..];
+                    let key = if tag == T_TENSOR {
+                        TypeRef::Tensor { dims, elem }
                     } else {
-                        TypeData::MemRef { dims, elem }
+                        TypeRef::MemRef { dims, elem }
                     };
-                    PoolValue::Type(ctx.intern_type(data))
+                    PoolValue::Type(ctx.intern_type_ref(key))
                 }
                 T_PARAMETRIC => {
                     let dialect = self.symbol(ctx, r)?;
                     let name = self.symbol(ctx, r)?;
-                    let params = self.attr_list(index, r)?;
-                    PoolValue::Type(ctx.intern_type(TypeData::Parametric { dialect, name, params }))
+                    self.attrs.clear();
+                    read_list(&mut self.attrs, r, |r| attr_at(&self.values, index, r))?;
+                    let key = TypeRef::Parametric { dialect, name, params: &self.attrs };
+                    PoolValue::Type(ctx.intern_type_ref(key))
                 }
                 A_UNIT => PoolValue::Attr(ctx.intern_attr(AttrData::Unit)),
                 A_BOOL => PoolValue::Attr(ctx.intern_attr(AttrData::Bool(r.u8()? != 0))),
                 A_INTEGER => {
                     let value = r.zigzag128()?;
-                    let ty = self.type_ref(index, r)?;
+                    let ty = type_at(&self.values, index, r)?;
                     PoolValue::Attr(ctx.intern_attr(AttrData::Integer { value, ty }))
                 }
                 A_FLOAT => {
@@ -770,14 +874,15 @@ impl<'a> DecodedPool<'a> {
                 }
                 A_STRING => {
                     let s = self.string(r)?;
-                    PoolValue::Attr(ctx.intern_attr(AttrData::String(s.into())))
+                    PoolValue::Attr(ctx.intern_attr_ref(AttrRef::String(s)))
                 }
                 A_ARRAY => {
-                    let items = self.attr_list(index, r)?;
-                    PoolValue::Attr(ctx.intern_attr(AttrData::Array(items)))
+                    self.attrs.clear();
+                    read_list(&mut self.attrs, r, |r| attr_at(&self.values, index, r))?;
+                    PoolValue::Attr(ctx.intern_attr_ref(AttrRef::Array(&self.attrs)))
                 }
                 A_TYPE => {
-                    let ty = self.type_ref(index, r)?;
+                    let ty = type_at(&self.values, index, r)?;
                     PoolValue::Attr(ctx.intern_attr(AttrData::TypeAttr(ty)))
                 }
                 A_SYMBOL_REF => {
@@ -795,10 +900,10 @@ impl<'a> DecodedPool<'a> {
                     }))
                 }
                 A_LOCATION => {
-                    let file = self.string(r)?.into();
+                    let file = self.string(r)?;
                     let line = r.varint()? as u32;
                     let col = r.varint()? as u32;
-                    PoolValue::Attr(ctx.intern_attr(AttrData::Location { file, line, col }))
+                    PoolValue::Attr(ctx.intern_attr_ref(AttrRef::Location { file, line, col }))
                 }
                 A_TYPE_ID => {
                     let sym = self.symbol(ctx, r)?;
@@ -806,14 +911,16 @@ impl<'a> DecodedPool<'a> {
                 }
                 A_NATIVE => {
                     let kind = self.symbol(ctx, r)?;
-                    let text = self.string(r)?.into();
-                    PoolValue::Attr(ctx.intern_attr(AttrData::Native { kind, text }))
+                    let text = self.string(r)?;
+                    PoolValue::Attr(ctx.intern_attr_ref(AttrRef::Native { kind, text }))
                 }
                 A_PARAMETRIC => {
                     let dialect = self.symbol(ctx, r)?;
                     let name = self.symbol(ctx, r)?;
-                    let params = self.attr_list(index, r)?;
-                    PoolValue::Attr(ctx.intern_attr(AttrData::Parametric { dialect, name, params }))
+                    self.attrs.clear();
+                    read_list(&mut self.attrs, r, |r| attr_at(&self.values, index, r))?;
+                    let key = AttrRef::Parametric { dialect, name, params: &self.attrs };
+                    PoolValue::Attr(ctx.intern_attr_ref(key))
                 }
                 other => return Err(r.error(format!("unknown pool entry tag {other}"))),
             };
@@ -823,11 +930,9 @@ impl<'a> DecodedPool<'a> {
     }
 
     /// The string behind table id read from `r`.
-    pub fn string(&self, r: &mut ByteReader<'_>) -> Result<&'a str> {
+    pub fn string(&self, r: &mut ByteReader<'_>) -> Result<&str> {
         let id = r.varint()? as usize;
-        self.strings
-            .get(id)
-            .copied()
+        self.str_at(id)
             .ok_or_else(|| r.error(format!("string id {id} out of range ({})", self.strings.len())))
     }
 
@@ -835,72 +940,64 @@ impl<'a> DecodedPool<'a> {
     /// first use.
     pub fn symbol(&mut self, ctx: &mut Context, r: &mut ByteReader<'_>) -> Result<Symbol> {
         let id = r.varint()? as usize;
-        let Some(slot) = self.symbols.get_mut(id) else {
+        let Some(&slot) = self.symbols.get(id) else {
             return Err(r.error(format!("string id {id} out of range ({})", self.strings.len())));
         };
-        if let Some(sym) = *slot {
+        if let Some(sym) = slot {
             return Ok(sym);
         }
-        let sym = ctx.symbol(self.strings[id]);
-        *slot = Some(sym);
+        let (start, end) = self.strings[id];
+        let sym = ctx.symbol(&self.text[start..end]);
+        self.symbols[id] = Some(sym);
         Ok(sym)
-    }
-
-    /// The type behind a pool id read from `r`. `limit` bounds the ids a
-    /// pool entry under construction may reference (its own index);
-    /// `usize::MAX` for body readers.
-    fn type_at(&self, limit: usize, r: &mut ByteReader<'_>) -> Result<Type> {
-        let id = r.varint()? as usize;
-        if id >= limit.min(self.values.len()) {
-            return Err(r.error(format!("pool id {id} out of range ({})", self.values.len())));
-        }
-        match self.values[id] {
-            PoolValue::Type(ty) => Ok(ty),
-            PoolValue::Attr(_) => Err(r.error(format!("pool id {id} is an attribute, expected a type"))),
-        }
-    }
-
-    fn attr_at(&self, limit: usize, r: &mut ByteReader<'_>) -> Result<Attribute> {
-        let id = r.varint()? as usize;
-        if id >= limit.min(self.values.len()) {
-            return Err(r.error(format!("pool id {id} out of range ({})", self.values.len())));
-        }
-        match self.values[id] {
-            PoolValue::Attr(attr) => Ok(attr),
-            PoolValue::Type(_) => Err(r.error(format!("pool id {id} is a type, expected an attribute"))),
-        }
     }
 
     /// Reads a type pool reference from a body section.
     pub fn body_type(&self, r: &mut ByteReader<'_>) -> Result<Type> {
-        self.type_at(usize::MAX, r)
+        type_at(&self.values, usize::MAX, r)
     }
 
     /// Reads an attribute pool reference from a body section.
     pub fn body_attr(&self, r: &mut ByteReader<'_>) -> Result<Attribute> {
-        self.attr_at(usize::MAX, r)
+        attr_at(&self.values, usize::MAX, r)
     }
+}
 
-    fn type_ref(&self, entry_index: usize, r: &mut ByteReader<'_>) -> Result<Type> {
-        self.type_at(entry_index, r)
+/// Reads a counted list onto the end of `out`, returning its length.
+fn read_list<T>(
+    out: &mut Vec<T>,
+    r: &mut ByteReader<'_>,
+    mut read: impl FnMut(&mut ByteReader<'_>) -> Result<T>,
+) -> Result<usize> {
+    let n = r.count(1)?;
+    for _ in 0..n {
+        out.push(read(r)?);
     }
+    Ok(n)
+}
 
-    fn type_list(&self, entry_index: usize, r: &mut ByteReader<'_>) -> Result<Vec<Type>> {
-        let n = r.count(1)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.type_at(entry_index, r)?);
-        }
-        Ok(out)
+/// The type behind a pool id read from `r`. `limit` bounds the ids a pool
+/// entry under construction may reference (its own index); `usize::MAX`
+/// for body readers.
+fn type_at(values: &[PoolValue], limit: usize, r: &mut ByteReader<'_>) -> Result<Type> {
+    let id = r.varint()? as usize;
+    if id >= limit.min(values.len()) {
+        return Err(r.error(format!("pool id {id} out of range ({})", values.len())));
     }
+    match values[id] {
+        PoolValue::Type(ty) => Ok(ty),
+        PoolValue::Attr(_) => Err(r.error(format!("pool id {id} is an attribute, expected a type"))),
+    }
+}
 
-    fn attr_list(&self, entry_index: usize, r: &mut ByteReader<'_>) -> Result<Vec<Attribute>> {
-        let n = r.count(1)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.attr_at(entry_index, r)?);
-        }
-        Ok(out)
+fn attr_at(values: &[PoolValue], limit: usize, r: &mut ByteReader<'_>) -> Result<Attribute> {
+    let id = r.varint()? as usize;
+    if id >= limit.min(values.len()) {
+        return Err(r.error(format!("pool id {id} out of range ({})", values.len())));
+    }
+    match values[id] {
+        PoolValue::Attr(attr) => Ok(attr),
+        PoolValue::Type(_) => Err(r.error(format!("pool id {id} is a type, expected an attribute"))),
     }
 }
 
@@ -908,16 +1005,51 @@ impl<'a> DecodedPool<'a> {
 // Module encoding
 // ---------------------------------------------------------------------------
 
-struct ModuleEncoder<'c> {
-    ctx: &'c Context,
-    pool: Pool<'c>,
+/// The module encoder's tables and body buffer. It is parked in the
+/// [`Context`] between encodes, so a warmed encode allocates only its
+/// output.
+#[derive(Default)]
+pub(crate) struct EncodeScratch {
+    pool: Pool,
     /// Dense value numbering in definition order.
     value_ids: FastMap<Value, u32>,
     /// Every block entered so far: its region and its index there.
     blocks: FastMap<BlockRef, (RegionRef, u32)>,
+    /// The ops section payload.
+    body: ByteWriter,
 }
 
-impl<'c> ModuleEncoder<'c> {
+impl EncodeScratch {
+    /// Encodes `module` into one exactly sized output buffer.
+    fn encode(&mut self, ctx: &Context, module: OpRef) -> Result<Vec<u8>> {
+        let mut body = std::mem::take(&mut self.body);
+        let encoded = self.encode_op(ctx, &mut body, module, None).map(|()| {
+            let len = MODULE_MAGIC.len()
+                + 1
+                + self.pool.sections_len()
+                + 1
+                + varint_len(body.len() as u64)
+                + body.len();
+            let mut out = ByteWriter { buf: Vec::with_capacity(len) };
+            out.bytes(&MODULE_MAGIC);
+            out.u8(VERSION);
+            self.pool.emit_sections(&mut out);
+            out.section(SECTION_OPS, &body);
+            debug_assert_eq!(out.len(), len, "module output is sized exactly");
+            out.into_vec()
+        });
+        self.body = body;
+        encoded
+    }
+
+    /// Empties every table, keeping its capacity.
+    fn clear(&mut self) {
+        self.pool.clear();
+        self.value_ids.clear();
+        self.blocks.clear();
+        self.body.buf.clear();
+    }
+
     fn value_id(&self, w: &ByteWriter, value: Value) -> Result<u32> {
         self.value_ids.get(&value).copied().ok_or_else(|| {
             Diagnostic::new(format!(
@@ -931,11 +1063,11 @@ impl<'c> ModuleEncoder<'c> {
     /// root), onto the end of `w`.
     fn encode_op(
         &mut self,
+        ctx: &Context,
         w: &mut ByteWriter,
         op: OpRef,
         parent: Option<RegionRef>,
     ) -> Result<()> {
-        let ctx = self.ctx;
         let name = op.name(ctx);
         let (d, n) = self.pool.op_name_ids(ctx, name);
         w.varint(u64::from(d));
@@ -982,7 +1114,7 @@ impl<'c> ModuleEncoder<'c> {
         for &region in regions {
             // Encode the body in place, then insert its length before it.
             let start = w.len();
-            self.encode_region(w, region)?;
+            self.encode_region(ctx, w, region)?;
             let len = w.len() - start;
             w.varint(len as u64);
             let prefix = w.len() - start - len;
@@ -1000,8 +1132,12 @@ impl<'c> ModuleEncoder<'c> {
         Ok(())
     }
 
-    fn encode_region(&mut self, w: &mut ByteWriter, region: RegionRef) -> Result<()> {
-        let ctx = self.ctx;
+    fn encode_region(
+        &mut self,
+        ctx: &Context,
+        w: &mut ByteWriter,
+        region: RegionRef,
+    ) -> Result<()> {
         let blocks = &ctx.region_data(region).blocks;
         w.varint(blocks.len() as u64);
         for (index, &block) in blocks.iter().enumerate() {
@@ -1020,7 +1156,7 @@ impl<'c> ModuleEncoder<'c> {
             let ops = &ctx.block_data(block).ops;
             w.varint(ops.len() as u64);
             for &op in ops {
-                self.encode_op(w, op, Some(region))?;
+                self.encode_op(ctx, w, op, Some(region))?;
             }
         }
         Ok(())
@@ -1029,55 +1165,114 @@ impl<'c> ModuleEncoder<'c> {
 
 /// Encodes `module` (any operation tree) into bytecode.
 ///
+/// The encoder's tables live in `ctx` between calls, so once warmed an
+/// encode allocates only the returned `Vec`.
+///
 /// # Errors
 ///
 /// Returns a diagnostic when the module is not encodable — an operand used
 /// before its definition in structural order, or a successor outside its
 /// enclosing region (both are un-printable IR as well).
 pub fn encode_module(ctx: &Context, module: OpRef) -> Result<Vec<u8>> {
-    let mut enc = ModuleEncoder {
-        ctx,
-        pool: Pool::new(),
-        value_ids: FastMap::default(),
-        blocks: FastMap::default(),
-    };
-    let mut body = ByteWriter::new();
-    enc.encode_op(&mut body, module, None)?;
-
-    let len = MODULE_MAGIC.len()
-        + 1
-        + enc.pool.sections_len()
-        + 1
-        + varint_len(body.len() as u64)
-        + body.len();
-    let mut out = ByteWriter { buf: Vec::with_capacity(len) };
-    out.bytes(&MODULE_MAGIC);
-    out.u8(VERSION);
-    enc.pool.emit_sections(&mut out);
-    out.section(SECTION_OPS, &body);
-    debug_assert_eq!(out.len(), len, "module output is sized exactly");
-    Ok(out.into_vec())
+    let mut scratch = ctx.take_encode_scratch();
+    let encoded = scratch.encode(ctx, module);
+    scratch.clear();
+    ctx.put_encode_scratch(scratch);
+    encoded
 }
 
 // ---------------------------------------------------------------------------
 // Module decoding
 // ---------------------------------------------------------------------------
 
-struct ModuleDecoder<'c, 'a> {
-    ctx: &'c mut Context,
-    pool: DecodedPool<'a>,
+/// The module decoder's tables, parked in the [`Context`] between decodes
+/// like the text parser's scopes.
+#[derive(Default)]
+pub(crate) struct DecodeScratch {
+    pool: DecodedPool,
     values: Vec<Value>,
+    partial: PartialIr,
 }
 
-impl<'c, 'a> ModuleDecoder<'c, 'a> {
-    fn decode_op(&mut self, r: &mut ByteReader<'a>, blocks: &[BlockRef]) -> Result<OpRef> {
+struct ModuleDecoder<'c> {
+    ctx: &'c mut Context,
+    pool: DecodedPool,
+    /// Every value decoded so far, in definition order.
+    values: Vec<Value>,
+    /// What a failed decode must erase: the root once built, and every
+    /// region (blocks are appended to their region as they are made).
+    partial: PartialIr,
+}
+
+impl ModuleDecoder<'_> {
+    /// Decodes a whole module file.
+    fn decode(&mut self, bytes: &[u8]) -> Result<OpRef> {
+        let mut r = ByteReader::new(bytes);
+        let magic = r.take(4).map_err(|_| Diagnostic::new("bytecode: input shorter than magic"))?;
+        if magic != MODULE_MAGIC {
+            return Err(Diagnostic::new(format!(
+                "bytecode: bad magic {magic:?} (expected {MODULE_MAGIC:?}; not a module bytecode file)"
+            )));
+        }
+        let version = r.u8()?;
+        if version != VERSION {
+            return Err(Diagnostic::new(format!(
+                "bytecode: unsupported version {version} (this reader supports {VERSION})"
+            )));
+        }
+
+        let mut seen_strings = false;
+        let mut seen_pool = false;
+        let mut root = None;
+        while !r.is_empty() {
+            let tag = r.u8()?;
+            let mut section = r.sub_reader()?;
+            match tag {
+                SECTION_STRINGS => {
+                    if seen_strings {
+                        return Err(section.error("repeated strings section"));
+                    }
+                    self.pool.read_strings(self.ctx, &mut section)?;
+                    seen_strings = true;
+                }
+                SECTION_POOL => {
+                    if seen_pool {
+                        return Err(section.error("repeated pool section"));
+                    }
+                    if !seen_strings {
+                        return Err(section.error("pool section precedes strings section"));
+                    }
+                    self.pool.read_pool(self.ctx, &mut section)?;
+                    seen_pool = true;
+                }
+                SECTION_OPS => {
+                    if root.is_some() {
+                        return Err(section.error("repeated ops section"));
+                    }
+                    if !seen_pool {
+                        return Err(section.error("ops section precedes pool section"));
+                    }
+                    let op = self.decode_op(&mut section, None)?;
+                    self.partial.ops.push(op);
+                    root = Some(op);
+                    if !section.is_empty() {
+                        return Err(section.error("trailing bytes after root operation"));
+                    }
+                }
+                // Unknown sections are skippable by design.
+                _ => {}
+            }
+        }
+        root.ok_or_else(|| Diagnostic::new("bytecode: no ops section"))
+    }
+
+    /// Decodes one operation, whose enclosing region is `parent` (`None`
+    /// for the root). Lists that outgrow the state's inline slots draw
+    /// their buffers from the context's pool.
+    fn decode_op(&mut self, r: &mut ByteReader<'_>, parent: Option<RegionRef>) -> Result<OpRef> {
         let dialect = self.pool.symbol(self.ctx, r)?;
         let name = self.pool.symbol(self.ctx, r)?;
-        let op_name = OpName { dialect, name };
-
-        // Decode straight into the state's inline lists: small ops (the
-        // common case) build without a single heap allocation here.
-        let mut state = OperationState::new(op_name);
+        let mut state = OperationState::new(OpName { dialect, name });
 
         let n_operands = r.count(1)?;
         for _ in 0..n_operands {
@@ -1088,72 +1283,69 @@ impl<'c, 'a> ModuleDecoder<'c, 'a> {
                     self.values.len()
                 )));
             };
-            state.operands.push(value);
+            state.operands.push_pooled(value, &mut self.ctx.spill_pool_mut().operands);
         }
 
         let n_results = r.count(1)?;
         for _ in 0..n_results {
-            state.result_types.push(self.pool.body_type(r)?);
+            let ty = self.pool.body_type(r)?;
+            state.result_types.push_pooled(ty, &mut self.ctx.spill_pool_mut().types);
         }
 
         let n_attrs = r.count(1)?;
         for _ in 0..n_attrs {
             let key = self.pool.symbol(self.ctx, r)?;
             let value = self.pool.body_attr(r)?;
-            state.attributes.push((key, value));
+            state.attributes.push_pooled((key, value), &mut self.ctx.spill_pool_mut().attrs);
         }
 
         let n_successors = r.count(1)?;
         for _ in 0..n_successors {
             let index = r.varint()? as usize;
+            let blocks = parent.map_or(&[][..], |region| region.blocks(self.ctx));
             let Some(&block) = blocks.get(index) else {
                 return Err(r.error(format!(
                     "successor block index {index} out of range ({})",
                     blocks.len()
                 )));
             };
-            state.successors.push(block);
+            state.successors.push_pooled(block, &mut self.ctx.spill_pool_mut().successors);
         }
 
         let n_regions = r.count(1)?;
         for _ in 0..n_regions {
             let mut body = r.sub_reader()?;
             let region = self.decode_region(&mut body)?;
-            state.regions.push(region);
+            state.regions.push_pooled(region, &mut self.ctx.spill_pool_mut().regions);
             if !body.is_empty() {
                 return Err(body.error("trailing bytes after region payload"));
             }
         }
 
         let op = self.ctx.create_op(state);
-        for value in op.results(self.ctx) {
-            self.values.push(value);
-        }
+        self.values.extend(op.results(self.ctx));
         Ok(op)
     }
 
-    fn decode_region(&mut self, r: &mut ByteReader<'a>) -> Result<RegionRef> {
+    fn decode_region(&mut self, r: &mut ByteReader<'_>) -> Result<RegionRef> {
         let region = self.ctx.create_region();
+        self.partial.regions.push(region);
         let n_blocks = r.count(1)?;
-        let mut blocks = Vec::with_capacity(n_blocks);
         for _ in 0..n_blocks {
-            let n_args = r.count(1)?;
-            let mut arg_types = Vec::with_capacity(n_args);
-            for _ in 0..n_args {
-                arg_types.push(self.pool.body_type(r)?);
-            }
-            let n_args = arg_types.len();
-            let block = self.ctx.create_block(arg_types);
-            for index in 0..n_args {
-                self.values.push(Value::BlockArg { block, index: index as u32 });
-            }
+            let block = self.ctx.create_block([]);
             self.ctx.append_block(region, block);
-            blocks.push(block);
+            let n_args = r.count(1)?;
+            for _ in 0..n_args {
+                let ty = self.pool.body_type(r)?;
+                let arg = self.ctx.add_block_arg(block, ty);
+                self.values.push(arg);
+            }
         }
-        for &block in &blocks {
+        for index in 0..n_blocks {
+            let block = region.blocks(self.ctx)[index];
             let n_ops = r.count(1)?;
             for _ in 0..n_ops {
-                let op = self.decode_op(r, &blocks)?;
+                let op = self.decode_op(r, Some(region))?;
                 self.ctx.append_op(block, op);
             }
         }
@@ -1164,60 +1356,29 @@ impl<'c, 'a> ModuleDecoder<'c, 'a> {
 /// Decodes a module encoded by [`encode_module`] into `ctx`, returning the
 /// root operation (detached, like [`crate::parse::parse_module`]'s result).
 ///
+/// The decoder's tables live in `ctx` between calls, and the IR draws its
+/// lists from the context's pool, so once warmed a decode allocates
+/// nothing for IR the context has held before.
+///
 /// # Errors
 ///
 /// Returns a diagnostic (never panics) on bad magic, an unsupported
-/// version, truncated or trailing bytes, unknown tags, or out-of-range
-/// string / pool / value / block references.
+/// version, truncated or trailing bytes, unknown tags, a repeated strings,
+/// pool or ops section, or out-of-range string / pool / value / block
+/// references. A failed decode erases whatever IR it had built.
 pub fn decode_module(ctx: &mut Context, bytes: &[u8]) -> Result<OpRef> {
-    let mut r = ByteReader::new(bytes);
-    let magic = r.take(4).map_err(|_| Diagnostic::new("bytecode: input shorter than magic"))?;
-    if magic != MODULE_MAGIC {
-        return Err(Diagnostic::new(format!(
-            "bytecode: bad magic {magic:?} (expected {MODULE_MAGIC:?}; not a module bytecode file)"
-        )));
+    let DecodeScratch { pool, values, partial } = std::mem::take(ctx.decode_scratch_mut());
+    let mut dec = ModuleDecoder { ctx, pool, values, partial };
+    let decoded = dec.decode(bytes);
+    if decoded.is_err() {
+        dec.ctx.erase_partial(&mut dec.partial);
     }
-    let version = r.u8()?;
-    if version != VERSION {
-        return Err(Diagnostic::new(format!(
-            "bytecode: unsupported version {version} (this reader supports {VERSION})"
-        )));
-    }
-
-    let mut dec = ModuleDecoder { ctx, pool: DecodedPool::empty(), values: Vec::new() };
-    let mut seen_strings = false;
-    let mut seen_pool = false;
-    let mut root = None;
-    while !r.is_empty() {
-        let tag = r.u8()?;
-        let mut section = r.sub_reader()?;
-        match tag {
-            SECTION_STRINGS => {
-                dec.pool.read_strings(dec.ctx, &mut section)?;
-                seen_strings = true;
-            }
-            SECTION_POOL => {
-                if !seen_strings {
-                    return Err(section.error("pool section precedes strings section"));
-                }
-                dec.pool.read_pool(dec.ctx, &mut section)?;
-                seen_pool = true;
-            }
-            SECTION_OPS => {
-                if !seen_pool {
-                    return Err(section.error("ops section precedes pool section"));
-                }
-                let op = dec.decode_op(&mut section, &[])?;
-                if !section.is_empty() {
-                    return Err(section.error("trailing bytes after root operation"));
-                }
-                root = Some(op);
-            }
-            // Unknown sections are skippable by design.
-            _ => {}
-        }
-    }
-    root.ok_or_else(|| Diagnostic::new("bytecode: no ops section"))
+    let ModuleDecoder { ctx, mut pool, mut values, mut partial } = dec;
+    pool.clear();
+    values.clear();
+    partial.clear();
+    *ctx.decode_scratch_mut() = DecodeScratch { pool, values, partial };
+    decoded
 }
 
 #[cfg(test)]
@@ -1250,6 +1411,9 @@ mod tests {
         assert!(r.is_empty());
     }
 
+    /// A module with a 2-result op, a use of both results, and an op
+    /// holding a two-block region: a block argument, a branch to the
+    /// second block, and a nested region inside it.
     fn sample_module(ctx: &mut Context) -> OpRef {
         let module = ctx.create_module();
         let block = ctx.module_block(module);
@@ -1267,7 +1431,29 @@ mod tests {
             OperationState::new(use_name).add_operands([op.result(ctx, 1), op.result(ctx, 0)]),
         );
         ctx.append_op(block, use_op);
+
+        let (body, entry) = ctx.create_region_with_entry([i32]);
+        let exit = ctx.create_block([]);
+        ctx.append_block(body, exit);
+        let br = ctx.op_name("test", "br");
+        let arg = entry.arg(ctx, 0);
+        let branch =
+            ctx.create_op(OperationState::new(br).add_operands([arg]).add_successors([exit]));
+        ctx.append_op(entry, branch);
+        let (inner, inner_entry) = ctx.create_region_with_entry([]);
+        let nested = ctx.create_op(OperationState::new(use_name).add_operands([arg]));
+        ctx.append_op(inner_entry, nested);
+        let holder_name = ctx.op_name("test", "holder");
+        let inner_holder = ctx.create_op(OperationState::new(holder_name).add_regions([inner]));
+        ctx.append_op(exit, inner_holder);
+        let holder = ctx.create_op(OperationState::new(holder_name).add_regions([body]));
+        ctx.append_op(block, holder);
         module
+    }
+
+    /// Live ops, blocks and regions in `ctx`.
+    fn live(ctx: &Context) -> (usize, usize, usize) {
+        (ctx.num_ops(), ctx.num_blocks(), ctx.num_regions())
     }
 
     #[test]
@@ -1282,32 +1468,88 @@ mod tests {
         assert_eq!(op_to_string(&ctx2, module2), printed);
     }
 
+    /// Every rejected file leaves the context as it found it, so a worker
+    /// that decodes many files into one context leaks nothing.
     #[test]
     fn bad_magic_version_and_truncation_are_diagnostics() {
         let mut ctx = Context::new();
         let module = sample_module(&mut ctx);
         let bytes = encode_module(&ctx, module).unwrap();
+        ctx.erase_op(module);
+        let start = live(&ctx);
 
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
-        let mut ctx2 = Context::new();
-        let err = decode_module(&mut ctx2, &bad_magic).unwrap_err();
+        let err = decode_module(&mut ctx, &bad_magic).unwrap_err();
         assert!(err.message().contains("bad magic"), "{err}");
+        assert_eq!(live(&ctx), start, "bad magic left IR behind");
 
         let mut bad_version = bytes.clone();
         bad_version[4] = 0xfe;
-        let err = decode_module(&mut ctx2, &bad_version).unwrap_err();
+        let err = decode_module(&mut ctx, &bad_version).unwrap_err();
         assert!(err.message().contains("unsupported version"), "{err}");
+        assert_eq!(live(&ctx), start, "bad version left IR behind");
 
         // Every truncation must fail cleanly (no panic, no success: a
-        // shorter file always loses the ops section or part of it).
+        // shorter file always loses the ops section or part of it) and
+        // erase what it built.
         for len in 0..bytes.len() {
-            let mut ctx3 = Context::new();
             assert!(
-                decode_module(&mut ctx3, &bytes[..len]).is_err(),
+                decode_module(&mut ctx, &bytes[..len]).is_err(),
                 "truncation to {len} bytes decoded successfully"
             );
+            assert_eq!(live(&ctx), start, "truncation to {len} bytes left IR behind");
         }
+        let module = decode_module(&mut ctx, &bytes).unwrap();
+        assert_eq!(encode_module(&ctx, module).unwrap(), bytes);
+    }
+
+    /// The header and each section of `bytes` as byte ranges.
+    fn section_spans(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let header = 0..5;
+        let mut spans = vec![header];
+        let mut r = ByteReader::new(&bytes[5..]);
+        while !r.is_empty() {
+            let start = 5 + r.offset();
+            r.u8().unwrap();
+            r.sub_reader().unwrap();
+            spans.push(start..5 + r.offset());
+        }
+        spans
+    }
+
+    /// A strings, pool or ops section given twice is an error at the
+    /// second one's payload; the second ops section used to be decoded
+    /// too, orphaning the first root.
+    #[test]
+    fn repeated_sections_are_rejected() {
+        let mut ctx = Context::new();
+        let module = sample_module(&mut ctx);
+        let bytes = encode_module(&ctx, module).unwrap();
+        ctx.erase_op(module);
+        let start = live(&ctx);
+        let spans = section_spans(&bytes);
+        assert_eq!(spans.len(), 4, "header, strings, pool, ops");
+        for (index, name) in [(1, "strings"), (2, "pool"), (3, "ops")] {
+            let mut repeated = bytes[..spans[index].end].to_vec();
+            repeated.extend_from_slice(&bytes[spans[index].clone()]);
+            repeated.extend_from_slice(&bytes[spans[index].end..]);
+            let err = decode_module(&mut ctx, &repeated).unwrap_err();
+            // The payload of the repeat starts after its tag and length.
+            let payload = spans[index].end + 1 + varint_len((spans[index].len() - 2) as u64);
+            assert_eq!(
+                err.message(),
+                format!("bytecode: repeated {name} section (at byte {payload})"),
+                "{name}"
+            );
+            assert_eq!(live(&ctx), start, "a repeated {name} section left IR behind");
+        }
+        // An unknown section stays skippable.
+        let mut unknown = bytes.clone();
+        unknown.extend_from_slice(&[0x7f, 1, 0]);
+        let module = decode_module(&mut ctx, &unknown).unwrap();
+        ctx.erase_op(module);
+        assert_eq!(live(&ctx), start);
     }
 
     #[test]
@@ -1363,14 +1605,43 @@ mod tests {
         let mut ctx = Context::new();
         let module = sample_module(&mut ctx);
         let bytes = encode_module(&ctx, module).unwrap();
+        ctx.erase_op(module);
+        let start = live(&ctx);
         for index in 5..bytes.len() {
             for flip in [0x01u8, 0x80, 0xff] {
                 let mut corrupt = bytes.clone();
                 corrupt[index] ^= flip;
-                let mut ctx2 = Context::new();
-                // Either outcome is fine; panicking is not.
-                let _ = decode_module(&mut ctx2, &corrupt);
+                // Either outcome is fine; panicking is not, and neither is
+                // leaving IR behind.
+                if let Ok(module) = decode_module(&mut ctx, &corrupt) {
+                    ctx.erase_op(module);
+                }
+                assert_eq!(live(&ctx), start, "flipping byte {index} by {flip:#x} left IR behind");
             }
         }
+    }
+
+    /// The encoder's tables are reused from one module to the next: a
+    /// second, different module encodes exactly as it does in a context
+    /// that never encoded anything.
+    #[test]
+    fn reused_encoder_tables_start_empty() {
+        let mut ctx = Context::new();
+        let first = sample_module(&mut ctx);
+        encode_module(&ctx, first).unwrap();
+        let second = ctx.create_module();
+        let block = ctx.module_block(second);
+        let name = ctx.op_name("other", "op");
+        let key = ctx.symbol("label");
+        let label = ctx.string_attr("value");
+        let op = ctx.create_op(OperationState::new(name).add_attribute(key, label));
+        ctx.append_op(block, op);
+        let reused = encode_module(&ctx, second).unwrap();
+
+        let mut fresh = ctx.clone();
+        let fresh_bytes = encode_module(&fresh, second).unwrap();
+        assert_eq!(reused, fresh_bytes);
+        let decoded = decode_module(&mut fresh, &reused).unwrap();
+        assert_eq!(op_to_string(&fresh, decoded), op_to_string(&ctx, second));
     }
 }

@@ -3,10 +3,11 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::attrs::{AttrData, Attribute};
 use crate::block::{BlockData, BlockRef};
+use crate::bytecode::{DecodeScratch, EncodeScratch};
 use crate::dialect::DialectRegistry;
 use crate::entity::{EntityArena, UniqueArena};
 use crate::op::{OpRef, OperationData, OperationState, UseLink};
@@ -48,16 +49,25 @@ pub struct Context {
     /// single slot) so N parallel verification workers each get a reusable
     /// scratch instead of allocating fresh ones on every op.
     eval_scratch: Mutex<Vec<Box<dyn Any + Send>>>,
-    /// Recycled spill buffers for oversized [`OperationData`] lists.
-    /// `erase_op` harvests spilled buffers here instead of freeing them;
-    /// `create_op` draws from here instead of allocating — so steady-state
-    /// create/erase churn (the rewrite driver's workload) never touches the
-    /// allocator. Plain fields, not `Mutex`ed: both ends take `&mut self`.
+    /// Recycled buffers for oversized [`OperationData`] lists and for the
+    /// op, argument and block lists of blocks and regions. `erase_op`
+    /// harvests them here instead of freeing them; building IR (ops,
+    /// operation states, blocks, regions) draws from here instead of
+    /// allocating — so steady-state create/erase churn (the rewrite
+    /// driver's workload, a batch worker's module after module) never
+    /// touches the allocator. Plain fields, not `Mutex`ed: both ends take
+    /// `&mut self`.
     spill_pool: SpillPool,
     /// Reusable traversal buffers for `erase_op`'s subtree walk.
     erase_scratch: EraseScratch,
     /// The text parser's scope tables, reused from one parse to the next.
     parse_scratch: ParseScratch,
+    /// The bytecode decoder's tables, reused from one decode to the next.
+    decode_scratch: DecodeScratch,
+    /// The bytecode encoder's tables, reused from one encode to the next.
+    /// Encoding takes `&Context`, hence the lock; a caller that finds the
+    /// slot empty (another thread holds the scratch) starts a fresh one.
+    encode_scratch: Mutex<Option<EncodeScratch>>,
 }
 
 /// Buffers parked per spill-pool bucket: enough to absorb any realistic
@@ -67,11 +77,13 @@ const SPILL_POOL_CAP: usize = 32;
 /// Largest buffer capacity (in elements) the pool parks; larger buffers
 /// are freed. With [`SPILL_POOL_CAP`] this bounds what the pool can pin
 /// after a pathological module is erased: at most 32 × 256 elements per
-/// bucket, well under a megabyte for all seven, where capping the count
+/// bucket, well under a megabyte for all eleven, where capping the count
 /// alone let four erased million-operand ops pin 99.5 MB.
 const SPILL_POOL_MAX_CAPACITY: usize = 256;
 
-/// Buckets of recycled spill buffers, one per `OperationData` list type.
+/// Buckets of recycled buffers: one per `OperationData` list type, one
+/// per `BlockData` list and one for `RegionData::blocks`. Every bucket is
+/// filled by erasure and drawn from when IR is built.
 #[derive(Debug, Default)]
 pub(crate) struct SpillPool {
     pub(crate) operands: Vec<Vec<Value>>,
@@ -81,18 +93,54 @@ pub(crate) struct SpillPool {
     pub(crate) attrs: Vec<Vec<(Symbol, Attribute)>>,
     pub(crate) successors: Vec<Vec<BlockRef>>,
     pub(crate) regions: Vec<Vec<RegionRef>>,
+    pub(crate) block_ops: Vec<Vec<OpRef>>,
+    pub(crate) block_arg_types: Vec<Vec<Type>>,
+    pub(crate) block_arg_heads: Vec<Vec<Option<Use>>>,
+    pub(crate) region_blocks: Vec<Vec<BlockRef>>,
 }
 
 impl SpillPool {
-    /// Parks a harvested spill buffer in `bucket`; drops it when the
-    /// bucket is full or the buffer is larger than the pool keeps.
+    /// Parks a harvested buffer in `bucket`; drops it when the bucket is
+    /// full, or the buffer never allocated or is larger than the pool
+    /// keeps.
     fn stash<T>(bucket: &mut Vec<Vec<T>>, buf: Option<Vec<T>>) {
         if let Some(mut buf) = buf {
-            if bucket.len() < SPILL_POOL_CAP && buf.capacity() <= SPILL_POOL_MAX_CAPACITY {
+            if bucket.len() < SPILL_POOL_CAP
+                && (1..=SPILL_POOL_MAX_CAPACITY).contains(&buf.capacity())
+            {
                 buf.clear();
                 bucket.push(buf);
             }
         }
+    }
+
+    /// Pushes `value` onto `list`, first giving a list that has never
+    /// allocated a buffer from `bucket`.
+    pub(crate) fn push<T>(list: &mut Vec<T>, value: T, bucket: &mut Vec<Vec<T>>) {
+        if list.capacity() == 0 {
+            if let Some(buf) = bucket.pop() {
+                *list = buf;
+            }
+        }
+        list.push(value);
+    }
+
+    /// Each bucket's name and the buffers parked in it (tests).
+    #[cfg(test)]
+    pub(crate) fn bucket_lens(&self) -> [(&'static str, usize); 11] {
+        [
+            ("operands", self.operands.len()),
+            ("links", self.links.len()),
+            ("types", self.types.len()),
+            ("heads", self.heads.len()),
+            ("attrs", self.attrs.len()),
+            ("successors", self.successors.len()),
+            ("regions", self.regions.len()),
+            ("block_ops", self.block_ops.len()),
+            ("block_arg_types", self.block_arg_types.len()),
+            ("block_arg_heads", self.block_arg_heads.len()),
+            ("region_blocks", self.region_blocks.len()),
+        ]
     }
 }
 
@@ -236,6 +284,8 @@ impl Clone for Context {
             spill_pool: SpillPool::default(),
             erase_scratch: EraseScratch::default(),
             parse_scratch: ParseScratch::default(),
+            decode_scratch: DecodeScratch::default(),
+            encode_scratch: Mutex::new(None),
         }
     }
 }
@@ -281,6 +331,8 @@ impl Context {
             spill_pool: SpillPool::default(),
             erase_scratch: EraseScratch::default(),
             parse_scratch: ParseScratch::default(),
+            decode_scratch: DecodeScratch::default(),
+            encode_scratch: Mutex::new(None),
         };
         crate::builtin::register_builtin_dialect(&mut ctx);
         ctx
@@ -497,6 +549,16 @@ impl Context {
         self.ops.len()
     }
 
+    /// Number of live blocks in the context.
+    pub fn num_blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Number of live regions in the context.
+    pub fn num_regions(&self) -> usize {
+        self.regions.len()
+    }
+
     // ----- Def-use chains --------------------------------------------------
     //
     // Uses are stored as an intrusive doubly-linked chain threaded through
@@ -572,12 +634,46 @@ impl Context {
         &mut self.spill_pool
     }
 
+    /// A live block's payload beside the pool its lists draw from.
+    pub(crate) fn block_data_and_pool(
+        &mut self,
+        block: BlockRef,
+    ) -> (&mut BlockData, &mut SpillPool) {
+        (self.blocks.get_mut(block.0), &mut self.spill_pool)
+    }
+
+    /// A live region's payload beside the pool its block list draws from.
+    pub(crate) fn region_data_and_pool(
+        &mut self,
+        region: RegionRef,
+    ) -> (&mut RegionData, &mut SpillPool) {
+        (self.regions.get_mut(region.0), &mut self.spill_pool)
+    }
+
     pub(crate) fn erase_scratch_mut(&mut self) -> &mut EraseScratch {
         &mut self.erase_scratch
     }
 
     pub(crate) fn parse_scratch_mut(&mut self) -> &mut ParseScratch {
         &mut self.parse_scratch
+    }
+
+    pub(crate) fn decode_scratch_mut(&mut self) -> &mut DecodeScratch {
+        &mut self.decode_scratch
+    }
+
+    /// Takes the parked encoder scratch, or a fresh one when another
+    /// encode holds it.
+    pub(crate) fn take_encode_scratch(&self) -> EncodeScratch {
+        // Taking or replacing the `Option` cannot leave it half-updated,
+        // so a poisoned lock still holds a valid slot.
+        let mut slot = self.encode_scratch.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.take().unwrap_or_default()
+    }
+
+    /// Parks encoder scratch for the next encode.
+    pub(crate) fn put_encode_scratch(&self, scratch: EncodeScratch) {
+        *self.encode_scratch.lock().unwrap_or_else(PoisonError::into_inner) = Some(scratch);
     }
 
     /// Harvests the spill buffers of an erased operation's payload into
@@ -591,6 +687,19 @@ impl Context {
         SpillPool::stash(&mut pool.attrs, data.attributes.take_spill());
         SpillPool::stash(&mut pool.successors, data.successors.take_spill());
         SpillPool::stash(&mut pool.regions, data.regions.take_spill());
+    }
+
+    /// Harvests an erased block's op and argument lists into the pool.
+    pub(crate) fn recycle_block_data(&mut self, data: BlockData) {
+        let pool = &mut self.spill_pool;
+        SpillPool::stash(&mut pool.block_ops, Some(data.ops));
+        SpillPool::stash(&mut pool.block_arg_types, Some(data.arg_types));
+        SpillPool::stash(&mut pool.block_arg_heads, Some(data.arg_first_use));
+    }
+
+    /// Harvests an erased region's block list into the pool.
+    pub(crate) fn recycle_region_data(&mut self, data: RegionData) {
+        SpillPool::stash(&mut self.spill_pool.region_blocks, Some(data.blocks));
     }
 
     // ----- Registry --------------------------------------------------------

@@ -8,7 +8,7 @@
 
 use crate::attrs::Attribute;
 use crate::block::BlockRef;
-use crate::context::Context;
+use crate::context::{Context, EraseScratch, SpillPool};
 use crate::entity::entity_handle;
 use crate::inline_vec::InlineVec;
 use crate::region::RegionRef;
@@ -389,11 +389,10 @@ impl Context {
         // drawing spill buffers from the pool when they don't fit inline.
         let num_operands = operands.len();
         let num_results = result_types.len();
-        let mut pool = std::mem::take(self.spill_pool_mut());
+        let pool = self.spill_pool_mut();
         let operand_links =
             LinkList::with_len_pooled(num_operands, UseLink::default(), &mut pool.links);
         let result_first_use = FirstUseList::with_len_pooled(num_results, None, &mut pool.heads);
-        *self.spill_pool_mut() = pool;
         let data = OperationData {
             name,
             operands,
@@ -491,7 +490,8 @@ impl Context {
             Some(&last) => self.op_data(last).order + ORDER_STRIDE,
             None => ORDER_STRIDE,
         };
-        self.block_data_mut(block).ops.push(op);
+        let (data, pool) = self.block_data_and_pool(block);
+        SpillPool::push(&mut data.ops, op, &mut pool.block_ops);
         let data = self.op_data_mut(op);
         data.parent = Some(block);
         data.order = order;
@@ -587,7 +587,7 @@ impl Context {
         // buffers reused across erasures.
         let mut scratch = std::mem::take(self.erase_scratch_mut());
         scratch.clear();
-        self.collect_subtree(op, &mut scratch.ops, &mut scratch.blocks, &mut scratch.regions);
+        self.collect_op(op, &mut scratch);
         scratch.mark_ops();
         // No result anywhere in the subtree may be used outside it. (Uses
         // from outside a region are invalid IR, but the guard keeps a
@@ -605,21 +605,65 @@ impl Context {
                 }
             }
         }
-        // Drop operand uses originating from the subtree, so that internal
-        // def-use edges do not block destruction.
+        self.detach_op(op);
+        self.erase_collected(scratch);
+    }
+
+    /// Erases IR that a failed parse or decode left behind: the detached
+    /// ops in `partial.ops`, the regions in `partial.regions` that no op
+    /// owns and the blocks in `partial.blocks` that no region holds, each
+    /// with everything nested in it. Entries already erased, or listed
+    /// twice, are skipped. Values may be used across these trees, so
+    /// every operand is unlinked before anything is erased. Clears
+    /// `partial`.
+    pub(crate) fn erase_partial(&mut self, partial: &mut PartialIr) {
+        let mut scratch = std::mem::take(self.erase_scratch_mut());
+        scratch.clear();
+        for &op in &partial.ops {
+            if self.op_is_live(op) && self.op_data(op).parent.is_none() {
+                self.collect_op(op, &mut scratch);
+            }
+        }
+        for &region in &partial.regions {
+            if self.region_is_live(region) && self.region_data(region).parent_op.is_none() {
+                self.collect_region(region, &mut scratch);
+            }
+        }
+        for &block in &partial.blocks {
+            if self.block_is_live(block) && self.block_data(block).parent.is_none() {
+                self.collect_block(block, &mut scratch);
+            }
+        }
+        // A slot erased and reused within one build is listed twice.
+        scratch.ops.sort_unstable();
+        scratch.ops.dedup();
+        scratch.blocks.sort_unstable();
+        scratch.blocks.dedup();
+        scratch.regions.sort_unstable();
+        scratch.regions.dedup();
+        self.erase_collected(scratch);
+        partial.clear();
+    }
+
+    /// Erases everything collected in `scratch`, which no op outside it
+    /// uses: drops the operand uses originating from it (so internal
+    /// def-use edges do not block destruction), then recycles each op,
+    /// block and region payload. Parks `scratch` again.
+    fn erase_collected(&mut self, mut scratch: EraseScratch) {
         for i in 0..scratch.ops.len() {
             self.unlink_all_operands(scratch.ops[i]);
         }
-        self.detach_op(op);
         for &o in &scratch.ops {
             let data = self.ops_mut().erase(o.0);
             self.recycle_op_data(data);
         }
         for &b in &scratch.blocks {
-            self.blocks_mut().erase(b.0);
+            let data = self.blocks_mut().erase(b.0);
+            self.recycle_block_data(data);
         }
         for &r in &scratch.regions {
-            self.regions_mut().erase(r.0);
+            let data = self.regions_mut().erase(r.0);
+            self.recycle_region_data(data);
         }
         scratch.clear();
         *self.erase_scratch_mut() = scratch;
@@ -634,23 +678,46 @@ impl Context {
         }
     }
 
-    fn collect_subtree(
-        &self,
-        op: OpRef,
-        ops: &mut Vec<OpRef>,
-        blocks: &mut Vec<BlockRef>,
-        regions: &mut Vec<RegionRef>,
-    ) {
-        ops.push(op);
+    /// Collects `op` and everything nested in it into `scratch`.
+    fn collect_op(&self, op: OpRef, scratch: &mut EraseScratch) {
+        scratch.ops.push(op);
         for &region in self.op_data(op).regions.iter() {
-            regions.push(region);
-            for &block in self.region_data(region).blocks.iter() {
-                blocks.push(block);
-                for &nested in self.block_data(block).ops.iter() {
-                    self.collect_subtree(nested, ops, blocks, regions);
-                }
-            }
+            self.collect_region(region, scratch);
         }
+    }
+
+    fn collect_region(&self, region: RegionRef, scratch: &mut EraseScratch) {
+        scratch.regions.push(region);
+        for &block in self.region_data(region).blocks.iter() {
+            self.collect_block(block, scratch);
+        }
+    }
+
+    fn collect_block(&self, block: BlockRef, scratch: &mut EraseScratch) {
+        scratch.blocks.push(block);
+        for &nested in self.block_data(block).ops.iter() {
+            self.collect_op(nested, scratch);
+        }
+    }
+}
+
+/// The IR a parse or decode has built so far that is not yet reachable
+/// from its result, so that a failure can erase it (see
+/// `Context::erase_partial`): detached ops, and every region and block
+/// the build created. Kept with the builder's other scratch, so its
+/// buffers are reused.
+#[derive(Debug, Default)]
+pub(crate) struct PartialIr {
+    pub(crate) ops: Vec<OpRef>,
+    pub(crate) blocks: Vec<BlockRef>,
+    pub(crate) regions: Vec<RegionRef>,
+}
+
+impl PartialIr {
+    pub(crate) fn clear(&mut self) {
+        self.ops.clear();
+        self.blocks.clear();
+        self.regions.clear();
     }
 }
 
@@ -796,6 +863,42 @@ mod tests {
             "OperationData is {record} B and its arena slot {slot} B, over {MAX_BYTES} B; \
              list sizes in bytes: {lists:?}"
         );
+    }
+
+    /// Erasing a module whose ops spill every list, and whose blocks and
+    /// regions hold lists, fills every pool bucket; parsing the same
+    /// module again draws each bucket down.
+    #[test]
+    fn erased_lists_are_drawn_by_the_next_module() {
+        let source = r#""t.top"() ({
+^bb0(%a: i32, %b: i32):
+  %r:2 = "t.wide"(%a, %b, %a, %b) {k1 = 1 : i32, k2 = 2 : i32, k3 = 3 : i32} : (i32, i32, i32, i32) -> (i32, i32)
+  "t.br"(%r#0)[^bb1, ^bb2] : (i32) -> ()
+^bb1:
+  "t.two"() ({
+    "t.a"() : () -> ()
+  }, {
+    "t.b"() : () -> ()
+  }) : () -> ()
+^bb2:
+  "t.ret"() : () -> ()
+}) : () -> ()"#;
+        let mut ctx = Context::new();
+        let module = crate::parse::parse_module(&mut ctx, source).unwrap();
+        ctx.erase_op(module);
+        let filled = ctx.spill_pool_mut().bucket_lens();
+        for (name, parked) in filled {
+            assert!(parked > 0, "erasing filled no `{name}` buffer: {filled:?}");
+        }
+        let module = crate::parse::parse_module(&mut ctx, source).unwrap();
+        let drawn = ctx.spill_pool_mut().bucket_lens();
+        for ((name, parked), (_, left)) in filled.into_iter().zip(drawn) {
+            assert!(
+                left < parked,
+                "`{name}`: {parked} buffers parked, {left} left after the rebuild"
+            );
+        }
+        ctx.erase_op(module);
     }
 
     #[test]

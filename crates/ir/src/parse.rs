@@ -34,7 +34,7 @@ use crate::block::BlockRef;
 use crate::context::Context;
 use crate::diag::{Diagnostic, Result};
 use crate::lexer::{Token, TokenStream};
-use crate::op::{OpName, OpRef, OperationState};
+use crate::op::{OpName, OpRef, OperationState, PartialIr};
 use crate::region::RegionRef;
 use crate::symbol::Symbol;
 use crate::types::{FloatKind, Signedness, Type, TypeData};
@@ -49,7 +49,8 @@ use crate::value::Value;
 ///
 /// Returns a diagnostic with a byte offset into `source` on malformed
 /// input. A lex error anywhere in `source` is reported ahead of any parse
-/// error; either way, ops parsed before the error may remain in `ctx`.
+/// error. Either way, the IR parsed before the error is erased from
+/// `ctx`.
 pub fn parse_module(ctx: &mut Context, source: &str) -> Result<OpRef> {
     parse_source(ctx, source, |parser| parser.parse_top_level())
 }
@@ -102,6 +103,10 @@ fn parse_source<'s, T>(
     let result = parse(&mut parser);
     let result = parser.tokens.finish(result);
     parser.scopes.close_all();
+    if result.is_err() {
+        parser.ctx.erase_partial(&mut parser.scopes.partial);
+    }
+    parser.scopes.partial.clear();
     *parser.ctx.parse_scratch_mut() = parser.scopes;
     result
 }
@@ -162,6 +167,9 @@ pub(crate) struct ParseScratch {
     /// Retired scope maps, kept to reuse their capacity.
     named_pool: Vec<FastMap<Symbol, ValueGroup>>,
     block_pool: Vec<FastMap<Symbol, BlockRef>>,
+    /// What a failed parse must erase: the top-level ops (and, once built,
+    /// the result), and every block and region the parse created.
+    partial: PartialIr,
 }
 
 impl ParseScratch {
@@ -256,22 +264,29 @@ impl<'s, 'c> Parser<'s, 'c> {
     }
 
     /// Parses the top-level operations of a source file into a module.
+    ///
+    /// The ops are listed in the scratch's partial IR until they are in
+    /// the module, and the module is listed once built, so a failure
+    /// reported after this returns still erases it.
     fn parse_top_level(&mut self) -> Result<OpRef> {
         self.scopes.open();
-        let mut ops = Vec::new();
         while self.tokens.peek() != &Token::Eof {
-            ops.push(self.parse_op()?);
+            let op = self.parse_op()?;
+            self.scopes.partial.ops.push(op);
         }
         self.scopes.close();
         let module_name = self.ctx.op_name("builtin", "module");
+        let ops = &mut self.scopes.partial.ops;
         if ops.len() == 1 && ops[0].name(self.ctx) == module_name {
             return Ok(ops[0]);
         }
         let module = self.ctx.create_module();
         let block = self.ctx.module_block(module);
-        for op in ops {
+        for &op in ops.iter() {
             self.ctx.append_op(block, op);
         }
+        ops.clear();
+        ops.push(module);
         Ok(module)
     }
 
@@ -299,7 +314,7 @@ impl<'s, 'c> Parser<'s, 'c> {
                 let key = self.expect_attr_key()?;
                 self.tokens.expect(&Token::Equals)?;
                 let value = self.parse_attribute()?;
-                out.push((key, value));
+                out.push_pooled((key, value), &mut self.ctx.spill_pool_mut().attrs);
                 if !self.tokens.consume_if(&Token::Comma) {
                     break;
                 }
@@ -383,8 +398,13 @@ impl<'s, 'c> Parser<'s, 'c> {
 
     fn get_or_create_block(&mut self, name: &str) -> BlockRef {
         let sym = self.ctx.symbol(name);
-        let scope = self.scopes.blocks.last_mut().expect("no open scope");
-        *scope.entry(sym).or_insert_with(|| self.ctx.create_block([]))
+        let scopes = &mut self.scopes;
+        let scope = scopes.blocks.last_mut().expect("no open scope");
+        *scope.entry(sym).or_insert_with(|| {
+            let block = self.ctx.create_block([]);
+            scopes.partial.blocks.push(block);
+            block
+        })
     }
 
     // ----- types -------------------------------------------------------------
@@ -796,7 +816,17 @@ impl<'s, 'c> Parser<'s, 'c> {
             }
         };
 
-        // Bind result names.
+        // The op is in no block yet, so a failure to bind its results
+        // erases it here.
+        if let Err(diag) = self.bind_results(&defs, op) {
+            self.ctx.erase_op(op);
+            return Err(diag);
+        }
+        Ok(op)
+    }
+
+    /// Binds the result names `defs` (name, offset, group size) to `op`.
+    fn bind_results(&mut self, defs: &[(&'s str, usize, usize)], op: OpRef) -> Result<()> {
         let total: usize = defs.iter().map(|(_, _, n)| n).sum();
         if !defs.is_empty() && total != op.num_results(self.ctx) {
             return Err(self.tokens.error(format!(
@@ -806,13 +836,12 @@ impl<'s, 'c> Parser<'s, 'c> {
             )));
         }
         let mut next = 0usize;
-        for i in 0..defs.len() {
-            let (name, offset, count) = defs[i];
+        for &(name, offset, count) in defs {
             // `count` fits: the group sizes sum to the op's result count.
             self.define_value_group(name, offset, op.result(self.ctx, next), count as u32)?;
             next += count;
         }
-        Ok(op)
+        Ok(())
     }
 
     fn split_op_name(&mut self, full: &str) -> Result<OpName> {
@@ -838,7 +867,7 @@ impl<'s, 'c> Parser<'s, 'c> {
                 match self.tokens.bump() {
                     Token::ValueId(vname) => {
                         let value = self.resolve_value(vname, offset)?;
-                        state.operands.push(value);
+                        state.operands.push_pooled(value, &mut self.ctx.spill_pool_mut().operands);
                     }
                     other => return Err(self.tokens.expected("operand `%name`", &other)),
                 }
@@ -855,7 +884,8 @@ impl<'s, 'c> Parser<'s, 'c> {
                     match self.tokens.bump() {
                         Token::BlockId(bname) => {
                             let block = self.get_or_create_block(bname);
-                            state.successors.push(block);
+                            let pool = &mut self.ctx.spill_pool_mut().successors;
+                            state.successors.push_pooled(block, pool);
                         }
                         other => return Err(self.tokens.expected("successor `^name`", &other)),
                     }
@@ -871,7 +901,7 @@ impl<'s, 'c> Parser<'s, 'c> {
             if !self.tokens.consume_if(&Token::RParen) {
                 loop {
                     let region = self.parse_region(&[])?;
-                    state.regions.push(region);
+                    state.regions.push_pooled(region, &mut self.ctx.spill_pool_mut().regions);
                     if !self.tokens.consume_if(&Token::Comma) {
                         break;
                     }
@@ -950,7 +980,7 @@ impl<'s, 'c> Parser<'s, 'c> {
         if self.tokens.consume_if(&Token::LParen) {
             loop {
                 let ty = self.parse_type()?;
-                state.result_types.push(ty);
+                state.result_types.push_pooled(ty, &mut self.ctx.spill_pool_mut().types);
                 if !self.tokens.consume_if(&Token::Comma) {
                     break;
                 }
@@ -958,7 +988,7 @@ impl<'s, 'c> Parser<'s, 'c> {
             self.tokens.expect(&Token::RParen)?;
         } else {
             let ty = self.parse_type()?;
-            state.result_types.push(ty);
+            state.result_types.push_pooled(ty, &mut self.ctx.spill_pool_mut().types);
         }
         Ok(())
     }
@@ -988,6 +1018,7 @@ impl<'s, 'c> Parser<'s, 'c> {
     fn parse_region(&mut self, entry_args: &[(&str, Type)]) -> Result<RegionRef> {
         self.tokens.expect(&Token::LBrace)?;
         let region = self.ctx.create_region();
+        self.scopes.partial.regions.push(region);
         self.scopes.open();
 
         let starts_with_label = matches!(self.tokens.peek(), Token::BlockId(_));
@@ -1444,6 +1475,59 @@ mod tests {
         let mut ctx = Context::new();
         let err = parse_module(&mut ctx, r#""test.use"(%nope) : (f32) -> ()"#).unwrap_err();
         assert!(err.message().contains("undefined value"), "{err}");
+    }
+
+    /// A failed parse erases everything it built, wherever the error is,
+    /// so a worker that parses many inputs into one context leaks nothing.
+    #[test]
+    fn failed_parses_leave_no_ir_behind() {
+        let cases = [
+            // An undefined operand inside a nested region.
+            r#""t.outer"() ({
+  %a = "t.def"() : () -> i32
+  "t.mid"() ({
+    "t.use"(%b) : (i32) -> ()
+  }) : () -> ()
+}) : () -> ()"#,
+            // An undefined block in a region's second block, after a
+            // complete top-level op.
+            r#""t.first"() : () -> ()
+"t.outer"() ({
+^bb0:
+  "t.br"()[^bb1] : () -> ()
+^bb1:
+  "t.br"()[^missing] : () -> ()
+}) : () -> ()"#,
+            // A bad type among a later block's arguments.
+            r#""t.outer"() ({
+^bb0(%x: i32):
+  "t.br"(%x)[^bb1] : (i32) -> ()
+^bb1(%y: !):
+  "t.ret"() : () -> ()
+}) : () -> ()"#,
+            // A result name redefined by an op that holds a region.
+            r#"%v = "t.a"() : () -> i32
+%v = "t.holder"() ({
+  "t.inner"() : () -> ()
+}) : () -> i32"#,
+            // A truncated signature on an op whose region is finished.
+            r#""t.holder"() ({
+^bb0(%x: i32):
+  "t.ret"(%x) : (i32) -> ()
+}) : () -> (i32, f32"#,
+            // A lex error after two complete ops.
+            "\"t.a\"() : () -> ()\n\"t.b\"() : () -> ()\n\"unterminated",
+        ];
+        let mut ctx = Context::new();
+        let live = |ctx: &Context| (ctx.num_ops(), ctx.num_blocks(), ctx.num_regions());
+        let start = live(&ctx);
+        for source in cases {
+            assert!(parse_module(&mut ctx, source).is_err(), "parsed:\n{source}");
+            assert_eq!(live(&ctx), start, "a failed parse left IR behind:\n{source}");
+        }
+        let module = parse_module(&mut ctx, cases[0].replace("%b", "%a").as_str()).unwrap();
+        ctx.erase_op(module);
+        assert_eq!(live(&ctx), start);
     }
 
     #[test]

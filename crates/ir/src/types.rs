@@ -7,6 +7,9 @@
 //! parameters encoded as [`Attribute`]s — the representation the IRDL
 //! compiler targets when registering `Type` definitions dynamically.
 
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
+
 use crate::attrs::Attribute;
 use crate::context::Context;
 use crate::entity::entity_handle;
@@ -74,7 +77,11 @@ impl FloatKind {
 }
 
 /// The structural payload of a [`Type`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// `Hash` goes through a borrowed view of the payload (`TypeRef`), so the
+/// uniquing table can be probed without an owned payload (see
+/// `Context::intern_type_ref`).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TypeData {
     /// Builtin integer, e.g. `i1`, `si8`, `ui64`.
     Integer {
@@ -130,6 +137,106 @@ pub enum TypeData {
     },
 }
 
+/// A [`TypeData`] with borrowed payloads: the key the uniquing table is
+/// probed with, so interning a type that already exists builds no owned
+/// payload. Its variants mirror `TypeData`'s one for one, which keeps the
+/// two forms' `Eq` and `Hash` in agreement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum TypeRef<'a> {
+    Integer { width: u32, signedness: Signedness },
+    Float(FloatKind),
+    Index,
+    Function { inputs: &'a [Type], results: &'a [Type] },
+    Vector { dims: &'a [u64], elem: Type },
+    Tensor { dims: &'a [i64], elem: Type },
+    MemRef { dims: &'a [i64], elem: Type },
+    Parametric { dialect: Symbol, name: Symbol, params: &'a [Attribute] },
+}
+
+impl TypeData {
+    /// The borrowed form of this payload.
+    pub(crate) fn as_ref(&self) -> TypeRef<'_> {
+        match self {
+            TypeData::Integer { width, signedness } => {
+                TypeRef::Integer { width: *width, signedness: *signedness }
+            }
+            TypeData::Float(kind) => TypeRef::Float(*kind),
+            TypeData::Index => TypeRef::Index,
+            TypeData::Function { inputs, results } => TypeRef::Function { inputs, results },
+            TypeData::Vector { dims, elem } => TypeRef::Vector { dims, elem: *elem },
+            TypeData::Tensor { dims, elem } => TypeRef::Tensor { dims, elem: *elem },
+            TypeData::MemRef { dims, elem } => TypeRef::MemRef { dims, elem: *elem },
+            TypeData::Parametric { dialect, name, params } => {
+                TypeRef::Parametric { dialect: *dialect, name: *name, params }
+            }
+        }
+    }
+}
+
+impl TypeRef<'_> {
+    /// An owned copy, for a table miss.
+    fn to_data(self) -> TypeData {
+        match self {
+            TypeRef::Integer { width, signedness } => TypeData::Integer { width, signedness },
+            TypeRef::Float(kind) => TypeData::Float(kind),
+            TypeRef::Index => TypeData::Index,
+            TypeRef::Function { inputs, results } => {
+                TypeData::Function { inputs: inputs.to_vec(), results: results.to_vec() }
+            }
+            TypeRef::Vector { dims, elem } => TypeData::Vector { dims: dims.to_vec(), elem },
+            TypeRef::Tensor { dims, elem } => TypeData::Tensor { dims: dims.to_vec(), elem },
+            TypeRef::MemRef { dims, elem } => TypeData::MemRef { dims: dims.to_vec(), elem },
+            TypeRef::Parametric { dialect, name, params } => {
+                TypeData::Parametric { dialect, name, params: params.to_vec() }
+            }
+        }
+    }
+}
+
+/// Either form of a type payload, viewed as its [`TypeRef`]: lets
+/// `TypeData` lend itself to the uniquing table as a borrowed key.
+pub(crate) trait TypeKey {
+    fn key(&self) -> TypeRef<'_>;
+}
+
+impl TypeKey for TypeData {
+    fn key(&self) -> TypeRef<'_> {
+        self.as_ref()
+    }
+}
+
+impl TypeKey for TypeRef<'_> {
+    fn key(&self) -> TypeRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn TypeKey + 'a> for TypeData {
+    fn borrow(&self) -> &(dyn TypeKey + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn TypeKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl PartialEq for dyn TypeKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn TypeKey + '_ {}
+
+impl Hash for TypeData {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_ref().hash(state);
+    }
+}
+
 impl Type {
     /// Returns the structural payload of this type.
     pub fn data(self, ctx: &Context) -> &TypeData {
@@ -175,6 +282,12 @@ impl Context {
     /// [`Context::parametric_type`], ...) which validate their inputs.
     pub fn intern_type(&mut self, data: TypeData) -> Type {
         Type(self.types_mut().intern(data))
+    }
+
+    /// Interns the type `key` describes, building an owned [`TypeData`]
+    /// only when it is new.
+    pub(crate) fn intern_type_ref(&mut self, key: TypeRef<'_>) -> Type {
+        Type(self.types_mut().intern_with(&key as &dyn TypeKey, |key| key.key().to_data()))
     }
 
     /// The signless integer type `i<width>`.
