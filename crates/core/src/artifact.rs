@@ -21,9 +21,12 @@
 //! template context), then one `RECIPES` section. See the crate-level
 //! docs of [`irdl_ir::bytecode`] for the framing and versioning rules.
 
-use irdl_ir::bytecode::{ByteReader, ByteWriter, DecodedPool, Pool, VERSION};
+use irdl_ir::bytecode::{
+    float_kind_from, float_kind_tag, read_sections, ByteReader, ByteWriter, DecodedPool, Pool,
+    SECTION_POOL, SECTION_STRINGS, VERSION,
+};
 use irdl_ir::diag::{Diagnostic, Result};
-use irdl_ir::{Context, FloatKind};
+use irdl_ir::Context;
 
 use crate::ast::{IntKind, Variadicity};
 use crate::constraint::{Constraint, TypeClass};
@@ -33,6 +36,10 @@ use crate::native::NativeRegistry;
 pub const BUNDLE_MAGIC: [u8; 4] = *b"IRDB";
 /// Section tag of the recipes payload.
 pub const SECTION_RECIPES: u8 = 4;
+
+/// The sections of a bundle file, in the order they must come.
+const BUNDLE_SECTIONS: [(u8, &str); 3] =
+    [(SECTION_STRINGS, "strings"), (SECTION_POOL, "pool"), (SECTION_RECIPES, "recipes")];
 
 /// Returns `true` when `bytes` starts with the bundle artifact magic.
 pub fn is_bundle_bytecode(bytes: &[u8]) -> bool {
@@ -188,25 +195,6 @@ fn class_from(tag: u8) -> Option<TypeClass> {
     }
 }
 
-fn float_kind_tag(kind: FloatKind) -> u8 {
-    match kind {
-        FloatKind::BF16 => 0,
-        FloatKind::F16 => 1,
-        FloatKind::F32 => 2,
-        FloatKind::F64 => 3,
-    }
-}
-
-fn float_kind_from(tag: u8) -> Option<FloatKind> {
-    match tag {
-        0 => Some(FloatKind::BF16),
-        1 => Some(FloatKind::F16),
-        2 => Some(FloatKind::F32),
-        3 => Some(FloatKind::F64),
-        _ => None,
-    }
-}
-
 fn write_int_kind(w: &mut ByteWriter, kind: IntKind) {
     w.varint(u64::from(kind.width));
     w.u8(u8::from(kind.unsigned));
@@ -222,11 +210,11 @@ fn read_int_kind(r: &mut ByteReader<'_>) -> Result<IntKind> {
 }
 
 /// Encodes one resolved constraint against `pool`.
-pub fn encode_constraint<'s>(
-    ctx: &'s Context,
+pub fn encode_constraint(
+    ctx: &Context,
     pool: &mut Pool,
     w: &mut ByteWriter,
-    c: &'s Constraint,
+    c: &Constraint,
 ) {
     match c {
         Constraint::Any => w.u8(C_ANY),
@@ -547,11 +535,11 @@ fn variadicity_from(tag: u8) -> Option<Variadicity> {
     }
 }
 
-fn encode_args<'s>(
-    ctx: &'s Context,
+fn encode_args(
+    ctx: &Context,
     pool: &mut Pool,
     w: &mut ByteWriter,
-    args: &'s [ArgRecipe],
+    args: &[ArgRecipe],
 ) {
     w.varint(args.len() as u64);
     for arg in args {
@@ -579,11 +567,11 @@ fn decode_args(
     Ok(out)
 }
 
-fn encode_recipe<'s>(
-    ctx: &'s Context,
+fn encode_recipe(
+    ctx: &Context,
     pool: &mut Pool,
     w: &mut ByteWriter,
-    recipe: &'s DialectRecipe,
+    recipe: &DialectRecipe,
 ) {
     write_str(pool, w, &recipe.name);
     write_opt_str(pool, w, recipe.summary.as_deref());
@@ -822,55 +810,23 @@ pub fn decode_bundle(
     bytes: &[u8],
     natives: &NativeRegistry,
 ) -> Result<Vec<DialectRecipe>> {
-    let mut r = ByteReader::new(bytes);
-    let magic = r.take(4).map_err(|_| Diagnostic::new("bytecode: input shorter than magic"))?;
-    if magic != BUNDLE_MAGIC {
-        return Err(Diagnostic::new(format!(
-            "bytecode: bad magic {magic:?} (expected {BUNDLE_MAGIC:?}; not a dialect bundle file)"
-        )));
-    }
-    let version = r.u8()?;
-    if version != VERSION {
-        return Err(Diagnostic::new(format!(
-            "bytecode: unsupported version {version} (this reader supports {VERSION})"
-        )));
-    }
-
     let mut pool = DecodedPool::empty();
-    let mut seen_strings = false;
-    let mut seen_pool = false;
-    let mut recipes = None;
-    while !r.is_empty() {
-        let tag = r.u8()?;
-        let mut section = r.sub_reader()?;
-        match tag {
-            irdl_ir::bytecode::SECTION_STRINGS => {
-                pool.read_strings(ctx, &mut section)?;
-                seen_strings = true;
+    let mut recipes = Vec::new();
+    let kind = "dialect bundle file";
+    read_sections(bytes, BUNDLE_MAGIC, kind, &BUNDLE_SECTIONS, |tag, section| match tag {
+        SECTION_STRINGS => pool.read_strings(ctx, section),
+        SECTION_POOL => pool.read_pool(ctx, section),
+        _ => {
+            let count = section.count(1)?;
+            recipes.reserve_exact(count);
+            for _ in 0..count {
+                recipes.push(decode_recipe(ctx, &mut pool, natives, section)?);
             }
-            irdl_ir::bytecode::SECTION_POOL => {
-                if !seen_strings {
-                    return Err(section.error("pool section precedes strings section"));
-                }
-                pool.read_pool(ctx, &mut section)?;
-                seen_pool = true;
+            if !section.is_empty() {
+                return Err(section.error("trailing bytes after recipes"));
             }
-            SECTION_RECIPES => {
-                if !seen_pool {
-                    return Err(section.error("recipes section precedes pool section"));
-                }
-                let count = section.count(1)?;
-                let mut out = Vec::with_capacity(count);
-                for _ in 0..count {
-                    out.push(decode_recipe(ctx, &mut pool, natives, &mut section)?);
-                }
-                if !section.is_empty() {
-                    return Err(section.error("trailing bytes after recipes"));
-                }
-                recipes = Some(out);
-            }
-            _ => {}
+            Ok(())
         }
-    }
-    recipes.ok_or_else(|| Diagnostic::new("bytecode: no recipes section"))
+    })?;
+    Ok(recipes)
 }

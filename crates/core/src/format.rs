@@ -204,7 +204,7 @@ impl FormatSpec {
                             val.display(ctx)
                         ))
                     })?;
-                    (ty.params(ctx).to_vec(), param_index(ctx, dialect, name, true, segment))
+                    (ty.params(ctx), param_index(ctx, dialect, name, true, segment))
                 }
                 CVal::Attr(attr) => {
                     let (dialect, name) = attr.parametric_name(ctx).ok_or_else(|| {
@@ -213,9 +213,9 @@ impl FormatSpec {
                             val.display(ctx)
                         ))
                     })?;
-                    let params = match ctx.attr_data(attr) {
-                        irdl_ir::AttrData::Parametric { params, .. } => params.clone(),
-                        _ => Vec::new(),
+                    let params: &[irdl_ir::Attribute] = match ctx.attr_data(attr) {
+                        irdl_ir::AttrData::Parametric { params, .. } => params,
+                        _ => &[],
                     };
                     (params, param_index(ctx, dialect, name, false, segment))
                 }
@@ -298,29 +298,20 @@ impl FormatSpec {
         }
         // Attributes not covered by the format are printed as a trailing
         // dictionary.
-        let covered: Vec<Symbol> = self
-            .elems
-            .iter()
-            .filter_map(|e| match e {
-                FormatElem::Attr(i) => Some(self.op.attributes[*i].0),
-                _ => None,
-            })
-            .collect();
-        let extra: Vec<(Symbol, irdl_ir::Attribute)> = op
-            .attributes(ctx)
-            .iter()
-            .filter(|(k, _)| !covered.contains(k))
-            .copied()
-            .collect();
-        if !extra.is_empty() {
+        let covered = |key: Symbol| {
+            let attrs = &self.op.attributes;
+            self.elems.iter().any(|e| matches!(e, FormatElem::Attr(i) if attrs[*i].0 == key))
+        };
+        let mut extra = op.attributes(ctx).iter().filter(|(key, _)| !covered(*key)).peekable();
+        if extra.peek().is_some() {
             printer.token(" {");
-            for (i, (key, value)) in extra.iter().enumerate() {
+            for (i, &(key, value)) in extra.enumerate() {
                 if i > 0 {
                     printer.token(", ");
                 }
-                printer.token(ctx.symbol_str(*key));
+                printer.token(ctx.symbol_str(key));
                 printer.token(" = ");
-                printer.print_attribute(ctx, *value);
+                printer.print_attribute(ctx, value);
             }
             printer.token("}");
         }
@@ -338,7 +329,7 @@ impl FormatSpec {
             (0..self.op.operands.len()).map(|_| None).collect();
         let mut attrs: irdl_ir::AttrList = irdl_ir::AttrList::new();
         let mut direct: irdl_ir::InlineVec<(u32, CVal), 4> = irdl_ir::InlineVec::new();
-        let mut paths: Vec<(u32, Vec<String>, CVal)> = Vec::new();
+        let mut paths: irdl_ir::InlineVec<(u32, &[String], CVal), 2> = irdl_ir::InlineVec::new();
 
         for elem in &self.elems {
             match elem {
@@ -360,7 +351,7 @@ impl FormatSpec {
                     if path.is_empty() {
                         direct.push((*var, val));
                     } else {
-                        paths.push((*var, path.clone(), val));
+                        paths.push((*var, path, val));
                     }
                 }
             }
@@ -397,8 +388,8 @@ impl FormatSpec {
                 .map_err(|e| parser.error(format!("operand `{}`: {e}", def.name)))?;
         }
         // Solve parameter-path assignments.
-        for (var, path, val) in &paths {
-            self.solve_path(parser.ctx(), *var, path, *val, scratch)
+        for &(var, path, val) in paths.iter() {
+            self.solve_path(parser.ctx(), var, path, val, scratch)
                 .map_err(|d| d.or_offset(parser.offset()))?;
         }
 

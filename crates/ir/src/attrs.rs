@@ -7,11 +7,8 @@
 //! LLVM struct bodies, ...) are carried by [`AttrData::Native`], the
 //! mechanism behind IRDL-C++'s `TypeOrAttrParam` directive.
 
-use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
-
 use crate::context::Context;
-use crate::entity::entity_handle;
+use crate::entity::{entity_handle, Interned};
 use crate::symbol::Symbol;
 use crate::types::{FloatKind, Type};
 
@@ -22,9 +19,8 @@ entity_handle! {
 
 /// The structural payload of an [`Attribute`].
 ///
-/// `Hash` goes through a borrowed view of the payload (`AttrRef`), so the
-/// uniquing table can be probed without an owned payload (see
-/// `Context::intern_attr_ref`).
+/// The uniquing table hashes and compares its borrowed view, [`AttrRef`],
+/// so it can be probed without an owned payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttrData {
     /// The `unit` attribute: presence is the information.
@@ -95,10 +91,9 @@ pub enum AttrData {
 
 /// An [`AttrData`] with borrowed payloads: the key the uniquing table is
 /// probed with, so interning an attribute that already exists builds no
-/// owned payload. Its variants mirror `AttrData`'s one for one, which
-/// keeps the two forms' `Eq` and `Hash` in agreement.
+/// owned payload. Its variants mirror `AttrData`'s one for one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum AttrRef<'a> {
+pub enum AttrRef<'a> {
     Unit,
     Bool(bool),
     Integer { value: i128, ty: Type },
@@ -114,9 +109,10 @@ pub(crate) enum AttrRef<'a> {
     Parametric { dialect: Symbol, name: Symbol, params: &'a [Attribute] },
 }
 
-impl AttrData {
-    /// The borrowed form of this payload.
-    pub(crate) fn as_ref(&self) -> AttrRef<'_> {
+impl Interned for AttrData {
+    type View<'a> = AttrRef<'a>;
+
+    fn view(&self) -> AttrRef<'_> {
         match self {
             AttrData::Unit => AttrRef::Unit,
             AttrData::Bool(b) => AttrRef::Bool(*b),
@@ -141,12 +137,13 @@ impl AttrData {
             }
         }
     }
-}
 
-impl AttrRef<'_> {
-    /// An owned copy, for a table miss.
-    fn to_data(self) -> AttrData {
-        match self {
+    fn is(&self, view: AttrRef<'_>) -> bool {
+        self.view() == view
+    }
+
+    fn from_view(view: AttrRef<'_>) -> AttrData {
+        match view {
             AttrRef::Unit => AttrData::Unit,
             AttrRef::Bool(b) => AttrData::Bool(b),
             AttrRef::Integer { value, ty } => AttrData::Integer { value, ty },
@@ -167,50 +164,6 @@ impl AttrRef<'_> {
                 AttrData::Parametric { dialect, name, params: params.to_vec() }
             }
         }
-    }
-}
-
-/// Either form of an attribute payload, viewed as its [`AttrRef`]: lets
-/// `AttrData` lend itself to the uniquing table as a borrowed key.
-pub(crate) trait AttrKey {
-    fn key(&self) -> AttrRef<'_>;
-}
-
-impl AttrKey for AttrData {
-    fn key(&self) -> AttrRef<'_> {
-        self.as_ref()
-    }
-}
-
-impl AttrKey for AttrRef<'_> {
-    fn key(&self) -> AttrRef<'_> {
-        *self
-    }
-}
-
-impl<'a> Borrow<dyn AttrKey + 'a> for AttrData {
-    fn borrow(&self) -> &(dyn AttrKey + 'a) {
-        self
-    }
-}
-
-impl Hash for dyn AttrKey + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.key().hash(state);
-    }
-}
-
-impl PartialEq for dyn AttrKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for dyn AttrKey + '_ {}
-
-impl Hash for AttrData {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_ref().hash(state);
     }
 }
 
@@ -283,7 +236,7 @@ impl Context {
     /// Interns the attribute `key` describes, building an owned
     /// [`AttrData`] only when it is new.
     pub(crate) fn intern_attr_ref(&mut self, key: AttrRef<'_>) -> Attribute {
-        Attribute(self.attrs_mut().intern_with(&key as &dyn AttrKey, |key| key.key().to_data()))
+        Attribute(self.attrs_mut().intern_ref(key))
     }
 
     /// The `unit` attribute.
@@ -405,11 +358,14 @@ impl Context {
         name: Symbol,
         params: Vec<Attribute>,
     ) -> crate::Result<Attribute> {
-        let attr =
-            self.intern_attr(AttrData::Parametric { dialect, name, params: params.clone() });
+        let attr = self.intern_attr(AttrData::Parametric { dialect, name, params });
         if let Some(info) = self.registry().attr_def(dialect, name) {
             if let Some(verifier) = info.verifier.clone() {
-                verifier.verify(self, &params).map_err(|d| {
+                let params = match self.attr_data(attr) {
+                    AttrData::Parametric { params, .. } => params,
+                    _ => unreachable!("interned as a parametric attribute"),
+                };
+                verifier.verify(self, params).map_err(|d| {
                     d.with_note(format!(
                         "while building attribute #{}.{}",
                         self.symbol_str(dialect),
@@ -459,7 +415,7 @@ mod tests {
         ];
         for data in types {
             let owned = ctx.intern_type(data.clone());
-            assert_eq!(ctx.intern_type_ref(data.as_ref()), owned, "{data:?}");
+            assert_eq!(ctx.intern_type_ref(data.view()), owned, "{data:?}");
         }
         let attrs = [
             AttrData::Unit,
@@ -478,7 +434,7 @@ mod tests {
         ];
         for data in attrs {
             // Interned first through the key, then found by the owned form.
-            let borrowed = ctx.intern_attr_ref(data.as_ref());
+            let borrowed = ctx.intern_attr_ref(data.view());
             assert_eq!(ctx.intern_attr(data.clone()), borrowed, "{data:?}");
         }
     }

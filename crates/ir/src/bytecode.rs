@@ -16,7 +16,9 @@
 //! A module file ([`MODULE_MAGIC`]) carries three sections, each exactly
 //! once: a repeated strings, pool or ops section is an error located at
 //! the repeat's payload (a second ops section would otherwise orphan the
-//! first root).
+//! first root). [`read_sections`] checks the header, the order and the
+//! repeats for every container, so a dialect bundle's strings, pool and
+//! recipes sections follow the same rule.
 //!
 //! 1. **strings** — every string the module needs, length-prefixed,
 //!    deduplicated, followed by the symbol intern order (see below);
@@ -82,13 +84,12 @@
 //! are *not* re-run during decode — verification stays a separate,
 //! explicit pass, exactly as it is after parsing.
 
-use std::hash::{Hash, Hasher};
-
 use crate::attrs::{AttrData, AttrRef, Attribute};
 use crate::block::BlockRef;
 use crate::context::Context;
 use crate::diag::{Diagnostic, Result};
-use crate::fasthash::{FastHasher, FastMap};
+use crate::entity::{content_hash, HashIndex};
+use crate::fasthash::FastMap;
 use crate::op::{OpName, OpRef, OperationState, PartialIr};
 use crate::region::RegionRef;
 use crate::symbol::Symbol;
@@ -346,6 +347,72 @@ impl<'a> ByteReader<'a> {
 }
 
 // ---------------------------------------------------------------------------
+// Container framing
+// ---------------------------------------------------------------------------
+
+/// The sections of a module file, in the order they must come.
+const MODULE_SECTIONS: [(u8, &str); 3] =
+    [(SECTION_STRINGS, "strings"), (SECTION_POOL, "pool"), (SECTION_OPS, "ops")];
+
+/// Reads a bytecode container: the `magic version` header, then each
+/// section. `sections` lists the known `(tag, name)`s in the order they
+/// must come: each appears exactly once, after the one listed before it,
+/// and `read` gets its tag and payload. Unknown tags are skipped. A
+/// repeated or early section is an error located at its payload; a file
+/// that ends early is reported as missing the last section.
+///
+/// # Errors
+///
+/// Returns a diagnostic on a bad header, a malformed, repeated or early
+/// section, a missing section, or any error of `read`.
+pub fn read_sections<'a>(
+    bytes: &'a [u8],
+    magic: [u8; 4],
+    kind: &str,
+    sections: &[(u8, &str)],
+    mut read: impl FnMut(u8, &mut ByteReader<'a>) -> Result<()>,
+) -> Result<()> {
+    let mut r = ByteReader::new(bytes);
+    let found = r.take(4).map_err(|_| Diagnostic::new("bytecode: input shorter than magic"))?;
+    if found != magic {
+        return Err(Diagnostic::new(format!(
+            "bytecode: bad magic {found:?} (expected {magic:?}; not a {kind})"
+        )));
+    }
+    let version = r.u8()?;
+    if version != VERSION {
+        return Err(Diagnostic::new(format!(
+            "bytecode: unsupported version {version} (this reader supports {VERSION})"
+        )));
+    }
+    // The number of known sections read so far.
+    let mut done = 0;
+    while !r.is_empty() {
+        let tag = r.u8()?;
+        let mut section = r.sub_reader()?;
+        let Some(index) = sections.iter().position(|&(known, _)| known == tag) else {
+            continue;
+        };
+        let name = sections[index].1;
+        if index < done {
+            return Err(section.error(format!("repeated {name} section")));
+        }
+        if index > done {
+            let before = sections[index - 1].1;
+            return Err(section.error(format!("{name} section precedes {before} section")));
+        }
+        read(tag, &mut section)?;
+        done += 1;
+    }
+    match sections.last() {
+        Some(&(_, last)) if done < sections.len() => {
+            Err(Diagnostic::new(format!("bytecode: no {last} section")))
+        }
+        _ => Ok(()),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // String table + constant pool (encoder)
 // ---------------------------------------------------------------------------
 
@@ -373,7 +440,8 @@ const A_TYPE_ID: u8 = 26;
 const A_NATIVE: u8 = 27;
 const A_PARAMETRIC: u8 = 28;
 
-fn float_kind_tag(kind: FloatKind) -> u8 {
+/// The wire tag of a float kind.
+pub fn float_kind_tag(kind: FloatKind) -> u8 {
     match kind {
         FloatKind::BF16 => 0,
         FloatKind::F16 => 1,
@@ -382,7 +450,8 @@ fn float_kind_tag(kind: FloatKind) -> u8 {
     }
 }
 
-fn float_kind_from(tag: u8) -> Option<FloatKind> {
+/// The float kind a wire tag names, if any.
+pub fn float_kind_from(tag: u8) -> Option<FloatKind> {
     match tag {
         0 => Some(FloatKind::BF16),
         1 => Some(FloatKind::F16),
@@ -429,10 +498,8 @@ pub struct Pool {
     text: String,
     /// Each string's byte range in `text`, by string id.
     spans: Vec<(usize, usize)>,
-    /// String ids by content hash. A string whose hash is already taken
-    /// by other content is keyed by the next free hash value, so lookups
-    /// probe forward until the content matches or a key is free.
-    string_ids: FastMap<u64, u32>,
+    /// String ids by content hash.
+    string_ids: HashIndex,
     /// `(symbol index in the encoding context, string id)` for every
     /// symbol-backed string: emitted sorted so the decoder re-interns
     /// symbols in the encoder's relative order.
@@ -473,22 +540,19 @@ impl Pool {
 
     /// Interns `s` into the string table.
     pub fn str_id(&mut self, s: &str) -> u32 {
-        let mut hasher = FastHasher::default();
-        s.hash(&mut hasher);
-        let mut key = hasher.finish();
-        loop {
-            match self.string_ids.get(&key) {
-                Some(&id) if self.string(id) == s => return id,
-                Some(_) => key = key.wrapping_add(1),
-                None => break,
-            }
+        let (text, spans) = (&self.text, &self.spans);
+        let next = spans.len() as u32;
+        let is = |id: u32| {
+            let (start, end) = spans[id as usize];
+            text[start..end] == *s
+        };
+        if let Some(id) = self.string_ids.find_or_insert(content_hash(s), next, is) {
+            return id;
         }
-        let id = self.spans.len() as u32;
-        self.string_ids.insert(key, id);
         let start = self.text.len();
         self.text.push_str(s);
         self.spans.push((start, self.text.len()));
-        id
+        next
     }
 
     /// Interns the string behind `sym`, recording its intern order.
@@ -802,10 +866,8 @@ impl DecodedPool {
         Some(&self.text[start..end])
     }
 
-    /// Decodes a pool section payload, interning every entry into `ctx`.
-    /// Entries with list or string payloads are probed with borrowed
-    /// keys over the pool's buffers; the rest are built owned, which
-    /// allocates nothing and keeps the table lookup monomorphic.
+    /// Decodes a pool section payload, interning every entry into `ctx`
+    /// through its borrowed view over the pool's buffers.
     pub fn read_pool(&mut self, ctx: &mut Context, r: &mut ByteReader<'_>) -> Result<()> {
         let count = r.count(1)?;
         self.values.clear();
@@ -817,14 +879,14 @@ impl DecodedPool {
                     let width = r.varint()? as u32;
                     let signedness = signedness_from(r.u8()?)
                         .ok_or_else(|| r.error("invalid signedness tag"))?;
-                    PoolValue::Type(ctx.intern_type(TypeData::Integer { width, signedness }))
+                    PoolValue::Type(ctx.intern_type_ref(TypeRef::Integer { width, signedness }))
                 }
                 T_FLOAT => {
                     let kind = float_kind_from(r.u8()?)
                         .ok_or_else(|| r.error("invalid float kind tag"))?;
-                    PoolValue::Type(ctx.intern_type(TypeData::Float(kind)))
+                    PoolValue::Type(ctx.intern_type_ref(TypeRef::Float(kind)))
                 }
-                T_INDEX => PoolValue::Type(ctx.intern_type(TypeData::Index)),
+                T_INDEX => PoolValue::Type(ctx.intern_type_ref(TypeRef::Index)),
                 T_FUNCTION => {
                     self.types.clear();
                     let values = &self.values;
@@ -859,18 +921,18 @@ impl DecodedPool {
                     let key = TypeRef::Parametric { dialect, name, params: &self.attrs };
                     PoolValue::Type(ctx.intern_type_ref(key))
                 }
-                A_UNIT => PoolValue::Attr(ctx.intern_attr(AttrData::Unit)),
-                A_BOOL => PoolValue::Attr(ctx.intern_attr(AttrData::Bool(r.u8()? != 0))),
+                A_UNIT => PoolValue::Attr(ctx.intern_attr_ref(AttrRef::Unit)),
+                A_BOOL => PoolValue::Attr(ctx.intern_attr_ref(AttrRef::Bool(r.u8()? != 0))),
                 A_INTEGER => {
                     let value = r.zigzag128()?;
                     let ty = type_at(&self.values, index, r)?;
-                    PoolValue::Attr(ctx.intern_attr(AttrData::Integer { value, ty }))
+                    PoolValue::Attr(ctx.intern_attr_ref(AttrRef::Integer { value, ty }))
                 }
                 A_FLOAT => {
                     let bits = r.u64le()?;
                     let kind = float_kind_from(r.u8()?)
                         .ok_or_else(|| r.error("invalid float kind tag"))?;
-                    PoolValue::Attr(ctx.intern_attr(AttrData::Float { bits, kind }))
+                    PoolValue::Attr(ctx.intern_attr_ref(AttrRef::Float { bits, kind }))
                 }
                 A_STRING => {
                     let s = self.string(r)?;
@@ -883,21 +945,18 @@ impl DecodedPool {
                 }
                 A_TYPE => {
                     let ty = type_at(&self.values, index, r)?;
-                    PoolValue::Attr(ctx.intern_attr(AttrData::TypeAttr(ty)))
+                    PoolValue::Attr(ctx.intern_attr_ref(AttrRef::TypeAttr(ty)))
                 }
                 A_SYMBOL_REF => {
                     let sym = self.symbol(ctx, r)?;
-                    PoolValue::Attr(ctx.intern_attr(AttrData::SymbolRef(sym)))
+                    PoolValue::Attr(ctx.intern_attr_ref(AttrRef::SymbolRef(sym)))
                 }
                 A_ENUM => {
                     let dialect = self.symbol(ctx, r)?;
                     let enum_name = self.symbol(ctx, r)?;
                     let variant = self.symbol(ctx, r)?;
-                    PoolValue::Attr(ctx.intern_attr(AttrData::EnumValue {
-                        dialect,
-                        enum_name,
-                        variant,
-                    }))
+                    let key = AttrRef::EnumValue { dialect, enum_name, variant };
+                    PoolValue::Attr(ctx.intern_attr_ref(key))
                 }
                 A_LOCATION => {
                     let file = self.string(r)?;
@@ -907,7 +966,7 @@ impl DecodedPool {
                 }
                 A_TYPE_ID => {
                     let sym = self.symbol(ctx, r)?;
-                    PoolValue::Attr(ctx.intern_attr(AttrData::TypeId(sym)))
+                    PoolValue::Attr(ctx.intern_attr_ref(AttrRef::TypeId(sym)))
                 }
                 A_NATIVE => {
                     let kind = self.symbol(ctx, r)?;
@@ -1207,63 +1266,22 @@ struct ModuleDecoder<'c> {
 impl ModuleDecoder<'_> {
     /// Decodes a whole module file.
     fn decode(&mut self, bytes: &[u8]) -> Result<OpRef> {
-        let mut r = ByteReader::new(bytes);
-        let magic = r.take(4).map_err(|_| Diagnostic::new("bytecode: input shorter than magic"))?;
-        if magic != MODULE_MAGIC {
-            return Err(Diagnostic::new(format!(
-                "bytecode: bad magic {magic:?} (expected {MODULE_MAGIC:?}; not a module bytecode file)"
-            )));
-        }
-        let version = r.u8()?;
-        if version != VERSION {
-            return Err(Diagnostic::new(format!(
-                "bytecode: unsupported version {version} (this reader supports {VERSION})"
-            )));
-        }
-
-        let mut seen_strings = false;
-        let mut seen_pool = false;
         let mut root = None;
-        while !r.is_empty() {
-            let tag = r.u8()?;
-            let mut section = r.sub_reader()?;
-            match tag {
-                SECTION_STRINGS => {
-                    if seen_strings {
-                        return Err(section.error("repeated strings section"));
-                    }
-                    self.pool.read_strings(self.ctx, &mut section)?;
-                    seen_strings = true;
+        let kind = "module bytecode file";
+        read_sections(bytes, MODULE_MAGIC, kind, &MODULE_SECTIONS, |tag, section| match tag {
+            SECTION_STRINGS => self.pool.read_strings(self.ctx, section),
+            SECTION_POOL => self.pool.read_pool(self.ctx, section),
+            _ => {
+                let op = self.decode_op(section, None)?;
+                self.partial.ops.push(op);
+                root = Some(op);
+                if !section.is_empty() {
+                    return Err(section.error("trailing bytes after root operation"));
                 }
-                SECTION_POOL => {
-                    if seen_pool {
-                        return Err(section.error("repeated pool section"));
-                    }
-                    if !seen_strings {
-                        return Err(section.error("pool section precedes strings section"));
-                    }
-                    self.pool.read_pool(self.ctx, &mut section)?;
-                    seen_pool = true;
-                }
-                SECTION_OPS => {
-                    if root.is_some() {
-                        return Err(section.error("repeated ops section"));
-                    }
-                    if !seen_pool {
-                        return Err(section.error("ops section precedes pool section"));
-                    }
-                    let op = self.decode_op(&mut section, None)?;
-                    self.partial.ops.push(op);
-                    root = Some(op);
-                    if !section.is_empty() {
-                        return Err(section.error("trailing bytes after root operation"));
-                    }
-                }
-                // Unknown sections are skippable by design.
-                _ => {}
+                Ok(())
             }
-        }
-        root.ok_or_else(|| Diagnostic::new("bytecode: no ops section"))
+        })?;
+        Ok(root.expect("the ops section was read"))
     }
 
     /// Decodes one operation, whose enclosing region is `parent` (`None`

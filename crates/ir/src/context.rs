@@ -23,7 +23,7 @@ use crate::value::{Use, Value};
 /// All handles ([`Type`], [`Attribute`], [`OpRef`], ...) are indices into
 /// this context; using a handle with a different context is a logic error.
 pub struct Context {
-    symbols: UniqueArena<String>,
+    symbols: UniqueArena<Box<str>>,
     types: UniqueArena<TypeData>,
     attrs: UniqueArena<AttrData>,
     ops: EntityArena<OperationData>,
@@ -345,12 +345,12 @@ impl Context {
     /// A single hash lookup on the hit path; the string is copied into the
     /// table only when it has never been seen before.
     pub fn symbol(&mut self, s: &str) -> Symbol {
-        Symbol(self.symbols.intern_with(s, str::to_string))
+        Symbol(self.symbols.intern_ref(s))
     }
 
     /// Returns the symbol for `s` if it has been interned.
     pub fn symbol_lookup(&self, s: &str) -> Option<Symbol> {
-        self.symbols.lookup_str(s).map(Symbol)
+        self.symbols.lookup(s).map(Symbol)
     }
 
     /// Resolves a symbol back to its string.
@@ -748,16 +748,6 @@ impl Context {
     }
 }
 
-impl UniqueArena<String> {
-    /// String-keyed lookup that avoids allocating when the value is already
-    /// interned.
-    fn lookup_str(&self, s: &str) -> Option<u32> {
-        // UniqueArena's map is keyed by String; this helper exists so the
-        // fast path does not allocate for hits.
-        self.lookup_with(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,7 +790,7 @@ mod tests {
     }
 
     #[test]
-    fn symbol_lookup_without_interning() {
+    fn symbol_lookup_does_not_intern() {
         let mut ctx = Context::new();
         assert_eq!(ctx.symbol_lookup("never-seen"), None);
         let s = ctx.symbol("seen");

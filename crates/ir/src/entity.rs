@@ -1,17 +1,28 @@
 //! Entity arenas and uniquing tables underlying the [`Context`].
 //!
-//! Two storage primitives are provided:
+//! Three storage primitives are provided:
 //!
 //! - [`EntityArena`], a slot map with a free list for mutable IR entities
 //!   (operations, blocks, regions). Erasing an entity tombstones its slot;
 //!   accessing an erased handle panics, catching use-after-erase bugs early.
 //! - [`UniqueArena`], an append-only structural-uniquing table for immutable
 //!   values (types, attributes, symbols). Interning the same data twice
-//!   yields the same index, so handle equality is value equality.
+//!   yields the same index, so handle equality is value equality. Each
+//!   value is stored once; the table finds it by the hash of its borrowed
+//!   [`Interned::View`] (`&str` for a symbol, `TypeRef` for a type,
+//!   `AttrRef` for an attribute), so a hit builds no owned value and a
+//!   miss moves or builds the value straight into the table.
+//! - [`HashIndex`], the one hash-to-id index behind every such table: a
+//!   content hash maps to a `u32` id, and a hash taken by other content
+//!   probes forward. [`UniqueArena`] and the bytecode encoder's string
+//!   table both find their entries through it.
 //!
 //! [`Context`]: crate::Context
 
-use std::hash::Hash;
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
+
+use crate::fasthash::{FastHasher, FastMap};
 
 /// Defines a `Copy` newtype handle over a `u32` arena index.
 macro_rules! entity_handle {
@@ -136,31 +147,155 @@ impl<T> EntityArena<T> {
     }
 }
 
-/// An append-only uniquing table: equal values share one index.
+/// Ids of an append-only table, found by a content hash of their value.
 ///
-/// Used for structural interning of types and attributes; the `u32` index is
-/// the identity, so comparing two interned values is an integer comparison.
+/// The caller hashes a value's content and passes the hash in. An id
+/// whose hash is already taken by other content is filed under the next
+/// free hash value, so a search probes forward until the content matches
+/// or it meets a free key. Entries are never removed, so a probe never
+/// stops at a hole an earlier insert had stepped over.
 #[derive(Debug, Clone, Default)]
-pub struct UniqueArena<T> {
-    values: Vec<T>,
-    index: crate::fasthash::FastMap<T, u32>,
+pub struct HashIndex {
+    ids: FastMap<u64, u32>,
 }
 
-impl<T: Clone + Eq + Hash> UniqueArena<T> {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        UniqueArena { values: Vec::new(), index: crate::fasthash::FastMap::default() }
+impl HashIndex {
+    /// The id filed under `hash` whose content `is` accepts, if any.
+    pub fn find(&self, hash: u64, mut is: impl FnMut(u32) -> bool) -> Option<u32> {
+        let mut key = hash;
+        while let Some(&id) = self.ids.get(&key) {
+            if is(id) {
+                return Some(id);
+            }
+            key = key.wrapping_add(1);
+        }
+        None
     }
 
-    /// Interns `value`, returning the index of its unique copy.
-    pub fn intern(&mut self, value: T) -> u32 {
-        if let Some(&idx) = self.index.get(&value) {
-            return idx;
+    /// The id filed under `hash` whose content `is` accepts; when there is
+    /// none, files `next` under the first free key and returns `None`.
+    pub fn find_or_insert(
+        &mut self,
+        hash: u64,
+        next: u32,
+        mut is: impl FnMut(u32) -> bool,
+    ) -> Option<u32> {
+        let mut key = hash;
+        loop {
+            match self.ids.entry(key) {
+                Entry::Occupied(slot) if is(*slot.get()) => return Some(*slot.get()),
+                Entry::Occupied(_) => key = key.wrapping_add(1),
+                Entry::Vacant(slot) => {
+                    slot.insert(next);
+                    return None;
+                }
+            }
         }
-        let idx = self.values.len() as u32;
-        self.values.push(value.clone());
-        self.index.insert(value, idx);
-        idx
+    }
+
+    /// Forgets every id, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.ids.clear();
+    }
+}
+
+/// The content hash the context's tables file their ids under.
+pub(crate) fn content_hash(value: impl Hash) -> u64 {
+    let mut hasher = FastHasher::default();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// A value a [`UniqueArena`] can hold: it lends a borrowed view, which the
+/// table hashes and compares, and is built from one only on a miss.
+pub trait Interned {
+    /// The borrowed form of the value.
+    type View<'a>: Copy + Hash
+    where
+        Self: 'a;
+
+    /// This value's view.
+    fn view(&self) -> Self::View<'_>;
+
+    /// Whether this value's view equals `view`.
+    fn is(&self, view: Self::View<'_>) -> bool;
+
+    /// An owned copy of `view`.
+    fn from_view(view: Self::View<'_>) -> Self;
+}
+
+impl Interned for Box<str> {
+    type View<'a> = &'a str;
+
+    fn view(&self) -> &str {
+        self
+    }
+
+    fn is(&self, view: &str) -> bool {
+        **self == *view
+    }
+
+    fn from_view(view: &str) -> Self {
+        view.into()
+    }
+}
+
+/// An append-only uniquing table: equal values share one index.
+///
+/// Used for structural interning of symbols, types and attributes; the
+/// `u32` index is the identity, so comparing two interned values is an
+/// integer comparison. Each value is stored once, in `values`; the
+/// [`HashIndex`] finds it by the hash of its borrowed view.
+#[derive(Debug, Clone)]
+pub struct UniqueArena<T> {
+    values: Vec<T>,
+    index: HashIndex,
+}
+
+impl<T> Default for UniqueArena<T> {
+    fn default() -> Self {
+        UniqueArena { values: Vec::new(), index: HashIndex::default() }
+    }
+}
+
+impl<T: Interned> UniqueArena<T> {
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Interns `value`, returning the index of its unique copy. On a miss
+    /// the value moves into the table; on a hit it is dropped.
+    pub fn intern(&mut self, value: T) -> u32 {
+        if let Some(id) = self.probe(value.view()) {
+            return id;
+        }
+        self.values.push(value);
+        self.values.len() as u32 - 1
+    }
+
+    /// Interns the value `view` describes, building the owned value only
+    /// when it is new.
+    pub fn intern_ref(&mut self, view: T::View<'_>) -> u32 {
+        if let Some(id) = self.probe(view) {
+            return id;
+        }
+        self.values.push(T::from_view(view));
+        self.values.len() as u32 - 1
+    }
+
+    /// The index of the value `view` describes; on a miss, files the next
+    /// index for the value the caller then pushes.
+    fn probe(&mut self, view: T::View<'_>) -> Option<u32> {
+        let values = &self.values;
+        let next = values.len() as u32;
+        self.index.find_or_insert(content_hash(view), next, |id| values[id as usize].is(view))
+    }
+
+    /// Returns the index of the value `view` describes, if it has been
+    /// interned before.
+    pub fn lookup(&self, view: T::View<'_>) -> Option<u32> {
+        self.index.find(content_hash(view), |id| self.values[id as usize].is(view))
     }
 
     /// Returns the value stored at `idx`.
@@ -170,38 +305,6 @@ impl<T: Clone + Eq + Hash> UniqueArena<T> {
     /// Panics if `idx` is out of bounds.
     pub fn get(&self, idx: u32) -> &T {
         &self.values[idx as usize]
-    }
-
-    /// Returns the index of `value` if it has been interned before.
-    pub fn lookup(&self, value: &T) -> Option<u32> {
-        self.index.get(value).copied()
-    }
-
-    /// Borrowed-key lookup (e.g. `&str` against a `String` table), avoiding
-    /// an allocation on the hit path.
-    pub fn lookup_with<Q>(&self, key: &Q) -> Option<u32>
-    where
-        T: std::borrow::Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.index.get(key).copied()
-    }
-
-    /// Borrowed-key interning: a single hash lookup and zero allocations on
-    /// the hit path; `make` builds the owned value only on a miss.
-    pub fn intern_with<Q>(&mut self, key: &Q, make: impl FnOnce(&Q) -> T) -> u32
-    where
-        T: std::borrow::Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        if let Some(&idx) = self.index.get(key) {
-            return idx;
-        }
-        let value = make(key);
-        let idx = self.values.len() as u32;
-        self.values.push(value.clone());
-        self.index.insert(value, idx);
-        idx
     }
 
     /// Number of distinct values interned.
@@ -252,31 +355,47 @@ mod tests {
 
     #[test]
     fn unique_arena_dedups() {
-        let mut arena = UniqueArena::new();
-        let a = arena.intern("x".to_string());
-        let b = arena.intern("y".to_string());
-        let a2 = arena.intern("x".to_string());
+        let mut arena: UniqueArena<Box<str>> = UniqueArena::new();
+        let a = arena.intern("x".into());
+        let b = arena.intern("y".into());
+        let a2 = arena.intern("x".into());
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(arena.len(), 2);
-        assert_eq!(arena.get(a), "x");
-        assert_eq!(arena.lookup(&"y".to_string()), Some(b));
-        assert_eq!(arena.lookup(&"z".to_string()), None);
+        assert_eq!(&**arena.get(a), "x");
+        assert_eq!(arena.lookup("y"), Some(b));
+        assert_eq!(arena.lookup("z"), None);
     }
 
     #[test]
-    fn intern_with_is_single_path() {
-        let mut arena: UniqueArena<String> = UniqueArena::new();
-        let a = arena.intern_with("x", str::to_string);
-        let b = arena.intern_with("y", str::to_string);
-        let a2 = arena.intern_with("x", str::to_string);
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
+    fn intern_ref_finds_owned_entries() {
+        let mut arena: UniqueArena<Box<str>> = UniqueArena::new();
+        let a = arena.intern_ref("x");
+        let b = arena.intern("y".into());
+        assert_eq!(arena.intern("x".into()), a);
+        assert_eq!(arena.intern_ref("y"), b);
         assert_eq!(arena.len(), 2);
-        assert_eq!(arena.get(a), "x");
-        // A hit must not rebuild the owned key.
-        let hit = arena.intern_with("x", |_| panic!("hit path must not allocate"));
-        assert_eq!(hit, a);
+    }
+
+    /// Two distinct values filed under one hash are both found, each
+    /// with its own id, and a clone of the index finds them the same way.
+    #[test]
+    fn colliding_hashes_probe_forward() {
+        let values = ["first", "second", "third"];
+        let mut index = HashIndex::default();
+        for (id, value) in values.iter().enumerate() {
+            let hit = index.find_or_insert(7, id as u32, |i| values[i as usize] == *value);
+            assert_eq!(hit, None, "{value} is new");
+        }
+        let clone = index.clone();
+        for index in [&index, &clone] {
+            for (id, value) in values.iter().enumerate() {
+                assert_eq!(index.find(7, |i| values[i as usize] == *value), Some(id as u32));
+            }
+            assert_eq!(index.find(7, |i| values[i as usize] == "fourth"), None);
+        }
+        let mut clone = clone;
+        assert_eq!(clone.find_or_insert(7, 9, |i| values[i as usize] == "second"), Some(1));
     }
 
     #[test]

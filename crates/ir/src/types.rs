@@ -7,12 +7,9 @@
 //! parameters encoded as [`Attribute`]s — the representation the IRDL
 //! compiler targets when registering `Type` definitions dynamically.
 
-use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
-
 use crate::attrs::Attribute;
 use crate::context::Context;
-use crate::entity::entity_handle;
+use crate::entity::{entity_handle, Interned};
 use crate::symbol::Symbol;
 
 entity_handle! {
@@ -78,9 +75,8 @@ impl FloatKind {
 
 /// The structural payload of a [`Type`].
 ///
-/// `Hash` goes through a borrowed view of the payload (`TypeRef`), so the
-/// uniquing table can be probed without an owned payload (see
-/// `Context::intern_type_ref`).
+/// The uniquing table hashes and compares its borrowed view, [`TypeRef`],
+/// so it can be probed without an owned payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TypeData {
     /// Builtin integer, e.g. `i1`, `si8`, `ui64`.
@@ -139,10 +135,9 @@ pub enum TypeData {
 
 /// A [`TypeData`] with borrowed payloads: the key the uniquing table is
 /// probed with, so interning a type that already exists builds no owned
-/// payload. Its variants mirror `TypeData`'s one for one, which keeps the
-/// two forms' `Eq` and `Hash` in agreement.
+/// payload. Its variants mirror `TypeData`'s one for one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum TypeRef<'a> {
+pub enum TypeRef<'a> {
     Integer { width: u32, signedness: Signedness },
     Float(FloatKind),
     Index,
@@ -153,9 +148,10 @@ pub(crate) enum TypeRef<'a> {
     Parametric { dialect: Symbol, name: Symbol, params: &'a [Attribute] },
 }
 
-impl TypeData {
-    /// The borrowed form of this payload.
-    pub(crate) fn as_ref(&self) -> TypeRef<'_> {
+impl Interned for TypeData {
+    type View<'a> = TypeRef<'a>;
+
+    fn view(&self) -> TypeRef<'_> {
         match self {
             TypeData::Integer { width, signedness } => {
                 TypeRef::Integer { width: *width, signedness: *signedness }
@@ -171,12 +167,13 @@ impl TypeData {
             }
         }
     }
-}
 
-impl TypeRef<'_> {
-    /// An owned copy, for a table miss.
-    fn to_data(self) -> TypeData {
-        match self {
+    fn is(&self, view: TypeRef<'_>) -> bool {
+        self.view() == view
+    }
+
+    fn from_view(view: TypeRef<'_>) -> TypeData {
+        match view {
             TypeRef::Integer { width, signedness } => TypeData::Integer { width, signedness },
             TypeRef::Float(kind) => TypeData::Float(kind),
             TypeRef::Index => TypeData::Index,
@@ -190,50 +187,6 @@ impl TypeRef<'_> {
                 TypeData::Parametric { dialect, name, params: params.to_vec() }
             }
         }
-    }
-}
-
-/// Either form of a type payload, viewed as its [`TypeRef`]: lets
-/// `TypeData` lend itself to the uniquing table as a borrowed key.
-pub(crate) trait TypeKey {
-    fn key(&self) -> TypeRef<'_>;
-}
-
-impl TypeKey for TypeData {
-    fn key(&self) -> TypeRef<'_> {
-        self.as_ref()
-    }
-}
-
-impl TypeKey for TypeRef<'_> {
-    fn key(&self) -> TypeRef<'_> {
-        *self
-    }
-}
-
-impl<'a> Borrow<dyn TypeKey + 'a> for TypeData {
-    fn borrow(&self) -> &(dyn TypeKey + 'a) {
-        self
-    }
-}
-
-impl Hash for dyn TypeKey + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.key().hash(state);
-    }
-}
-
-impl PartialEq for dyn TypeKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for dyn TypeKey + '_ {}
-
-impl Hash for TypeData {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_ref().hash(state);
     }
 }
 
@@ -287,7 +240,7 @@ impl Context {
     /// Interns the type `key` describes, building an owned [`TypeData`]
     /// only when it is new.
     pub(crate) fn intern_type_ref(&mut self, key: TypeRef<'_>) -> Type {
-        Type(self.types_mut().intern_with(&key as &dyn TypeKey, |key| key.key().to_data()))
+        Type(self.types_mut().intern_ref(key))
     }
 
     /// The signless integer type `i<width>`.
@@ -388,10 +341,10 @@ impl Context {
         name: Symbol,
         params: Vec<Attribute>,
     ) -> crate::Result<Type> {
-        let ty = self.intern_type(TypeData::Parametric { dialect, name, params: params.clone() });
+        let ty = self.intern_type(TypeData::Parametric { dialect, name, params });
         if let Some(info) = self.registry().type_def(dialect, name) {
             if let Some(verifier) = info.verifier.clone() {
-                verifier.verify(self, &params).map_err(|d| {
+                verifier.verify(self, ty.params(self)).map_err(|d| {
                     d.with_note(format!(
                         "while building type !{}.{}",
                         self.symbol_str(dialect),

@@ -10,7 +10,7 @@
 //!   overwrites at every offset) over a known-good file, so new decoder
 //!   code is immediately exposed to the whole corruption surface.
 
-use irdl_repro::ir::bytecode::decode_module;
+use irdl_repro::ir::bytecode::{decode_module, ByteReader};
 use irdl_repro::ir::print::op_to_string;
 use irdl_repro::ir::Context;
 use irdl_repro::irdl::DialectBundle;
@@ -103,6 +103,34 @@ fn artifact_corruption_is_diagnosed() {
         assert!(
             DialectBundle::load(&artifact[..len], &natives).is_err(),
             "artifact prefix of {len} bytes unexpectedly loaded"
+        );
+    }
+
+    // A strings, pool or recipes section given twice is rejected at the
+    // repeat's payload; a second strings section would otherwise swap the
+    // table under later entries, and a second recipes section replace the
+    // first one's recipes.
+    let mut r = ByteReader::new(&artifact);
+    r.take(5).expect("header");
+    let mut sections = Vec::new();
+    while !r.is_empty() {
+        let start = r.offset();
+        r.u8().expect("tag");
+        let payload = r.sub_reader().expect("section").offset();
+        sections.push((start, payload, r.offset()));
+    }
+    assert_eq!(sections.len(), 3, "strings, pool, recipes");
+    for ((start, payload, end), name) in sections.into_iter().zip(["strings", "pool", "recipes"]) {
+        let mut repeated = artifact[..end].to_vec();
+        repeated.extend_from_slice(&artifact[start..]);
+        let err = DialectBundle::load(&repeated, &natives)
+            .err()
+            .unwrap_or_else(|| panic!("a repeated {name} section loaded"));
+        let at = payload + (end - start);
+        assert_eq!(
+            err.message(),
+            format!("bytecode: repeated {name} section (at byte {at})"),
+            "{name}"
         );
     }
 }
