@@ -11,7 +11,9 @@
 //! - **cmath_chain_parse**: a straight-line custom-syntax `cmath.mul` chain,
 //!   exercising the dialect `OpSyntax` parse path;
 //! - **print_buffered**: per-op printing into a caller-provided reusable
-//!   buffer, which must be allocation-free at steady state.
+//!   buffer through a fresh `Printer` per op, which must be
+//!   allocation-free at steady state (the printer's naming tables are
+//!   parked in the context between printers).
 //!
 //! Timing uses `std::time::Instant` only. A counting global allocator
 //! reports steady-state heap allocations, substantiating the zero-copy
@@ -32,7 +34,7 @@ use irdl_bench::measure::{
 };
 use irdl_bench::ModuleSet;
 use irdl_ir::parse::parse_module;
-use irdl_ir::print::{print_op_into, PrintScratch};
+use irdl_ir::print::Printer;
 use irdl_ir::Context;
 
 #[global_allocator]
@@ -94,9 +96,9 @@ fn run_parse(
     ParseReport { name, modules, ops, bytes, measurement, baseline_ops_per_sec: baseline }
 }
 
-/// Per-op printing into one reusable buffer with reusable id-map scratch.
-/// Once buffer and map capacities settle during warmup, the steady-state
-/// passes must not touch the heap at all.
+/// Per-op printing into one reusable buffer, one `Printer` per op. Once
+/// the buffer and the context's naming tables have grown during warmup,
+/// the steady-state passes must not touch the heap at all.
 fn run_print(big_text: &str, budget: f64) -> (usize, Measurement) {
     let mut ctx = Context::new();
     irdl_dialects::register_corpus(&mut ctx).expect("corpus compiles");
@@ -105,13 +107,12 @@ fn run_print(big_text: &str, budget: f64) -> (usize, Measurement) {
     let ops: Vec<_> = block.ops(&ctx).to_vec();
     let expected = ops.len();
     let mut out = String::new();
-    let mut scratch = PrintScratch::default();
     let measurement = measure(
         || {
             let mut ok = 0;
             for &op in &ops {
                 out.clear();
-                print_op_into(&ctx, op, &mut out, &mut scratch);
+                Printer::new(&mut out).print_op(&ctx, op);
                 black_box(out.len());
                 ok += 1;
             }

@@ -432,7 +432,6 @@ fn lex_literal(text: String) -> Result<FormatElem> {
 /// `!ints.integer<32 : i32 x #ints.signedness<Signed>>`.
 pub struct ParamsFormatSpec {
     elems: Vec<ParamsFormatElem>,
-    num_params: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -493,7 +492,7 @@ impl ParamsFormatSpec {
                 param_names[i]
             )));
         }
-        Ok(ParamsFormatSpec { elems, num_params: param_names.len() })
+        Ok(ParamsFormatSpec { elems })
     }
 }
 
@@ -511,11 +510,8 @@ impl irdl_ir::dialect::ParamsSyntax for ParamsFormatSpec {
         }
     }
 
-    fn parse(
-        &self,
-        parser: &mut irdl_ir::parse::ParamParser<'_, '_, '_>,
-    ) -> Result<Vec<irdl_ir::Attribute>> {
-        let mut params: Vec<Option<irdl_ir::Attribute>> = vec![None; self.num_params];
+    fn parse(&self, parser: &mut irdl_ir::parse::ParamParser<'_, '_, '_>) -> Result<()> {
+        // Compilation guarantees every parameter is covered.
         for elem in &self.elems {
             match elem {
                 ParamsFormatElem::Literal(buf) => {
@@ -524,14 +520,12 @@ impl irdl_ir::dialect::ParamsSyntax for ParamsFormatSpec {
                     }
                 }
                 ParamsFormatElem::Param(i) => {
-                    params[*i] = Some(parser.parse_attribute()?);
+                    let param = parser.parse_attribute()?;
+                    parser.set_param(*i, param);
                 }
             }
         }
-        Ok(params
-            .into_iter()
-            .map(|p| p.expect("compile guarantees parameter coverage"))
-            .collect())
+        Ok(())
     }
 }
 

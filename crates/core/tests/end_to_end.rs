@@ -693,15 +693,25 @@ fn attr_custom_format_roundtrips() {
                 Parameters (major: uint32_t, minor: uint32_t)
                 Format "$major . $minor"
             }
+            Attribute reversed {
+                Parameters (major: uint32_t, minor: uint32_t)
+                Format "$minor . $major"
+            }
         }"#,
     )
     .unwrap();
     let ui32 = ctx.int_type_with_signedness(32, irdl_ir::Signedness::Unsigned);
     let major = ctx.int_attr(1, ui32);
     let minor = ctx.int_attr(4, ui32);
-    let attr = ctx.parametric_attr("fancy", "version", [major, minor]).unwrap();
-    let text = attr.display(&ctx);
-    assert_eq!(text, "#fancy.version<1 : ui32 . 4 : ui32>");
-    let reparsed = irdl_ir::parse::parse_attr_str(&mut ctx, &text).unwrap();
-    assert_eq!(reparsed, attr);
+    // A format may list the parameters in any order.
+    for (name, expected) in [
+        ("version", "#fancy.version<1 : ui32 . 4 : ui32>"),
+        ("reversed", "#fancy.reversed<4 : ui32 . 1 : ui32>"),
+    ] {
+        let attr = ctx.parametric_attr("fancy", name, [major, minor]).unwrap();
+        let text = attr.display(&ctx);
+        assert_eq!(text, expected);
+        let reparsed = irdl_ir::parse::parse_attr_str(&mut ctx, &text).unwrap();
+        assert_eq!(reparsed, attr);
+    }
 }

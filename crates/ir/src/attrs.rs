@@ -308,7 +308,7 @@ impl Context {
 
     /// A source-location attribute.
     pub fn location_attr(&mut self, file: &str, line: u32, col: u32) -> Attribute {
-        self.intern_attr(AttrData::Location { file: file.into(), line, col })
+        self.intern_attr_ref(AttrRef::Location { file, line, col })
     }
 
     /// A type-id attribute.
@@ -330,7 +330,7 @@ impl Context {
                 d.with_note(format!("while building native parameter of kind `{kind}`"))
             })?;
         }
-        Ok(self.intern_attr(AttrData::Native { kind: kind_sym, text: text.into() }))
+        Ok(self.intern_attr_ref(AttrRef::Native { kind: kind_sym, text }))
     }
 
     /// Creates a dialect-defined parametric attribute, running the
@@ -358,23 +358,30 @@ impl Context {
         name: Symbol,
         params: Vec<Attribute>,
     ) -> crate::Result<Attribute> {
-        let attr = self.intern_attr(AttrData::Parametric { dialect, name, params });
-        if let Some(info) = self.registry().attr_def(dialect, name) {
-            if let Some(verifier) = info.verifier.clone() {
-                let params = match self.attr_data(attr) {
-                    AttrData::Parametric { params, .. } => params,
-                    _ => unreachable!("interned as a parametric attribute"),
-                };
-                verifier.verify(self, params).map_err(|d| {
-                    d.with_note(format!(
-                        "while building attribute #{}.{}",
-                        self.symbol_str(dialect),
-                        self.symbol_str(name)
-                    ))
-                })?;
-            }
+        self.parametric_attr_ref(dialect, name, &params)
+    }
+
+    /// [`Context::parametric_attr_syms`] over a borrowed parameter list:
+    /// an attribute that already exists is found without building an
+    /// owned list. The registered verifier runs before the attribute is
+    /// interned, so a rejected parameter list leaves nothing in the table.
+    pub fn parametric_attr_ref(
+        &mut self,
+        dialect: Symbol,
+        name: Symbol,
+        params: &[Attribute],
+    ) -> crate::Result<Attribute> {
+        let info = self.registry().attr_def(dialect, name);
+        if let Some(verifier) = info.and_then(|info| info.verifier.as_ref()) {
+            verifier.verify(self, params).map_err(|d| {
+                d.with_note(format!(
+                    "while building attribute #{}.{}",
+                    self.symbol_str(dialect),
+                    self.symbol_str(name)
+                ))
+            })?;
         }
-        Ok(attr)
+        Ok(self.intern_attr_ref(AttrRef::Parametric { dialect, name, params }))
     }
 }
 

@@ -12,6 +12,7 @@ use crate::dialect::DialectRegistry;
 use crate::entity::{EntityArena, UniqueArena};
 use crate::op::{OpRef, OperationData, OperationState, UseLink};
 use crate::parse::ParseScratch;
+use crate::print::ParkedNames;
 use crate::region::{RegionData, RegionRef};
 use crate::symbol::Symbol;
 use crate::types::{Type, TypeData};
@@ -68,6 +69,10 @@ pub struct Context {
     /// Encoding takes `&Context`, hence the lock; a caller that finds the
     /// slot empty (another thread holds the scratch) starts a fresh one.
     encode_scratch: Mutex<Option<EncodeScratch>>,
+    /// The printer's naming tables, reused from one printer to the next.
+    /// A printer holds them from its first `print_op` until it drops, so
+    /// it keeps a handle to this slot rather than borrowing the context.
+    parked_names: ParkedNames,
 }
 
 /// Buffers parked per spill-pool bucket: enough to absorb any realistic
@@ -286,6 +291,7 @@ impl Clone for Context {
             parse_scratch: ParseScratch::default(),
             decode_scratch: DecodeScratch::default(),
             encode_scratch: Mutex::new(None),
+            parked_names: ParkedNames::default(),
         }
     }
 }
@@ -333,6 +339,7 @@ impl Context {
             parse_scratch: ParseScratch::default(),
             decode_scratch: DecodeScratch::default(),
             encode_scratch: Mutex::new(None),
+            parked_names: ParkedNames::default(),
         };
         crate::builtin::register_builtin_dialect(&mut ctx);
         ctx
@@ -674,6 +681,11 @@ impl Context {
     /// Parks encoder scratch for the next encode.
     pub(crate) fn put_encode_scratch(&self, scratch: EncodeScratch) {
         *self.encode_scratch.lock().unwrap_or_else(PoisonError::into_inner) = Some(scratch);
+    }
+
+    /// The slot printers take their naming tables from and park them in.
+    pub(crate) fn parked_names(&self) -> &ParkedNames {
+        &self.parked_names
     }
 
     /// Harvests the spill buffers of an erased operation's payload into

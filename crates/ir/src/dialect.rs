@@ -75,15 +75,14 @@ pub trait ParamsSyntax: Send + Sync {
     /// Prints the parameter list (without the surrounding brackets).
     fn print(&self, ctx: &Context, params: &[Attribute], printer: &mut crate::print::Printer<'_>);
 
-    /// Parses the parameter list (without the surrounding brackets).
+    /// Parses the parameter list (without the surrounding brackets),
+    /// storing each parameter through
+    /// [`ParamParser::set_param`](crate::parse::ParamParser::set_param).
     ///
     /// # Errors
     ///
     /// Returns a diagnostic pointing at the offending token.
-    fn parse(
-        &self,
-        parser: &mut crate::parse::ParamParser<'_, '_, '_>,
-    ) -> Result<Vec<Attribute>>;
+    fn parse(&self, parser: &mut crate::parse::ParamParser<'_, '_, '_>) -> Result<()>;
 }
 
 /// Validates and normalizes native (IRDL-Rust `TypeOrAttrParam`) parameter

@@ -3,99 +3,163 @@
 //! Implements the Cooper–Harvey–Kennedy iterative dominator algorithm on
 //! the block graph of one region. Blocks unreachable from the entry are
 //! reported as such and treated permissively by the verifier (as in MLIR).
-
-use std::collections::HashMap;
+//!
+//! The analysis works on dense arrays indexed by a block's position in
+//! its region: reverse post-order numbers, immediate dominators and
+//! predecessor lists. A [`DominanceCache`] keeps every array it
+//! has filled, and hands cleared analyses back out, so a verifier that
+//! runs module after module computes dominance without allocating once
+//! its buffers have grown to the largest region seen.
 
 use crate::block::BlockRef;
 use crate::context::Context;
+use crate::fasthash::FastMap;
 use crate::region::RegionRef;
 
+/// The reverse post-order number of a block no path from the entry reaches.
+const UNREACHED: u32 = u32::MAX;
+
 /// Dominator information for one region.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RegionDominance {
-    /// Reverse post-order index of each reachable block.
-    rpo_index: HashMap<BlockRef, usize>,
-    /// Immediate dominator of each reachable block (entry maps to itself).
-    idom: HashMap<BlockRef, BlockRef>,
     entry: Option<BlockRef>,
+    /// Each block's position in the region.
+    position: FastMap<BlockRef, u32>,
+    /// Reverse post-order number of the block at each position, or
+    /// [`UNREACHED`].
+    rpo: Vec<u32>,
+    /// Position of the immediate dominator of the block at each position
+    /// (the entry's is itself); meaningful for reached blocks only.
+    idom: Vec<u32>,
+}
+
+/// Working buffers of [`RegionDominance::compute`], kept between regions.
+#[derive(Debug, Default)]
+struct DomScratch {
+    /// Reached positions, in reverse post-order once the walk is done.
+    order: Vec<u32>,
+    /// Depth-first frames: a position and how many successors it has
+    /// handed out.
+    stack: Vec<(u32, u32)>,
+    /// The reached predecessors of the block at each position.
+    preds: Vec<Vec<u32>>,
 }
 
 impl RegionDominance {
     /// Computes dominators for `region`.
     pub fn compute(ctx: &Context, region: RegionRef) -> Self {
-        let entry = region.entry_block(ctx);
-        let Some(entry) = entry else {
-            return RegionDominance { rpo_index: HashMap::new(), idom: HashMap::new(), entry: None };
-        };
+        let mut dom = RegionDominance::default();
+        dom.recompute(ctx, region, &mut DomScratch::default());
+        dom
+    }
 
-        // Post-order DFS from the entry block. Each frame owns its
-        // successor list, so it is computed once per block.
-        let mut post_order: Vec<BlockRef> = Vec::new();
-        let mut visited: HashMap<BlockRef, bool> = HashMap::new();
-        let mut stack: Vec<(BlockRef, Vec<BlockRef>, usize)> =
-            vec![(entry, successors(ctx, entry), 0)];
-        visited.insert(entry, true);
+    /// Fills `self` with the dominators of `region`, reusing its arrays.
+    fn recompute(&mut self, ctx: &Context, region: RegionRef, scratch: &mut DomScratch) {
+        let blocks = region.blocks(ctx);
+        let n = blocks.len();
+        self.entry = blocks.first().copied();
+        self.position.clear();
+        self.position.extend(blocks.iter().enumerate().map(|(i, &b)| (b, i as u32)));
+        self.rpo.clear();
+        self.rpo.resize(n, UNREACHED);
+        self.idom.clear();
+        self.idom.resize(n, UNREACHED);
+        if n == 0 {
+            return;
+        }
+        let position = &self.position;
+        let succs = |pos: u32| successor_list(ctx, blocks[pos as usize]);
+
+        // Post-order depth-first walk from the entry, then reversed. A
+        // successor outside the region (malformed IR) is no edge.
+        let DomScratch { order, stack, preds } = scratch;
+        order.clear();
+        stack.clear();
+        stack.push((0, 0));
+        self.rpo[0] = 0; // marks the entry seen; numbered below
         while let Some(frame) = stack.last_mut() {
-            let block = frame.0;
-            if frame.2 < frame.1.len() {
-                let succ = frame.1[frame.2];
-                frame.2 += 1;
-                if let std::collections::hash_map::Entry::Vacant(e) = visited.entry(succ) {
-                    e.insert(true);
-                    stack.push((succ, successors(ctx, succ), 0));
-                }
-            } else {
-                post_order.push(block);
+            let (pos, next) = *frame;
+            let Some(block) = succs(pos).get(next as usize) else {
+                order.push(pos);
                 stack.pop();
+                continue;
+            };
+            frame.1 += 1;
+            match position.get(block) {
+                Some(&s) if self.rpo[s as usize] == UNREACHED => {
+                    self.rpo[s as usize] = 0;
+                    stack.push((s, 0));
+                }
+                _ => {}
             }
         }
-        let rpo: Vec<BlockRef> = post_order.iter().rev().copied().collect();
-        let rpo_index: HashMap<BlockRef, usize> =
-            rpo.iter().enumerate().map(|(i, b)| (*b, i)).collect();
+        order.reverse();
+        for (number, &pos) in order.iter().enumerate() {
+            self.rpo[pos as usize] = number as u32;
+        }
 
-        // Predecessor lists restricted to reachable blocks.
-        let mut preds: HashMap<BlockRef, Vec<BlockRef>> =
-            rpo.iter().map(|b| (*b, Vec::new())).collect();
-        for &block in &rpo {
-            for succ in successors(ctx, block) {
-                if let Some(list) = preds.get_mut(&succ) {
-                    list.push(block);
+        // Predecessor lists, from reached blocks only.
+        for list in preds.iter_mut().take(n) {
+            list.clear();
+        }
+        if preds.len() < n {
+            preds.resize_with(n, Vec::new);
+        }
+        for &pos in order.iter() {
+            for block in succs(pos) {
+                if let Some(&s) = position.get(block) {
+                    preds[s as usize].push(pos);
                 }
             }
         }
 
         // Cooper-Harvey-Kennedy iteration.
-        let mut idom: HashMap<BlockRef, BlockRef> = HashMap::new();
-        idom.insert(entry, entry);
+        self.idom[0] = 0;
         let mut changed = true;
         while changed {
             changed = false;
-            for &block in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockRef> = None;
-                for &pred in &preds[&block] {
-                    if !idom.contains_key(&pred) {
+            for &pos in order.iter().skip(1) {
+                let mut new_idom = UNREACHED;
+                for &pred in &preds[pos as usize] {
+                    if self.idom[pred as usize] == UNREACHED {
                         continue;
                     }
-                    new_idom = Some(match new_idom {
-                        None => pred,
-                        Some(cur) => intersect(&idom, &rpo_index, pred, cur),
-                    });
+                    new_idom = if new_idom == UNREACHED {
+                        pred
+                    } else {
+                        self.intersect(pred, new_idom)
+                    };
                 }
-                if let Some(new_idom) = new_idom {
-                    if idom.get(&block) != Some(&new_idom) {
-                        idom.insert(block, new_idom);
-                        changed = true;
-                    }
+                if new_idom != UNREACHED && self.idom[pos as usize] != new_idom {
+                    self.idom[pos as usize] = new_idom;
+                    changed = true;
                 }
             }
         }
+    }
 
-        RegionDominance { rpo_index, idom, entry: Some(entry) }
+    /// The nearest common dominator of the reached positions `a` and `b`.
+    fn intersect(&self, mut a: u32, mut b: u32) -> u32 {
+        while a != b {
+            while self.rpo[a as usize] > self.rpo[b as usize] {
+                a = self.idom[a as usize];
+            }
+            while self.rpo[b as usize] > self.rpo[a as usize] {
+                b = self.idom[b as usize];
+            }
+        }
+        a
+    }
+
+    /// The position of `block`, if it is reached from the entry.
+    fn reached(&self, block: BlockRef) -> Option<u32> {
+        let pos = *self.position.get(&block)?;
+        (self.rpo[pos as usize] != UNREACHED).then_some(pos)
     }
 
     /// Returns `true` if `block` is reachable from the region entry.
     pub fn is_reachable(&self, block: BlockRef) -> bool {
-        self.rpo_index.contains_key(&block)
+        self.reached(block).is_some()
     }
 
     /// Returns `true` if `a` dominates `b` (reflexively).
@@ -106,15 +170,10 @@ impl RegionDominance {
         if a == b {
             return true;
         }
-        if !self.is_reachable(b) {
-            return true;
-        }
-        if !self.is_reachable(a) {
-            return false;
-        }
-        let mut cur = b;
+        let Some(mut cur) = self.reached(b) else { return true };
+        let Some(a) = self.reached(a) else { return false };
         loop {
-            let parent = self.idom[&cur];
+            let parent = self.idom[cur as usize];
             if parent == a {
                 return true;
             }
@@ -138,7 +197,9 @@ impl RegionDominance {
 /// clears it wholesale at the start of every run; the
 /// [`IncrementalVerifier`](crate::verify::IncrementalVerifier) instead
 /// invalidates only the regions a change journal names, so dominance for
-/// untouched regions is never recomputed.
+/// untouched regions is never recomputed. Dropped analyses keep their
+/// arrays for the next region computed, and the walk's working buffers
+/// live here too, so a warmed cache computes without allocating.
 ///
 /// Entity arenas reuse slots without generation counters, so an erased
 /// region's `RegionRef` can come back identifying a *different* region.
@@ -147,7 +208,10 @@ impl RegionDominance {
 /// entry under a reused ref would silently answer for the wrong CFG.
 #[derive(Debug, Default)]
 pub struct DominanceCache {
-    regions: HashMap<RegionRef, RegionDominance>,
+    regions: FastMap<RegionRef, RegionDominance>,
+    /// Dropped analyses whose arrays the next computation reuses.
+    spare: Vec<RegionDominance>,
+    scratch: DomScratch,
 }
 
 impl DominanceCache {
@@ -158,22 +222,25 @@ impl DominanceCache {
 
     /// Drops every cached analysis (capacity is retained).
     pub fn clear(&mut self) {
-        self.regions.clear();
+        self.spare.extend(self.regions.drain().map(|(_, dom)| dom));
     }
 
     /// Drops the cached analysis for `region`, if any. Used both for
     /// regions whose CFG changed and for erased regions whose slot may be
     /// reused.
     pub fn invalidate(&mut self, region: RegionRef) {
-        self.regions.remove(&region);
+        self.spare.extend(self.regions.remove(&region));
     }
 
     /// The dominator analysis for `region`, computing (and caching) it on
     /// first use.
     pub fn get_or_compute(&mut self, ctx: &Context, region: RegionRef) -> &RegionDominance {
-        self.regions
-            .entry(region)
-            .or_insert_with(|| RegionDominance::compute(ctx, region))
+        let DominanceCache { regions, spare, scratch } = self;
+        regions.entry(region).or_insert_with(|| {
+            let mut dom = spare.pop().unwrap_or_default();
+            dom.recompute(ctx, region, scratch);
+            dom
+        })
     }
 
     /// Number of cached region analyses.
@@ -187,42 +254,21 @@ impl DominanceCache {
     }
 }
 
-fn intersect(
-    idom: &HashMap<BlockRef, BlockRef>,
-    rpo_index: &HashMap<BlockRef, usize>,
-    mut a: BlockRef,
-    mut b: BlockRef,
-) -> BlockRef {
-    while a != b {
-        while rpo_index[&a] > rpo_index[&b] {
-            a = idom[&a];
-        }
-        while rpo_index[&b] > rpo_index[&a] {
-            b = idom[&b];
-        }
-    }
-    a
+/// The successor list of `block`'s final operation.
+fn successor_list(ctx: &Context, block: BlockRef) -> &[BlockRef] {
+    block.last_op(ctx).map_or(&[], |op| op.successors(ctx))
 }
 
 /// The CFG successors of `block`: the successor list of its final
 /// operation.
-pub fn successors(ctx: &Context, block: BlockRef) -> Vec<BlockRef> {
-    match block.last_op(ctx) {
-        Some(op) => op.successors(ctx).to_vec(),
-        None => Vec::new(),
-    }
+pub fn successors(ctx: &Context, block: BlockRef) -> impl Iterator<Item = BlockRef> + '_ {
+    successor_list(ctx, block).iter().copied()
 }
 
-/// The CFG predecessors of `block` within its region.
-pub fn predecessors(ctx: &Context, block: BlockRef) -> Vec<BlockRef> {
-    let Some(region) = block.parent_region(ctx) else { return Vec::new() };
-    let mut preds = Vec::new();
-    for &candidate in region.blocks(ctx) {
-        if successors(ctx, candidate).contains(&block) {
-            preds.push(candidate);
-        }
-    }
-    preds
+/// The CFG predecessors of `block` within its region, in region order.
+pub fn predecessors(ctx: &Context, block: BlockRef) -> impl Iterator<Item = BlockRef> + '_ {
+    let blocks = block.parent_region(ctx).map_or(&[][..], |region| region.blocks(ctx));
+    blocks.iter().copied().filter(move |&candidate| successor_list(ctx, candidate).contains(&block))
 }
 
 #[cfg(test)]
@@ -266,9 +312,8 @@ mod tests {
         assert!(dom.dominates(merge, merge));
     }
 
-    #[test]
-    fn loop_back_edge() {
-        let mut ctx = Context::new();
+    /// Builds a loop: entry -> body, body -> (body | exit).
+    fn back_edge(ctx: &mut Context) -> (RegionRef, [BlockRef; 3]) {
         let region = ctx.create_region();
         let entry = ctx.create_block([]);
         let body = ctx.create_block([]);
@@ -283,10 +328,39 @@ mod tests {
         // body loops to itself or exits.
         let op = ctx.create_op(OperationState::new(cond_br).add_successors([body, exit]));
         ctx.append_op(body, op);
+        (region, [entry, body, exit])
+    }
+
+    #[test]
+    fn loop_back_edge() {
+        let mut ctx = Context::new();
+        let (region, [entry, body, exit]) = back_edge(&mut ctx);
         let dom = RegionDominance::compute(&ctx, region);
         assert!(dom.dominates(entry, body));
         assert!(dom.dominates(body, exit));
-        assert_eq!(predecessors(&ctx, body), vec![entry, body]);
+        assert_eq!(predecessors(&ctx, body).collect::<Vec<_>>(), vec![entry, body]);
+    }
+
+    /// A cached analysis computed into the arrays of a dropped one, for a
+    /// region of another shape, answers exactly as a fresh one does.
+    #[test]
+    fn reused_analyses_match_fresh_ones() {
+        let mut ctx = Context::new();
+        let (diamond_region, diamond_blocks) = diamond(&mut ctx);
+        let (loop_region, loop_blocks) = back_edge(&mut ctx);
+        let blocks: Vec<BlockRef> = diamond_blocks.into_iter().chain(loop_blocks).collect();
+        let mut cache = DominanceCache::new();
+        for region in [diamond_region, loop_region, diamond_region, loop_region] {
+            cache.clear();
+            let fresh = RegionDominance::compute(&ctx, region);
+            let reused = cache.get_or_compute(&ctx, region);
+            for &a in &blocks {
+                assert_eq!(reused.is_reachable(a), fresh.is_reachable(a));
+                for &b in &blocks {
+                    assert_eq!(reused.dominates(a, b), fresh.dominates(a, b), "{a:?} {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

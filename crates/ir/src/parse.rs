@@ -13,7 +13,15 @@
 //!
 //! It is also zero-copy end to end: tokens borrow `&str` slices of the
 //! source (see [`crate::lexer`]) and identifiers intern straight into
-//! [`Symbol`]s with a single hash lookup.
+//! [`Symbol`]s with a single hash lookup. Types and attributes intern
+//! through their borrowed keys ([`TypeRef`], [`AttrRef`]): the elements
+//! of a payload (function-type inputs and results, parameters, array
+//! items, shaped-type dimensions) are parsed onto stacks kept in
+//! `ParseScratch`, interned from their slice and truncated away, and a
+//! string literal interns from its token. So a type or attribute that is
+//! already interned costs no allocation, and one that is new costs only
+//! its own payload. A parametric type or attribute is interned only once
+//! its dialect's verifier has accepted the parameters.
 //!
 //! SSA value names are purely textual, as in MLIR: they are scoped per
 //! region and never outlive the parse. A decimal name (`%0`, `%17#1`,
@@ -29,15 +37,16 @@ use std::collections::hash_map::Entry;
 
 use crate::fasthash::FastMap;
 
-use crate::attrs::{AttrData, Attribute};
+use crate::attrs::{AttrData, AttrRef, Attribute};
 use crate::block::BlockRef;
 use crate::context::Context;
 use crate::diag::{Diagnostic, Result};
+use crate::dialect::ParamsSyntax;
 use crate::lexer::{Token, TokenStream};
 use crate::op::{OpName, OpRef, OperationState, PartialIr};
 use crate::region::RegionRef;
 use crate::symbol::Symbol;
-use crate::types::{FloatKind, Signedness, Type, TypeData};
+use crate::types::{FloatKind, Signedness, Type, TypeData, TypeRef};
 use crate::value::Value;
 
 /// Parses a source file: a sequence of top-level operations.
@@ -107,6 +116,13 @@ fn parse_source<'s, T>(
         parser.ctx.erase_partial(&mut parser.scopes.partial);
     }
     parser.scopes.partial.clear();
+    debug_assert!(
+        parser.scopes.types.is_empty()
+            && parser.scopes.attrs.is_empty()
+            && parser.scopes.dims.is_empty()
+            && parser.scopes.signed_dims.is_empty(),
+        "every payload frame is truncated on the way out"
+    );
     *parser.ctx.parse_scratch_mut() = parser.scopes;
     result
 }
@@ -170,6 +186,16 @@ pub(crate) struct ParseScratch {
     /// What a failed parse must erase: the top-level ops (and, once built,
     /// the result), and every block and region the parse created.
     partial: PartialIr,
+    /// Stacks the elements of type and attribute payloads are parsed
+    /// onto: function-type inputs and results, parameters and array
+    /// items, and shaped-type dimensions. A payload's elements sit above
+    /// those of the payloads enclosing it; it is interned from its slice
+    /// and truncated away, so a payload that is already interned costs no
+    /// allocation.
+    types: Vec<Type>,
+    attrs: Vec<Attribute>,
+    dims: Vec<u64>,
+    signed_dims: Vec<i64>,
 }
 
 impl ParseScratch {
@@ -407,6 +433,20 @@ impl<'s, 'c> Parser<'s, 'c> {
         })
     }
 
+    /// Runs `parse` on a frame of the payload stack `stack` selects: it
+    /// gets the stack's length as the frame's start, and the stack is
+    /// truncated back to it afterwards, whether `parse` succeeds or not.
+    fn framed<E, T>(
+        &mut self,
+        stack: impl Fn(&mut ParseScratch) -> &mut Vec<E>,
+        parse: impl FnOnce(&mut Self, usize) -> Result<T>,
+    ) -> Result<T> {
+        let start = stack(&mut self.scopes).len();
+        let result = parse(self, start);
+        stack(&mut self.scopes).truncate(start);
+        result
+    }
+
     // ----- types -------------------------------------------------------------
 
     pub(crate) fn parse_type(&mut self) -> Result<Type> {
@@ -430,36 +470,39 @@ impl<'s, 'c> Parser<'s, 'c> {
                     .registry()
                     .type_def(dialect, name)
                     .and_then(|info| info.syntax.clone());
-                let params = match custom {
-                    Some(syntax) => {
-                        self.tokens.expect(&Token::Lt)?;
-                        let mut pp = ParamParser { parser: self };
-                        let params = syntax.parse(&mut pp)?;
-                        self.tokens.expect(&Token::Gt)?;
-                        params
-                    }
-                    None => self.parse_opt_param_list()?,
-                };
-                let offset = self.tokens.offset();
-                self.ctx
-                    .parametric_type_syms(dialect, name, params)
-                    .map_err(|d| d.or_offset(offset))
+                self.framed(
+                    |s| &mut s.attrs,
+                    |p, start| {
+                        p.parse_params(custom.as_deref(), start)?;
+                        let offset = p.tokens.offset();
+                        p.ctx
+                            .parametric_type_ref(dialect, name, &p.scopes.attrs[start..])
+                            .map_err(|d| d.or_offset(offset))
+                    },
+                )
             }
             Token::LParen => {
                 self.tokens.bump();
-                let mut inputs = Vec::new();
-                if !self.tokens.consume_if(&Token::RParen) {
-                    loop {
-                        inputs.push(self.parse_type()?);
-                        if !self.tokens.consume_if(&Token::Comma) {
-                            break;
+                self.framed(
+                    |s| &mut s.types,
+                    |p, start| {
+                        if !p.tokens.consume_if(&Token::RParen) {
+                            loop {
+                                let ty = p.parse_type()?;
+                                p.scopes.types.push(ty);
+                                if !p.tokens.consume_if(&Token::Comma) {
+                                    break;
+                                }
+                            }
+                            p.tokens.expect(&Token::RParen)?;
                         }
-                    }
-                    self.tokens.expect(&Token::RParen)?;
-                }
-                self.tokens.expect(&Token::Arrow)?;
-                let results = self.parse_type_list_grouped()?;
-                Ok(self.ctx.function_type(inputs, results))
+                        p.tokens.expect(&Token::Arrow)?;
+                        let results = p.scopes.types.len();
+                        p.push_type_list_grouped()?;
+                        let (inputs, results) = p.scopes.types[start..].split_at(results - start);
+                        Ok(p.ctx.intern_type_ref(TypeRef::Function { inputs, results }))
+                    },
+                )
             }
             other => Err(self.tokens.expected("type", other)),
         }
@@ -486,87 +529,101 @@ impl<'s, 'c> Parser<'s, 'c> {
         match name {
             "vector" => {
                 self.tokens.expect(&Token::Lt)?;
-                let mut dims: Vec<u64> = Vec::new();
-                loop {
-                    match self.tokens.peek() {
-                        Token::Integer { value, .. } if *value >= 0 => {
-                            let value = *value;
-                            self.tokens.bump();
-                            dims.push(value as u64);
-                            self.tokens.expect_keyword("x")?;
+                self.framed(
+                    |s| &mut s.dims,
+                    |p, start| {
+                        while let Token::Integer { value, .. } = *p.tokens.peek() {
+                            if value < 0 {
+                                break;
+                            }
+                            p.tokens.bump();
+                            p.scopes.dims.push(value as u64);
+                            p.tokens.expect_keyword("x")?;
                         }
-                        _ => break,
-                    }
-                }
-                let elem = self.parse_type()?;
-                self.tokens.expect(&Token::Gt)?;
-                Ok(self.ctx.vector_type(dims, elem))
+                        let elem = p.parse_type()?;
+                        p.tokens.expect(&Token::Gt)?;
+                        let dims = &p.scopes.dims[start..];
+                        Ok(p.ctx.intern_type_ref(TypeRef::Vector { dims, elem }))
+                    },
+                )
             }
             "tensor" | "memref" => {
                 let is_tensor = name == "tensor";
                 self.tokens.expect(&Token::Lt)?;
-                let mut dims: Vec<i64> = Vec::new();
-                loop {
-                    match self.tokens.peek() {
-                        Token::Integer { value, .. } if *value >= 0 => {
-                            let value = *value;
-                            self.tokens.bump();
-                            dims.push(value as i64);
-                            self.tokens.expect_keyword("x")?;
+                self.framed(
+                    |s| &mut s.signed_dims,
+                    |p, start| {
+                        loop {
+                            match *p.tokens.peek() {
+                                Token::Integer { value, .. } if value >= 0 => {
+                                    p.tokens.bump();
+                                    p.scopes.signed_dims.push(value as i64);
+                                }
+                                Token::Question => {
+                                    p.tokens.bump();
+                                    p.scopes.signed_dims.push(-1);
+                                }
+                                _ => break,
+                            }
+                            p.tokens.expect_keyword("x")?;
                         }
-                        Token::Question => {
-                            self.tokens.bump();
-                            dims.push(-1);
-                            self.tokens.expect_keyword("x")?;
-                        }
-                        _ => break,
-                    }
-                }
-                let elem = self.parse_type()?;
-                self.tokens.expect(&Token::Gt)?;
-                Ok(if is_tensor {
-                    self.ctx.tensor_type(dims, elem)
-                } else {
-                    self.ctx.memref_type(dims, elem)
-                })
+                        let elem = p.parse_type()?;
+                        p.tokens.expect(&Token::Gt)?;
+                        let dims = &p.scopes.signed_dims[start..];
+                        Ok(p.ctx.intern_type_ref(if is_tensor {
+                            TypeRef::Tensor { dims, elem }
+                        } else {
+                            TypeRef::MemRef { dims, elem }
+                        }))
+                    },
+                )
             }
             other => Err(self.tokens.error(format!("unknown builtin type `{other}`"))),
         }
     }
 
-    fn parse_type_list_grouped(&mut self) -> Result<Vec<Type>> {
-        if self.tokens.peek() == &Token::LParen {
-            self.tokens.bump();
-            let mut types = Vec::new();
-            if !self.tokens.consume_if(&Token::RParen) {
-                loop {
-                    types.push(self.parse_type()?);
-                    if !self.tokens.consume_if(&Token::Comma) {
-                        break;
-                    }
-                }
-                self.tokens.expect(&Token::RParen)?;
-            }
-            Ok(types)
-        } else {
-            Ok(vec![self.parse_type()?])
+    /// Pushes a single type, or a parenthesized list of them, onto the
+    /// type stack.
+    fn push_type_list_grouped(&mut self) -> Result<()> {
+        if !self.tokens.consume_if(&Token::LParen) {
+            let ty = self.parse_type()?;
+            self.scopes.types.push(ty);
+            return Ok(());
         }
+        if !self.tokens.consume_if(&Token::RParen) {
+            loop {
+                let ty = self.parse_type()?;
+                self.scopes.types.push(ty);
+                if !self.tokens.consume_if(&Token::Comma) {
+                    break;
+                }
+            }
+            self.tokens.expect(&Token::RParen)?;
+        }
+        Ok(())
     }
 
-    /// Parses an optional `<attr, attr, ...>` parameter list.
-    fn parse_opt_param_list(&mut self) -> Result<Vec<Attribute>> {
-        let mut params = Vec::new();
-        if self.tokens.consume_if(&Token::Lt)
-            && !self.tokens.consume_if(&Token::Gt) {
-                loop {
-                    params.push(self.parse_attribute()?);
-                    if !self.tokens.consume_if(&Token::Comma) {
-                        break;
-                    }
+    /// Pushes the parameters of a parametric type or attribute onto the
+    /// attribute stack, whose frame starts at `start`: through the
+    /// registered syntax hook between `<` and `>` when there is one,
+    /// otherwise as an optional `<attr, attr, ...>` list.
+    fn parse_params(&mut self, custom: Option<&dyn ParamsSyntax>, start: usize) -> Result<()> {
+        if let Some(syntax) = custom {
+            self.tokens.expect(&Token::Lt)?;
+            syntax.parse(&mut ParamParser { parser: self, start })?;
+            return self.tokens.expect(&Token::Gt);
+        }
+        if self.tokens.consume_if(&Token::Lt) && !self.tokens.consume_if(&Token::Gt) {
+            loop {
+                let param = self.parse_attribute()?;
+                self.scopes.attrs.push(param);
+                if !self.tokens.consume_if(&Token::Comma) {
+                    break;
                 }
-                self.tokens.expect(&Token::Gt)?;
             }
-        Ok(params)
+            self.tokens.expect(&Token::Gt)?;
+        }
+        Ok(())
     }
 
     // ----- attributes ----------------------------------------------------------
@@ -619,21 +676,26 @@ impl<'s, 'c> Parser<'s, 'c> {
             }
             Token::Str(_) => {
                 let Token::Str(s) = self.tokens.bump() else { unreachable!() };
-                Ok(self.ctx.string_attr(s))
+                Ok(self.ctx.intern_attr_ref(AttrRef::String(&s)))
             }
             Token::LBracket => {
                 self.tokens.bump();
-                let mut items = Vec::new();
-                if !self.tokens.consume_if(&Token::RBracket) {
-                    loop {
-                        items.push(self.parse_attribute()?);
-                        if !self.tokens.consume_if(&Token::Comma) {
-                            break;
+                self.framed(
+                    |s| &mut s.attrs,
+                    |p, start| {
+                        if !p.tokens.consume_if(&Token::RBracket) {
+                            loop {
+                                let item = p.parse_attribute()?;
+                                p.scopes.attrs.push(item);
+                                if !p.tokens.consume_if(&Token::Comma) {
+                                    break;
+                                }
+                            }
+                            p.tokens.expect(&Token::RBracket)?;
                         }
-                    }
-                    self.tokens.expect(&Token::RBracket)?;
-                }
-                Ok(self.ctx.array_attr(items))
+                        Ok(p.ctx.intern_attr_ref(AttrRef::Array(&p.scopes.attrs[start..])))
+                    },
+                )
             }
             Token::SymbolRef(name) => {
                 let name = *name;
@@ -736,20 +798,16 @@ impl<'s, 'c> Parser<'s, 'c> {
                     .registry()
                     .attr_def(dialect_sym, name_sym)
                     .and_then(|info| info.syntax.clone());
-                let params = match custom {
-                    Some(syntax) => {
-                        self.tokens.expect(&Token::Lt)?;
-                        let mut pp = ParamParser { parser: self };
-                        let params = syntax.parse(&mut pp)?;
-                        self.tokens.expect(&Token::Gt)?;
-                        params
-                    }
-                    None => self.parse_opt_param_list()?,
-                };
-                let offset = self.tokens.offset();
-                self.ctx
-                    .parametric_attr_syms(dialect_sym, name_sym, params)
-                    .map_err(|d| d.or_offset(offset))
+                self.framed(
+                    |s| &mut s.attrs,
+                    |p, start| {
+                        p.parse_params(custom.as_deref(), start)?;
+                        let offset = p.tokens.offset();
+                        p.ctx
+                            .parametric_attr_ref(dialect_sym, name_sym, &p.scopes.attrs[start..])
+                            .map_err(|d| d.or_offset(offset))
+                    },
+                )
             }
             other => Err(self.tokens.expected("attribute", other)),
         }
@@ -1296,11 +1354,30 @@ impl<'p, 's, 'c> OpParser<'p, 's, 'c> {
 
 /// The parsing interface handed to type/attribute parameter-syntax hooks:
 /// everything between the angle brackets of `!dialect.name<...>`.
+///
+/// A hook stores each parameter it parses with [`ParamParser::set_param`];
+/// the parameters are interned from the parser's stack, so a hook builds
+/// no list of its own.
 pub struct ParamParser<'p, 's, 'c> {
-    pub(crate) parser: &'p mut Parser<'s, 'c>,
+    parser: &'p mut Parser<'s, 'c>,
+    /// Where parameter 0 sits on the parser's attribute stack.
+    start: usize,
 }
 
 impl<'p, 's, 'c> ParamParser<'p, 's, 'c> {
+    /// Stores `attr` as parameter `index` of the type or attribute being
+    /// parsed. Parameters may be set in any order, and setting one again
+    /// replaces it; a parameter below the highest index set that is never
+    /// set itself is `unit`.
+    pub fn set_param(&mut self, index: usize, attr: Attribute) {
+        let slot = self.start + index;
+        if self.parser.scopes.attrs.len() <= slot {
+            let unit = self.parser.ctx.unit_attr();
+            self.parser.scopes.attrs.resize(slot + 1, unit);
+        }
+        self.parser.scopes.attrs[slot] = attr;
+    }
+
     /// Mutable access to the context.
     pub fn ctx(&mut self) -> &mut Context {
         self.parser.ctx
@@ -1817,6 +1894,46 @@ mod tests {
         assert_eq!((err.offset(), err.message()), (Some(14), "unknown escape `\\q`"));
         let err = parse_type_str(&mut Context::new(), "i32 `").unwrap_err();
         assert_eq!((err.offset(), err.message()), (Some(4), "unexpected character ```"));
+    }
+
+    /// A parametric type whose registered verifier rejects its parameters
+    /// is never interned: a failed parse leaves only what the parameters
+    /// themselves interned. Before the verifier ran ahead of interning,
+    /// each rejected `!cmath.complex<iN>` stayed in the type table.
+    #[test]
+    fn rejected_parametric_types_are_not_interned() {
+        let mut ctx = Context::new();
+        let (cmath, complex) = (ctx.symbol("cmath"), ctx.symbol("complex"));
+        let verifier = |ctx: &Context, params: &[Attribute]| match params {
+            [p] if p.as_type(ctx).is_some_and(|ty| ty.is_float(ctx)) => Ok(()),
+            _ => Err(Diagnostic::new("complex element must be a float type")),
+        };
+        let mut dialect = crate::dialect::DialectInfo::new(cmath);
+        dialect.add_type(crate::dialect::TypeDefInfo {
+            name: complex,
+            summary: String::new(),
+            param_names: Vec::new(),
+            param_kinds: Vec::new(),
+            verifier: Some(std::sync::Arc::new(verifier)),
+            syntax: None,
+            has_native_verifier: false,
+        });
+        ctx.register_dialect(dialect);
+        let ok = "%0 = \"t.x\"() : () -> !cmath.complex<f32>\n";
+        let module = parse_module(&mut ctx, ok).unwrap();
+        ctx.erase_op(module);
+        let before = ctx.num_types();
+        const REJECTED: u32 = 48;
+        for width in 1..=REJECTED {
+            let src = format!("%0 = \"t.x\"() : () -> !cmath.complex<i{width}>\n");
+            let err = parse_module(&mut ctx, &src).unwrap_err();
+            assert_eq!(err.message(), "complex element must be a float type", "{src}");
+            let int = ctx.int_type(width);
+            let param = ctx.type_attr(int);
+            let key = TypeRef::Parametric { dialect: cmath, name: complex, params: &[param] };
+            assert_eq!(ctx.types_mut().lookup(key), None, "!cmath.complex<i{width}> was interned");
+        }
+        assert_eq!(ctx.num_types(), before + REJECTED as usize, "only the `iN` types are new");
     }
 
     #[test]

@@ -14,12 +14,18 @@
 //!
 //! The printer writes into a caller-provided `String` and never builds
 //! intermediate per-token strings: SSA names and block labels are numeric
-//! ids numbered in [`FastMap`]s (one entry per op, shared by its results)
-//! and rendered on the fly, escape-free string literals are copied in one
-//! `push_str`, and [`print_op_into`] with a reusable [`PrintScratch`]
-//! prints in a steady state of zero heap allocations per operation.
-//! Ids, result counts, integer widths and values, dimensions and
-//! qualified names are pushed directly, without `core::fmt`.
+//! ids, kept in tables indexed by op and block arena index (one entry per
+//! op, shared by its results; block arguments in a [`FastMap`]) and
+//! rendered on the fly, and escape-free string literals are copied in one
+//! `push_str`. Ids, result counts, integer widths and values, dimensions
+//! and qualified names are pushed directly, without `core::fmt`.
+//!
+//! The naming tables live in the [`Context`] between printers: a
+//! [`Printer`]'s first [`Printer::print_op`] takes the context's parked
+//! tables, and the printer parks them again, emptied, when it drops. So a
+//! printer made per module, as `irdl-opt` and the batch pipeline make
+//! them, prints without allocating once the tables have grown, into a
+//! reused output `String`.
 //!
 //! One divergence from MLIR: shaped-type dimension lists are spaced
 //! (`vector<4 x f32>` instead of `vector<4xf32>`), which keeps the lexer
@@ -27,6 +33,7 @@
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::attrs::{AttrData, Attribute};
 use crate::block::BlockRef;
@@ -42,26 +49,71 @@ use crate::value::Value;
 ///
 /// Dialect syntax hooks receive a `&mut Printer` and append to the same
 /// buffer via [`Printer::token`], [`Printer::print_value`], and friends.
+/// Names stay assigned for the printer's lifetime, so ops printed one
+/// after another by the same printer name shared values alike.
 #[derive(Debug)]
 pub struct Printer<'w> {
     out: &'w mut String,
     indent: usize,
-    /// Ids by value; an op's results share one id, keyed by result 0.
-    value_ids: FastMap<Value, u32>,
-    block_ids: FastMap<BlockRef, u32>,
+    names: NameTables,
+    /// The context slot `names` came from and goes back to on drop.
+    home: Option<ParkedNames>,
     next_value: u32,
     next_block: u32,
     generic: bool,
 }
 
-/// Reusable naming-table storage for [`print_op_into`].
-///
-/// Holding one of these across calls lets the per-op hash maps keep their
-/// capacity, so steady-state printing performs no heap allocation.
-#[derive(Debug, Default)]
-pub struct PrintScratch {
-    value_ids: FastMap<Value, u32>,
-    block_ids: FastMap<BlockRef, u32>,
+/// A context's parking slot for printer naming tables.
+pub(crate) type ParkedNames = Arc<Mutex<Option<NameTables>>>;
+
+/// A printer's naming tables. The id an op's results share sits at the
+/// op's arena index, and a block's label at the block's; block arguments
+/// are keyed by value. An indexed entry counts only while it carries the
+/// tables' current `stamp`, so emptying them for the next printer is one
+/// increment, however large the last module was.
+#[derive(Debug)]
+pub(crate) struct NameTables {
+    stamp: u32,
+    ops: Vec<(u32, u32)>,
+    blocks: Vec<(u32, u32)>,
+    args: FastMap<Value, u32>,
+}
+
+impl Default for NameTables {
+    fn default() -> Self {
+        NameTables { stamp: 1, ops: Vec::new(), blocks: Vec::new(), args: FastMap::default() }
+    }
+}
+
+impl NameTables {
+    /// The id `table` holds at `index`, taking `*next` (and advancing
+    /// it) when there is none yet.
+    fn id(stamp: u32, table: &mut Vec<(u32, u32)>, index: usize, next: &mut u32) -> u32 {
+        if index >= table.len() {
+            table.resize(index + 1, (0, 0));
+        }
+        let slot = &mut table[index];
+        if slot.0 != stamp {
+            *slot = (stamp, *next);
+            *next += 1;
+        }
+        slot.1
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ops.is_empty() && self.blocks.is_empty() && self.args.is_empty()
+    }
+
+    /// Forgets every name, keeping the buffers.
+    fn clear(&mut self) {
+        self.args.clear();
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.ops.fill((0, 0));
+            self.blocks.fill((0, 0));
+            self.stamp = 1;
+        }
+    }
 }
 
 impl<'w> Printer<'w> {
@@ -70,12 +122,26 @@ impl<'w> Printer<'w> {
         Printer {
             out,
             indent: 0,
-            value_ids: FastMap::default(),
-            block_ids: FastMap::default(),
+            names: NameTables::default(),
+            home: None,
             next_value: 0,
             next_block: 0,
             generic: false,
         }
+    }
+
+    /// Takes `ctx`'s parked naming tables for this printer's lifetime,
+    /// unless another printer holds them or this one has named something
+    /// already; [`Drop`] parks the printer's tables in their place.
+    fn adopt_names(&mut self, ctx: &Context) {
+        let home = Arc::clone(ctx.parked_names());
+        let parked = home.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(parked) = parked {
+            if self.names.is_empty() {
+                self.names = parked;
+            }
+        }
+        self.home = Some(home);
     }
 
     /// Forces the generic form for all operations when `generic` is `true`.
@@ -113,24 +179,24 @@ impl<'w> Printer<'w> {
     /// result group of the defining op (or to the block arg) on first
     /// sight.
     fn value_id(&mut self, value: Value) -> u32 {
-        let key = match value {
-            Value::OpResult { op, .. } => Value::OpResult { op, index: 0 },
-            arg => arg,
-        };
-        *self.value_ids.entry(key).or_insert_with(|| {
-            let id = self.next_value;
-            self.next_value += 1;
-            id
-        })
+        let names = &mut self.names;
+        match value {
+            Value::OpResult { op, .. } => {
+                NameTables::id(names.stamp, &mut names.ops, op.index(), &mut self.next_value)
+            }
+            arg => *names.args.entry(arg).or_insert_with(|| {
+                let id = self.next_value;
+                self.next_value += 1;
+                id
+            }),
+        }
     }
 
     /// Prints the label of `block` (assigning one if needed).
     pub fn print_block_name(&mut self, block: BlockRef) {
-        let id = *self.block_ids.entry(block).or_insert_with(|| {
-            let id = self.next_block;
-            self.next_block += 1;
-            id
-        });
+        let names = &mut self.names;
+        let (stamp, index) = (names.stamp, block.index());
+        let id = NameTables::id(stamp, &mut names.blocks, index, &mut self.next_block);
         self.out.push_str("^bb");
         push_decimal(self.out, u64::from(id));
     }
@@ -373,6 +439,9 @@ impl<'w> Printer<'w> {
 
     /// Prints a full operation (results, name, body, nested regions).
     pub fn print_op(&mut self, ctx: &Context, op: OpRef) {
+        if self.home.is_none() {
+            self.adopt_names(ctx);
+        }
         let num_results = op.num_results(ctx);
         if num_results > 0 {
             let id = self.value_id(op.result(ctx, 0));
@@ -515,21 +584,15 @@ impl<'w> Printer<'w> {
     }
 }
 
-/// Prints `op` (custom syntax where registered) into `out`, reusing the
-/// naming tables in `scratch`.
-///
-/// This is the allocation-free workhorse behind [`op_to_string`]: with a
-/// warm `out` capacity and `scratch` reused across calls, steady-state
-/// printing performs zero heap allocations per operation.
-pub fn print_op_into(ctx: &Context, op: OpRef, out: &mut String, scratch: &mut PrintScratch) {
-    let mut p = Printer::new(out);
-    std::mem::swap(&mut p.value_ids, &mut scratch.value_ids);
-    std::mem::swap(&mut p.block_ids, &mut scratch.block_ids);
-    p.value_ids.clear();
-    p.block_ids.clear();
-    p.print_op(ctx, op);
-    std::mem::swap(&mut p.value_ids, &mut scratch.value_ids);
-    std::mem::swap(&mut p.block_ids, &mut scratch.block_ids);
+impl Drop for Printer<'_> {
+    /// Parks the naming tables, emptied, in the context they came from.
+    fn drop(&mut self) {
+        if let Some(home) = self.home.take() {
+            let mut names = std::mem::take(&mut self.names);
+            names.clear();
+            *home.lock().unwrap_or_else(PoisonError::into_inner) = Some(names);
+        }
+    }
 }
 
 /// Renders a type to a string.
@@ -559,6 +622,7 @@ pub fn op_to_string_generic(ctx: &Context, op: OpRef) -> String {
     let mut p = Printer::new(&mut out);
     p.set_generic(true);
     p.print_op(ctx, op);
+    drop(p);
     out
 }
 
@@ -714,6 +778,7 @@ mod tests {
         p.print_op(&ctx, def);
         p.newline();
         p.print_op(&ctx, user);
+        drop(p);
         assert_eq!(
             text,
             "%0 = \"test.source\"() : () -> f32\n\"test.sink\"(%0) : (f32) -> ()"
@@ -750,26 +815,51 @@ mod tests {
         p.print_op(&ctx, def);
         p.newline();
         p.print_op(&ctx, user);
+        drop(p);
         assert_eq!(
             text,
             "%0:2 = \"test.pair\"() : () -> (f32, i32)\n\"test.use\"(%0#1) : (i32) -> ()"
         );
     }
 
+    /// Printers made one after another reuse the context's naming
+    /// tables: once warm, printing a module into a reused `String` through
+    /// a fresh printer leaves the tables parked, grown, and prints the
+    /// same text.
     #[test]
-    fn print_op_into_reuses_buffers() {
+    fn printers_reuse_the_context_tables() {
         let mut ctx = Context::new();
         let f32 = ctx.f32_type();
+        let module = ctx.create_module();
+        let block = ctx.module_block(module);
         let name = ctx.op_name("test", "source");
-        let op = ctx.create_op(OperationState::new(name).add_result_types([f32]));
-        let block = ctx.create_block([]);
-        ctx.append_op(block, op);
+        for _ in 0..64 {
+            let op = ctx.create_op(OperationState::new(name).add_result_types([f32]));
+            ctx.append_op(block, op);
+        }
+        let first = op_to_string(&ctx, module);
+        let parked = |ctx: &Context| {
+            let slot = ctx.parked_names().lock().unwrap();
+            slot.as_ref().map(|names| (names.stamp, names.ops.len(), names.ops.capacity()))
+        };
+        let (stamp, len, capacity) = parked(&ctx).expect("the printer parked its tables");
+        assert!(len > 64, "the tables kept an entry for every op");
         let mut out = String::new();
-        let mut scratch = PrintScratch::default();
-        print_op_into(&ctx, op, &mut out, &mut scratch);
-        assert_eq!(out, "%0 = \"test.source\"() : () -> f32");
-        out.clear();
-        print_op_into(&ctx, op, &mut out, &mut scratch);
-        assert_eq!(out, "%0 = \"test.source\"() : () -> f32");
+        Printer::new(&mut out).print_op(&ctx, module);
+        assert_eq!(out, first);
+        assert_eq!(parked(&ctx), Some((stamp + 1, len, capacity)), "emptied by a new stamp");
+    }
+
+    /// When the stamp wraps, emptying the tables resets every entry, so
+    /// no name from 2^32 printers ago can come back.
+    #[test]
+    fn stamp_wrap_resets_entries() {
+        let mut names = NameTables { stamp: u32::MAX, ..NameTables::default() };
+        let mut next = 0;
+        assert_eq!(NameTables::id(names.stamp, &mut names.ops, 3, &mut next), 0);
+        names.clear();
+        assert_eq!(names.stamp, 1);
+        assert_eq!(NameTables::id(names.stamp, &mut names.ops, 3, &mut next), 1);
+        assert_eq!(NameTables::id(names.stamp, &mut names.ops, 0, &mut next), 2);
     }
 }

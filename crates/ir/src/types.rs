@@ -341,19 +341,30 @@ impl Context {
         name: Symbol,
         params: Vec<Attribute>,
     ) -> crate::Result<Type> {
-        let ty = self.intern_type(TypeData::Parametric { dialect, name, params });
-        if let Some(info) = self.registry().type_def(dialect, name) {
-            if let Some(verifier) = info.verifier.clone() {
-                verifier.verify(self, ty.params(self)).map_err(|d| {
-                    d.with_note(format!(
-                        "while building type !{}.{}",
-                        self.symbol_str(dialect),
-                        self.symbol_str(name)
-                    ))
-                })?;
-            }
+        self.parametric_type_ref(dialect, name, &params)
+    }
+
+    /// [`Context::parametric_type_syms`] over a borrowed parameter list:
+    /// a type that already exists is found without building an owned
+    /// list. The registered verifier runs before the type is interned,
+    /// so a rejected parameter list leaves nothing in the table.
+    pub fn parametric_type_ref(
+        &mut self,
+        dialect: Symbol,
+        name: Symbol,
+        params: &[Attribute],
+    ) -> crate::Result<Type> {
+        let info = self.registry().type_def(dialect, name);
+        if let Some(verifier) = info.and_then(|info| info.verifier.as_ref()) {
+            verifier.verify(self, params).map_err(|d| {
+                d.with_note(format!(
+                    "while building type !{}.{}",
+                    self.symbol_str(dialect),
+                    self.symbol_str(name)
+                ))
+            })?;
         }
-        Ok(ty)
+        Ok(self.intern_type_ref(TypeRef::Parametric { dialect, name, params }))
     }
 }
 

@@ -377,6 +377,7 @@ fn process_module(
     let mut printer = Printer::new(&mut output);
     printer.set_generic(opts.generic);
     printer.print_op(ctx, module);
+    drop(printer);
     timings.print = start.elapsed().as_nanos() as u64;
     ctx.erase_op(module);
     Ok(ModuleResult { output, rewrites, timings })

@@ -131,6 +131,7 @@ fn cmd_decode(opts: &Options) -> Result<(), String> {
     let mut printer = Printer::new(&mut out);
     printer.set_generic(opts.generic);
     printer.print_op(&ctx, module);
+    drop(printer);
     out.push('\n');
     write_output(opts, out.as_bytes())
 }

@@ -297,6 +297,7 @@ fn run(opts: Options) -> Result<(), String> {
             let mut printer = Printer::new(&mut out);
             printer.set_generic(opts.generic);
             printer.print_op(&ctx, module);
+            drop(printer);
             timings.print = start.elapsed().as_nanos() as u64;
             out.push('\n');
             cli::write_stdout(out);
