@@ -35,8 +35,8 @@ use crate::parser::parse_irdl;
 /// An immutable, thread-shareable set of compiled dialects.
 ///
 /// Internally this is a sealed template [`Context`] holding the compiled
-/// registry. `Context` is `Sync` (its verdict cache is sharded and its
-/// counters atomic), so the template is held bare and
+/// registry. `Context` is `Sync` (its verdict cache is behind a mutex and
+/// its counters atomic), so the template is held bare and
 /// [`instantiate`](Self::instantiate) clones it without taking any lock.
 pub struct DialectBundle {
     template: Context,

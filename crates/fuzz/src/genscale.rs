@@ -1,26 +1,18 @@
-//! Deterministic giant-module generation for the intra-module
-//! parallelism benchmarks.
+//! Deterministic giant-module generation for scale benchmarks.
 //!
 //! Unlike [`crate::genmod`], which samples random shapes from compiled
 //! constraints, this generator is purely positional: the same
 //! [`ScaleConfig`] always produces the same module, op for op, with no
 //! PRNG involved — so benches and determinism tests can regenerate their
-//! input instead of storing multi-megabyte fixtures.
+//! input instead of storing multi-megabyte fixtures. irdlbench's
+//! `scale-wide` workload parses, verifies and prints a wide one.
 //!
-//! Two shapes stress the two partitioning axes of
-//! [`ModuleVerifier::verify_parallel`]:
+//! Two shapes:
 //!
-//! - **Wide**: one flat top-level block of `scale.src`/`scale.fma` ops —
-//!   the pure fan-out case, chunked directly.
+//! - **Wide**: one flat top-level block of `scale.src`/`scale.fma` ops,
+//!   the pure fan-out case.
 //! - **Deep**: a chain of nested `scale.wrap` regions, each holding a
-//!   slab of ops — forces the planner to split large subtrees into
-//!   placement shells plus per-region units.
-//!
-//! `invalid_every` seeds deterministic use-before-def violations, giving
-//! the byte-identical-diagnostics tests a giant module with a known,
-//! ordered error list.
-//!
-//! [`ModuleVerifier::verify_parallel`]: irdl_ir::verify::ModuleVerifier::verify_parallel
+//!   slab of ops, up to [`DEEP_MAX_DEPTH`] levels.
 
 use irdl::DialectBundle;
 use irdl_ir::{BlockRef, Context, OperationState, OpRef, Value};
@@ -80,17 +72,12 @@ pub struct ScaleConfig {
     pub ops: usize,
     /// Wide fan-out or deep nesting.
     pub shape: ScaleShape,
-    /// When `Some(n)`, every `n`-th emitted op starts a use-before-def
-    /// pair (a `scale.fma` placed before the `scale.src` defining its
-    /// first operand), producing one dominance diagnostic at a known
-    /// position. `None` generates a fully valid module.
-    pub invalid_every: Option<usize>,
 }
 
 impl ScaleConfig {
     /// A valid module of at least `ops` operations.
     pub fn valid(ops: usize, shape: ScaleShape) -> ScaleConfig {
-        ScaleConfig { ops, shape, invalid_every: None }
+        ScaleConfig { ops, shape }
     }
 }
 
@@ -100,7 +87,7 @@ const DEEP_SLAB: usize = 512;
 /// Depth cap for [`ScaleShape::Deep`]: verification, printing, and
 /// parsing all recurse per nesting level, so depth stays bounded and the
 /// slab widens instead once a module outgrows `DEEP_MAX_DEPTH * DEEP_SLAB`.
-const DEEP_MAX_DEPTH: usize = 1024;
+pub const DEEP_MAX_DEPTH: usize = 1024;
 
 /// Builds one deterministic module into `ctx` (whose dialects should come
 /// from [`scale_bundle`]) and returns it with its exact total op count,
@@ -108,7 +95,7 @@ const DEEP_MAX_DEPTH: usize = 1024;
 pub fn generate_scale_module(ctx: &mut Context, config: &ScaleConfig) -> (OpRef, usize) {
     let module = ctx.create_module();
     let block = ctx.module_block(module);
-    let mut emitter = Emitter { ctx, emitted: 0, invalid_every: config.invalid_every };
+    let mut emitter = Emitter { ctx, emitted: 0 };
     match config.shape {
         ScaleShape::Wide => emitter.fill_block(block, config.ops),
         ScaleShape::Deep => {
@@ -124,7 +111,6 @@ pub fn generate_scale_module(ctx: &mut Context, config: &ScaleConfig) -> (OpRef,
 struct Emitter<'c> {
     ctx: &'c mut Context,
     emitted: usize,
-    invalid_every: Option<usize>,
 }
 
 impl Emitter<'_> {
@@ -137,42 +123,17 @@ impl Emitter<'_> {
         let mut recent: Vec<Value> = Vec::with_capacity(64);
         let mut produced = 0;
         while produced < count {
-            if recent.len() < 3 || produced % 7 == 0 {
-                let op = self.ctx.create_op(OperationState::new(src).add_result_types([f32t]));
-                self.ctx.append_op(block, op);
-                recent.push(op.result(self.ctx, 0));
-                self.emitted += 1;
-                produced += 1;
+            let state = if recent.len() < 3 || produced % 7 == 0 {
+                OperationState::new(src)
             } else {
                 let n = recent.len();
-                let (a, b, c) = (recent[n - 1], recent[n - 2], recent[n - 3]);
-                if self.invalid_due() {
-                    // Use-before-def: the fma consumes the result of a src
-                    // appended *after* it. Exactly one dominance
-                    // diagnostic, at a deterministic position.
-                    let def =
-                        self.ctx.create_op(OperationState::new(src).add_result_types([f32t]));
-                    let v = def.result(self.ctx, 0);
-                    let bad = self.ctx.create_op(
-                        OperationState::new(fma).add_operands([v, a, b]).add_result_types([f32t]),
-                    );
-                    self.ctx.append_op(block, bad);
-                    self.ctx.append_op(block, def);
-                    recent.push(def.result(self.ctx, 0));
-                    self.emitted += 2;
-                    produced += 2;
-                } else {
-                    let op = self.ctx.create_op(
-                        OperationState::new(fma)
-                            .add_operands([a, b, c])
-                            .add_result_types([f32t]),
-                    );
-                    self.ctx.append_op(block, op);
-                    recent.push(op.result(self.ctx, 0));
-                    self.emitted += 1;
-                    produced += 1;
-                }
-            }
+                OperationState::new(fma).add_operands([recent[n - 1], recent[n - 2], recent[n - 3]])
+            };
+            let op = self.ctx.create_op(state.add_result_types([f32t]));
+            self.ctx.append_op(block, op);
+            recent.push(op.result(self.ctx, 0));
+            self.emitted += 1;
+            produced += 1;
             if recent.len() == 64 {
                 recent.drain(..61);
             }
@@ -199,13 +160,6 @@ impl Emitter<'_> {
         );
         self.ctx.append_op(block, wrap);
         self.emitted += 1;
-    }
-
-    fn invalid_due(&self) -> bool {
-        match self.invalid_every {
-            Some(every) => every > 0 && (self.emitted + 1).is_multiple_of(every),
-            None => false,
-        }
     }
 }
 
@@ -237,29 +191,12 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let bundle = scale_bundle().unwrap();
-        let config =
-            ScaleConfig { ops: 2000, shape: ScaleShape::Deep, invalid_every: Some(101) };
+        let config = ScaleConfig::valid(2000, ScaleShape::Deep);
         let render = || {
             let mut ctx = bundle.instantiate();
             let (module, total) = generate_scale_module(&mut ctx, &config);
             (op_to_string(&ctx, module), total)
         };
         assert_eq!(render(), render());
-    }
-
-    #[test]
-    fn invalid_every_seeds_dominance_errors() {
-        let bundle = scale_bundle().unwrap();
-        let mut ctx = bundle.instantiate();
-        let config =
-            ScaleConfig { ops: 2000, shape: ScaleShape::Wide, invalid_every: Some(97) };
-        let (module, _) = generate_scale_module(&mut ctx, &config);
-        let errs = ModuleVerifier::new().verify(&ctx, module).unwrap_err();
-        assert!(!errs.is_empty());
-        assert!(
-            errs.iter().all(|d| d.message().contains("dominates")),
-            "only dominance errors expected, got {}",
-            errs[0]
-        );
     }
 }

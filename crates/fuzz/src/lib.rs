@@ -8,7 +8,7 @@
 //! pattern-catalog generator ([`genpat`]) emits random declarative
 //! rewrite catalogs, and a mutation engine ([`mutate`]) covers the reject
 //! paths. Every input runs
-//! through nine differential oracles ([`oracle`]) that cross-check the
+//! through eight differential oracles ([`oracle`]) that cross-check the
 //! repo's fast paths against their reference implementations; failing
 //! inputs are shrunk by a ddmin reducer ([`mod@reduce`]) and stored with
 //! their seed under `fuzz/corpus-regressions/`.
@@ -38,9 +38,8 @@ pub use genspec::generate_spec;
 pub use harness::{oracle_fails, run_fuzz, run_fuzz_on, FuzzOptions, FuzzReport, FuzzTarget};
 pub use mutate::{mutate_structured, mutate_text, MutationPolicy};
 pub use oracle::{
-    check_matcher, check_parallel_verify, check_translation_validation, oracle_patterns,
-    replay_all, tv_patterns, Oracle, OracleFailure, OraclePatterns, OracleScope, OracleSeeds,
-    TvPatterns, ORACLES,
+    check_matcher, check_translation_validation, oracle_patterns, replay_all, tv_patterns,
+    Oracle, OracleFailure, OraclePatterns, OracleScope, OracleSeeds, TvPatterns, ORACLES,
 };
 pub use reduce::reduce;
 pub use regression::{load_case, write_regression, RegressionCase};

@@ -1,4 +1,4 @@
-//! The nine differential oracles.
+//! The eight differential oracles.
 //!
 //! Each oracle runs one input through two implementations that must agree
 //! and reports any divergence with enough context (input text, seed,
@@ -27,11 +27,7 @@
 //!    reproduce the module: the decoded module prints byte-identically to
 //!    the original (text and bytecode are interchangeable surfaces for
 //!    the same IR).
-//! 8. **parallel-verify** — [`ModuleVerifier::verify_parallel`] (forced
-//!    past its small-module fallback) must produce the same verdict and
-//!    an identical diagnostic list as the sequential walk, at several
-//!    worker counts.
-//! 9. **translation-validation** — the module is *executed* (the
+//! 8. **translation-validation** — the module is *executed* (the
 //!    `irdl-interp` register machine, seeded random well-typed inputs)
 //!    before and after a greedy drive of the semantics-preserving TV
 //!    catalog (constant folding + source DCE), in both matcher modes; the
@@ -61,8 +57,8 @@ use crate::rng::SplitMix64;
 #[derive(Debug, Clone)]
 pub struct OracleFailure {
     /// Which oracle diverged (`fixpoint`, `incremental`, `cache`,
-    /// `jobs`, `drive`, `matcher`, `bytecode`, `parallel-verify`,
-    /// `translation-validation`, or `generate`).
+    /// `jobs`, `drive`, `matcher`, `bytecode`, `translation-validation`,
+    /// or `generate`).
     pub oracle: &'static str,
     /// Human-readable description of the divergence.
     pub detail: String,
@@ -274,38 +270,6 @@ pub fn check_cache(bundle: &DialectBundle, text: &str) -> Result<(), OracleFailu
     Ok(())
 }
 
-/// Oracle 8: parallel verification must agree with the sequential
-/// [`ModuleVerifier`] — same accept/reject verdict *and* an identical
-/// diagnostic list — at several worker counts. Uses
-/// [`verify_parallel_force`](ModuleVerifier::verify_parallel_force) so
-/// the planner, chunking, and worker pool are exercised even on the
-/// small modules the generator emits.
-pub fn check_parallel_verify(bundle: &DialectBundle, text: &str) -> Result<(), OracleFailure> {
-    let mut ctx = bundle.instantiate();
-    let Some(module) = parse_in(&mut ctx, text) else { return Ok(()) };
-
-    let as_key = |r: &Result<(), Vec<irdl_ir::Diagnostic>>| match r {
-        Ok(()) => "ok".to_string(),
-        Err(errors) => format!("err: {}", render_errors(errors)),
-    };
-
-    let sequential = as_key(&ModuleVerifier::new().verify(&ctx, module));
-    for workers in [2, 8] {
-        let parallel =
-            as_key(&ModuleVerifier::new().verify_parallel_force(&ctx, module, workers));
-        if parallel != sequential {
-            return Err(OracleFailure::new(
-                "parallel-verify",
-                format!(
-                    "workers={workers}: sequential [{sequential}] vs parallel [{parallel}]"
-                ),
-                text,
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Oracle 4: the batch pipeline at 1 worker and at `jobs` workers
 /// produces identical per-module results, in input order.
 pub fn check_jobs(
@@ -321,7 +285,6 @@ pub fn check_jobs(
             check: CheckLevel::Off,
             generic: false,
             matcher: MatcherMode::Auto,
-            intra_jobs: 1,
         };
         run_batch(bundle, &patterns.0, inputs, &opts)
     };
@@ -487,7 +450,7 @@ pub fn tv_patterns(bundle: &DialectBundle) -> Arc<TvPatterns> {
     })
 }
 
-/// Oracle 9: rewrites preserve observable behavior.
+/// Oracle 8: rewrites preserve observable behavior.
 ///
 /// Executes `text` on the interpreter with inputs derived from `seed`,
 /// then drives the TV catalog to a fixpoint (both matcher modes, checks
@@ -603,11 +566,6 @@ pub const ORACLES: &[Oracle] = &[
     Oracle {
         name: "bytecode",
         check: |bundle, text, _| check_bytecode(bundle, text),
-        scope: OracleScope::Mutants,
-    },
-    Oracle {
-        name: "parallel-verify",
-        check: |bundle, text, _| check_parallel_verify(bundle, text),
         scope: OracleScope::Mutants,
     },
     Oracle {

@@ -3,7 +3,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::attrs::{AttrData, Attribute};
 use crate::block::{BlockData, BlockRef};
@@ -37,18 +37,17 @@ pub struct Context {
     /// [`Context::reserve_verdict_domains`]) and a uniqued type/attribute
     /// index. Sound because interned values are immutable and append-only:
     /// a verdict computed once holds for the lifetime of the context.
-    /// Interior-mutable (and sharded, see [`VerdictCache`]) so verifier
-    /// hooks — which only see `&Context`, possibly from several worker
-    /// threads at once — can fill it.
-    verdict_cache: VerdictCache,
+    /// Behind a `Mutex` so verifier hooks, which only see `&Context`, can
+    /// fill it while the context stays `Sync`.
+    verdict_cache: Mutex<HashMap<u64, bool>>,
     verdict_hits: AtomicU64,
     verdict_misses: AtomicU64,
     next_verdict_domain: u32,
     /// Per-context evaluation scratch parked here between verifier runs so
     /// shared (`Arc`'d, stateless) verifier objects stay `Sync`. Type-erased
     /// because the scratch type lives in a downstream crate; a pool (not a
-    /// single slot) so N parallel verification workers each get a reusable
-    /// scratch instead of allocating fresh ones on every op.
+    /// single slot) so a nested verifier run takes its own scratch instead
+    /// of allocating fresh ones on every op.
     eval_scratch: Mutex<Vec<Box<dyn Any + Send>>>,
     /// Recycled buffers for oversized [`OperationData`] lists and for the
     /// op, argument and block lists of blocks and regions. `erase_op`
@@ -210,59 +209,6 @@ impl Iterator for UseIter<'_> {
     }
 }
 
-/// Number of independent verdict-cache shards. A power of two; 16 keeps
-/// lock contention negligible for any realistic worker count while the
-/// per-shard maps stay dense.
-const VERDICT_SHARDS: usize = 16;
-
-/// The memoized-verdict store, sharded by key so concurrent verification
-/// workers sharing one `&Context` never serialize on a single lock.
-///
-/// Every shard is an independent `Mutex<HashMap>`; a key's shard is a
-/// multiplicative hash of the key, so the (domain, uniqued-index) keys the
-/// verifier compiler composes spread evenly. Uncontended mutex acquisition
-/// is a single atomic op, so the sequential fast path stays fast.
-#[derive(Debug, Default)]
-struct VerdictCache {
-    shards: [Mutex<HashMap<u64, bool>>; VERDICT_SHARDS],
-}
-
-impl VerdictCache {
-    #[inline]
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, bool>> {
-        // Fibonacci hashing: the top bits of a multiplicative hash are
-        // well-mixed even for sequential keys.
-        let index = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize;
-        &self.shards[index & (VERDICT_SHARDS - 1)]
-    }
-
-    fn get(&self, key: u64) -> Option<bool> {
-        self.shard(key).lock().unwrap().get(&key).copied()
-    }
-
-    fn insert(&self, key: u64, verdict: bool) {
-        self.shard(key).lock().unwrap().insert(key, verdict);
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap().clear();
-        }
-    }
-}
-
-impl Clone for VerdictCache {
-    fn clone(&self) -> Self {
-        VerdictCache {
-            shards: std::array::from_fn(|i| Mutex::new(self.shards[i].lock().unwrap().clone())),
-        }
-    }
-}
-
 impl Clone for Context {
     /// Clones the full context: interned tables, entity arenas, registry
     /// (hook objects are `Arc`-shared, not deep-copied), and the verdict
@@ -281,7 +227,7 @@ impl Clone for Context {
             regions: self.regions.clone(),
             registry: self.registry.clone(),
             allow_unregistered: self.allow_unregistered,
-            verdict_cache: self.verdict_cache.clone(),
+            verdict_cache: Mutex::new(self.verdicts().clone()),
             verdict_hits: AtomicU64::new(0),
             verdict_misses: AtomicU64::new(0),
             next_verdict_domain: self.next_verdict_domain,
@@ -329,7 +275,7 @@ impl Context {
             regions: EntityArena::new(),
             registry: DialectRegistry::new(),
             allow_unregistered: true,
-            verdict_cache: VerdictCache::default(),
+            verdict_cache: Mutex::new(HashMap::new()),
             verdict_hits: AtomicU64::new(0),
             verdict_misses: AtomicU64::new(0),
             next_verdict_domain: 0,
@@ -405,6 +351,12 @@ impl Context {
     // tables being append-only and immutable: the value behind a given
     // index never changes, so neither does its verdict.
 
+    /// Locks the verdict map. Every update is one insert or a clear, so a
+    /// map left by a panicking holder is still valid.
+    fn verdicts(&self) -> MutexGuard<'_, HashMap<u64, bool>> {
+        self.verdict_cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Reserves `count` fresh verdict-cache key domains, returning the first.
     ///
     /// Each domain is a namespace for one memoizable subprogram; callers
@@ -417,7 +369,7 @@ impl Context {
 
     /// Looks up a memoized verdict, counting the hit or miss.
     pub fn cached_verdict(&self, key: u64) -> Option<bool> {
-        let hit = self.verdict_cache.get(key);
+        let hit = self.verdicts().get(&key).copied();
         match hit {
             Some(_) => self.verdict_hits.fetch_add(1, Ordering::Relaxed),
             None => self.verdict_misses.fetch_add(1, Ordering::Relaxed),
@@ -427,12 +379,12 @@ impl Context {
 
     /// Records a verdict for `key`.
     pub fn cache_verdict(&self, key: u64, verdict: bool) {
-        self.verdict_cache.insert(key, verdict);
+        self.verdicts().insert(key, verdict);
     }
 
     /// Number of memoized verdicts (observability / tests).
     pub fn verdict_cache_len(&self) -> usize {
-        self.verdict_cache.len()
+        self.verdicts().len()
     }
 
     /// `(hits, misses)` counters for the verdict cache.
@@ -458,7 +410,7 @@ impl Context {
     /// scratch, which is what differential cache oracles compare against
     /// the memoized path.
     pub fn clear_verdict_cache(&self) {
-        self.verdict_cache.clear();
+        self.verdicts().clear();
     }
 
     // ----- Evaluation scratch ----------------------------------------------
@@ -469,9 +421,7 @@ impl Context {
     /// the verifier objects themselves can be shared across threads. The
     /// pool is type-erased; callers downcast to their own scratch type and
     /// fall back to a fresh value on mismatch or when the pool is empty
-    /// (which also makes nested verification re-entrant). Holding a pool
-    /// rather than a single slot means each of N parallel verification
-    /// workers acquires its own reusable scratch.
+    /// (which also makes nested verification re-entrant).
     pub fn take_eval_scratch(&self) -> Option<Box<dyn Any + Send>> {
         self.eval_scratch.lock().unwrap().pop()
     }
@@ -479,8 +429,8 @@ impl Context {
     /// Parks evaluation scratch for the next verifier run.
     pub fn put_eval_scratch(&self, scratch: Box<dyn Any + Send>) {
         let mut pool = self.eval_scratch.lock().unwrap();
-        // Bound the pool: steady state needs one entry per concurrent
-        // verification worker; anything beyond a generous cap is churn.
+        // Bound the pool: steady state needs one entry per nesting level
+        // of verification; anything beyond a generous cap is churn.
         if pool.len() < 64 {
             pool.push(scratch);
         }
@@ -773,9 +723,10 @@ mod tests {
         assert_eq!(module.name(&ctx).display(&ctx), "builtin.module");
     }
 
-    /// Parallel verification shares one `&Context` across worker threads;
-    /// this pin makes losing `Sync` (e.g. by reintroducing a `RefCell`
-    /// field) a compile error rather than a runtime surprise.
+    /// Batch pipeline workers share the bundle's template context through
+    /// `&DialectBundle` and instantiate their own from it; this pin makes
+    /// losing `Sync` (e.g. by reintroducing a `RefCell` field) a compile
+    /// error rather than a runtime surprise.
     #[test]
     fn context_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

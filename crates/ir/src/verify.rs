@@ -13,7 +13,6 @@
 //!    IRDL compiler from declarative constraints (or written natively).
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::block::BlockRef;
 use crate::context::Context;
@@ -80,113 +79,19 @@ impl ModuleVerifier {
         self.verify_inner(ctx, root, true)
     }
 
-    /// Verifies `root` with up to `workers` threads sharing the context
-    /// read-only, producing a verdict and diagnostic list byte-identical
-    /// to [`verify`](Self::verify).
-    ///
-    /// A planning pre-pass linearizes the sequential walk into work units
-    /// (emitted in exactly the order the sequential verifier would visit
-    /// them — large subtrees are split into a placement "shell" followed
-    /// by units for their nested regions), groups the units into chunks of
-    /// roughly 1024 ops, and a `std::thread::scope` pool
-    /// claims chunks off a shared atomic counter. Each worker verifies its
-    /// chunks with a private [`DominanceCache`] and a private diagnostic
-    /// buffer per chunk; buffers are merged in ascending chunk order, so
-    /// the concatenation reproduces the sequential order no matter which
-    /// worker ran which chunk. The context's sharded verdict cache is
-    /// shared by all workers, so warm-cache semantics survive — verdicts
-    /// are pure, so insertion races are benign.
-    ///
-    /// Falls back to the sequential walk when `workers <= 1` or when the
-    /// module is too small for threading to pay for itself.
+    /// The same as [`verify`](Self::verify); `workers` is ignored. It
+    /// stays only because the benchmark in `irdlbench/` calls it.
     ///
     /// # Errors
     ///
-    /// Returns every diagnostic discovered, in the same order as
-    /// [`verify`](Self::verify).
+    /// As [`verify`](Self::verify).
     pub fn verify_parallel(
         &mut self,
         ctx: &Context,
         root: OpRef,
-        workers: usize,
+        _workers: usize,
     ) -> Result<(), Vec<Diagnostic>> {
-        if crate::walk::count_ops_capped(ctx, root, PAR_MIN_OPS) < PAR_MIN_OPS {
-            return self.verify(ctx, root);
-        }
-        self.verify_parallel_force(ctx, root, workers)
-    }
-
-    /// [`verify_parallel`](Self::verify_parallel) without the small-module
-    /// sequential fallback: the planner and worker pool run even on tiny
-    /// modules. Only worth calling for differential testing (the fuzz
-    /// oracle cross-checks it against the sequential walk on every
-    /// generated module); production callers want the fallback.
-    ///
-    /// # Errors
-    ///
-    /// Returns every diagnostic discovered, in sequential order.
-    pub fn verify_parallel_force(
-        &mut self,
-        ctx: &Context,
-        root: OpRef,
-        workers: usize,
-    ) -> Result<(), Vec<Diagnostic>> {
-        if workers <= 1 {
-            return self.verify(ctx, root);
-        }
-        self.dominance.clear();
-        self.diags.clear();
-
-        let plan = ParPlan::build(ctx, root);
-        let chunk_count = plan.chunk_count();
-        let workers = workers.min(chunk_count);
-        let next = AtomicUsize::new(0);
-        let mut collected: Vec<(usize, Vec<Diagnostic>)> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let plan = &plan;
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut dominance = DominanceCache::default();
-                        let mut found: Vec<(usize, Vec<Diagnostic>)> = Vec::new();
-                        loop {
-                            let chunk = next.fetch_add(1, Ordering::Relaxed);
-                            if chunk >= chunk_count {
-                                break;
-                            }
-                            let mut diags = Vec::new();
-                            let mut verifier = Verifier {
-                                ctx,
-                                diags: &mut diags,
-                                dominance: &mut dominance,
-                                run_hooks: true,
-                            };
-                            for unit in plan.chunk(chunk) {
-                                unit.run(&mut verifier);
-                            }
-                            if !diags.is_empty() {
-                                found.push((chunk, diags));
-                            }
-                        }
-                        found
-                    })
-                })
-                .collect();
-            for handle in handles {
-                collected.extend(handle.join().expect("verifier worker panicked"));
-            }
-        });
-
-        collected.sort_unstable_by_key(|&(chunk, _)| chunk);
-        for (_, mut diags) in collected {
-            self.diags.append(&mut diags);
-        }
-        if self.diags.is_empty() {
-            Ok(())
-        } else {
-            Err(std::mem::take(&mut self.diags))
-        }
+        self.verify(ctx, root)
     }
 
     fn verify_inner(
@@ -354,118 +259,6 @@ impl IncrementalVerifier {
     }
 }
 
-/// Subtrees of at least this many ops are split out of their enclosing
-/// block's work unit: the op itself becomes a [`ParUnit::Shell`] and its
-/// regions are planned as further independent units.
-const PAR_SPLIT_THRESHOLD: usize = 256;
-
-/// Approximate op weight per chunk. Small enough that a module a few
-/// thousand ops wide load-balances across workers, large enough that the
-/// per-chunk claim (one atomic increment) and diagnostic buffer are noise.
-const PAR_CHUNK_TARGET: usize = 1024;
-
-/// Modules below this op count are verified sequentially even when a
-/// worker pool was requested: thread spawn plus planning would dominate.
-const PAR_MIN_OPS: usize = 4096;
-
-/// One step of the linearized sequential walk.
-///
-/// The planner emits units in exactly the order [`Verifier::verify_tree`]
-/// would report their diagnostics, so concatenating per-unit output in
-/// plan order reproduces the sequential diagnostic list byte for byte.
-enum ParUnit {
-    /// The detached root: `verify_single` only (the sequential walk runs
-    /// no placement rules on a root op).
-    Root(OpRef),
-    /// A large op whose regions were split into their own units:
-    /// placement rules and per-op rules here, nested regions elsewhere.
-    Shell { op: OpRef, is_last: bool, multi_block: bool },
-    /// A small op verified whole: placement, per-op rules, and the full
-    /// recursive walk of its nested regions.
-    Subtree { op: OpRef, is_last: bool, multi_block: bool },
-    /// The structural rule for an empty block in a multi-block region,
-    /// reported positionally after the block's (absent) ops.
-    EmptyBlock,
-}
-
-impl ParUnit {
-    fn run(&self, verifier: &mut Verifier<'_, '_>) {
-        match *self {
-            ParUnit::Root(op) => verifier.verify_single(op),
-            ParUnit::Shell { op, is_last, multi_block } => {
-                verifier.verify_op_at(op, is_last, multi_block, false);
-            }
-            ParUnit::Subtree { op, is_last, multi_block } => {
-                verifier.verify_op_at(op, is_last, multi_block, true);
-            }
-            ParUnit::EmptyBlock => verifier.diags.push(Diagnostic::new(
-                "empty block in a multi-block region has no terminator",
-            )),
-        }
-    }
-}
-
-/// The unit list plus chunk boundaries: chunk `i` is
-/// `units[starts[i]..starts[i+1]]` (the last chunk runs to the end).
-struct ParPlan {
-    units: Vec<ParUnit>,
-    starts: Vec<usize>,
-    open_weight: usize,
-}
-
-impl ParPlan {
-    fn build(ctx: &Context, root: OpRef) -> ParPlan {
-        let mut plan = ParPlan { units: Vec::new(), starts: vec![0], open_weight: 0 };
-        plan.push(ParUnit::Root(root), 1);
-        for &region in root.regions(ctx) {
-            plan.plan_region(ctx, region);
-        }
-        plan
-    }
-
-    fn push(&mut self, unit: ParUnit, weight: usize) {
-        if self.open_weight >= PAR_CHUNK_TARGET {
-            self.starts.push(self.units.len());
-            self.open_weight = 0;
-        }
-        self.units.push(unit);
-        self.open_weight += weight;
-    }
-
-    fn plan_region(&mut self, ctx: &Context, region: RegionRef) {
-        let blocks = region.blocks(ctx);
-        let multi_block = blocks.len() > 1;
-        for &block in blocks {
-            let ops = block.ops(ctx);
-            for (index, &op) in ops.iter().enumerate() {
-                let is_last = index + 1 == ops.len();
-                let size = crate::walk::count_ops_capped(ctx, op, PAR_SPLIT_THRESHOLD);
-                if size >= PAR_SPLIT_THRESHOLD {
-                    self.push(ParUnit::Shell { op, is_last, multi_block }, 1);
-                    for &nested in op.regions(ctx) {
-                        self.plan_region(ctx, nested);
-                    }
-                } else {
-                    self.push(ParUnit::Subtree { op, is_last, multi_block }, size);
-                }
-            }
-            if multi_block && block.ops(ctx).is_empty() {
-                self.push(ParUnit::EmptyBlock, 0);
-            }
-        }
-    }
-
-    fn chunk_count(&self) -> usize {
-        self.starts.len()
-    }
-
-    fn chunk(&self, index: usize) -> &[ParUnit] {
-        let start = self.starts[index];
-        let end = self.starts.get(index + 1).copied().unwrap_or(self.units.len());
-        &self.units[start..end]
-    }
-}
-
 struct Verifier<'a, 'b> {
     ctx: &'a Context,
     diags: &'b mut Vec<Diagnostic>,
@@ -491,34 +284,21 @@ impl<'a, 'b> Verifier<'a, 'b> {
             let ops = block.ops(ctx);
             for (index, &op) in ops.iter().enumerate() {
                 let is_last = index + 1 == ops.len();
-                self.verify_op_at(op, is_last, multi_block, true);
+                if ctx.is_terminator(op) && !is_last {
+                    self.error(op, "terminator operation must be the last in its block");
+                }
+                if is_last && multi_block && !ctx.is_terminator(op) {
+                    self.error(op, "block in a multi-block region must end with a terminator");
+                }
+                self.verify_single(op);
+                for &nested in op.regions(ctx) {
+                    self.verify_region(nested);
+                }
             }
             if multi_block && block.ops(ctx).is_empty() {
                 self.diags.push(Diagnostic::new(
                     "empty block in a multi-block region has no terminator",
                 ));
-            }
-        }
-    }
-
-    /// Verifies one op at a known block position: the positional placement
-    /// rules, then the per-op rules, then (when `recurse`) every nested
-    /// region. This is exactly the per-op body of
-    /// [`Verifier::verify_region`]; the parallel planner re-emits it as
-    /// standalone work units, so diagnostic text and order stay identical
-    /// between the sequential walk and the chunked one.
-    fn verify_op_at(&mut self, op: OpRef, is_last: bool, multi_block: bool, recurse: bool) {
-        let ctx = self.ctx;
-        if ctx.is_terminator(op) && !is_last {
-            self.error(op, "terminator operation must be the last in its block");
-        }
-        if is_last && multi_block && !ctx.is_terminator(op) {
-            self.error(op, "block in a multi-block region must end with a terminator");
-        }
-        self.verify_single(op);
-        if recurse {
-            for &nested in op.regions(ctx) {
-                self.verify_region(nested);
             }
         }
     }
@@ -795,74 +575,6 @@ mod tests {
         ctx.append_op(block, op);
         let errs = verify_op(&ctx, module).unwrap_err();
         assert!(errs[0].message().contains("unregistered"), "{}", errs[0]);
-    }
-
-    #[test]
-    fn parallel_verify_matches_sequential_diagnostics() {
-        let mut ctx = Context::new();
-        let module = ctx.create_module();
-        let block = ctx.module_block(module);
-        let f32 = ctx.f32_type();
-        let def_name = ctx.op_name("test", "def");
-        let use_name = ctx.op_name("test", "use");
-        let outer_name = ctx.op_name("test", "outer");
-        // Wide fan-out, large enough to take the threaded path, with a
-        // use-before-def violation sprinkled in every 97th pair.
-        for i in 0..6000usize {
-            let def = ctx.create_op(OperationState::new(def_name).add_result_types([f32]));
-            ctx.append_op(block, def);
-            let v = def.result(&ctx, 0);
-            let user = ctx.create_op(OperationState::new(use_name).add_operands([v]));
-            ctx.append_op(block, user);
-            if i % 97 == 0 {
-                // Reorder so the user precedes its definition.
-                ctx.detach_op(def);
-                ctx.append_op(block, def);
-            }
-        }
-        // One large nested region so the planner exercises the shell split.
-        let (region, inner) = ctx.create_region_with_entry([]);
-        for i in 0..800usize {
-            let def = ctx.create_op(OperationState::new(def_name).add_result_types([f32]));
-            ctx.append_op(inner, def);
-            let v = def.result(&ctx, 0);
-            let user = ctx.create_op(OperationState::new(use_name).add_operands([v]));
-            ctx.append_op(inner, user);
-            if i % 131 == 0 {
-                ctx.detach_op(def);
-                ctx.append_op(inner, def);
-            }
-        }
-        let outer = ctx.create_op(OperationState::new(outer_name).add_regions([region]));
-        ctx.append_op(block, outer);
-
-        let sequential = ModuleVerifier::new().verify(&ctx, module).unwrap_err();
-        let expected: Vec<String> = sequential.iter().map(|d| d.to_string()).collect();
-        assert!(!expected.is_empty());
-        for workers in [1, 2, 8] {
-            let parallel =
-                ModuleVerifier::new().verify_parallel(&ctx, module, workers).unwrap_err();
-            let got: Vec<String> = parallel.iter().map(|d| d.to_string()).collect();
-            assert_eq!(got, expected, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_verify_accepts_valid_module() {
-        let mut ctx = Context::new();
-        let module = ctx.create_module();
-        let block = ctx.module_block(module);
-        let f32 = ctx.f32_type();
-        let def_name = ctx.op_name("test", "def");
-        let use_name = ctx.op_name("test", "use");
-        for _ in 0..5000 {
-            let def = ctx.create_op(OperationState::new(def_name).add_result_types([f32]));
-            ctx.append_op(block, def);
-            let v = def.result(&ctx, 0);
-            let user = ctx.create_op(OperationState::new(use_name).add_operands([v]));
-            ctx.append_op(block, user);
-        }
-        assert!(ModuleVerifier::new().verify_parallel(&ctx, module, 4).is_ok());
     }
 
     #[test]

@@ -68,25 +68,6 @@ pub fn walk_block(
     true
 }
 
-/// Counts the operations nested in (and including) `root`, stopping as
-/// soon as the count reaches `cap`.
-///
-/// The parallel verifier's partitioner uses this to classify subtrees as
-/// "small enough to verify inline" without paying a full walk of large
-/// ones: a call costs at most `cap` visits regardless of subtree size.
-pub fn count_ops_capped(ctx: &Context, root: OpRef, cap: usize) -> usize {
-    let mut count = 0;
-    walk_ops(ctx, root, &mut |_, _| {
-        count += 1;
-        if count >= cap {
-            WalkResult::Interrupt
-        } else {
-            WalkResult::Advance
-        }
-    });
-    count
-}
-
 /// Collects all operations nested in (and including) `root`, pre-order.
 pub fn collect_ops(ctx: &Context, root: OpRef) -> Vec<OpRef> {
     let mut out = Vec::new();

@@ -25,6 +25,16 @@ use irdl_ir::{Context, OpRef};
 use crate::driver::{rewrite_greedily_matched, CheckLevel, MatcherMode};
 use crate::pattern::PatternSet;
 
+/// Stack size of each batch worker thread.
+///
+/// Parsing, verification and printing recurse once per nesting level, so
+/// a worker's stack bounds the deepest module it can process. The default
+/// 2 MiB thread stack overflows at a few hundred levels in a debug build;
+/// a depth-1 024 module (genscale's deepest) needs about 11 MiB there, so
+/// this leaves twice that with room to spare. Only touched pages are
+/// committed, so idle depth costs no memory.
+const WORKER_STACK_BYTES: usize = 32 << 20;
+
 /// Configuration for one batch run.
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
@@ -48,13 +58,6 @@ pub struct PipelineOptions {
     pub matcher: MatcherMode,
     /// Print results in the generic form.
     pub generic: bool,
-    /// Threads used *inside* one module (clamped to at least 1), for
-    /// verification only: parsing is sequential. Orthogonal to `jobs`,
-    /// which fans out *across* modules — a giant single module gains
-    /// nothing from `jobs` but scales with `intra_jobs`. Parallel
-    /// verification is byte-identical to the sequential verifier and falls
-    /// back to it on small modules, so `intra_jobs > 1` is always safe.
-    pub intra_jobs: usize,
 }
 
 impl Default for PipelineOptions {
@@ -65,7 +68,6 @@ impl Default for PipelineOptions {
             check: CheckLevel::Off,
             matcher: MatcherMode::Auto,
             generic: false,
-            intra_jobs: 1,
         }
     }
 }
@@ -210,7 +212,12 @@ pub fn run_batch_inputs(
     let mut per_worker: Vec<(Vec<IndexedResult>, WorkerReport)> = Vec::with_capacity(jobs);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..jobs)
-            .map(|_| scope.spawn(|| worker_loop(bundle, patterns, inputs, opts, &next)))
+            .map(|_| {
+                std::thread::Builder::new()
+                    .stack_size(WORKER_STACK_BYTES)
+                    .spawn_scoped(scope, || worker_loop(bundle, patterns, inputs, opts, &next))
+                    .expect("failed to spawn pipeline worker")
+            })
             .collect();
         for handle in handles {
             per_worker.push(handle.join().expect("pipeline worker panicked"));
@@ -291,7 +298,6 @@ pub fn run_module(
     opts: &PipelineOptions,
 ) -> Result<LiveModule, String> {
     let mut timings = StageNanos::default();
-    let intra_jobs = opts.intra_jobs.max(1);
 
     let start = Instant::now();
     let module = input.load(ctx)?;
@@ -300,7 +306,7 @@ pub fn run_module(
     let result = (|| {
         if opts.verify {
             let start = Instant::now();
-            let checked = verifier.verify_parallel(ctx, module, intra_jobs);
+            let checked = verifier.verify(ctx, module);
             timings.verify += start.elapsed().as_nanos() as u64;
             checked.map_err(|errs| {
                 errs.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
@@ -324,7 +330,7 @@ pub fn run_module(
                     rewrites = stats.rewrites;
                     if opts.verify {
                         let start = Instant::now();
-                        let checked = verifier.verify_parallel(ctx, module, intra_jobs);
+                        let checked = verifier.verify(ctx, module);
                         timings.verify += start.elapsed().as_nanos() as u64;
                         checked.map_err(|errs| {
                             format!("IR invalid after rewriting: {}", errs[0])
@@ -581,33 +587,6 @@ Pattern add_to_double {
         assert_eq!(report.errors(), 1);
         assert!(report.results[0].is_ok());
         assert!(report.results[1].as_ref().unwrap_err().contains("magic"));
-    }
-
-    /// `intra_jobs > 1` (parallel verification) must produce outputs
-    /// byte-identical to the sequential run, including on a module large
-    /// enough to actually take the threaded path.
-    #[test]
-    fn intra_jobs_is_byte_identical() {
-        let (bundle, patterns) = toy_setup();
-        let mut big = String::new();
-        for j in 0..3000 {
-            big.push_str(&format!("%x{j} = \"toy.source\"() : () -> i32\n"));
-            big.push_str(&format!("%r{j} = \"toy.add\"(%x{j}, %x{j}) : (i32, i32) -> i32\n"));
-        }
-        let mut inputs = toy_inputs(3);
-        inputs.push(big);
-        let baseline = run_batch(&bundle, &patterns, &inputs, &PipelineOptions::default());
-        for intra_jobs in [2, 8] {
-            let opts = PipelineOptions { intra_jobs, ..Default::default() };
-            let threaded = run_batch(&bundle, &patterns, &inputs, &opts);
-            assert_eq!(threaded.errors(), 0);
-            for (i, (b, t)) in baseline.results.iter().zip(&threaded.results).enumerate() {
-                let b = b.as_ref().unwrap();
-                let t = t.as_ref().unwrap();
-                assert_eq!(b.output, t.output, "input {i} (intra_jobs={intra_jobs})");
-                assert_eq!(b.rewrites, t.rewrites);
-            }
-        }
     }
 
     #[test]

@@ -31,9 +31,6 @@
 //! - `--emit=F`          output format: `text` (the default) or
 //!   `bytecode` (the `IRBC` binary module format, single input only)
 //! - `--jobs <n>`        process inputs on `n` worker threads
-//! - `--intra-jobs <n>`  threads *inside* each module, for verification
-//!   only (byte-identical to sequential; orthogonal to `--jobs`, which
-//!   fans out across modules)
 //! - `--timings`         report per-stage wall-clock times
 //!   (parse/verify/rewrite/print) on stderr, per input
 //! - `<file>...`         the IR inputs (defaults to stdin)
@@ -75,7 +72,6 @@ struct Options {
     generic: bool,
     emit: Emit,
     jobs: usize,
-    intra_jobs: usize,
     timings: bool,
     fold: bool,
     interp: bool,
@@ -93,7 +89,6 @@ fn parse_args() -> Result<Options, String> {
         generic: false,
         emit: Emit::Text,
         jobs: 1,
-        intra_jobs: 1,
         timings: false,
         fold: false,
         interp: false,
@@ -114,13 +109,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.jobs = n
                     .parse::<usize>()
                     .map_err(|_| format!("invalid --jobs value `{n}`"))?
-                    .max(1);
-            }
-            "--intra-jobs" => {
-                let n = args.next().ok_or("--intra-jobs needs a number argument")?;
-                opts.intra_jobs = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("invalid --intra-jobs value `{n}`"))?
                     .max(1);
             }
             "--timings" => opts.timings = true,
@@ -175,7 +163,7 @@ fn parse_args() -> Result<Options, String> {
                      [--verify-each={{full,incr,off}}] [--matcher={{auto,scan}}] \
                      [--fold] [--interp] [--seed N] \
                      [--generic] [--emit={{text,bytecode}}] [--jobs N] \
-                     [--intra-jobs N] [--timings] [IR-FILE]..."
+                     [--timings] [IR-FILE]..."
                 );
                 std::process::exit(0);
             }
@@ -214,7 +202,6 @@ fn run(opts: Options) -> Result<(), String> {
         check: opts.check,
         generic: opts.generic,
         matcher: opts.matcher,
-        intra_jobs: opts.intra_jobs,
     };
 
     // The named files, or stdin.

@@ -4,8 +4,9 @@
 //!
 //! This is the integration-level counterpart to the unit tests in
 //! `crates/rewrite/src/pipeline.rs`: real corpus dialects (with native
-//! hooks and parametric types) instead of a toy spec, and the shared
-//! artifacts pinned `Send + Sync` across every crate in the workspace.
+//! hooks and parametric types) instead of a toy spec, the shared
+//! artifacts pinned `Send + Sync` across every crate in the workspace, and
+//! a module nested as deep as genscale's deepest on worker threads.
 
 use irdl::genir::{instantiate_op, Instantiation};
 use irdl::DialectBundle;
@@ -102,6 +103,34 @@ fn corpus_at_four_jobs_matches_sequential() {
         let p = p.as_ref().expect("parallel module failed");
         assert_eq!(s.output, p.output, "parallel output diverged for input {i}");
     }
+}
+
+/// A `scale.wrap` chain `depth` levels deep, each region closed by its
+/// `scale.yield` terminator.
+fn nested_wrap_module(depth: usize) -> String {
+    let mut text = String::new();
+    for level in 0..depth {
+        text.push_str(&format!("%w{level} = \"scale.wrap\"() ({{\n"));
+    }
+    for _ in 0..depth {
+        text.push_str("\"scale.yield\"() : () -> ()\n}) : () -> f32\n");
+    }
+    text
+}
+
+/// Batch workers run on their own threads, so their stack, not the
+/// caller's, bounds how deep a module they can parse, verify and print.
+#[test]
+fn deepest_scale_module_survives_on_workers() {
+    let bundle = irdl_fuzz_lib::scale_bundle().expect("scale dialect compiles");
+    let module = nested_wrap_module(irdl_fuzz_lib::genscale::DEEP_MAX_DEPTH);
+    let inputs = [module.clone(), module];
+    let opts = PipelineOptions { jobs: 2, ..Default::default() };
+    let report = run_batch(&bundle, &PatternSet::new(), &inputs, &opts);
+    assert_eq!(report.workers.len(), 2, "both inputs run on worker threads");
+    let first = report.results[0].as_ref().expect("first copy processes");
+    let second = report.results[1].as_ref().expect("second copy processes");
+    assert_eq!(first.output, second.output);
 }
 
 #[test]
