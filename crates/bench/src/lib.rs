@@ -200,8 +200,8 @@ mod tests {
         hash
     }
 
-    /// The corpus workload parsebench, bytebench and membench load: 904
-    /// per-op modules plus the combined module. The digest pins the exact
+    /// The corpus workload bytebench loads: 904 per-op modules plus the
+    /// combined module, which parsebench parses. The digest pins the exact
     /// texts; any change to it changes every corpus bench number.
     #[test]
     fn corpus_texts_are_pinned() {

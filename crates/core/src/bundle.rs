@@ -19,10 +19,16 @@
 //! intern new symbols/types independently without affecting its siblings,
 //! and the cloned verdict cache arrives warm — and is sound, because the
 //! cached keys refer to interned values the clone resolves identically.
+//!
+//! This module is where the threading decision lives. A [`Context`] has
+//! one owner (`Send`, not `Sync`), so its caches and scratch are plain
+//! cells; the bundle is `Send + Sync` because it keeps its template in a
+//! `Mutex`, taken once per [`DialectBundle::instantiate`] or
+//! [`DialectBundle::save`] and never while IR is processed.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use irdl_ir::diag::{Diagnostic, Result};
 use irdl_ir::Context;
@@ -35,11 +41,9 @@ use crate::parser::parse_irdl;
 /// An immutable, thread-shareable set of compiled dialects.
 ///
 /// Internally this is a sealed template [`Context`] holding the compiled
-/// registry. `Context` is `Sync` (its verdict cache is behind a mutex and
-/// its counters atomic), so the template is held bare and
-/// [`instantiate`](Self::instantiate) clones it without taking any lock.
+/// registry, behind a `Mutex` because a context is not `Sync`.
 pub struct DialectBundle {
-    template: Context,
+    template: Mutex<Context>,
     names: Vec<String>,
     /// The serializable description of every compiled dialect, retained by
     /// [`DialectBundle::compile`] and [`DialectBundle::load`] so the
@@ -85,7 +89,7 @@ impl DialectBundle {
             }
         }
         Ok(DialectBundle {
-            template: ctx,
+            template: Mutex::new(ctx),
             names,
             recipes,
             artifacts: RwLock::new(HashMap::new()),
@@ -100,7 +104,7 @@ impl DialectBundle {
     /// (modules, ops) present in it will be cloned into every instance.
     pub fn capture(ctx: Context, names: Vec<String>) -> Self {
         DialectBundle {
-            template: ctx,
+            template: Mutex::new(ctx),
             names,
             recipes: Vec::new(),
             artifacts: RwLock::new(HashMap::new()),
@@ -129,7 +133,8 @@ impl DialectBundle {
                  serializable recipes (use DialectBundle::compile)",
             ));
         }
-        Ok(encode_bundle(&self.template, &self.recipes))
+        let template = self.template.lock().expect("bundle template lock poisoned");
+        Ok(encode_bundle(&template, &self.recipes))
     }
 
     /// [`DialectBundle::save`] straight to a file.
@@ -161,7 +166,7 @@ impl DialectBundle {
             names.push(recipe.name.clone());
         }
         Ok(DialectBundle {
-            template: ctx,
+            template: Mutex::new(ctx),
             names,
             recipes,
             artifacts: RwLock::new(HashMap::new()),
@@ -193,7 +198,7 @@ impl DialectBundle {
     /// verdict cache arrives warm. The instance is fully independent
     /// afterwards — interning, IR building, and cache growth are private.
     pub fn instantiate(&self) -> Context {
-        self.template.clone()
+        self.template.lock().expect("bundle template lock poisoned").clone()
     }
 
     /// The names of the dialects compiled into this bundle.

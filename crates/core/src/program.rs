@@ -830,9 +830,10 @@ impl EvalScratch {
 /// afterwards so the buffers are reused across runs.
 ///
 /// The scratch lives on the [`Context`] (not the verifier) so verifier
-/// objects stay stateless and shareable across threads. If the pool is
-/// empty — first use, or a hook re-entered evaluation while a run was in
-/// flight — a fresh scratch is used, which keeps nesting safe.
+/// objects stay stateless and shared by every context cloned from one
+/// bundle. The pool is borrowed only to take and to park, never while `f`
+/// runs, so a hook may re-enter evaluation: if the pool is empty — first
+/// use, or a run already in flight — a fresh scratch is used.
 pub(crate) fn with_ctx_scratch<R>(ctx: &Context, f: impl FnOnce(&mut EvalScratch) -> R) -> R {
     let mut scratch = take_ctx_scratch(ctx);
     let result = f(&mut scratch);

@@ -179,3 +179,90 @@ fn explained_rejections_leave_the_cache_alone() {
     assert_eq!((hits, misses), (stats.0 + 1, stats.1), "only the silent pass reads the cache");
     assert_eq!(ctx.verdict_cache_len(), entries);
 }
+
+/// Dialect `re`: `outer`'s native verifier holds an evaluation scratch
+/// from the context's pool, as a verifier mid-check does, and re-enters
+/// `verify_op` on the last op of its region meanwhile.
+const REENTRANT_SPEC: &str = r#"
+Dialect re {
+  Operation leaf {
+    Operands (x: !AnyOf<!f32, !f64>)
+  }
+  Operation outer {
+    Operands (x: !AnyOf<!f32, !f64>)
+    Region body { }
+    NativeVerifier "reenter"
+  }
+}
+"#;
+
+/// A context with `re` registered and its `reenter` hook installed.
+fn reentrant_context() -> Context {
+    use irdl_ir::verify::verify_op;
+
+    let mut natives = irdl::NativeRegistry::new();
+    natives.register_op_verifier(
+        "reenter",
+        std::sync::Arc::new(|ctx: &Context, op: OpRef| {
+            let block = op.region(ctx, 0).entry_block(ctx).expect("outer has a body block");
+            let last = *block.ops(ctx).last().expect("outer's body is not empty");
+            let held = ctx.take_eval_scratch();
+            let nested = verify_op(ctx, last).map_err(|errs| errs[0].clone());
+            if let Some(scratch) = held {
+                ctx.put_eval_scratch(scratch);
+            }
+            nested
+        }),
+    );
+    let mut ctx = Context::new();
+    irdl::register_dialects_with(&mut ctx, REENTRANT_SPEC, &natives).expect("spec compiles");
+    ctx
+}
+
+/// `depth` nested `re.outer` ops, each holding a valid `re.leaf`; the
+/// innermost region ends in a leaf whose operand has type `ty`.
+fn reentrant_module(depth: usize, ty: &str) -> String {
+    let mut text = String::from("%f = \"t.def\"() : () -> f32\n");
+    text.push_str(&format!("%v = \"t.def\"() : () -> {ty}\n"));
+    for _ in 0..depth {
+        text.push_str("\"re.outer\"(%f) ({\n\"re.leaf\"(%f) : (f32) -> ()\n");
+    }
+    text.push_str(&format!("\"re.leaf\"(%v) : ({ty}) -> ()\n"));
+    text.push_str(&"}) : (f32) -> ()\n".repeat(depth));
+    text
+}
+
+/// The verdict of verifying `text` in `ctx`, with every diagnostic.
+fn verdict(ctx: &mut Context, text: &str) -> Result<(), Vec<String>> {
+    let module = irdl_ir::parse::parse_module(ctx, text).expect("module parses");
+    let result = irdl_ir::verify::verify_op(ctx, module)
+        .map_err(|errs| errs.iter().map(ToString::to_string).collect());
+    ctx.erase_op(module);
+    result
+}
+
+/// A native op verifier may re-enter verification on the same context in
+/// the middle of a check: the verdict cache and the evaluation-scratch
+/// pool are borrowed only inside the calls that use them, so a nested run
+/// finds neither borrowed. One long-lived context, its cache warming
+/// module after module, reaches the same verdicts as a fresh context per
+/// module. Its scratch pool grows with the nesting (several scratches
+/// were in flight at once) and stays within its cap of 64.
+#[test]
+fn reentrant_native_verifier_matches_a_fresh_context() {
+    let mut shared = reentrant_context();
+    for round in 0..3 {
+        for depth in [1, 2, 6] {
+            for ty in ["f32", "f64", "i32"] {
+                let text = reentrant_module(depth, ty);
+                let expected = verdict(&mut reentrant_context(), &text);
+                assert_eq!(expected.is_ok(), ty != "i32", "{text}");
+                assert_eq!(verdict(&mut shared, &text), expected, "round {round}: {text}");
+            }
+        }
+    }
+    let (hits, _) = shared.verdict_cache_stats();
+    assert!(hits > 0, "later rounds read verdicts the first one cached");
+    let parked = std::iter::from_fn(|| shared.take_eval_scratch()).count();
+    assert!((2..=64).contains(&parked), "{parked} scratches parked");
+}

@@ -47,10 +47,9 @@
 //!
 //! Neither direction keeps a table of its own between calls. The
 //! encoder's pool, value numbering, block index and body buffer form one
-//! `EncodeScratch` that the [`Context`] parks in a `Mutex<Option<_>>`
+//! `EncodeScratch` that the [`Context`] parks in a `Cell<Option<_>>`
 //! (encoding takes `&Context`): [`encode_module`] takes it on entry and
-//! puts it back, emptied, on exit, and a concurrent second encode simply
-//! starts a fresh one. The decoder's string table, symbol and pool
+//! puts it back, emptied, on exit. The decoder's string table, symbol and pool
 //! tables, value list, child-list buffers and failure log form a
 //! `DecodeScratch` kept as a plain context field, like the text parser's
 //! scopes. Neither holds a borrow, so both outlive the input they served:

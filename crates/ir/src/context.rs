@@ -1,9 +1,8 @@
 //! The [`Context`]: owner of all IR state.
 
 use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::attrs::{AttrData, Attribute};
 use crate::block::{BlockData, BlockRef};
@@ -23,6 +22,11 @@ use crate::value::{Use, Value};
 ///
 /// All handles ([`Type`], [`Attribute`], [`OpRef`], ...) are indices into
 /// this context; using a handle with a different context is a logic error.
+///
+/// A context has one owner: it is `Send` but not `Sync`. Threads that
+/// work on the same dialects each take their own clone (see
+/// `irdl::DialectBundle`), so its caches and scratch buffers are plain
+/// cells, not locks.
 pub struct Context {
     symbols: UniqueArena<Box<str>>,
     types: UniqueArena<TypeData>,
@@ -37,26 +41,25 @@ pub struct Context {
     /// [`Context::reserve_verdict_domains`]) and a uniqued type/attribute
     /// index. Sound because interned values are immutable and append-only:
     /// a verdict computed once holds for the lifetime of the context.
-    /// Behind a `Mutex` so verifier hooks, which only see `&Context`, can
-    /// fill it while the context stays `Sync`.
-    verdict_cache: Mutex<HashMap<u64, bool>>,
-    verdict_hits: AtomicU64,
-    verdict_misses: AtomicU64,
+    /// In a `RefCell` because verifier hooks only see `&Context`.
+    verdict_cache: RefCell<HashMap<u64, bool>>,
+    verdict_hits: Cell<u64>,
+    verdict_misses: Cell<u64>,
     next_verdict_domain: u32,
     /// Per-context evaluation scratch parked here between verifier runs so
     /// shared (`Arc`'d, stateless) verifier objects stay `Sync`. Type-erased
-    /// because the scratch type lives in a downstream crate; a pool (not a
-    /// single slot) so a nested verifier run takes its own scratch instead
-    /// of allocating fresh ones on every op.
-    eval_scratch: Mutex<Vec<Box<dyn Any + Send>>>,
+    /// because the scratch type lives in a downstream crate; `Send` so the
+    /// context stays `Send`; a pool (not a single slot) so a nested
+    /// verifier run takes its own scratch instead of allocating fresh ones
+    /// on every op.
+    eval_scratch: RefCell<Vec<Box<dyn Any + Send>>>,
     /// Recycled buffers for oversized [`OperationData`] lists and for the
     /// op, argument and block lists of blocks and regions. `erase_op`
     /// harvests them here instead of freeing them; building IR (ops,
     /// operation states, blocks, regions) draws from here instead of
     /// allocating — so steady-state create/erase churn (the rewrite
     /// driver's workload, a batch worker's module after module) never
-    /// touches the allocator. Plain fields, not `Mutex`ed: both ends take
-    /// `&mut self`.
+    /// touches the allocator. Plain fields: both ends take `&mut self`.
     spill_pool: SpillPool,
     /// Reusable traversal buffers for `erase_op`'s subtree walk.
     erase_scratch: EraseScratch,
@@ -65,9 +68,8 @@ pub struct Context {
     /// The bytecode decoder's tables, reused from one decode to the next.
     decode_scratch: DecodeScratch,
     /// The bytecode encoder's tables, reused from one encode to the next.
-    /// Encoding takes `&Context`, hence the lock; a caller that finds the
-    /// slot empty (another thread holds the scratch) starts a fresh one.
-    encode_scratch: Mutex<Option<EncodeScratch>>,
+    /// In a `Cell` because encoding takes `&Context`.
+    encode_scratch: Cell<Option<EncodeScratch>>,
     /// The printer's naming tables, reused from one printer to the next.
     /// A printer holds them from its first `print_op` until it drops, so
     /// it keeps a handle to this slot rather than borrowing the context.
@@ -227,16 +229,16 @@ impl Clone for Context {
             regions: self.regions.clone(),
             registry: self.registry.clone(),
             allow_unregistered: self.allow_unregistered,
-            verdict_cache: Mutex::new(self.verdicts().clone()),
-            verdict_hits: AtomicU64::new(0),
-            verdict_misses: AtomicU64::new(0),
+            verdict_cache: self.verdict_cache.clone(),
+            verdict_hits: Cell::new(0),
+            verdict_misses: Cell::new(0),
             next_verdict_domain: self.next_verdict_domain,
-            eval_scratch: Mutex::new(Vec::new()),
+            eval_scratch: RefCell::new(Vec::new()),
             spill_pool: SpillPool::default(),
             erase_scratch: EraseScratch::default(),
             parse_scratch: ParseScratch::default(),
             decode_scratch: DecodeScratch::default(),
-            encode_scratch: Mutex::new(None),
+            encode_scratch: Cell::new(None),
             parked_names: ParkedNames::default(),
         }
     }
@@ -275,16 +277,16 @@ impl Context {
             regions: EntityArena::new(),
             registry: DialectRegistry::new(),
             allow_unregistered: true,
-            verdict_cache: Mutex::new(HashMap::new()),
-            verdict_hits: AtomicU64::new(0),
-            verdict_misses: AtomicU64::new(0),
+            verdict_cache: RefCell::new(HashMap::new()),
+            verdict_hits: Cell::new(0),
+            verdict_misses: Cell::new(0),
             next_verdict_domain: 0,
-            eval_scratch: Mutex::new(Vec::new()),
+            eval_scratch: RefCell::new(Vec::new()),
             spill_pool: SpillPool::default(),
             erase_scratch: EraseScratch::default(),
             parse_scratch: ParseScratch::default(),
             decode_scratch: DecodeScratch::default(),
-            encode_scratch: Mutex::new(None),
+            encode_scratch: Cell::new(None),
             parked_names: ParkedNames::default(),
         };
         crate::builtin::register_builtin_dialect(&mut ctx);
@@ -349,13 +351,9 @@ impl Context {
     // never collide, and stores verdicts behind interior mutability because
     // verification only sees `&Context`. Soundness rests on the uniquing
     // tables being append-only and immutable: the value behind a given
-    // index never changes, so neither does its verdict.
-
-    /// Locks the verdict map. Every update is one insert or a clear, so a
-    /// map left by a panicking holder is still valid.
-    fn verdicts(&self) -> MutexGuard<'_, HashMap<u64, bool>> {
-        self.verdict_cache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+    // index never changes, so neither does its verdict. Every borrow of
+    // the map ends inside the method that takes it, so a verifier hook
+    // that re-enters verification never meets a held borrow.
 
     /// Reserves `count` fresh verdict-cache key domains, returning the first.
     ///
@@ -369,30 +367,25 @@ impl Context {
 
     /// Looks up a memoized verdict, counting the hit or miss.
     pub fn cached_verdict(&self, key: u64) -> Option<bool> {
-        let hit = self.verdicts().get(&key).copied();
-        match hit {
-            Some(_) => self.verdict_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.verdict_misses.fetch_add(1, Ordering::Relaxed),
-        };
+        let hit = self.verdict_cache.borrow().get(&key).copied();
+        let counter = if hit.is_some() { &self.verdict_hits } else { &self.verdict_misses };
+        counter.set(counter.get() + 1);
         hit
     }
 
     /// Records a verdict for `key`.
     pub fn cache_verdict(&self, key: u64, verdict: bool) {
-        self.verdicts().insert(key, verdict);
+        self.verdict_cache.borrow_mut().insert(key, verdict);
     }
 
     /// Number of memoized verdicts (observability / tests).
     pub fn verdict_cache_len(&self) -> usize {
-        self.verdicts().len()
+        self.verdict_cache.borrow().len()
     }
 
     /// `(hits, misses)` counters for the verdict cache.
     pub fn verdict_cache_stats(&self) -> (u64, u64) {
-        (
-            self.verdict_hits.load(Ordering::Relaxed),
-            self.verdict_misses.load(Ordering::Relaxed),
-        )
+        (self.verdict_hits.get(), self.verdict_misses.get())
     }
 
     /// Zeroes the verdict hit/miss counters (the cache itself is kept).
@@ -400,8 +393,8 @@ impl Context {
     /// Lets callers measure hit rates over a window — e.g. per worker in
     /// the batch pipeline — instead of since context creation.
     pub fn reset_verdict_stats(&self) {
-        self.verdict_hits.store(0, Ordering::Relaxed);
-        self.verdict_misses.store(0, Ordering::Relaxed);
+        self.verdict_hits.set(0);
+        self.verdict_misses.set(0);
     }
 
     /// Drops every memoized verdict (counters are kept).
@@ -410,7 +403,7 @@ impl Context {
     /// scratch, which is what differential cache oracles compare against
     /// the memoized path.
     pub fn clear_verdict_cache(&self) {
-        self.verdicts().clear();
+        self.verdict_cache.borrow_mut().clear();
     }
 
     // ----- Evaluation scratch ----------------------------------------------
@@ -418,17 +411,17 @@ impl Context {
     /// Takes one parked evaluation scratch from the pool, if any.
     ///
     /// Verifier implementations park reusable evaluation buffers here so
-    /// the verifier objects themselves can be shared across threads. The
+    /// the verifier objects themselves stay stateless and shareable. The
     /// pool is type-erased; callers downcast to their own scratch type and
     /// fall back to a fresh value on mismatch or when the pool is empty
     /// (which also makes nested verification re-entrant).
     pub fn take_eval_scratch(&self) -> Option<Box<dyn Any + Send>> {
-        self.eval_scratch.lock().unwrap().pop()
+        self.eval_scratch.borrow_mut().pop()
     }
 
     /// Parks evaluation scratch for the next verifier run.
     pub fn put_eval_scratch(&self, scratch: Box<dyn Any + Send>) {
-        let mut pool = self.eval_scratch.lock().unwrap();
+        let mut pool = self.eval_scratch.borrow_mut();
         // Bound the pool: steady state needs one entry per nesting level
         // of verification; anything beyond a generous cap is churn.
         if pool.len() < 64 {
@@ -619,18 +612,14 @@ impl Context {
         &mut self.decode_scratch
     }
 
-    /// Takes the parked encoder scratch, or a fresh one when another
-    /// encode holds it.
+    /// Takes the parked encoder scratch, or a fresh one on first use.
     pub(crate) fn take_encode_scratch(&self) -> EncodeScratch {
-        // Taking or replacing the `Option` cannot leave it half-updated,
-        // so a poisoned lock still holds a valid slot.
-        let mut slot = self.encode_scratch.lock().unwrap_or_else(PoisonError::into_inner);
-        slot.take().unwrap_or_default()
+        self.encode_scratch.take().unwrap_or_default()
     }
 
     /// Parks encoder scratch for the next encode.
     pub(crate) fn put_encode_scratch(&self, scratch: EncodeScratch) {
-        *self.encode_scratch.lock().unwrap_or_else(PoisonError::into_inner) = Some(scratch);
+        self.encode_scratch.set(Some(scratch));
     }
 
     /// The slot printers take their naming tables from and park them in.
@@ -723,33 +712,13 @@ mod tests {
         assert_eq!(module.name(&ctx).display(&ctx), "builtin.module");
     }
 
-    /// Batch pipeline workers share the bundle's template context through
-    /// `&DialectBundle` and instantiate their own from it; this pin makes
-    /// losing `Sync` (e.g. by reintroducing a `RefCell` field) a compile
-    /// error rather than a runtime surprise.
+    /// A context moves to the thread that owns it: a bundle's template is
+    /// shared behind a lock and each batch worker owns a clone. This pin
+    /// makes losing `Send` a compile error rather than a runtime surprise.
     #[test]
-    fn context_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Context>();
-    }
-
-    #[test]
-    fn verdict_cache_is_shared_across_threads() {
-        let ctx = Context::new();
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let ctx = &ctx;
-                scope.spawn(move || {
-                    for i in 0..64u64 {
-                        ctx.cache_verdict(t * 64 + i, i % 2 == 0);
-                    }
-                });
-            }
-        });
-        assert_eq!(ctx.verdict_cache_len(), 256);
-        for key in 0..256u64 {
-            assert_eq!(ctx.cached_verdict(key), Some(key % 64 % 2 == 0));
-        }
+    fn context_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Context>();
     }
 
     #[test]

@@ -61,9 +61,6 @@ union Data<T: Copy, const N: usize> {
 // it owns the heap elements as that `Vec<T>` would. Sending the vector
 // therefore only sends `T`s.
 unsafe impl<T: Copy + Send, const N: usize> Send for InlineVec<T, N> {}
-// SAFETY: as for `Send`, every field is owned data; `&InlineVec` hands
-// out only `&[T]` and `&T`, so sharing it only shares `T`s.
-unsafe impl<T: Copy + Sync, const N: usize> Sync for InlineVec<T, N> {}
 
 impl<T: Copy, const N: usize> InlineVec<T, N> {
     /// An empty vector; allocates nothing.

@@ -170,9 +170,9 @@ fn check_erase_subtree_no_alloc(ctx: &mut Context) {
     }
 }
 
-/// A straight-line module in the quoted generic form, paralleling the
-/// membench corpus workload but self-contained (no registry needed). Its
-/// values are named `%{prefix}0`, `%{prefix}1`, ... and typed `ty`.
+/// A straight-line module in the quoted generic form, self-contained (no
+/// registry needed). Its values are named `%{prefix}0`, `%{prefix}1`, ...
+/// and typed `ty`.
 fn typed_chain_source(n: usize, prefix: &str, ty: &str) -> String {
     let mut out = format!("%{prefix}0 = \"t.src\"() : () -> {ty}\n");
     for i in 0..n {

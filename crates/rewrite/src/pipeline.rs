@@ -25,7 +25,8 @@ use irdl_ir::{Context, OpRef};
 use crate::driver::{rewrite_greedily_matched, CheckLevel, MatcherMode};
 use crate::pattern::PatternSet;
 
-/// Stack size of each batch worker thread.
+/// Stack size of each batch worker thread, and of the thread the
+/// command-line tools run a single input on.
 ///
 /// Parsing, verification and printing recurse once per nesting level, so
 /// a worker's stack bounds the deepest module it can process. The default
@@ -33,13 +34,13 @@ use crate::pattern::PatternSet;
 /// a depth-1 024 module (genscale's deepest) needs about 11 MiB there, so
 /// this leaves twice that with room to spare. Only touched pages are
 /// committed, so idle depth costs no memory.
-const WORKER_STACK_BYTES: usize = 32 << 20;
+pub const WORKER_STACK_BYTES: usize = 32 << 20;
 
 /// Configuration for one batch run.
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
-    /// Number of worker threads (clamped to at least 1). `1` runs inline
-    /// on the calling thread — the sequential baseline.
+    /// Number of worker threads, clamped to at least 1 and at most the
+    /// number of inputs. `1` is the sequential baseline: one worker.
     pub jobs: usize,
     /// Verify each module after parsing (and again after rewriting, when
     /// patterns are present and `check` is [`CheckLevel::Off`]).
@@ -194,19 +195,6 @@ pub fn run_batch_inputs(
     // artifact, instead of racing lazily on first use in a worker.
     if opts.matcher == MatcherMode::Auto && !patterns.is_empty() {
         patterns.seal();
-    }
-
-    if jobs == 1 {
-        let (slots, report) = worker_loop(bundle, patterns, inputs, opts, &next);
-        let mut results: Vec<Option<Result<ModuleResult, String>>> =
-            (0..inputs.len()).map(|_| None).collect();
-        for (index, result) in slots {
-            results[index] = Some(result);
-        }
-        return PipelineReport {
-            results: results.into_iter().map(|r| r.expect("all inputs processed")).collect(),
-            workers: vec![report],
-        };
     }
 
     let mut per_worker: Vec<(Vec<IndexedResult>, WorkerReport)> = Vec::with_capacity(jobs);

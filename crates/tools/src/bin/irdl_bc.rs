@@ -207,13 +207,13 @@ fn cmd_inspect(opts: &Options) -> Result<(), String> {
 
 fn main() {
     let opts = parse_args().unwrap_or_else(|message| cli::fail(2, &message));
-    let result = match opts.command.as_str() {
+    let result = cli::on_worker_stack(|| match opts.command.as_str() {
         "encode" => cmd_encode(&opts),
         "decode" => cmd_decode(&opts),
         "bundle" => cmd_bundle(&opts),
         "inspect" => cmd_inspect(&opts),
         _ => unreachable!("parse_args validated the command"),
-    };
+    });
     if let Err(message) = result {
         cli::fail(1, &message);
     }

@@ -315,7 +315,7 @@ fn format_timings(timings: &StageNanos) -> String {
 
 fn main() {
     let opts = parse_args().unwrap_or_else(|message| cli::fail(2, &message));
-    if let Err(message) = run(opts) {
+    if let Err(message) = cli::on_worker_stack(|| run(opts)) {
         cli::fail(1, &message);
     }
 }

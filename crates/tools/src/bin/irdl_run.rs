@@ -108,7 +108,7 @@ fn run(opts: Options) -> Result<bool, String> {
 
 fn main() {
     let opts = parse_args().unwrap_or_else(|message| cli::fail(2, &message));
-    match run(opts) {
+    match cli::on_worker_stack(|| run(opts)) {
         Ok(true) => {}
         Ok(false) => std::process::exit(1),
         Err(message) => cli::fail(1, &message),

@@ -4,13 +4,15 @@
 //! and the raw [`read_bytes`]/[`read_text`] below it) and one stdout
 //! writer ([`write_stdout`]), so every tool registers dialects in the same
 //! order, sniffs bytecode the same way and exits quietly on a closed pipe.
+//! The tools that walk IR run on [`on_worker_stack`], so a single input
+//! nests as deep as a batch input.
 
 use std::io::{Read, Write};
 
 use irdl_interp::EvalRegistry;
 use irdl_ir::bytecode::is_module_bytecode;
 use irdl_ir::Context;
-use irdl_rewrite::pipeline::InputRef;
+use irdl_rewrite::pipeline::{InputRef, WORKER_STACK_BYTES};
 
 /// The name an input read from stdin goes by in messages and output.
 pub const STDIN: &str = "<stdin>";
@@ -154,4 +156,18 @@ pub fn write_stdout(bytes: impl AsRef<[u8]>) {
 pub fn fail(code: i32, message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(code)
+}
+
+/// Runs `f` on a thread with a batch worker's stack
+/// ([`WORKER_STACK_BYTES`]) and returns its result; a panic in `f`
+/// resumes on the caller.
+pub fn on_worker_stack<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(WORKER_STACK_BYTES)
+            .spawn_scoped(scope, f)
+            .expect("failed to spawn the tool's worker thread")
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
 }

@@ -1,5 +1,6 @@
 //! `irdl-opt` end to end: the single-input path and the batch path
-//! (`--jobs 2`) must print the same module text and the same error text.
+//! (`--jobs 2`) must print the same module text and the same error text,
+//! and both must take a module nested as deep as genscale's deepest.
 //!
 //! The batch path frames each result (`// ----- FILE` before a module,
 //! `error: FILE:` before a message, a rewrite total and a failure count
@@ -136,5 +137,29 @@ fn parse_error_reports_the_same_error() {
     assert_eq!(single.status.code(), Some(1));
     assert!(single_text.contains("error at 1:"), "{single_text}");
     assert_eq!(single_text, batch_text);
+    std::fs::remove_dir_all(dir).expect("remove scratch dir");
+}
+
+/// A 1 024-deep chain of `"t.a"() ({ ... })` regions (genscale's
+/// `DEEP_MAX_DEPTH`) passes `--verify` whether it is the only input, the
+/// only input of a `--jobs 2` batch, or one of two. Each shape runs on a
+/// thread with the batch workers' stack; a debug build overflowed the
+/// 8 MB main thread at this depth.
+#[test]
+fn deepest_module_passes_every_input_shape() {
+    let depth = irdl_fuzz_lib::genscale::DEEP_MAX_DEPTH;
+    let mut source = "\"t.a\"() ({\n".repeat(depth);
+    source.push_str(&"}) : () -> ()\n".repeat(depth));
+    let dir = scratch("deep");
+    let input = write(&dir, "deep.ir", &source);
+    let input = input.as_str();
+    for args in [
+        vec!["--verify", input],
+        vec!["--verify", "--jobs", "2", input],
+        vec!["--verify", "--jobs", "2", input, input],
+    ] {
+        let run = irdl_opt(&args);
+        assert!(run.status.success(), "{args:?}: {}: {}", run.status, text(&run.stderr));
+    }
     std::fs::remove_dir_all(dir).expect("remove scratch dir");
 }
