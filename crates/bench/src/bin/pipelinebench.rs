@@ -10,7 +10,11 @@
 //! The gated quantity is the *paired* speedup: in each round the
 //! sequential and parallel batches run back-to-back, so a load spike
 //! degrades both sides instead of skewing their ratio, and the best round
-//! wins (scheduling noise only ever slows a round down). The required
+//! wins (scheduling noise only ever slows a round down). One pass over the
+//! corpus takes a few hundredths of a second, too short for a ratio to
+//! settle, so in full mode each side of a round repeats the pass until it
+//! has run for at least [`MIN_SIDE_SECS`] and reports seconds per pass
+//! (`--quick` runs one pass per side). The required
 //! speedup scales with the machine: 2.5x where at least 4 cores are
 //! available, a weaker floor on smaller hosts where a 4-worker pool cannot
 //! physically reach 2.5x.
@@ -42,6 +46,9 @@ const JOBS: usize = 4;
 /// dominates per-module bookkeeping.
 const OPS_PER_MODULE: usize = 8;
 
+/// Seconds each side of a full-mode round runs for, at least.
+const MIN_SIDE_SECS: f64 = 2.0;
+
 // ---------------------------------------------------------------------------
 // Workload
 // ---------------------------------------------------------------------------
@@ -58,7 +65,7 @@ fn corpus_inputs(bundle: &DialectBundle) -> Vec<String> {
             // Recompile in a scratch context clone only to recover the
             // structured per-op artifacts; the bundle used for the timed
             // runs is untouched.
-            let compiled = irdl::compile_dialect_collecting(&mut ctx, dialect, &natives)
+            let (_, compiled) = irdl::compile_dialect(&mut ctx, dialect, &natives)
                 .unwrap_or_else(|e| panic!("{dialect_name} compiles: {e}"));
             for op in compiled {
                 let module = ctx.create_module();
@@ -105,6 +112,28 @@ fn timed_batch(
     let (report, secs) = timed(|| run_batch(bundle, patterns, inputs, &opts));
     assert_eq!(report.errors(), 0, "every corpus module must pipeline cleanly");
     (secs, report)
+}
+
+/// Repeats [`timed_batch`] until the passes have run for at least
+/// `min_secs` (a single pass when `min_secs` is 0); returns the mean
+/// seconds per pass and the last pass's report.
+fn timed_batches(
+    bundle: &DialectBundle,
+    patterns: &PatternSet,
+    inputs: &[String],
+    jobs: usize,
+    min_secs: f64,
+) -> (f64, PipelineReport) {
+    let mut total = 0.0;
+    let mut passes = 0;
+    loop {
+        let (secs, report) = timed_batch(bundle, patterns, inputs, jobs);
+        total += secs;
+        passes += 1;
+        if total >= min_secs {
+            return (total / passes as f64, report);
+        }
+    }
 }
 
 /// The speedup floor, scaled to what the host can physically deliver with
@@ -156,6 +185,7 @@ fn report_json(s: &Summary, last_parallel: &PipelineReport) -> String {
          pool may cost at most ~1.4x sequential time (paired speedup >= 0.7)\",\n"
     ));
     out.push_str(&format!("  \"modules\": {modules},\n"));
+    out.push_str(&format!("  \"min_seconds_per_side\": {MIN_SIDE_SECS:.1},\n"));
     out.push_str(&format!("  \"speedup\": {speedup:.2},\n"));
     out.push_str(&format!(
         "  \"sequential_modules_per_sec\": {:.1},\n",
@@ -188,7 +218,7 @@ fn report_json(s: &Summary, last_parallel: &PipelineReport) -> String {
 }
 
 fn main() {
-    let rounds = if quick() { 2 } else { 5 };
+    let (rounds, min_secs) = if quick() { (2, 0.0) } else { (5, MIN_SIDE_SECS) };
 
     let natives = irdl_dialects::corpus_natives();
     let sources = irdl_dialects::corpus_sources();
@@ -237,9 +267,9 @@ fn main() {
     let mut last_parallel = warm_par;
     let pair = paired(
         rounds,
-        || timed_batch(&bundle, &patterns, &inputs, 1).0,
+        || timed_batches(&bundle, &patterns, &inputs, 1, min_secs).0,
         || {
-            let (secs, report) = timed_batch(&bundle, &patterns, &inputs, JOBS);
+            let (secs, report) = timed_batches(&bundle, &patterns, &inputs, JOBS, min_secs);
             last_parallel = report;
             secs
         },

@@ -123,7 +123,7 @@ fn corpus_workload() -> Workload {
     for (dialect_name, source) in irdl_dialects::corpus_sources() {
         let file = irdl::parse_irdl(&source).expect("corpus parses");
         for dialect in &file.dialects {
-            let compiled = irdl::compile_dialect_collecting(&mut ctx, dialect, &natives)
+            let (_, compiled) = irdl::compile_dialect(&mut ctx, dialect, &natives)
                 .unwrap_or_else(|e| panic!("{dialect_name} compiles: {e}"));
             for op in compiled {
                 let module = ctx.create_module();
@@ -155,10 +155,8 @@ fn mul_chain_workload(n: usize) -> Workload {
     let mul_name = ctx.op_name("cmath", "mul");
     let mut mul = None;
     for dialect in &file.dialects {
-        for op in irdl::compile_dialect_collecting(&mut ctx, dialect, &natives)
-            .expect("showcase compiles")
-        {
-            if op.name == mul_name {
+        for op in irdl::compile_dialect(&mut ctx, dialect, &natives).expect("showcase compiles").1 {
+            if op.op_name() == mul_name {
                 mul = Some(op);
             }
         }

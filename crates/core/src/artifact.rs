@@ -1,14 +1,16 @@
-//! Persisted compiled-dialect artifacts.
+//! Dialect recipes and their persisted form.
 //!
-//! A [`DialectRecipe`] is the frontend-free description of one compiled
+//! A [`DialectRecipe`] is the one declaration record of a compiled
 //! dialect: every name, resolved [`Constraint`], format string, and native
-//! hook *name* needed to register the dialect on a fresh [`Context`]
-//! without parsing IRDL source or running the resolver. Recipes are what
+//! hook *name* needed to register the dialect on a [`Context`] without
+//! parsing IRDL source or running the resolver. The resolver produces it
+//! from source; [`crate::compile::register_recipe`] is the only code that
+//! registers one, and the registered verifiers share its [`OpRecipe`]s and
+//! [`TypeOrAttrRecipe`]s rather than copying them. Recipes are what
 //! [`crate::DialectBundle::save`] persists (magic `IRDB`) and what
 //! [`crate::DialectBundle::load`] rehydrates — the cold-start path skips
-//! the frontend entirely and goes straight to registration
-//! ([`crate::compile::register_recipe`]), which re-lowers the constraint
-//! programs against the new context.
+//! the frontend entirely and goes straight to registration, which lowers
+//! the constraint programs against the new context.
 //!
 //! Native hooks (predicates, verifiers, parameter kinds) are closures and
 //! cannot be serialized; recipes store their registered *names* and
@@ -20,6 +22,8 @@
 //! table + type/attribute constant pool (encoded against the bundle's
 //! template context), then one `RECIPES` section. See the crate-level
 //! docs of [`irdl_ir::bytecode`] for the framing and versioning rules.
+
+use std::sync::Arc;
 
 use irdl_ir::bytecode::{
     float_kind_from, float_kind_tag, read_sections, ByteReader, ByteWriter, DecodedPool, Pool,
@@ -56,18 +60,19 @@ pub struct DialectRecipe {
     pub summary: Option<String>,
     /// Enum definitions: `(name, variants)`.
     pub enums: Vec<(String, Vec<String>)>,
-    /// `TypeOrAttrParam` items: `(item name, native kind name)`.
-    pub param_kinds: Vec<(String, String)>,
+    /// `TypeOrAttrParam` items: `(item name, native kind name, source
+    /// offset)`.
+    pub param_kinds: Vec<(String, String, Option<usize>)>,
     /// Type definitions.
-    pub typedefs: Vec<TypeOrAttrRecipe>,
+    pub typedefs: Vec<Arc<TypeOrAttrRecipe>>,
     /// Attribute definitions.
-    pub attrdefs: Vec<TypeOrAttrRecipe>,
+    pub attrdefs: Vec<Arc<TypeOrAttrRecipe>>,
     /// Operation definitions.
-    pub ops: Vec<OpRecipe>,
+    pub ops: Vec<Arc<OpRecipe>>,
 }
 
 /// A compiled type or attribute definition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TypeOrAttrRecipe {
     /// Definition name within the dialect.
     pub name: String,
@@ -79,6 +84,9 @@ pub struct TypeOrAttrRecipe {
     pub native_verifier: Option<String>,
     /// Declarative parameter format source, if any.
     pub format: Option<String>,
+    /// Byte offset of the definition in its IRDL source, which locates
+    /// registration errors. Not persisted: `None` after a load.
+    pub offset: Option<usize>,
 }
 
 /// A compiled operand/result/region-argument definition.
@@ -104,7 +112,7 @@ pub struct RegionRecipe {
 }
 
 /// A compiled operation definition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OpRecipe {
     /// Operation name within the dialect.
     pub name: String,
@@ -128,6 +136,9 @@ pub struct OpRecipe {
     pub native_verifier: Option<String>,
     /// Declarative assembly format source, if any.
     pub format: Option<String>,
+    /// Byte offset of the definition in its IRDL source, which locates
+    /// registration errors. Not persisted: `None` after a load.
+    pub offset: Option<usize>,
 }
 
 // ---------------------------------------------------------------------------
@@ -586,7 +597,7 @@ fn encode_recipe(
     }
 
     w.varint(recipe.param_kinds.len() as u64);
-    for (item, kind) in &recipe.param_kinds {
+    for (item, kind, _) in &recipe.param_kinds {
         write_str(pool, w, item);
         write_str(pool, w, kind);
     }
@@ -681,7 +692,7 @@ fn decode_recipe(
     for _ in 0..n_kinds {
         let item = pool.string(r)?.to_string();
         let kind = pool.string(r)?.to_string();
-        param_kinds.push((item, kind));
+        param_kinds.push((item, kind, None));
     }
 
     let mut def_lists = Vec::with_capacity(2);
@@ -700,7 +711,14 @@ fn decode_recipe(
             }
             let native_verifier = read_opt_string(pool, r)?;
             let format = read_opt_string(pool, r)?;
-            defs.push(TypeOrAttrRecipe { name, summary, params, native_verifier, format });
+            defs.push(Arc::new(TypeOrAttrRecipe {
+                name,
+                summary,
+                params,
+                native_verifier,
+                format,
+                offset: None,
+            }));
         }
         def_lists.push(defs);
     }
@@ -757,7 +775,7 @@ fn decode_recipe(
         };
         let native_verifier = read_opt_string(pool, r)?;
         let format = read_opt_string(pool, r)?;
-        ops.push(OpRecipe {
+        ops.push(Arc::new(OpRecipe {
             name,
             summary,
             var_names,
@@ -769,7 +787,8 @@ fn decode_recipe(
             successors,
             native_verifier,
             format,
-        });
+            offset: None,
+        }));
     }
 
     Ok(DialectRecipe { name, summary, enums, param_kinds, typedefs, attrdefs, ops })

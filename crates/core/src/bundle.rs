@@ -4,7 +4,10 @@
 //! The paper's central claim is that dialect definitions are *data* (§4):
 //! compiled once from an IRDL specification and registered dynamically. A
 //! [`DialectBundle`] makes that sharing real across threads. Compilation
-//! produces artifacts — [`crate::verifier::CompiledOp`]s, flat
+//! resolves each dialect into a [`DialectRecipe`] and registers it with
+//! [`register_recipe`]; loading a saved bundle decodes the recipes and
+//! runs the same registration, so both produce the same registry.
+//! Registration produces artifacts — [`crate::verifier::CompiledOp`]s, flat
 //! [`crate::program::ConstraintProgram`]s, format specs, native hooks —
 //! that embed context-relative uniqued indices (`Symbol`s, `Type`s, verdict
 //! key domains). They are therefore only meaningful against a context whose
@@ -34,7 +37,7 @@ use irdl_ir::diag::{Diagnostic, Result};
 use irdl_ir::Context;
 
 use crate::artifact::{decode_bundle, encode_bundle, DialectRecipe};
-use crate::compile::{compile_dialect_to_recipe, register_recipe};
+use crate::compile::{compile_dialect, register_recipe};
 use crate::native::NativeRegistry;
 use crate::parser::parse_irdl;
 
@@ -82,7 +85,7 @@ impl DialectBundle {
             let file = parse_irdl(source)
                 .map_err(|d| d.with_note(format!("while compiling `{label}`")))?;
             for dialect in &file.dialects {
-                let (recipe, _) = compile_dialect_to_recipe(&mut ctx, dialect, natives)
+                let (recipe, _) = compile_dialect(&mut ctx, dialect, natives)
                     .map_err(|d| d.with_note(format!("while compiling `{label}`")))?;
                 names.push(dialect.name.clone());
                 recipes.push(recipe);

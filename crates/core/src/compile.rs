@@ -1,44 +1,43 @@
 //! Compiling IRDL definitions into registered dialects.
 //!
-//! [`register_dialects`] is the main entry point: parse → collect scope →
-//! register enums and native parameter kinds → register type/attribute
-//! definitions (with synthesized parameter verifiers) → register operations
-//! (with synthesized operation verifiers and declarative formats). After it
-//! returns, the dialect is live on the [`Context`]: IR using it parses,
-//! prints, and verifies with no host-language code generation — the paper's
-//! "register a new dialect by providing an IRDL specification file instead
-//! of writing, compiling, and linking several complex C++ files" (§3).
+//! [`register_dialects`] is the main entry point: parse, then
+//! [`compile_dialect`] each dialect. After it returns, the dialect is live
+//! on the [`Context`]: IR using it parses, prints, and verifies with no
+//! host-language code generation — the paper's "register a new dialect by
+//! providing an IRDL specification file instead of writing, compiling, and
+//! linking several complex C++ files" (§3).
 //!
-//! Compilation is split into two halves:
+//! Compiling a dialect takes two steps:
 //!
 //! 1. **Resolution** (frontend): the AST is resolved against the dialect
 //!    scope into a [`DialectRecipe`] — names, resolved constraints, format
-//!    strings, native hook names.
-//! 2. **Registration** ([`register_recipe`] and the helpers it shares with
-//!    the compile path): a recipe is lowered onto a context — constraint
-//!    programs, format specs, and verifier objects are built and added to
-//!    the registry.
+//!    strings, native hook names. Nothing is registered yet.
+//! 2. **Registration** ([`register_recipe`]): the recipe is lowered onto
+//!    the context — native hooks looked up, constraint programs and format
+//!    specs built, verifier objects added to the registry. Each verifier
+//!    shares its definition's recipe rather than copying it.
 //!
-//! The registration half has no dependency on the frontend, which is what
-//! makes persisted dialect artifacts possible: a recipe decoded from a
-//! bundle file ([`crate::artifact`]) registers through exactly the same
-//! code path as one freshly compiled from source.
+//! [`register_recipe`] is the only registration driver and has no
+//! dependency on the frontend, which is what makes persisted dialect
+//! artifacts possible: a recipe decoded from a bundle file
+//! ([`crate::artifact`]) registers through exactly the same code as one
+//! freshly resolved from source.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use irdl_ir::diag::{Diagnostic, Result};
 use irdl_ir::dialect::{DialectInfo, EnumInfo, OpDeclStats, OpInfo, ParamKind, TypeDefInfo};
-use irdl_ir::{Context, OpName, Symbol};
+use irdl_ir::{Context, Symbol};
 
 use crate::artifact::{ArgRecipe, DialectRecipe, OpRecipe, RegionRecipe, TypeOrAttrRecipe};
 use crate::ast::*;
 use crate::constraint::Constraint;
-use crate::format::FormatSpec;
+use crate::format::{FormatSpec, ParamsFormatSpec};
 use crate::native::NativeRegistry;
 use crate::parser::parse_irdl;
 use crate::resolve::{DialectScope, Resolver};
-use crate::verifier::{CompiledArg, CompiledOp, CompiledParams, CompiledRegion, OpDecl};
+use crate::verifier::{CompiledOp, CompiledParams};
 
 /// Parses `source` and registers every dialect it defines, using the stock
 /// native registry ([`NativeRegistry::with_std`]).
@@ -72,22 +71,6 @@ pub fn register_dialects_with(
     Ok(names)
 }
 
-/// Compiles one dialect definition into the context registry.
-///
-/// If a dialect with the same name already exists (e.g. `builtin`), the new
-/// definitions are merged into it.
-///
-/// # Errors
-///
-/// Returns the first resolution or compilation diagnostic.
-pub fn compile_dialect(
-    ctx: &mut Context,
-    dialect: &DialectDef,
-    natives: &NativeRegistry,
-) -> Result<()> {
-    compile_dialect_collecting(ctx, dialect, natives).map(|_| ())
-}
-
 /// Process-wide count of dialect compilations, for asserting that sharing
 /// actually shares: a batch run over N workers must compile each dialect
 /// exactly once, so this counter must not move after setup. Registering a
@@ -100,38 +83,40 @@ pub fn dialect_compile_count() -> u64 {
     DIALECT_COMPILES.load(Ordering::Relaxed)
 }
 
-/// Like [`compile_dialect`], additionally returning the compiled form of
-/// every operation — the structured artifact consumed by IR generation
+/// Compiles one dialect definition into the context registry: resolves it
+/// into a [`DialectRecipe`], then registers that with [`register_recipe`].
+///
+/// Returns the recipe — the serializable description consumed by
+/// [`crate::DialectBundle::save`] — and the compiled form of every
+/// operation, in declaration order, as consumed by IR generation
 /// ([`crate::genir`]) and other tooling.
 ///
-/// # Errors
-///
-/// Returns the first resolution or compilation diagnostic.
-pub fn compile_dialect_collecting(
-    ctx: &mut Context,
-    dialect: &DialectDef,
-    natives: &NativeRegistry,
-) -> Result<Vec<Arc<CompiledOp>>> {
-    compile_dialect_to_recipe(ctx, dialect, natives).map(|(_, ops)| ops)
-}
-
-/// Like [`compile_dialect_collecting`], additionally returning the
-/// [`DialectRecipe`] — the serializable description consumed by
-/// [`crate::DialectBundle::save`].
+/// If a dialect with the same name already exists (e.g. `builtin`), the new
+/// definitions are merged into it.
 ///
 /// # Errors
 ///
-/// Returns the first resolution or compilation diagnostic.
-pub fn compile_dialect_to_recipe(
+/// Returns the first resolution or registration diagnostic.
+pub fn compile_dialect(
     ctx: &mut Context,
     dialect: &DialectDef,
     natives: &NativeRegistry,
 ) -> Result<(DialectRecipe, Vec<Arc<CompiledOp>>)> {
     DIALECT_COMPILES.fetch_add(1, Ordering::Relaxed);
-    let scope = DialectScope::from_ast(dialect)?;
-    let dialect_sym = ctx.symbol(&dialect.name);
-    ensure_dialect(ctx, dialect_sym, dialect.summary.as_deref());
+    let recipe = resolve_dialect(ctx, dialect, natives)?;
+    let ops = register_recipe(ctx, &recipe, natives)?;
+    Ok((recipe, ops))
+}
 
+/// Resolves `dialect` into its recipe. Interns symbols but writes nothing
+/// to the registry: in-dialect names resolve through the [`DialectScope`],
+/// names of other dialects through their registered definitions.
+fn resolve_dialect(
+    ctx: &mut Context,
+    dialect: &DialectDef,
+    natives: &NativeRegistry,
+) -> Result<DialectRecipe> {
+    let scope = DialectScope::from_ast(dialect)?;
     let mut recipe = DialectRecipe {
         name: dialect.name.clone(),
         summary: dialect.summary.clone(),
@@ -142,91 +127,42 @@ pub fn compile_dialect_to_recipe(
         ops: Vec::new(),
     };
 
-    // Pass 1: enums, native parameter kinds, and type/attribute stubs, so
-    // every in-dialect reference resolves regardless of declaration order.
     for item in &dialect.items {
         match item {
-            Item::Enum(def) => {
-                register_enum(ctx, dialect_sym, &def.name, &def.variants);
-                recipe.enums.push((def.name.clone(), def.variants.clone()));
-            }
+            Item::Enum(def) => recipe.enums.push((def.name.clone(), def.variants.clone())),
             Item::TypeOrAttrParam(def) => {
-                register_param_kind(ctx, natives, &def.name, &def.native_kind)
-                    .map_err(|d| d.or_offset(def.span))?;
-                recipe.param_kinds.push((def.name.clone(), def.native_kind.clone()));
+                recipe.param_kinds.push((def.name.clone(), def.native_kind.clone(), Some(def.span)))
             }
-            Item::Type(def) | Item::Attribute(def) => {
-                let param_names: Vec<String> =
-                    def.parameters.iter().map(|p| p.name.clone()).collect();
-                register_stub(
-                    ctx,
-                    dialect_sym,
-                    &def.name,
-                    def.summary.as_deref().unwrap_or_default(),
-                    &param_names,
-                    matches!(item, Item::Type(_)),
-                );
+            Item::Type(def) => recipe.typedefs.push(resolve_typedef(ctx, natives, &scope, def)?),
+            Item::Attribute(def) => {
+                recipe.attrdefs.push(resolve_typedef(ctx, natives, &scope, def)?)
             }
-            _ => {}
+            Item::Operation(def) => {
+                let op = resolve_op(ctx, &dialect.name, &scope, def, natives).map_err(|d| {
+                    d.with_note(format!("in operation `{}.{}`", dialect.name, def.name))
+                })?;
+                recipe.ops.push(Arc::new(op));
+            }
+            Item::Alias(_) | Item::Constraint(_) => {}
         }
     }
-
-    // Pass 2: compile type/attribute parameter constraints and verifiers.
-    for item in &dialect.items {
-        let (def, is_type) = match item {
-            Item::Type(def) => (def, true),
-            Item::Attribute(def) => (def, false),
-            _ => continue,
-        };
-        let mut resolver = Resolver::new(ctx, natives, &scope, &[]);
-        let mut params = Vec::with_capacity(def.parameters.len());
-        for param in &def.parameters {
-            let constraint = resolver.resolve(&param.constraint).map_err(|d| {
-                d.with_note(format!("in parameter `{}` of `{}`", param.name, def.name))
-            })?;
-            params.push((param.name.clone(), constraint));
-        }
-        let def_recipe = TypeOrAttrRecipe {
-            name: def.name.clone(),
-            summary: def.summary.clone().unwrap_or_default(),
-            params,
-            native_verifier: def.native_verifier.clone(),
-            format: def.format.clone(),
-        };
-        register_typedef(ctx, dialect_sym, &def_recipe, is_type, natives)
-            .map_err(|d| d.or_offset(def.span))?;
-        if is_type {
-            recipe.typedefs.push(def_recipe);
-        } else {
-            recipe.attrdefs.push(def_recipe);
-        }
-    }
-
-    // Pass 3: compile operations.
-    let mut compiled_ops = Vec::new();
-    for item in &dialect.items {
-        let Item::Operation(def) = item else { continue };
-        let note = || format!("in operation `{}.{}`", dialect.name, def.name);
-        let op_recipe = compile_op_recipe(ctx, &dialect.name, &scope, def, natives)
-            .map_err(|d| d.with_note(note()))?;
-        let compiled = register_op(ctx, dialect_sym, &op_recipe, natives)
-            .map_err(|d| d.or_offset(def.span).with_note(note()))?;
-        recipe.ops.push(op_recipe);
-        compiled_ops.push(compiled);
-    }
-    Ok((recipe, compiled_ops))
+    Ok(recipe)
 }
 
-/// Registers a persisted [`DialectRecipe`] on `ctx` — the frontend-free
-/// cold-start path. No IRDL parsing or constraint resolution happens;
-/// native hooks are re-resolved from `natives` by name, and constraint /
-/// format programs are lowered against `ctx` exactly as they are when
-/// compiling from source.
+/// Registers a [`DialectRecipe`] on `ctx`, resolved from source or decoded
+/// from a bundle. No IRDL parsing or constraint resolution happens; native
+/// hooks are looked up in `natives` by name, and constraint / format
+/// programs are lowered against `ctx`.
+///
+/// Returns the compiled form of every operation, each sharing its
+/// [`OpRecipe`] with `recipe`.
 ///
 /// # Errors
 ///
 /// Returns a diagnostic when a native hook the recipe names is not
-/// registered, or when a persisted format string fails to compile.
+/// registered, or when a format string fails to compile. The diagnostic
+/// points at the failing definition's source offset when the recipe
+/// carries one; otherwise a note names the definition.
 pub fn register_recipe(
     ctx: &mut Context,
     recipe: &DialectRecipe,
@@ -238,30 +174,33 @@ pub fn register_recipe(
     for (name, variants) in &recipe.enums {
         register_enum(ctx, dialect_sym, name, variants);
     }
-    for (item, kind) in &recipe.param_kinds {
-        register_param_kind(ctx, natives, item, kind)?;
+    for (item, kind, offset) in &recipe.param_kinds {
+        register_param_kind(ctx, natives, item, kind).map_err(|d| locate(d, *offset))?;
     }
     for (defs, is_type) in [(&recipe.typedefs, true), (&recipe.attrdefs, false)] {
         for def in defs.iter() {
-            let param_names: Vec<String> =
-                def.params.iter().map(|(name, _)| name.clone()).collect();
-            register_stub(ctx, dialect_sym, &def.name, &def.summary, &param_names, is_type);
-        }
-    }
-    for (defs, is_type) in [(&recipe.typedefs, true), (&recipe.attrdefs, false)] {
-        for def in defs.iter() {
-            register_typedef(ctx, dialect_sym, def, is_type, natives)
-                .map_err(|d| d.with_note(format!("in definition `{}.{}`", recipe.name, def.name)))?;
+            register_typedef(ctx, dialect_sym, def, is_type, natives).map_err(|d| match def.offset {
+                Some(offset) => d.or_offset(offset),
+                None => d.with_note(format!("in definition `{}.{}`", recipe.name, def.name)),
+            })?;
         }
     }
     let mut compiled_ops = Vec::with_capacity(recipe.ops.len());
     for op in &recipe.ops {
         let compiled = register_op(ctx, dialect_sym, op, natives).map_err(|d| {
-            d.with_note(format!("in operation `{}.{}`", recipe.name, op.name))
+            locate(d, op.offset).with_note(format!("in operation `{}.{}`", recipe.name, op.name))
         })?;
         compiled_ops.push(compiled);
     }
     Ok(compiled_ops)
+}
+
+/// Points `d` at a definition's source offset, when the recipe has one.
+fn locate(d: Diagnostic, offset: Option<usize>) -> Diagnostic {
+    match offset {
+        Some(offset) => d.or_offset(offset),
+        None => d,
+    }
 }
 
 /// Ensures the dialect exists in the registry, updating its summary.
@@ -303,40 +242,13 @@ fn register_param_kind(
     Ok(())
 }
 
-fn register_stub(
-    ctx: &mut Context,
-    dialect_sym: Symbol,
-    name: &str,
-    summary: &str,
-    param_names: &[String],
-    is_type: bool,
-) {
-    let name = ctx.symbol(name);
-    let param_names = param_names.iter().map(|p| ctx.symbol(p)).collect();
-    let stub = TypeDefInfo {
-        name,
-        summary: summary.to_string(),
-        param_names,
-        param_kinds: Vec::new(),
-        verifier: None,
-        syntax: None,
-        has_native_verifier: false,
-    };
-    let info = ctx.registry_mut().dialect_mut(dialect_sym).expect("registered");
-    if is_type {
-        info.add_type(stub);
-    } else {
-        info.add_attr(stub);
-    }
-}
-
-/// Registers one resolved type/attribute definition: builds the compiled
-/// parameter record, the flat verifier program, and the optional
-/// declarative format, and adds the full [`TypeDefInfo`].
+/// Registers one type/attribute definition: builds the [`CompiledParams`]
+/// sharing `def`, and the optional declarative format, and adds the full
+/// [`TypeDefInfo`].
 fn register_typedef(
     ctx: &mut Context,
     dialect_sym: Symbol,
-    def: &TypeOrAttrRecipe,
+    def: &Arc<TypeOrAttrRecipe>,
     is_type: bool,
     natives: &NativeRegistry,
 ) -> Result<()> {
@@ -350,32 +262,18 @@ fn register_typedef(
         None => None,
     };
     let uses_native_constraint = def.params.iter().any(|(_, c)| contains_native(c));
-    let param_kinds: Vec<ParamKind> =
-        def.params.iter().map(|(_, c)| classify_param(c)).collect();
     let has_native_verifier = native_verifier.is_some() || uses_native_constraint;
-    let param_name_strs: Vec<String> =
-        def.params.iter().map(|(name, _)| name.clone()).collect();
-    let constraints: Vec<Constraint> = def.params.iter().map(|(_, c)| c.clone()).collect();
-    let verifier = Arc::new(CompiledParams::new(
-        ctx,
-        param_name_strs.clone(),
-        &constraints,
-        native_verifier,
-    ));
-    let name = ctx.symbol(&def.name);
-    let param_names = def.params.iter().map(|(p, _)| ctx.symbol(p)).collect();
+    let verifier = Arc::new(CompiledParams::new(ctx, def.clone(), native_verifier));
     let syntax = match &def.format {
-        Some(format) => {
-            Some(Arc::new(crate::format::ParamsFormatSpec::compile(format, &param_name_strs)?)
-                as Arc<dyn irdl_ir::dialect::ParamsSyntax>)
-        }
+        Some(format) => Some(Arc::new(ParamsFormatSpec::compile(format, &def.params)?)
+            as Arc<dyn irdl_ir::dialect::ParamsSyntax>),
         None => None,
     };
     let info = TypeDefInfo {
-        name,
+        name: ctx.symbol(&def.name),
         summary: def.summary.clone(),
-        param_names,
-        param_kinds,
+        param_names: def.params.iter().map(|(p, _)| ctx.symbol(p)).collect(),
+        param_kinds: def.params.iter().map(|(_, c)| classify_param(c)).collect(),
         verifier: Some(verifier),
         syntax,
         has_native_verifier,
@@ -389,9 +287,34 @@ fn register_typedef(
     Ok(())
 }
 
+/// Resolves one type or attribute definition into its recipe form.
+fn resolve_typedef(
+    ctx: &mut Context,
+    natives: &NativeRegistry,
+    scope: &DialectScope,
+    def: &TypeAttrDef,
+) -> Result<Arc<TypeOrAttrRecipe>> {
+    let mut resolver = Resolver::new(ctx, natives, scope, &[]);
+    let mut params = Vec::with_capacity(def.parameters.len());
+    for param in &def.parameters {
+        let constraint = resolver.resolve(&param.constraint).map_err(|d| {
+            d.with_note(format!("in parameter `{}` of `{}`", param.name, def.name))
+        })?;
+        params.push((param.name.clone(), constraint));
+    }
+    Ok(Arc::new(TypeOrAttrRecipe {
+        name: def.name.clone(),
+        summary: def.summary.clone().unwrap_or_default(),
+        params,
+        native_verifier: def.native_verifier.clone(),
+        format: def.format.clone(),
+        offset: Some(def.span),
+    }))
+}
+
 /// Resolves one operation definition into its recipe form (everything
 /// registration needs, with no remaining AST references).
-fn compile_op_recipe(
+fn resolve_op(
     ctx: &mut Context,
     dialect_name: &str,
     scope: &DialectScope,
@@ -456,8 +379,8 @@ fn compile_op_recipe(
             }
             None => None,
         };
-        // Terminator references resolve to `dialect.name` here; persisted
-        // recipes carry the resolved pair.
+        // Terminator references resolve to `dialect.name` here; the recipe
+        // carries the resolved pair.
         let terminator = region.terminator.as_ref().map(|name| match name.split_once('.') {
             Some((d, n)) => (d.to_string(), n.to_string()),
             None => (dialect_name.to_string(), name.clone()),
@@ -477,48 +400,19 @@ fn compile_op_recipe(
         successors: def.successors.as_ref().map(Vec::len),
         native_verifier: def.native_verifier.clone(),
         format: def.format.clone(),
+        offset: Some(def.span),
     })
 }
 
-fn compiled_args(args: &[ArgRecipe]) -> Vec<CompiledArg> {
-    args.iter()
-        .map(|arg| CompiledArg {
-            name: arg.name.clone(),
-            constraint: arg.constraint.clone(),
-            variadicity: arg.variadicity,
-        })
-        .collect()
-}
-
-/// Registers one resolved operation definition: builds the [`CompiledOp`],
-/// its flat verifier program, the optional declarative format, and the
-/// Figure 11/12 declaration statistics, and adds the [`OpInfo`].
+/// Registers one operation definition: builds the [`CompiledOp`] sharing
+/// `def`, its optional declarative format, and the Figure 11/12
+/// declaration statistics, and adds the [`OpInfo`].
 fn register_op(
     ctx: &mut Context,
     dialect_sym: Symbol,
-    def: &OpRecipe,
+    def: &Arc<OpRecipe>,
     natives: &NativeRegistry,
 ) -> Result<Arc<CompiledOp>> {
-    let attributes: Vec<(Symbol, Constraint)> = def
-        .attributes
-        .iter()
-        .map(|(key, constraint)| (ctx.symbol(key), constraint.clone()))
-        .collect();
-
-    let regions: Vec<CompiledRegion> = def
-        .regions
-        .iter()
-        .map(|region| CompiledRegion {
-            name: region.name.clone(),
-            args: region.args.as_deref().map(compiled_args),
-            terminator: region.terminator.as_ref().map(|(dialect, name)| {
-                let dialect = ctx.symbol(dialect);
-                let name = ctx.symbol(name);
-                OpName { dialect, name }
-            }),
-        })
-        .collect();
-
     let native_verifier = match &def.native_verifier {
         Some(name) => Some(natives.op_verifier(name).ok_or_else(|| {
             Diagnostic::new(format!("native op verifier `{name}` is not registered"))
@@ -542,19 +436,14 @@ fn register_op(
     native_local.sort();
     native_local.dedup();
 
+    let variadic = |args: &[ArgRecipe]| {
+        args.iter().filter(|a| !matches!(a.variadicity, Variadicity::Single)).count() as u32
+    };
     let decl = OpDeclStats {
         operand_defs: def.operands.len() as u32,
-        variadic_operands: def
-            .operands
-            .iter()
-            .filter(|a| !matches!(a.variadicity, Variadicity::Single))
-            .count() as u32,
+        variadic_operands: variadic(&def.operands),
         result_defs: def.results.len() as u32,
-        variadic_results: def
-            .results
-            .iter()
-            .filter(|a| !matches!(a.variadicity, Variadicity::Single))
-            .count() as u32,
+        variadic_results: variadic(&def.results),
         attr_defs: def.attributes.len() as u32,
         region_defs: def.regions.len() as u32,
         successor_defs: def.successors.unwrap_or(0) as u32,
@@ -562,30 +451,18 @@ fn register_op(
         has_native_verifier: def.native_verifier.is_some(),
     };
 
-    let name_sym = ctx.symbol(&def.name);
     // Lower the constraints into the op's program at registration time;
     // the compiled op is itself the registered verifier.
-    let op_decl = OpDecl {
-        name: OpName { dialect: dialect_sym, name: name_sym },
-        var_names: def.var_names.clone(),
-        var_decls: def.var_decls.clone(),
-        operands: compiled_args(&def.operands),
-        results: compiled_args(&def.results),
-        attributes,
-        regions,
-        successors: def.successors,
-        native_verifier,
-    };
-    let compiled = Arc::new(CompiledOp::new(ctx, op_decl));
+    let compiled = Arc::new(CompiledOp::new(ctx, dialect_sym, def.clone(), native_verifier));
 
     let syntax = match &def.format {
-        Some(format) => Some(Arc::new(FormatSpec::compile(ctx, format, compiled.clone())?)
+        Some(format) => Some(Arc::new(FormatSpec::compile(format, compiled.clone())?)
             as Arc<dyn irdl_ir::OpSyntax>),
         None => None,
     };
 
     let info = OpInfo {
-        name: name_sym,
+        name: compiled.op_name().name,
         summary: def.summary.clone(),
         is_terminator: def.successors.is_some(),
         verifier: Some(compiled.clone()),

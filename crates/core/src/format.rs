@@ -12,22 +12,22 @@
 use std::sync::Arc;
 
 use irdl_ir::diag::{Diagnostic, Result};
-use irdl_ir::lexer::TokenBuf;
+use irdl_ir::lexer::{lex, Lexer, Token};
 use irdl_ir::parse::OpParser;
 use irdl_ir::print::Printer;
 use irdl_ir::{Context, OperationState, OpRef, Symbol};
 
 use crate::ast::Variadicity;
-use crate::constraint::CVal;
+use crate::constraint::{CVal, Constraint};
 use crate::program::{take_ctx_scratch, with_ctx_scratch, EvalScratch};
 use crate::verifier::CompiledOp;
 
 /// One element of a compiled format.
 #[derive(Debug, Clone)]
 enum FormatElem {
-    /// Pre-lexed literal text (printed verbatim, matched token-by-token
-    /// when parsing).
-    Literal(TokenBuf),
+    /// Literal text, printed verbatim and matched token by token when
+    /// parsing.
+    Literal(String),
     /// `$name` where `name` is the i-th operand definition.
     Operand(usize),
     /// `$name` where `name` is the i-th declared attribute.
@@ -58,7 +58,7 @@ impl FormatSpec {
     ///
     /// Rejects unknown directive names, directives for variadic
     /// definitions, and formats that do not cover every operand.
-    pub fn compile(ctx: &Context, format: &str, op: Arc<CompiledOp>) -> Result<FormatSpec> {
+    pub fn compile(format: &str, op: Arc<CompiledOp>) -> Result<FormatSpec> {
         // Regions and successors have no format directives; an op declaring
         // them cannot round-trip through a declarative format.
         if !op.regions.is_empty() {
@@ -90,7 +90,7 @@ impl FormatSpec {
                 continue;
             }
             if !literal.is_empty() {
-                elems.push(lex_literal(std::mem::take(&mut literal))?);
+                elems.push(FormatElem::Literal(checked_literal(std::mem::take(&mut literal))?));
             }
             // Read `ident(.ident)*`.
             let mut name = String::new();
@@ -139,9 +139,7 @@ impl FormatSpec {
                 }
                 covered_operands[i] = true;
                 elems.push(FormatElem::Operand(i));
-            } else if let Some(i) =
-                op.attributes.iter().position(|(k, _)| ctx.symbol_str(*k) == name)
-            {
+            } else if let Some(i) = op.attributes.iter().position(|(k, _)| *k == name) {
                 if !path.is_empty() {
                     return Err(Diagnostic::new(format!(
                         "attribute directive `${name}` cannot have a parameter path"
@@ -158,7 +156,7 @@ impl FormatSpec {
             }
         }
         if !literal.is_empty() {
-            elems.push(lex_literal(literal)?);
+            elems.push(FormatElem::Literal(checked_literal(literal)?));
         }
         if let Some(i) = covered_operands.iter().position(|c| !c) {
             return Err(Diagnostic::new(format!(
@@ -175,7 +173,7 @@ impl FormatSpec {
     /// bindings.
     fn bind_vars(&self, ctx: &Context, op: OpRef, scratch: &mut EvalScratch) {
         let program = self.op.program();
-        scratch.reset(self.op.var_decls.len());
+        scratch.reset(self.op.program().num_vars());
         for (&root, value) in self.op.operand_roots().iter().zip(op.operands(ctx)) {
             program.check(ctx, root, CVal::Type(value.ty(ctx)), scratch);
         }
@@ -272,13 +270,13 @@ impl FormatSpec {
         printer.token(" ");
         for elem in &self.elems {
             match elem {
-                FormatElem::Literal(buf) => printer.token(buf.text()),
+                FormatElem::Literal(text) => printer.token(text),
                 FormatElem::Operand(i) => {
                     let value = op.operand(ctx, *i);
                     printer.print_value(ctx, value);
                 }
                 FormatElem::Attr(i) => {
-                    let (key, _) = self.op.attributes[*i];
+                    let (key, _) = self.op.attr_roots()[*i];
                     if let Some(value) = op.attr_sym(ctx, key) {
                         printer.print_attribute(ctx, value);
                     }
@@ -299,7 +297,7 @@ impl FormatSpec {
         // Attributes not covered by the format are printed as a trailing
         // dictionary.
         let covered = |key: Symbol| {
-            let attrs = &self.op.attributes;
+            let attrs = self.op.attr_roots();
             self.elems.iter().any(|e| matches!(e, FormatElem::Attr(i) if attrs[*i].0 == key))
         };
         let mut extra = op.attributes(ctx).iter().filter(|(key, _)| !covered(*key)).peekable();
@@ -326,24 +324,20 @@ impl FormatSpec {
         // Inline buffers: parsing a typical declarative-format op performs
         // no heap allocation on this path.
         let mut operands: irdl_ir::InlineVec<Option<irdl_ir::Value>, 4> =
-            (0..self.op.operands.len()).map(|_| None).collect();
+            (0..self.op.operand_roots().len()).map(|_| None).collect();
         let mut attrs: irdl_ir::AttrList = irdl_ir::AttrList::new();
         let mut direct: irdl_ir::InlineVec<(u32, CVal), 4> = irdl_ir::InlineVec::new();
         let mut paths: irdl_ir::InlineVec<(u32, &[String], CVal), 2> = irdl_ir::InlineVec::new();
 
         for elem in &self.elems {
             match elem {
-                FormatElem::Literal(buf) => {
-                    for token in buf.iter() {
-                        parser.expect(&token)?;
-                    }
-                }
+                FormatElem::Literal(text) => expect_literal(text, |token| parser.expect(token))?,
                 FormatElem::Operand(i) => {
                     operands[*i] = Some(parser.parse_operand()?);
                 }
                 FormatElem::Attr(i) => {
                     let value = parser.parse_attribute()?;
-                    attrs.push((self.op.attributes[*i].0, value));
+                    attrs.push((self.op.attr_roots()[*i].0, value));
                 }
                 FormatElem::VarPath { var, path } => {
                     let attr = parser.parse_attribute()?;
@@ -363,7 +357,7 @@ impl FormatSpec {
 
         // --- solve for constraint variables -------------------------------
         let program = self.op.program();
-        scratch.reset(self.op.var_decls.len());
+        scratch.reset(self.op.program().num_vars());
         for (var, val) in &direct {
             if let Some(existing) = scratch.binding(*var) {
                 if existing != *val {
@@ -380,12 +374,12 @@ impl FormatSpec {
             let value = operand.expect("format compile guarantees operand coverage");
             state.operands.push(value);
         }
-        let operand_defs = self.op.operands.iter().zip(self.op.operand_roots());
-        for ((def, &root), value) in operand_defs.zip(state.operands.iter()) {
+        // The declaration is read only to render a rejection.
+        for (i, (&root, value)) in self.op.operand_roots().iter().zip(&state.operands).enumerate() {
             let ty = CVal::Type(value.ty(parser.ctx_ref()));
-            program
-                .check_explained(parser.ctx_ref(), root, ty, scratch)
-                .map_err(|e| parser.error(format!("operand `{}`: {e}", def.name)))?;
+            program.check_explained(parser.ctx_ref(), root, ty, scratch).map_err(|e| {
+                parser.error(format!("operand `{}`: {e}", self.op.operands[i].name))
+            })?;
         }
         // Solve parameter-path assignments.
         for &(var, path, val) in paths.iter() {
@@ -394,13 +388,13 @@ impl FormatSpec {
         }
 
         // --- infer result types ----------------------------------------------
-        for (def, &root) in self.op.results.iter().zip(self.op.result_roots()) {
+        for (i, &root) in self.op.result_roots().iter().enumerate() {
             match program.concretize(parser.ctx(), root, scratch) {
                 Some(CVal::Type(ty)) => state.result_types.push(ty),
                 _ => {
                     return Err(parser.error(format!(
                         "cannot infer the type of result `{}` from the format",
-                        def.name
+                        self.op.results[i].name
                     )))
                 }
             }
@@ -413,14 +407,24 @@ impl FormatSpec {
     }
 }
 
-/// Pre-lexes a literal chunk so parsing never re-tokenizes format text.
-fn lex_literal_tokens(text: &str) -> Result<TokenBuf> {
-    TokenBuf::lex(text)
-        .map_err(|e| Diagnostic::new(format!("invalid format literal `{text}`: {e}")))
+/// Lexes a literal chunk once at compile time, so a literal that is not
+/// valid IR text is rejected before any parse relies on it.
+fn checked_literal(text: String) -> Result<String> {
+    match lex(&text) {
+        Ok(_) => Ok(text),
+        Err(e) => Err(Diagnostic::new(format!("invalid format literal `{text}`: {e}"))),
+    }
 }
 
-fn lex_literal(text: String) -> Result<FormatElem> {
-    Ok(FormatElem::Literal(lex_literal_tokens(&text)?))
+/// Lexes a literal chunk and requires each of its tokens in turn.
+fn expect_literal(text: &str, mut expect: impl FnMut(&Token<'_>) -> Result<()>) -> Result<()> {
+    let mut lexer = Lexer::new(text);
+    loop {
+        match lexer.next_token()?.token {
+            Token::Eof => return Ok(()),
+            token => expect(&token)?,
+        }
+    }
 }
 
 /// A declarative format for type/attribute parameter lists (paper §4.7:
@@ -436,7 +440,7 @@ pub struct ParamsFormatSpec {
 
 #[derive(Debug, Clone)]
 enum ParamsFormatElem {
-    Literal(TokenBuf),
+    Literal(String),
     Param(usize),
 }
 
@@ -447,17 +451,17 @@ impl std::fmt::Debug for ParamsFormatSpec {
 }
 
 impl ParamsFormatSpec {
-    /// Compiles a parameter-format string against the declared parameter
-    /// names.
+    /// Compiles a parameter-format string against the declared
+    /// parameters.
     ///
     /// # Errors
     ///
     /// Rejects unknown directives and formats that do not cover every
     /// parameter (an uncovered parameter could not be parsed back).
-    pub fn compile(format: &str, param_names: &[String]) -> Result<ParamsFormatSpec> {
+    pub fn compile(format: &str, params: &[(String, Constraint)]) -> Result<ParamsFormatSpec> {
         let mut elems = Vec::new();
         let mut literal = String::new();
-        let mut covered = vec![false; param_names.len()];
+        let mut covered = vec![false; params.len()];
         let mut chars = format.chars().peekable();
         while let Some(ch) = chars.next() {
             if ch != '$' {
@@ -466,7 +470,7 @@ impl ParamsFormatSpec {
             }
             if !literal.is_empty() {
                 let text = std::mem::take(&mut literal);
-                elems.push(ParamsFormatElem::Literal(lex_literal_tokens(&text)?));
+                elems.push(ParamsFormatElem::Literal(checked_literal(text)?));
             }
             let mut name = String::new();
             while let Some(c) = chars.peek() {
@@ -477,19 +481,19 @@ impl ParamsFormatSpec {
                     break;
                 }
             }
-            let index = param_names.iter().position(|p| *p == name).ok_or_else(|| {
+            let index = params.iter().position(|(p, _)| *p == name).ok_or_else(|| {
                 Diagnostic::new(format!("format directive `${name}` names no parameter"))
             })?;
             covered[index] = true;
             elems.push(ParamsFormatElem::Param(index));
         }
         if !literal.is_empty() {
-            elems.push(ParamsFormatElem::Literal(lex_literal_tokens(&literal)?));
+            elems.push(ParamsFormatElem::Literal(checked_literal(literal)?));
         }
         if let Some(i) = covered.iter().position(|c| !c) {
             return Err(Diagnostic::new(format!(
                 "format does not cover parameter `{}`",
-                param_names[i]
+                params[i].0
             )));
         }
         Ok(ParamsFormatSpec { elems })
@@ -500,7 +504,7 @@ impl irdl_ir::dialect::ParamsSyntax for ParamsFormatSpec {
     fn print(&self, ctx: &Context, params: &[irdl_ir::Attribute], printer: &mut Printer<'_>) {
         for elem in &self.elems {
             match elem {
-                ParamsFormatElem::Literal(buf) => printer.token(buf.text()),
+                ParamsFormatElem::Literal(text) => printer.token(text),
                 ParamsFormatElem::Param(i) => {
                     if let Some(param) = params.get(*i) {
                         printer.print_attribute(ctx, *param);
@@ -514,10 +518,8 @@ impl irdl_ir::dialect::ParamsSyntax for ParamsFormatSpec {
         // Compilation guarantees every parameter is covered.
         for elem in &self.elems {
             match elem {
-                ParamsFormatElem::Literal(buf) => {
-                    for token in buf.iter() {
-                        parser.expect(&token)?;
-                    }
+                ParamsFormatElem::Literal(text) => {
+                    expect_literal(text, |token| parser.expect(token))?
                 }
                 ParamsFormatElem::Param(i) => {
                     let param = parser.parse_attribute()?;

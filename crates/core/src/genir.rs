@@ -294,7 +294,7 @@ pub fn instantiate_op(
             }
         }
     }
-    let multi_variadic = |defs: &[crate::verifier::CompiledArg]| {
+    let multi_variadic = |defs: &[crate::artifact::ArgRecipe]| {
         defs.iter().filter(|d| !matches!(d.variadicity, Variadicity::Single)).count() > 1
     };
     if multi_variadic(&compiled.operands) {
@@ -332,7 +332,7 @@ pub fn instantiate_op(
             }
         }
         let (region, entry) = ctx.create_region_with_entry(arg_types);
-        if let Some(term) = def.terminator {
+        if let Some(term) = compiled.terminator(index) {
             let term_op = ctx.create_op(OperationState::new(term));
             ctx.append_op(entry, term_op);
         }
@@ -355,7 +355,7 @@ pub fn instantiate_op(
         operands.push(def.result(ctx, 0));
     }
     let state = OperationState {
-        name: compiled.name,
+        name: compiled.op_name(),
         operands: operands.into(),
         result_types: result_types.into(),
         attributes: attributes.into(),

@@ -72,8 +72,8 @@ pub use artifact::{DialectRecipe, OpRecipe, TypeOrAttrRecipe};
 pub use ast::SourceFile;
 pub use bundle::DialectBundle;
 pub use compile::{
-    compile_dialect, compile_dialect_collecting, compile_dialect_to_recipe,
-    dialect_compile_count, register_dialects, register_dialects_with, register_recipe,
+    compile_dialect, dialect_compile_count, register_dialects, register_dialects_with,
+    register_recipe,
 };
 pub use constraint::{CVal, Constraint};
 pub use native::NativeRegistry;

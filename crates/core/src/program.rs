@@ -183,6 +183,11 @@ impl ConstraintProgram {
         &self.children[range.start as usize..(range.start + range.len) as usize]
     }
 
+    /// Number of constraint variables the program declares.
+    pub(crate) fn num_vars(&self) -> usize {
+        self.var_roots.len()
+    }
+
     /// Root node of variable `var`'s declared constraint.
     pub(crate) fn var_root(&self, var: u32) -> Option<u32> {
         self.var_roots.get(var as usize).copied()

@@ -3,96 +3,49 @@
 //! This module turns resolved IRDL definitions into the hook objects the IR
 //! substrate evaluates — reproducing the paper's central claim that the
 //! hand-written C++ verifier of Listing 2 is derivable from the declarative
-//! specification of Listing 3. A [`CompiledOp`] / [`CompiledParams`] owns
-//! its lowered [`ConstraintProgram`] and is itself the registered verifier.
+//! specification of Listing 3. A [`CompiledOp`] / [`CompiledParams`] shares
+//! its definition's recipe ([`OpRecipe`] / [`TypeOrAttrRecipe`], the one
+//! declaration record), owns the [`ConstraintProgram`] lowered from it, and
+//! is itself the registered verifier.
 
 use std::ops::Deref;
+use std::sync::Arc;
 
 use irdl_ir::diag::{Diagnostic, Result};
 use irdl_ir::{Attribute, Context, OpName, OpRef, Symbol};
 
+use crate::artifact::{ArgRecipe, OpRecipe, TypeOrAttrRecipe};
 use crate::ast::Variadicity;
-use crate::constraint::{CVal, Constraint};
+use crate::constraint::CVal;
 use crate::native::{NativeOpVerifier, NativeParamsVerifier};
 use crate::program::{
     with_ctx_scratch, Builder, ConstraintProgram, EvalScratch, Explain, Mode, Silent,
 };
 use crate::variadic::{resolve_segments_into, OPERAND_SEGMENT_ATTR, RESULT_SEGMENT_ATTR};
 
-/// A compiled operand/result definition.
-#[derive(Debug, Clone)]
-pub struct CompiledArg {
-    /// Declared name (used by formats and diagnostics).
-    pub name: String,
-    /// Element constraint.
-    pub constraint: Constraint,
-    /// Single / variadic / optional.
-    pub variadicity: Variadicity,
-}
-
-/// A compiled region definition.
-#[derive(Debug, Clone)]
-pub struct CompiledRegion {
-    /// Declared name.
-    pub name: String,
-    /// Entry-block argument constraints (`None` = unconstrained).
-    pub args: Option<Vec<CompiledArg>>,
-    /// Required terminator (also forces a single block).
-    pub terminator: Option<OpName>,
-}
-
-/// Everything declared by one `Operation` definition, with its constraints
-/// as data.
-pub struct OpDecl {
-    /// `(dialect, op)` name pair.
-    pub name: OpName,
-    /// Constraint-variable names, for diagnostics and formats.
-    pub var_names: Vec<String>,
-    /// Declared constraint of each variable.
-    pub var_decls: Vec<Constraint>,
-    /// Operand definitions.
-    pub operands: Vec<CompiledArg>,
-    /// Result definitions.
-    pub results: Vec<CompiledArg>,
-    /// Attribute definitions (all required).
-    pub attributes: Vec<(Symbol, Constraint)>,
-    /// Region definitions.
-    pub regions: Vec<CompiledRegion>,
-    /// `Some(n)` when the op declares `Successors` with `n` names.
-    pub successors: Option<usize>,
-    /// Optional native (global) verifier.
-    pub native_verifier: Option<NativeOpVerifier>,
-}
-
-impl std::fmt::Debug for OpDecl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OpDecl")
-            .field("operands", &self.operands)
-            .field("results", &self.results)
-            .field("attributes", &self.attributes.len())
-            .field("regions", &self.regions.len())
-            .field("successors", &self.successors)
-            .field("has_native_verifier", &self.native_verifier.is_some())
-            .finish()
-    }
-}
-
-/// An [`OpDecl`] lowered for checking: every constraint of the op in one
-/// [`ConstraintProgram`], with per-slot roots and pre-resolved variadicity
-/// tables. Implements [`irdl_ir::OpVerifier`]; dereferences to its
-/// declaration.
+/// An [`OpRecipe`] lowered for checking against one context: every
+/// constraint of the op in one [`ConstraintProgram`], with per-slot roots,
+/// pre-resolved variadicity tables, and the recipe's names interned.
+/// Implements [`irdl_ir::OpVerifier`]; dereferences to its recipe.
 pub struct CompiledOp {
-    decl: OpDecl,
+    recipe: Arc<OpRecipe>,
+    op_name: OpName,
+    native_hook: Option<NativeOpVerifier>,
     program: ConstraintProgram,
     operand_roots: Vec<u32>,
     operand_variadicity: Vec<Variadicity>,
     result_roots: Vec<u32>,
     result_variadicity: Vec<Variadicity>,
-    /// Attribute keys with their roots, parallel to `decl.attributes`.
+    /// Attribute keys with their roots, parallel to `recipe.attributes`.
     attr_roots: Vec<(Symbol, u32)>,
     /// Entry-block argument roots and variadicities, parallel to
-    /// `decl.regions` (`None` = unconstrained).
+    /// `recipe.regions` (`None` = unconstrained).
     region_args: Vec<Option<(Vec<u32>, Vec<Variadicity>)>>,
+    /// Required terminator of each region, parallel to `recipe.regions`.
+    terminators: Vec<Option<OpName>>,
+    /// The recipe's successor count, kept here with the other tables the
+    /// success path reads.
+    successor_count: Option<usize>,
     /// Pre-interned segment-attribute names, so the hot loop never hashes
     /// a string.
     operand_seg_sym: Symbol,
@@ -101,49 +54,83 @@ pub struct CompiledOp {
 
 impl std::fmt::Debug for CompiledOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.decl.fmt(f)
+        self.recipe.fmt(f)
     }
 }
 
 impl Deref for CompiledOp {
-    type Target = OpDecl;
-    fn deref(&self) -> &OpDecl {
-        &self.decl
+    type Target = OpRecipe;
+    fn deref(&self) -> &OpRecipe {
+        &self.recipe
     }
 }
 
-fn variadicities(args: &[CompiledArg]) -> Vec<Variadicity> {
+fn variadicities(args: &[ArgRecipe]) -> Vec<Variadicity> {
     args.iter().map(|a| a.variadicity).collect()
 }
 
 impl CompiledOp {
-    /// Lowers `decl` into its program, reserving verdict-cache domains
-    /// from `ctx` for its pure subconstraints.
-    pub fn new(ctx: &mut Context, decl: OpDecl) -> CompiledOp {
+    /// Lowers `recipe`, an op of `dialect`, into its program, interning
+    /// its names and reserving verdict-cache domains from `ctx` for its
+    /// pure subconstraints. `native_hook` is the op's native verifier,
+    /// resolved from the name the recipe gives.
+    pub fn new(
+        ctx: &mut Context,
+        dialect: Symbol,
+        recipe: Arc<OpRecipe>,
+        native_hook: Option<NativeOpVerifier>,
+    ) -> CompiledOp {
+        let attr_keys: Vec<Symbol> =
+            recipe.attributes.iter().map(|(key, _)| ctx.symbol(key)).collect();
+        let terminators = recipe
+            .regions
+            .iter()
+            .map(|r| {
+                let term = r.terminator.as_ref();
+                term.map(|(d, n)| OpName { dialect: ctx.symbol(d), name: ctx.symbol(n) })
+            })
+            .collect();
+        let op_name = OpName { dialect, name: ctx.symbol(&recipe.name) };
+
         let mut b = Builder::default();
-        let var_roots = decl.var_decls.iter().map(|d| b.lower(d)).collect();
+        let var_roots = recipe.var_decls.iter().map(|d| b.lower(d)).collect();
         let mut lower_args =
-            |args: &[CompiledArg]| args.iter().map(|a| b.lower(&a.constraint)).collect::<Vec<_>>();
-        let operand_roots = lower_args(&decl.operands);
-        let result_roots = lower_args(&decl.results);
-        let region_args = decl
+            |args: &[ArgRecipe]| args.iter().map(|a| b.lower(&a.constraint)).collect::<Vec<_>>();
+        let operand_roots = lower_args(&recipe.operands);
+        let result_roots = lower_args(&recipe.results);
+        let region_args = recipe
             .regions
             .iter()
             .map(|r| r.args.as_deref().map(|args| (lower_args(args), variadicities(args))))
             .collect();
-        let attr_roots = decl.attributes.iter().map(|(key, c)| (*key, b.lower(c))).collect();
+        let attr_roots = attr_keys.into_iter().zip(&recipe.attributes);
+        let attr_roots = attr_roots.map(|(k, (_, c))| (k, b.lower(c))).collect();
         CompiledOp {
             program: b.finish(ctx, var_roots),
+            op_name,
+            native_hook,
             operand_roots,
-            operand_variadicity: variadicities(&decl.operands),
+            operand_variadicity: variadicities(&recipe.operands),
             result_roots,
-            result_variadicity: variadicities(&decl.results),
+            result_variadicity: variadicities(&recipe.results),
             attr_roots,
             region_args,
+            terminators,
+            successor_count: recipe.successors,
             operand_seg_sym: ctx.symbol(OPERAND_SEGMENT_ATTR),
             result_seg_sym: ctx.symbol(RESULT_SEGMENT_ATTR),
-            decl,
+            recipe,
         }
+    }
+
+    /// The op's `(dialect, op)` name pair.
+    pub fn op_name(&self) -> OpName {
+        self.op_name
+    }
+
+    /// The required terminator of region `index`, if any.
+    pub fn terminator(&self, index: usize) -> Option<OpName> {
+        self.terminators[index]
     }
 
     /// The lowered program holding every constraint of the op.
@@ -189,7 +176,7 @@ impl CompiledOp {
         op: OpRef,
         scratch: &mut EvalScratch,
     ) -> std::result::Result<(), M::Fail> {
-        scratch.reset(self.var_decls.len());
+        scratch.reset(self.program.num_vars());
 
         // --- operands ----------------------------------------------------
         let total = op.num_operands(ctx);
@@ -241,18 +228,19 @@ impl CompiledOp {
         }
 
         // --- regions -----------------------------------------------------
-        if op.num_regions(ctx) != self.regions.len() {
+        let regions = self.region_args.len();
+        if op.num_regions(ctx) != regions {
             return Err(M::fail(|| {
-                format!("expected {} region(s), got {}", self.regions.len(), op.num_regions(ctx))
+                format!("expected {regions} region(s), got {}", op.num_regions(ctx))
             }));
         }
-        for index in 0..self.regions.len() {
+        for index in 0..regions {
             self.check_region::<M>(ctx, op, index, scratch)?;
         }
 
         // --- successors --------------------------------------------------
         let actual = op.successors(ctx).len();
-        match self.successors {
+        match self.successor_count {
             Some(expected) if actual != expected => Err(M::fail(|| {
                 format!("expected {expected} successor(s), got {actual}")
             })),
@@ -270,13 +258,14 @@ impl CompiledOp {
         index: usize,
         scratch: &mut EvalScratch,
     ) -> std::result::Result<(), M::Fail> {
-        let def = &self.regions[index];
+        // The declaration is read only to render a rejection.
+        let def = || &self.regions[index];
         let region = op.region(ctx, index);
         if let Some((roots, variadicity)) = &self.region_args[index] {
             let arg_types = region.entry_block(ctx).map_or(&[][..], |b| b.arg_types(ctx));
             resolve_segments_into(arg_types.len(), variadicity, None, &mut scratch.seg_sizes)
                 .map_err(|e| {
-                    M::fail(|| format!("region `{}` argument mismatch: {e}", def.name))
+                    M::fail(|| format!("region `{}` argument mismatch: {e}", def().name))
                 })?;
             let mut cursor = 0usize;
             for (slot, &root) in roots.iter().enumerate() {
@@ -284,10 +273,11 @@ impl CompiledOp {
                 for &ty in &arg_types[cursor..cursor + size] {
                     self.program.eval::<M>(ctx, root, CVal::Type(ty), scratch).map_err(|e| {
                         M::wrap(e, |e| {
-                            let arg = &def.args.as_deref().unwrap_or(&[])[slot];
+                            let arg = &def().args.as_deref().unwrap_or(&[])[slot];
                             format!(
                                 "region `{}` argument `{}` is invalid: {e}",
-                                def.name, arg.name
+                                def().name,
+                                arg.name
                             )
                         })
                     })?;
@@ -296,25 +286,25 @@ impl CompiledOp {
             }
         }
         // A terminator requirement implies a single block.
-        let Some(term) = def.terminator else { return Ok(()) };
+        let Some(term) = self.terminators[index] else { return Ok(()) };
         let blocks = region.blocks(ctx);
         if blocks.len() != 1 {
             return Err(M::fail(|| {
                 format!(
                     "region `{}` must consist of a single block, got {}",
-                    def.name,
+                    def().name,
                     blocks.len()
                 )
             }));
         }
         match blocks[0].last_op(ctx) {
             None => Err(M::fail(|| {
-                format!("region `{}` must end with `{}`", def.name, term.display(ctx))
+                format!("region `{}` must end with `{}`", def().name, term.display(ctx))
             })),
             Some(last) if last.name(ctx) != term => Err(M::fail(|| {
                 format!(
                     "region `{}` must end with `{}`, found `{}`",
-                    def.name,
+                    def().name,
                     term.display(ctx),
                     last.name(ctx).display(ctx)
                 )
@@ -361,44 +351,48 @@ impl irdl_ir::OpVerifier for CompiledOp {
             }
             self.check_declarative::<Explain>(ctx, op, scratch).map_err(Diagnostic::new)
         })?;
-        match &self.native_verifier {
+        match &self.native_hook {
             Some(native) => native(ctx, op),
             None => Ok(()),
         }
     }
 }
 
-/// A compiled type/attribute definition: parameter constraints plus an
-/// optional native verifier. Implements [`irdl_ir::ParamsVerifier`].
+/// A [`TypeOrAttrRecipe`] lowered for checking: its parameter constraints
+/// in one program, plus the optional native verifier. Implements
+/// [`irdl_ir::ParamsVerifier`]; dereferences to its recipe.
 pub struct CompiledParams {
-    /// Parameter names, in order.
-    pub names: Vec<String>,
-    /// Optional native verifier over the whole parameter list.
-    pub native_verifier: Option<NativeParamsVerifier>,
+    recipe: Arc<TypeOrAttrRecipe>,
+    native_hook: Option<NativeParamsVerifier>,
     program: ConstraintProgram,
     roots: Vec<u32>,
 }
 
 impl std::fmt::Debug for CompiledParams {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledParams")
-            .field("names", &self.names)
-            .field("has_native_verifier", &self.native_verifier.is_some())
-            .finish()
+        self.recipe.fmt(f)
+    }
+}
+
+impl Deref for CompiledParams {
+    type Target = TypeOrAttrRecipe;
+    fn deref(&self) -> &TypeOrAttrRecipe {
+        &self.recipe
     }
 }
 
 impl CompiledParams {
-    /// Lowers the parameter constraints (one per name) into a program,
-    /// reserving verdict-cache domains from `ctx`.
+    /// Lowers the recipe's parameter constraints into a program, reserving
+    /// verdict-cache domains from `ctx`. `native_hook` is the definition's
+    /// native verifier, resolved from the name the recipe gives.
     pub fn new(
         ctx: &mut Context,
-        names: Vec<String>,
-        constraints: &[Constraint],
-        native_verifier: Option<NativeParamsVerifier>,
+        recipe: Arc<TypeOrAttrRecipe>,
+        native_hook: Option<NativeParamsVerifier>,
     ) -> CompiledParams {
-        let (program, roots) = ConstraintProgram::lower(ctx, &[], constraints);
-        CompiledParams { names, native_verifier, program, roots }
+        let mut b = Builder::default();
+        let roots = recipe.params.iter().map(|(_, c)| b.lower(c)).collect();
+        CompiledParams { program: b.finish(ctx, Vec::new()), recipe, native_hook, roots }
     }
 
     fn check<M: Mode>(
@@ -415,7 +409,7 @@ impl CompiledParams {
         scratch.reset(0);
         for (i, (&root, &param)) in self.roots.iter().zip(params).enumerate() {
             self.program.eval::<M>(ctx, root, CVal::from_attr(ctx, param), scratch).map_err(
-                |e| M::wrap(e, |e| format!("parameter `{}` is invalid: {e}", self.names[i])),
+                |e| M::wrap(e, |e| format!("parameter `{}` is invalid: {e}", self.params[i].0)),
             )?;
         }
         Ok(())
@@ -430,7 +424,7 @@ impl irdl_ir::ParamsVerifier for CompiledParams {
             }
             self.check::<Explain>(ctx, params, scratch).map_err(Diagnostic::new)
         })?;
-        match &self.native_verifier {
+        match &self.native_hook {
             Some(native) => native(ctx, params),
             None => Ok(()),
         }
@@ -440,24 +434,16 @@ impl irdl_ir::ParamsVerifier for CompiledParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::Constraint;
     use irdl_ir::{OpVerifier, OperationState, ParamsVerifier};
 
-    fn decl(ctx: &mut Context, name: &str) -> OpDecl {
-        OpDecl {
-            name: ctx.op_name("cmath", name),
-            var_names: vec![],
-            var_decls: vec![],
-            operands: vec![],
-            results: vec![],
-            attributes: vec![],
-            regions: vec![],
-            successors: None,
-            native_verifier: None,
-        }
+    fn compile(ctx: &mut Context, recipe: OpRecipe) -> CompiledOp {
+        let cmath = ctx.symbol("cmath");
+        CompiledOp::new(ctx, cmath, Arc::new(recipe), None)
     }
 
-    fn single(name: &str, constraint: Constraint) -> CompiledArg {
-        CompiledArg { name: name.into(), constraint, variadicity: Variadicity::Single }
+    fn single(name: &str, constraint: Constraint) -> ArgRecipe {
+        ArgRecipe { name: name.into(), constraint, variadicity: Variadicity::Single }
     }
 
     /// Hand-builds the compiled form of cmath.mul (Listing 3) and checks it
@@ -484,14 +470,15 @@ mod tests {
             name: complex,
             params: vec![float_ty],
         };
-        let mul = OpDecl {
+        let mul = OpRecipe {
+            name: "mul".into(),
             var_names: vec!["T".into()],
             var_decls: vec![t_decl],
             operands: vec![single("lhs", Constraint::Var(0)), single("rhs", Constraint::Var(0))],
             results: vec![single("res", Constraint::Var(0))],
-            ..decl(&mut ctx, "mul")
+            ..OpRecipe::default()
         };
-        let compiled = CompiledOp::new(&mut ctx, mul);
+        let compiled = compile(&mut ctx, mul);
 
         let mk = |ctx: &mut Context, tys: [irdl_ir::Type; 2], res: irdl_ir::Type| {
             let mk_name = ctx.op_name("test", "val");
@@ -539,12 +526,13 @@ mod tests {
     #[test]
     fn missing_attribute_is_reported() {
         let mut ctx = Context::new();
-        let key = ctx.symbol("re");
-        let constant = OpDecl {
-            attributes: vec![(key, Constraint::FloatAttr(Some(irdl_ir::FloatKind::F32)))],
-            ..decl(&mut ctx, "create_constant")
+        let constant = OpRecipe {
+            name: "create_constant".into(),
+            attributes: vec![("re".into(), Constraint::FloatAttr(Some(irdl_ir::FloatKind::F32)))],
+            ..OpRecipe::default()
         };
-        let compiled = CompiledOp::new(&mut ctx, constant);
+        let compiled = compile(&mut ctx, constant);
+        let key = ctx.symbol("re");
         let name = ctx.op_name("cmath", "create_constant");
         let without = ctx.create_op(OperationState::new(name));
         let err = compiled.verify(&ctx, without).unwrap_err();
@@ -562,12 +550,14 @@ mod tests {
         let mut ctx = Context::new();
         let f32 = ctx.f32_type();
         let f64 = ctx.f64_type();
-        let compiled = CompiledParams::new(
-            &mut ctx,
-            vec!["elementType".into()],
-            &[Constraint::AnyOf(vec![Constraint::ExactType(f32), Constraint::ExactType(f64)])],
-            None,
-        );
+        let element =
+            Constraint::AnyOf(vec![Constraint::ExactType(f32), Constraint::ExactType(f64)]);
+        let recipe = TypeOrAttrRecipe {
+            name: "complex".into(),
+            params: vec![("elementType".into(), element)],
+            ..TypeOrAttrRecipe::default()
+        };
+        let compiled = CompiledParams::new(&mut ctx, Arc::new(recipe), None);
         let f32a = ctx.type_attr(f32);
         assert!(compiled.verify(&ctx, &[f32a]).is_ok());
         let i32 = ctx.i32_type();

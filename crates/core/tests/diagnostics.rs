@@ -178,3 +178,124 @@ fn verifier_diagnostics_name_the_failing_part() {
     assert!(msg.contains("expected type i1"), "{msg}");
     assert!(msg.contains("in operation `d.pick`"), "{msg}");
 }
+
+// ----- registration-time failures, pinned to the exact rendered text -------
+
+/// A spec naming one hook of each kind, with both in-dialect types and an
+/// operation, so each hook can be left out in turn.
+const HOOKED: &str = r#"Dialect d {
+  TypeOrAttrParam P { NativeType "ghost_kind" }
+  Type t {
+    Parameters (p: P)
+    NativeVerifier "ghost_params"
+  }
+  Operation o {
+    Operands (x: !t)
+    NativeVerifier "ghost_op"
+  }
+}"#;
+
+/// A registry holding every hook of [`HOOKED`] except `missing`.
+fn hooks_without(missing: &str) -> irdl::NativeRegistry {
+    let mut natives = irdl::NativeRegistry::new();
+    if missing != "ghost_kind" {
+        natives.register_param_kind(
+            "ghost_kind",
+            std::sync::Arc::new(|_: &str| -> irdl_ir::Result<()> { Ok(()) }),
+        );
+    }
+    if missing != "ghost_params" {
+        natives.register_params_verifier("ghost_params", std::sync::Arc::new(|_, _| Ok(())));
+    }
+    if missing != "ghost_op" {
+        natives.register_op_verifier("ghost_op", std::sync::Arc::new(|_, _| Ok(())));
+    }
+    natives
+}
+
+fn compile_hooked_err(missing: &str) -> String {
+    let mut ctx = Context::new();
+    let err = irdl::register_dialects_with(&mut ctx, HOOKED, &hooks_without(missing))
+        .expect_err("a hook is missing");
+    err.render(HOOKED)
+}
+
+/// Saves [`HOOKED`] compiled with every hook, then loads it without
+/// `missing`.
+fn load_hooked_err(missing: &str) -> String {
+    let sources = vec![("d.irdl".to_string(), HOOKED.to_string())];
+    let bundle = irdl::DialectBundle::compile(&sources, &hooks_without("")).unwrap();
+    let bytes = bundle.save().unwrap();
+    let err = irdl::DialectBundle::load(&bytes, &hooks_without(missing))
+        .expect_err("a hook is missing");
+    err.render("")
+}
+
+#[test]
+fn missing_native_op_verifier_renders_exactly() {
+    assert_eq!(
+        compile_hooked_err("ghost_op"),
+        "error at 7:3: native op verifier `ghost_op` is not registered\n\
+         \x20 |   Operation o {\n\
+         \x20 |   ^\n\
+         \x20 note: in operation `d.o`"
+    );
+}
+
+#[test]
+fn missing_params_verifier_renders_exactly() {
+    assert_eq!(
+        compile_hooked_err("ghost_params"),
+        "error at 3:3: native verifier `ghost_params` is not registered (required by `t`)\n\
+         \x20 |   Type t {\n\
+         \x20 |   ^"
+    );
+}
+
+#[test]
+fn missing_param_kind_renders_exactly() {
+    assert_eq!(
+        compile_hooked_err("ghost_kind"),
+        "error at 2:3: native parameter kind `ghost_kind` is not registered \
+         (required by TypeOrAttrParam `P`)\n\
+         \x20 |   TypeOrAttrParam P { NativeType \"ghost_kind\" }\n\
+         \x20 |   ^"
+    );
+}
+
+#[test]
+fn bad_op_format_renders_exactly() {
+    let src = r#"Dialect d {
+  Operation o {
+    Operands (x: !f32)
+    Format "$x : $ghost"
+  }
+}"#;
+    assert_eq!(
+        compile_err(src),
+        "error at 2:3: format directive `$ghost` names no operand, attribute, or \
+         constraint variable\n\
+         \x20 |   Operation o {\n\
+         \x20 |   ^\n\
+         \x20 note: in operation `d.o`"
+    );
+}
+
+#[test]
+fn hooks_missing_at_load_render_exactly() {
+    assert_eq!(
+        load_hooked_err("ghost_op"),
+        "error: native op verifier `ghost_op` is not registered\n\
+         \x20 note: in operation `d.o`"
+    );
+    assert_eq!(
+        load_hooked_err("ghost_params"),
+        "error: native verifier `ghost_params` is not registered (required by `t`)\n\
+         \x20 note: in definition `d.t`"
+    );
+    assert_eq!(
+        load_hooked_err("ghost_kind"),
+        "error: native parameter kind `ghost_kind` is not registered \
+         (required by TypeOrAttrParam `P`)"
+    );
+}

@@ -715,3 +715,42 @@ fn attr_custom_format_roundtrips() {
         assert_eq!(reparsed, attr);
     }
 }
+
+/// Format literals are kept as text and lexed where they are matched: a
+/// quoted literal with an escape prints verbatim and parses back, and a
+/// literal that is not IR text is rejected when the format compiles.
+#[test]
+fn format_string_literals_round_trip() {
+    let mut ctx = Context::new();
+    irdl::register_dialects(
+        &mut ctx,
+        r#"Dialect q {
+            Operation tag {
+                Operands (x: !f32)
+                Results (r: !f32)
+                Format "$x \"a\\\"b\" -> done"
+            }
+        }"#,
+    )
+    .unwrap();
+    let src = "%x = \"test.arg\"() : () -> f32\n%r = q.tag %x \"a\\\"b\" -> done\n";
+    let module = parse_module(&mut ctx, src).expect("the literal parses back");
+    verify_op(&ctx, module).expect("parsed module verifies");
+    let tag = ctx.module_block(module).ops(&ctx)[1];
+    assert_eq!(op_to_string(&ctx, tag), "%0 = q.tag %1 \"a\\\"b\" -> done");
+    let mismatch = "%x = \"test.arg\"() : () -> f32\n%r = q.tag %x \"ab\" -> done\n";
+    let err = parse_module(&mut ctx, mismatch).unwrap_err();
+    assert!(err.to_string().contains(r#"expected "a"b", found "ab""#), "{err}");
+
+    let err = irdl::register_dialects(
+        &mut ctx,
+        r#"Dialect bad {
+            Operation o { Operands (x: !f32) Format "$x `" }
+        }"#,
+    )
+    .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "invalid format literal ` ``: unexpected character ```; note: in operation `bad.o`"
+    );
+}

@@ -9,26 +9,24 @@
 use irdl::ast::Variadicity;
 use irdl::constraint::Constraint;
 use irdl::program::EvalScratch;
-use irdl::verifier::{CompiledArg, CompiledOp, OpDecl};
+use irdl::artifact::ArgRecipe;
+use irdl::verifier::CompiledOp;
+use irdl::OpRecipe;
 use irdl_ir::{Context, OpRef, OperationState, Type};
 
-fn arg(name: &str, constraint: Constraint) -> CompiledArg {
-    CompiledArg { name: name.into(), constraint, variadicity: Variadicity::Single }
+fn arg(name: &str, constraint: Constraint) -> ArgRecipe {
+    ArgRecipe { name: name.into(), constraint, variadicity: Variadicity::Single }
+}
+
+/// Lowers `recipe` as the op `t.op`.
+fn compile(ctx: &mut Context, recipe: OpRecipe) -> CompiledOp {
+    let dialect = ctx.symbol("t");
+    let recipe = std::sync::Arc::new(OpRecipe { name: "op".into(), ..recipe });
+    CompiledOp::new(ctx, dialect, recipe, None)
 }
 
 fn one_operand_op(ctx: &mut Context, constraint: Constraint) -> CompiledOp {
-    let decl = OpDecl {
-        name: ctx.op_name("t", "op"),
-        var_names: vec![],
-        var_decls: vec![],
-        operands: vec![arg("x", constraint)],
-        results: vec![],
-        attributes: vec![],
-        regions: vec![],
-        successors: None,
-        native_verifier: None,
-    };
-    CompiledOp::new(ctx, decl)
+    compile(ctx, OpRecipe { operands: vec![arg("x", constraint)], ..OpRecipe::default() })
 }
 
 /// Creates a detached `t.op` whose operands have the given types.
@@ -56,18 +54,13 @@ fn variable_bearing_constraints_are_never_cached() {
     let i32 = ctx.i32_type();
 
     let choice = Constraint::AnyOf(vec![Constraint::Var(0), Constraint::ExactType(i32)]);
-    let decl = OpDecl {
-        name: ctx.op_name("t", "op"),
+    let recipe = OpRecipe {
         var_names: vec!["T".into()],
         var_decls: vec![Constraint::AnyType],
         operands: vec![arg("lhs", choice.clone()), arg("rhs", choice)],
-        results: vec![],
-        attributes: vec![],
-        regions: vec![],
-        successors: None,
-        native_verifier: None,
+        ..OpRecipe::default()
     };
-    let program = CompiledOp::new(&mut ctx, decl);
+    let program = compile(&mut ctx, recipe);
     assert_eq!(
         program.program().num_cache_slots(),
         0,

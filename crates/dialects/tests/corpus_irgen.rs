@@ -25,8 +25,8 @@ fn every_corpus_op_instantiates_and_verifies() {
     for (dialect_name, source) in irdl_dialects::corpus_sources() {
         let file = irdl::parse_irdl(&source).unwrap();
         for dialect in &file.dialects {
-            let compiled =
-                irdl::compile_dialect_collecting(&mut ctx, dialect, &natives).unwrap();
+            let (_, compiled) =
+                irdl::compile_dialect(&mut ctx, dialect, &natives).unwrap();
             for op in compiled {
                 total += 1;
                 let module = ctx.create_module();

@@ -37,8 +37,8 @@ fn corpus_parse_print_parse_fixpoint() {
         for dialect in &file.dialects {
             dialect_count += 1;
             // One module holding every instantiable op of this dialect.
-            let compiled =
-                irdl::compile_dialect_collecting(&mut gctx, dialect, &natives).unwrap();
+            let (_, compiled) =
+                irdl::compile_dialect(&mut gctx, dialect, &natives).unwrap();
             let module = gctx.create_module();
             let block = gctx.module_block(module);
             let mut built = 0usize;

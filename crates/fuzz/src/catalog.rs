@@ -49,7 +49,7 @@ impl OpCatalog {
             let file = irdl::parse_irdl(source)
                 .map_err(|e| format!("{name}: {}", e.render(source)))?;
             for dialect in &file.dialects {
-                let compiled = irdl::compile_dialect_collecting(ctx, dialect, natives)
+                let (_, compiled) = irdl::compile_dialect(ctx, dialect, natives)
                     .map_err(|e| format!("{name}: {}", e.render(source)))?;
                 ops.extend(compiled);
             }
@@ -60,7 +60,7 @@ impl OpCatalog {
     /// Wraps an already-compiled op list (assumed to be in a
     /// deterministic order).
     pub fn from_ops(ops: Vec<Arc<CompiledOp>>) -> OpCatalog {
-        let by_name = ops.iter().enumerate().map(|(i, op)| (op.name, i)).collect();
+        let by_name = ops.iter().enumerate().map(|(i, op)| (op.op_name(), i)).collect();
         let generatable = ops
             .iter()
             .enumerate()

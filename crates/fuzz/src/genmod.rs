@@ -170,7 +170,7 @@ fn instantiate_random(
         let attr = v.into_attr(ctx);
         attributes.push((key, attr));
     }
-    let multi_variadic = |defs: &[irdl::verifier::CompiledArg]| {
+    let multi_variadic = |defs: &[irdl::artifact::ArgRecipe]| {
         defs.iter().filter(|d| !matches!(d.variadicity, Variadicity::Single)).count() > 1
     };
     if multi_variadic(&compiled.operands) {
@@ -208,7 +208,7 @@ fn instantiate_random(
             let count = rng.below(config.max_region_ops + 1);
             fill_block(ctx, catalog, config, rng, entry, depth + 1, count);
         }
-        if let Some(term) = def.terminator {
+        if let Some(term) = compiled.terminator(index) {
             let term_def = catalog.lookup(term)?.clone();
             if term_def.successors.unwrap_or(0) > 0 {
                 return None;
@@ -225,7 +225,7 @@ fn instantiate_random(
     let operands: Vec<Value> =
         operand_types.iter().map(|ty| operand_of_type(ctx, config, rng, block, *ty)).collect();
     let state = OperationState {
-        name: compiled.name,
+        name: compiled.op_name(),
         operands: operands.into(),
         result_types: result_types.into(),
         attributes: attributes.into(),

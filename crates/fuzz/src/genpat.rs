@@ -158,8 +158,8 @@ pub fn derive_canon_catalog(ctx: &irdl_ir::Context, catalog: &OpCatalog) -> (Str
         else {
             continue;
         };
-        let dialect = ctx.symbol_str(op.name.dialect);
-        let opname = ctx.symbol_str(op.name.name);
+        let dialect = ctx.symbol_str(op.op_name().dialect);
+        let opname = &op.name;
         let operands: Vec<String> = (0..op.operands.len()).map(|i| format!("%x{i}")).collect();
         let _ = writeln!(
             text,

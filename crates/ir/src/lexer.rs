@@ -11,10 +11,9 @@
 //! Tokens are **zero-copy**: every payload is a `&str` slice of the source
 //! buffer (string literals use a [`Cow`] that only owns its data when the
 //! literal contains escapes), so lexing performs no heap allocation except
-//! to unescape such a literal. Code that must retain tokens beyond the
-//! source's lifetime (pre-lexed format-spec literals) stores a
-//! [`TokenBuf`], which owns the text and re-materializes borrowed tokens on
-//! demand.
+//! to unescape such a literal. Code that must match a stored text fragment
+//! (format-spec literals) keeps the text and lexes it again where it is
+//! matched.
 
 use std::borrow::Cow;
 
@@ -648,186 +647,6 @@ fn lex_string<'s>(source: &'s str, pos: &mut usize) -> Result<Token<'s>> {
     Err(Diagnostic::at(start, "unterminated string literal"))
 }
 
-// ---------------------------------------------------------------------------
-// Owned token sequences
-// ---------------------------------------------------------------------------
-
-/// Token kind plus whatever payload a span into the owning text cannot
-/// reconstruct for free.
-#[derive(Debug, Clone, PartialEq)]
-enum TokenInfo {
-    /// Ident-like token; the payload (sans sigil) is a span into the text.
-    Ident,
-    ValueId,
-    BlockId,
-    SymbolRef,
-    TypeRef,
-    AttrRef,
-    /// Numeric literals keep their parsed value.
-    Integer { value: i128, hex: bool },
-    Float(f64),
-    /// String literal; the span covers the raw (still-escaped) contents.
-    Str { escaped: bool },
-    LParen,
-    RParen,
-    LBrace,
-    RBrace,
-    LBracket,
-    RBracket,
-    Lt,
-    Gt,
-    Comma,
-    Colon,
-    Equals,
-    Arrow,
-    Question,
-    Star,
-    Plus,
-    Dot,
-}
-
-/// An owned, self-contained token sequence.
-///
-/// Pre-lexed once from a text fragment and retained indefinitely (format
-/// specs store these for their literal chunks); [`TokenBuf::get`]
-/// re-materializes borrowed [`Token`]s against the owned text, so matching
-/// against a retained sequence stays allocation-free except for escaped
-/// string literals (which re-unescape lazily).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TokenBuf {
-    text: String,
-    /// `(kind, payload span into text)` pairs; the trailing `Eof` is dropped.
-    toks: Vec<(TokenInfo, Span)>,
-}
-
-impl TokenBuf {
-    /// Lexes `text` into an owned token sequence (without the trailing
-    /// [`Token::Eof`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates lexer diagnostics.
-    pub fn lex(text: &str) -> Result<TokenBuf> {
-        let mut toks = Vec::new();
-        let mut lexer = Lexer::new(text);
-        loop {
-            let spanned = lexer.next_token()?;
-            let Span { start, end } = spanned.span;
-            let (info, payload) = match spanned.token {
-                Token::Eof => break,
-                Token::Ident(_) => (TokenInfo::Ident, Span { start, end }),
-                Token::ValueId(_) => (TokenInfo::ValueId, Span { start: start + 1, end }),
-                Token::BlockId(_) => (TokenInfo::BlockId, Span { start: start + 1, end }),
-                Token::SymbolRef(_) => (TokenInfo::SymbolRef, Span { start: start + 1, end }),
-                Token::TypeRef(_) => (TokenInfo::TypeRef, Span { start: start + 1, end }),
-                Token::AttrRef(_) => (TokenInfo::AttrRef, Span { start: start + 1, end }),
-                Token::Integer { value, hex } => {
-                    (TokenInfo::Integer { value, hex }, Span { start, end })
-                }
-                Token::Float(v) => (TokenInfo::Float(v), Span { start, end }),
-                Token::Str(_) => {
-                    // Payload: raw contents between the quotes.
-                    let contents = Span { start: start + 1, end: end - 1 };
-                    let escaped = text[contents.start..contents.end].contains('\\');
-                    (TokenInfo::Str { escaped }, contents)
-                }
-                Token::LParen => (TokenInfo::LParen, spanned.span),
-                Token::RParen => (TokenInfo::RParen, spanned.span),
-                Token::LBrace => (TokenInfo::LBrace, spanned.span),
-                Token::RBrace => (TokenInfo::RBrace, spanned.span),
-                Token::LBracket => (TokenInfo::LBracket, spanned.span),
-                Token::RBracket => (TokenInfo::RBracket, spanned.span),
-                Token::Lt => (TokenInfo::Lt, spanned.span),
-                Token::Gt => (TokenInfo::Gt, spanned.span),
-                Token::Comma => (TokenInfo::Comma, spanned.span),
-                Token::Colon => (TokenInfo::Colon, spanned.span),
-                Token::Equals => (TokenInfo::Equals, spanned.span),
-                Token::Arrow => (TokenInfo::Arrow, spanned.span),
-                Token::Question => (TokenInfo::Question, spanned.span),
-                Token::Star => (TokenInfo::Star, spanned.span),
-                Token::Plus => (TokenInfo::Plus, spanned.span),
-                Token::Dot => (TokenInfo::Dot, spanned.span),
-            };
-            toks.push((info, payload));
-        }
-        Ok(TokenBuf { text: text.to_string(), toks })
-    }
-
-    /// The original text this sequence was lexed from.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// Number of tokens (the trailing `Eof` is not stored).
-    pub fn len(&self) -> usize {
-        self.toks.len()
-    }
-
-    /// Returns `true` if the sequence holds no tokens.
-    pub fn is_empty(&self) -> bool {
-        self.toks.is_empty()
-    }
-
-    /// Re-materializes token `i` as a [`Token`] borrowing from this buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn get(&self, i: usize) -> Token<'_> {
-        let (info, span) = &self.toks[i];
-        let payload = || &self.text[span.start..span.end];
-        match info {
-            TokenInfo::Ident => Token::Ident(payload()),
-            TokenInfo::ValueId => Token::ValueId(payload()),
-            TokenInfo::BlockId => Token::BlockId(payload()),
-            TokenInfo::SymbolRef => Token::SymbolRef(payload()),
-            TokenInfo::TypeRef => Token::TypeRef(payload()),
-            TokenInfo::AttrRef => Token::AttrRef(payload()),
-            TokenInfo::Integer { value, hex } => Token::Integer { value: *value, hex: *hex },
-            TokenInfo::Float(v) => Token::Float(*v),
-            TokenInfo::Str { escaped: false } => Token::Str(Cow::Borrowed(payload())),
-            TokenInfo::Str { escaped: true } => {
-                let mut out = String::with_capacity(span.end - span.start);
-                let mut chars = payload().chars();
-                while let Some(c) = chars.next() {
-                    if c == '\\' {
-                        match chars.next() {
-                            Some('n') => out.push('\n'),
-                            Some('t') => out.push('\t'),
-                            Some(other) => out.push(other),
-                            None => break,
-                        }
-                    } else {
-                        out.push(c);
-                    }
-                }
-                Token::Str(Cow::Owned(out))
-            }
-            TokenInfo::LParen => Token::LParen,
-            TokenInfo::RParen => Token::RParen,
-            TokenInfo::LBrace => Token::LBrace,
-            TokenInfo::RBrace => Token::RBrace,
-            TokenInfo::LBracket => Token::LBracket,
-            TokenInfo::RBracket => Token::RBracket,
-            TokenInfo::Lt => Token::Lt,
-            TokenInfo::Gt => Token::Gt,
-            TokenInfo::Comma => Token::Comma,
-            TokenInfo::Colon => Token::Colon,
-            TokenInfo::Equals => Token::Equals,
-            TokenInfo::Arrow => Token::Arrow,
-            TokenInfo::Question => Token::Question,
-            TokenInfo::Star => Token::Star,
-            TokenInfo::Plus => Token::Plus,
-            TokenInfo::Dot => Token::Dot,
-        }
-    }
-
-    /// Iterates over re-materialized borrowed tokens.
-    pub fn iter(&self) -> impl Iterator<Item = Token<'_>> {
-        (0..self.len()).map(|i| self.get(i))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1051,32 +870,5 @@ mod tests {
         let mut stream = TokenStream::new("a b");
         let parse_error = stream.error("parse error");
         assert_eq!(stream.finish::<()>(Err(parse_error)).unwrap_err().message(), "parse error");
-    }
-
-    // ----- TokenBuf ---------------------------------------------------------
-
-    #[test]
-    fn token_buf_roundtrips() {
-        let text = "foo (%x) : 42 -> \"lit\" 1.5 !t";
-        let buf = TokenBuf::lex(text).unwrap();
-        let direct: Vec<Token<'_>> = lex(text)
-            .unwrap()
-            .into_iter()
-            .map(|s| s.token)
-            .filter(|t| *t != Token::Eof)
-            .collect();
-        let rebuilt: Vec<Token<'_>> = buf.iter().collect();
-        assert_eq!(rebuilt, direct);
-    }
-
-    #[test]
-    fn token_buf_unescapes_lazily() {
-        let buf = TokenBuf::lex(r#""a\"b""#).unwrap();
-        assert_eq!(buf.get(0), Token::Str("a\"b".into()));
-    }
-
-    #[test]
-    fn token_buf_reports_lex_errors() {
-        assert!(TokenBuf::lex("\"unterminated").is_err());
     }
 }

@@ -49,8 +49,8 @@ fn every_corpus_module_round_trips_through_bytecode() {
     for (dialect_name, source) in irdl_repro::dialects::corpus_sources() {
         let file = irdl_repro::irdl::parse_irdl(&source).unwrap();
         for dialect in &file.dialects {
-            let compiled =
-                irdl_repro::irdl::compile_dialect_collecting(&mut ctx, dialect, &natives)
+            let (_, compiled) =
+                irdl_repro::irdl::compile_dialect(&mut ctx, dialect, &natives)
                     .unwrap_or_else(|e| panic!("{dialect_name} compiles: {e}"));
             for op in compiled {
                 let module = ctx.create_module();

@@ -23,7 +23,7 @@ fn corpus_module_texts(bundle: &DialectBundle) -> Vec<String> {
     for (dialect_name, source) in irdl_dialects::corpus_sources() {
         let file = irdl::parse_irdl(&source).expect("corpus parses");
         for dialect in &file.dialects {
-            let compiled = irdl::compile_dialect_collecting(&mut ctx, dialect, &natives)
+            let (_, compiled) = irdl::compile_dialect(&mut ctx, dialect, &natives)
                 .unwrap_or_else(|e| panic!("{dialect_name} compiles: {e}"));
             for op in compiled {
                 let module = ctx.create_module();
