@@ -12,9 +12,9 @@
 //! degrades both sides instead of skewing their ratio, and the best round
 //! wins (scheduling noise only ever slows a round down). One pass over the
 //! corpus takes a few hundredths of a second, too short for a ratio to
-//! settle, so in full mode each side of a round repeats the pass until it
-//! has run for at least [`MIN_SIDE_SECS`] and reports seconds per pass
-//! (`--quick` runs one pass per side). The required
+//! settle, so each side of a round repeats the pass until it has run for
+//! at least [`MIN_SIDE_SECS`] ([`QUICK_MIN_SIDE_SECS`] with `--quick`)
+//! and reports seconds per pass. The required
 //! speedup scales with the machine: 2.5x where at least 4 cores are
 //! available, a weaker floor on smaller hosts where a 4-worker pool cannot
 //! physically reach 2.5x.
@@ -48,6 +48,10 @@ const OPS_PER_MODULE: usize = 8;
 
 /// Seconds each side of a full-mode round runs for, at least.
 const MIN_SIDE_SECS: f64 = 2.0;
+
+/// Seconds each side of a `--quick` round runs for, at least: a single
+/// pass per side let one slow pass decide the ratio.
+const QUICK_MIN_SIDE_SECS: f64 = 0.5;
 
 // ---------------------------------------------------------------------------
 // Workload
@@ -115,8 +119,8 @@ fn timed_batch(
 }
 
 /// Repeats [`timed_batch`] until the passes have run for at least
-/// `min_secs` (a single pass when `min_secs` is 0); returns the mean
-/// seconds per pass and the last pass's report.
+/// `min_secs`; returns the mean seconds per pass and the last pass's
+/// report.
 fn timed_batches(
     bundle: &DialectBundle,
     patterns: &PatternSet,
@@ -155,6 +159,7 @@ fn required_speedup(cores: usize) -> f64 {
 /// Everything the JSON report (and the gates) need from the measured runs.
 struct Summary {
     modules: usize,
+    min_secs: f64,
     required: f64,
     speedup: f64,
     seq_best: f64,
@@ -167,6 +172,7 @@ struct Summary {
 fn report_json(s: &Summary, last_parallel: &PipelineReport) -> String {
     let Summary {
         modules,
+        min_secs,
         required,
         speedup,
         seq_best,
@@ -185,7 +191,7 @@ fn report_json(s: &Summary, last_parallel: &PipelineReport) -> String {
          pool may cost at most ~1.4x sequential time (paired speedup >= 0.7)\",\n"
     ));
     out.push_str(&format!("  \"modules\": {modules},\n"));
-    out.push_str(&format!("  \"min_seconds_per_side\": {MIN_SIDE_SECS:.1},\n"));
+    out.push_str(&format!("  \"min_seconds_per_side\": {min_secs:.1},\n"));
     out.push_str(&format!("  \"speedup\": {speedup:.2},\n"));
     out.push_str(&format!(
         "  \"sequential_modules_per_sec\": {:.1},\n",
@@ -218,7 +224,7 @@ fn report_json(s: &Summary, last_parallel: &PipelineReport) -> String {
 }
 
 fn main() {
-    let (rounds, min_secs) = if quick() { (2, 0.0) } else { (5, MIN_SIDE_SECS) };
+    let (rounds, min_secs) = if quick() { (2, QUICK_MIN_SIDE_SECS) } else { (5, MIN_SIDE_SECS) };
 
     let natives = irdl_dialects::corpus_natives();
     let sources = irdl_dialects::corpus_sources();
@@ -282,6 +288,7 @@ fn main() {
 
     let summary = Summary {
         modules: inputs.len(),
+        min_secs,
         required,
         speedup,
         seq_best,

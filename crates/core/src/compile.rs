@@ -175,14 +175,13 @@ pub fn register_recipe(
         register_enum(ctx, dialect_sym, name, variants);
     }
     for (item, kind, offset) in &recipe.param_kinds {
-        register_param_kind(ctx, natives, item, kind).map_err(|d| locate(d, *offset))?;
+        register_param_kind(ctx, natives, item, kind)
+            .map_err(|d| locate_definition(d, *offset, &recipe.name, item))?;
     }
     for (defs, is_type) in [(&recipe.typedefs, true), (&recipe.attrdefs, false)] {
         for def in defs.iter() {
-            register_typedef(ctx, dialect_sym, def, is_type, natives).map_err(|d| match def.offset {
-                Some(offset) => d.or_offset(offset),
-                None => d.with_note(format!("in definition `{}.{}`", recipe.name, def.name)),
-            })?;
+            register_typedef(ctx, dialect_sym, def, is_type, natives)
+                .map_err(|d| locate_definition(d, def.offset, &recipe.name, &def.name))?;
         }
     }
     let mut compiled_ops = Vec::with_capacity(recipe.ops.len());
@@ -200,6 +199,20 @@ fn locate(d: Diagnostic, offset: Option<usize>) -> Diagnostic {
     match offset {
         Some(offset) => d.or_offset(offset),
         None => d,
+    }
+}
+
+/// Points a definition's registration error at its source offset, or,
+/// for a loaded recipe that has none, names `dialect.name` in a note.
+fn locate_definition(
+    d: Diagnostic,
+    offset: Option<usize>,
+    dialect: &str,
+    name: &str,
+) -> Diagnostic {
+    match offset {
+        Some(offset) => d.or_offset(offset),
+        None => d.with_note(format!("in definition `{dialect}.{name}`")),
     }
 }
 

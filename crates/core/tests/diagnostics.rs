@@ -296,6 +296,7 @@ fn hooks_missing_at_load_render_exactly() {
     assert_eq!(
         load_hooked_err("ghost_kind"),
         "error: native parameter kind `ghost_kind` is not registered \
-         (required by TypeOrAttrParam `P`)"
+         (required by TypeOrAttrParam `P`)\n\
+         \x20 note: in definition `d.P`"
     );
 }

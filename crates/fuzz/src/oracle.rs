@@ -10,7 +10,11 @@
 //!    generic forms both).
 //! 2. **incremental** — after every journaled mutation, the verdict of
 //!    [`IncrementalVerifier::verify_changes`] must equal a from-scratch
-//!    [`ModuleVerifier`] walk.
+//!    [`ModuleVerifier`] walk. Each mutation lands on a module that walk
+//!    has just stamped as verified, and must leave the stamp stale
+//!    ([`Context::is_verified`]), or a checked drive would trust it —
+//!    unless it changed nothing (say, an operand set to the value it
+//!    already held) and the module prints exactly as before.
 //! 3. **cache** — verification with a warm verdict cache, a re-verify
 //!    (pure cache hits), and a cleared cache must produce identical
 //!    verdicts and identical diagnostics.
@@ -179,7 +183,8 @@ pub fn check_fixpoint(bundle: &DialectBundle, text: &str) -> Result<(), OracleFa
 }
 
 /// Oracle 2: incremental ≡ full verification verdict under a random
-/// journaled mutation sequence seeded by `seed`.
+/// journaled mutation sequence seeded by `seed`, and no journaled mutation
+/// that changes the module leaves its verified stamp fresh.
 pub fn check_incremental(
     bundle: &DialectBundle,
     text: &str,
@@ -213,11 +218,26 @@ pub fn check_incremental(
     let mut journal = ChangeJournal::new();
     for step in 0..steps {
         journal.clear();
+        let before = op_to_string(&ctx, module);
         let Some(mutation) =
             mutate_structured(&mut ctx, module, &mut journal, MutationPolicy::AllowInvalid, &mut rng)
         else {
             continue;
         };
+        // The last full walk accepted and stamped the module; a change
+        // must have invalidated that stamp.
+        if ctx.is_verified(module) && op_to_string(&ctx, module) != before {
+            return Err(OracleFailure::new(
+                "incremental",
+                format!(
+                    "verified stamp still fresh after step {step} ({mutation}, seed {seed:#x}) \
+                     changed the module:\nbefore:\n{before}\nafter:\n{}",
+                    op_to_string(&ctx, module),
+                ),
+                text,
+            )
+            .with_seed(seed));
+        }
         let incr = incremental.verify_changes(&ctx, &journal);
         let full = ModuleVerifier::new().verify(&ctx, module);
         if incr.is_ok() != full.is_ok() {

@@ -8,7 +8,8 @@ use crate::attrs::{AttrData, Attribute};
 use crate::block::{BlockData, BlockRef};
 use crate::bytecode::{DecodeScratch, EncodeScratch};
 use crate::dialect::DialectRegistry;
-use crate::entity::{EntityArena, UniqueArena};
+use crate::entity::{EntityArena, SlotMarks, UniqueArena};
+use crate::journal::DriveScratch;
 use crate::op::{OpRef, OperationData, OperationState, UseLink};
 use crate::parse::ParseScratch;
 use crate::print::ParkedNames;
@@ -74,6 +75,19 @@ pub struct Context {
     /// A printer holds them from its first `print_op` until it drops, so
     /// it keeps a handle to this slot rather than borrowing the context.
     parked_names: ParkedNames,
+    /// Bumped by every `&mut` path into the op, block and region arenas
+    /// and the registry. The fields are private to this file, so the few
+    /// accessors that hand them out (`ops_mut`, `op_data_mut`,
+    /// `registry_mut`, ...) see every change to IR or registration.
+    mutations: u64,
+    /// `(root, mutations)` when the last successful hooked
+    /// `ModuleVerifier::verify` finished: `root` is known valid while the
+    /// counter still reads the same. In a `Cell` because verification
+    /// takes `&Context`.
+    verified: Cell<Option<(OpRef, u64)>>,
+    /// The rewrite driver's worklist, journal and incremental verifier,
+    /// reused from one drive to the next.
+    drive_scratch: DriveScratch,
 }
 
 /// Buffers parked per spill-pool bucket: enough to absorb any realistic
@@ -156,12 +170,8 @@ pub(crate) struct EraseScratch {
     pub(crate) ops: Vec<OpRef>,
     pub(crate) blocks: Vec<BlockRef>,
     pub(crate) regions: Vec<RegionRef>,
-    /// Generation-stamped subtree membership, indexed by op arena slot:
-    /// slot `i` is in the current subtree iff `marks[i] == generation`.
-    /// Bumping the generation invalidates every mark in O(1), so the
-    /// buffer is never cleared and membership tests never hash.
-    pub(crate) marks: Vec<u64>,
-    pub(crate) generation: u64,
+    /// The current subtree's ops, by arena slot.
+    marks: SlotMarks,
 }
 
 impl EraseScratch {
@@ -171,22 +181,17 @@ impl EraseScratch {
         self.regions.clear();
     }
 
-    /// Starts a new subtree: stamps `ops` under a fresh generation.
+    /// Starts a new subtree: marks exactly `ops`.
     pub(crate) fn mark_ops(&mut self) {
-        self.generation += 1;
-        if let Some(max) = self.ops.iter().map(|o| o.index()).max() {
-            if max >= self.marks.len() {
-                self.marks.resize(max + 1, 0);
-            }
-        }
+        self.marks.clear();
         for op in &self.ops {
-            self.marks[op.index()] = self.generation;
+            self.marks.insert(op.index());
         }
     }
 
-    /// Whether `op` was stamped by the most recent [`Self::mark_ops`].
+    /// Whether `op` was marked by the most recent [`Self::mark_ops`].
     pub(crate) fn is_marked(&self, op: OpRef) -> bool {
-        self.marks.get(op.index()).copied() == Some(self.generation)
+        self.marks.contains(op.index())
     }
 }
 
@@ -218,7 +223,8 @@ impl Clone for Context {
     /// the clone resolves to the same value as in the original — so compiled
     /// artifacts built against the original remain valid in the clone, and
     /// the cloned verdict cache is warm *and* sound. Hit/miss counters reset
-    /// to zero; evaluation scratch starts empty.
+    /// to zero; evaluation scratch and drive state start empty, and the
+    /// clone holds no verified stamp.
     fn clone(&self) -> Self {
         Context {
             symbols: self.symbols.clone(),
@@ -240,6 +246,9 @@ impl Clone for Context {
             decode_scratch: DecodeScratch::default(),
             encode_scratch: Cell::new(None),
             parked_names: ParkedNames::default(),
+            mutations: 0,
+            verified: Cell::new(None),
+            drive_scratch: DriveScratch::default(),
         }
     }
 }
@@ -288,6 +297,9 @@ impl Context {
             decode_scratch: DecodeScratch::default(),
             encode_scratch: Cell::new(None),
             parked_names: ParkedNames::default(),
+            mutations: 0,
+            verified: Cell::new(None),
+            drive_scratch: DriveScratch::default(),
         };
         crate::builtin::register_builtin_dialect(&mut ctx);
         ctx
@@ -432,14 +444,17 @@ impl Context {
     // ----- Entity arenas ---------------------------------------------------
 
     pub(crate) fn ops_mut(&mut self) -> &mut EntityArena<OperationData> {
+        self.mutations += 1;
         &mut self.ops
     }
 
     pub(crate) fn blocks_mut(&mut self) -> &mut EntityArena<BlockData> {
+        self.mutations += 1;
         &mut self.blocks
     }
 
     pub(crate) fn regions_mut(&mut self) -> &mut EntityArena<RegionData> {
+        self.mutations += 1;
         &mut self.regions
     }
 
@@ -453,6 +468,7 @@ impl Context {
     }
 
     pub(crate) fn op_data_mut(&mut self, op: OpRef) -> &mut OperationData {
+        self.mutations += 1;
         self.ops.get_mut(op.0)
     }
 
@@ -466,6 +482,7 @@ impl Context {
     }
 
     pub(crate) fn block_data_mut(&mut self, block: BlockRef) -> &mut BlockData {
+        self.mutations += 1;
         self.blocks.get_mut(block.0)
     }
 
@@ -479,6 +496,7 @@ impl Context {
     }
 
     pub(crate) fn region_data_mut(&mut self, region: RegionRef) -> &mut RegionData {
+        self.mutations += 1;
         self.regions.get_mut(region.0)
     }
 
@@ -589,6 +607,7 @@ impl Context {
         &mut self,
         block: BlockRef,
     ) -> (&mut BlockData, &mut SpillPool) {
+        self.mutations += 1;
         (self.blocks.get_mut(block.0), &mut self.spill_pool)
     }
 
@@ -597,6 +616,7 @@ impl Context {
         &mut self,
         region: RegionRef,
     ) -> (&mut RegionData, &mut SpillPool) {
+        self.mutations += 1;
         (self.regions.get_mut(region.0), &mut self.spill_pool)
     }
 
@@ -662,6 +682,7 @@ impl Context {
 
     /// Mutable access to the dialect registry.
     pub fn registry_mut(&mut self) -> &mut DialectRegistry {
+        self.mutations += 1;
         &mut self.registry
     }
 
@@ -673,7 +694,40 @@ impl Context {
 
     /// Toggles acceptance of unregistered dialects.
     pub fn set_allow_unregistered(&mut self, allow: bool) {
+        self.mutations += 1;
         self.allow_unregistered = allow;
+    }
+
+    // ----- Verified stamp --------------------------------------------------
+    //
+    // A successful hooked `ModuleVerifier::verify` stamps its root with the
+    // mutation counter. Every change to IR or registration bumps the
+    // counter, so the stamp goes stale the moment anything could have made
+    // the root invalid; until then `IncrementalVerifier::verify_full` can
+    // trust it instead of walking the module again.
+
+    /// Records that `root` has just been verified in full, hooks included.
+    pub(crate) fn stamp_verified(&self, root: OpRef) {
+        self.verified.set(Some((root, self.mutations)));
+    }
+
+    /// Whether `root` passed a full hooked verification and neither IR nor
+    /// registration has changed since.
+    pub fn is_verified(&self, root: OpRef) -> bool {
+        self.verified.get() == Some((root, self.mutations))
+    }
+
+    // ----- Rewrite drive state ---------------------------------------------
+
+    /// Takes the rewrite driver's parked state: empty on a fresh or cloned
+    /// context, warm after the first drive.
+    pub fn take_drive_scratch(&mut self) -> DriveScratch {
+        std::mem::take(&mut self.drive_scratch)
+    }
+
+    /// Parks the rewrite driver's state for the next drive.
+    pub fn put_drive_scratch(&mut self, scratch: DriveScratch) {
+        self.drive_scratch = scratch;
     }
 
     // ----- Module convenience ----------------------------------------------

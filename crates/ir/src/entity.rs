@@ -1,6 +1,6 @@
 //! Entity arenas and uniquing tables underlying the [`Context`].
 //!
-//! Three storage primitives are provided:
+//! Four storage primitives are provided:
 //!
 //! - [`EntityArena`], a slot map with a free list for mutable IR entities
 //!   (operations, blocks, regions). Erasing an entity tombstones its slot;
@@ -16,6 +16,9 @@
 //!   content hash maps to a `u32` id, and a hash taken by other content
 //!   probes forward. [`UniqueArena`] and the bytecode encoder's string
 //!   table both find their entries through it.
+//! - [`SlotMarks`], a set of arena slots that empties in O(1) by bumping a
+//!   generation: the visited and queued sets of erasure, the rewrite
+//!   driver and the incremental verifier.
 //!
 //! [`Context`]: crate::Context
 
@@ -144,6 +147,60 @@ impl<T> EntityArena<T> {
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| slot.as_ref().map(|value| (i as u32, value)))
+    }
+}
+
+/// A set of arena slots that empties in O(1): slot `i` is in the set iff
+/// `marks[i]` equals the current generation, so [`clear`](Self::clear)
+/// only bumps the generation. Membership never hashes and the table is
+/// never wiped, so a warmed set allocates nothing; it grows only to the
+/// largest slot index it has seen. Handles give their slot with
+/// `index()`.
+#[derive(Debug, Clone)]
+pub struct SlotMarks {
+    marks: Vec<u32>,
+    /// Never 0, so a zeroed (never marked or removed) slot is absent.
+    generation: u32,
+}
+
+impl Default for SlotMarks {
+    fn default() -> Self {
+        SlotMarks { marks: Vec::new(), generation: 1 }
+    }
+}
+
+impl SlotMarks {
+    /// Empties the set.
+    pub fn clear(&mut self) {
+        if self.generation == u32::MAX {
+            // Old marks would match the wrapped generations: wipe them,
+            // once every 2^32 clears.
+            self.marks.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+    }
+
+    /// Adds `slot`; returns whether it was absent.
+    pub fn insert(&mut self, slot: usize) -> bool {
+        if slot >= self.marks.len() {
+            self.marks.resize(slot + 1, 0);
+        }
+        let absent = self.marks[slot] != self.generation;
+        self.marks[slot] = self.generation;
+        absent
+    }
+
+    /// Removes `slot`.
+    pub fn remove(&mut self, slot: usize) {
+        if let Some(mark) = self.marks.get_mut(slot) {
+            *mark = 0;
+        }
+    }
+
+    /// Whether `slot` is in the set.
+    pub fn contains(&self, slot: usize) -> bool {
+        self.marks.get(slot) == Some(&self.generation)
     }
 }
 
@@ -407,5 +464,29 @@ mod tests {
         arena.erase(b);
         let values: Vec<i32> = arena.iter().map(|(_, v)| *v).collect();
         assert_eq!(values, vec![1, 3]);
+    }
+
+    #[test]
+    fn slot_marks_clear_in_o1_and_survive_generation_wrap() {
+        let mut marks = SlotMarks::default();
+        assert!(!marks.contains(3));
+        assert!(marks.insert(3));
+        assert!(!marks.insert(3), "second insert finds it present");
+        assert!(marks.contains(3) && !marks.contains(2) && !marks.contains(99));
+        marks.remove(3);
+        assert!(!marks.contains(3));
+        marks.insert(5);
+        marks.clear();
+        assert!(!marks.contains(5), "clear empties without a wipe");
+        // A slot marked just before the generation wraps must not read as
+        // present under any later generation.
+        marks.generation = u32::MAX;
+        marks.insert(7);
+        marks.clear();
+        assert!(!marks.contains(7));
+        for _ in 0..3 {
+            marks.clear();
+            assert!(!marks.contains(7) && !marks.contains(5));
+        }
     }
 }

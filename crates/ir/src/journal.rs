@@ -1,8 +1,7 @@
 //! The change journal: a record of what one rewrite touched.
 //!
 //! A [`ChangeJournal`] is filled in by mutation APIs (the rewrite crate's
-//! `Rewriter`) and consumed by the
-//! [`IncrementalVerifier`](crate::verify::IncrementalVerifier), which
+//! `Rewriter`) and consumed by the [`IncrementalVerifier`], which
 //! re-verifies only the recorded dirty set, and by the greedy driver,
 //! which re-enqueues exactly the created and modified operations. It
 //! supersedes ad-hoc "added"/"touched" lists: one journal captures every
@@ -34,11 +33,44 @@
 //! entries (and compensates created-then-erased ops), so consumers never
 //! see a dangling reference and `created`/`modified` stay directly usable
 //! as a requeue list.
+//!
+//! ## Reuse
+//!
+//! A journal keeps its capacity across [`clear`](ChangeJournal::clear),
+//! and with it the erasure walk's buffers and a staging list for
+//! operations a rewrite builds all-or-nothing
+//! ([`take_staged`](ChangeJournal::take_staged)). The driver keeps its
+//! journal, worklist and incremental verifier in a [`DriveScratch`]
+//! parked in the [`Context`] between drives, so a drive over a warmed
+//! context allocates nothing.
 
 use crate::block::BlockRef;
 use crate::context::Context;
-use crate::op::OpRef;
+use crate::entity::SlotMarks;
+use crate::op::{OpRef, OperationState};
 use crate::region::RegionRef;
+use crate::verify::IncrementalVerifier;
+
+/// The state a greedy rewrite drive keeps from one drive to the next.
+///
+/// A drive takes it out of the [`Context`]
+/// ([`Context::take_drive_scratch`]) and parks it again when it returns,
+/// so its buffers keep their capacity and the verifier its dominance
+/// arrays. `Context::clone` starts it empty. The worklist is left empty
+/// between drives; every other part is cleared by its user before use.
+#[derive(Default)]
+pub struct DriveScratch {
+    /// Operations still to visit.
+    pub worklist: Vec<OpRef>,
+    /// The worklist's members, by op slot.
+    pub enqueued: SlotMarks,
+    /// Candidate pattern positions for the op in hand.
+    pub matched: Vec<u32>,
+    /// The record of one rewrite.
+    pub journal: ChangeJournal,
+    /// The checker of an incrementally verified drive.
+    pub verifier: IncrementalVerifier,
+}
 
 /// A journal of IR mutations since the last [`clear`](ChangeJournal::clear).
 #[derive(Debug, Default, Clone)]
@@ -58,6 +90,9 @@ pub struct ChangeJournal {
     scratch_ops: Vec<OpRef>,
     scratch_blocks: Vec<BlockRef>,
     scratch_stack: Vec<OpRef>,
+    /// Operations a rewrite has built but not created yet (see
+    /// [`take_staged`](ChangeJournal::take_staged)); empty between uses.
+    staged: Vec<OperationState>,
 }
 
 impl ChangeJournal {
@@ -212,6 +247,21 @@ impl ChangeJournal {
         self.scratch_ops = doomed_ops;
         self.scratch_blocks = doomed_blocks;
         self.scratch_stack = stack;
+    }
+
+    /// Lends the journal's (empty) staging list, for a rewrite that must
+    /// build every new operation's state before it creates any of them.
+    /// Hand it back with [`put_staged`](Self::put_staged) so its capacity
+    /// serves the next rewrite.
+    pub fn take_staged(&mut self) -> Vec<OperationState> {
+        std::mem::take(&mut self.staged)
+    }
+
+    /// Returns the staging list lent by [`take_staged`](Self::take_staged),
+    /// emptied.
+    pub fn put_staged(&mut self, mut staged: Vec<OperationState>) {
+        staged.clear();
+        self.staged = staged;
     }
 
     fn note_cfg_effects(&mut self, ctx: &Context, op: OpRef) {

@@ -11,13 +11,20 @@
 //!    enclosing regions).
 //! 3. **Registered verifiers**: the per-operation hooks synthesized by the
 //!    IRDL compiler from declarative constraints (or written natively).
-
-use std::collections::HashSet;
+//!
+//! [`ModuleVerifier`] always walks the whole tree. A successful hooked
+//! walk also stamps its root in the [`Context`]; the stamp stays fresh
+//! until the next change to IR or registration (see
+//! [`Context::is_verified`]). [`IncrementalVerifier::verify_full`] trusts a
+//! fresh stamp instead of walking again, so a checked rewrite drive right
+//! after a verify pays for one walk, not two. The whole-module verifier
+//! itself never reads the stamp: it stays the from-scratch oracle.
 
 use crate::block::BlockRef;
 use crate::context::Context;
 use crate::diag::Diagnostic;
 use crate::dominance::DominanceCache;
+use crate::entity::SlotMarks;
 use crate::journal::ChangeJournal;
 use crate::op::OpRef;
 use crate::region::RegionRef;
@@ -57,6 +64,9 @@ fn verify(ctx: &Context, root: OpRef, run_hooks: bool) -> Result<(), Vec<Diagnos
 /// Cached analyses are invalidated wholesale at the start of each call,
 /// since the IR may have changed arbitrarily — this is the conservative
 /// oracle; [`IncrementalVerifier`] is the journal-driven fast path.
+///
+/// Every call walks the module; none reads the context's verified stamp.
+/// A successful hooked call sets it.
 #[derive(Default)]
 pub struct ModuleVerifier {
     dominance: DominanceCache,
@@ -110,6 +120,9 @@ impl ModuleVerifier {
         };
         verifier.verify_tree(root);
         if self.diags.is_empty() {
+            if run_hooks {
+                ctx.stamp_verified(root);
+            }
             Ok(())
         } else {
             Err(std::mem::take(&mut self.diags))
@@ -152,9 +165,9 @@ impl ModuleVerifier {
 pub struct IncrementalVerifier {
     dominance: DominanceCache,
     diags: Vec<Diagnostic>,
-    seen_ops: HashSet<OpRef>,
-    seen_blocks: HashSet<BlockRef>,
-    seen_regions: HashSet<RegionRef>,
+    seen_ops: SlotMarks,
+    seen_blocks: SlotMarks,
+    seen_regions: SlotMarks,
 }
 
 impl IncrementalVerifier {
@@ -164,8 +177,13 @@ impl IncrementalVerifier {
     }
 
     /// Full verification of `root`, establishing the valid-before baseline
-    /// for subsequent [`verify_changes`](Self::verify_changes) calls and
-    /// warming the dominance cache.
+    /// for subsequent [`verify_changes`](Self::verify_changes) calls.
+    ///
+    /// When `root` carries a fresh verified stamp ([`Context::is_verified`]:
+    /// a hooked [`ModuleVerifier`] accepted it and nothing has changed
+    /// since) the baseline already holds and nothing is walked. Either way
+    /// the dominance cache starts empty, since region slots are reused
+    /// from one module to the next.
     ///
     /// # Errors
     ///
@@ -173,6 +191,9 @@ impl IncrementalVerifier {
     pub fn verify_full(&mut self, ctx: &Context, root: OpRef) -> Result<(), Vec<Diagnostic>> {
         self.dominance.clear();
         self.diags.clear();
+        if ctx.is_verified(root) {
+            return Ok(());
+        }
         let mut verifier =
             Verifier { ctx, diags: &mut self.diags, dominance: &mut self.dominance, run_hooks: true };
         verifier.verify_tree(root);
@@ -214,30 +235,32 @@ impl IncrementalVerifier {
         // everything they cover is marked seen so the per-op passes below
         // do not double-report.
         for &region in journal.cfg_dirty_regions() {
-            if !self.seen_regions.insert(region) {
+            if !self.seen_regions.insert(region.index()) {
                 continue;
             }
             for &block in region.blocks(ctx) {
-                self.seen_blocks.insert(block);
-                self.seen_ops.extend(block.ops(ctx).iter().copied());
+                self.seen_blocks.insert(block.index());
+                for &op in block.ops(ctx) {
+                    self.seen_ops.insert(op.index());
+                }
             }
             verifier.verify_region(region);
         }
 
         for &op in journal.created() {
-            if self.seen_ops.insert(op) {
+            if self.seen_ops.insert(op.index()) {
                 verifier.verify_placement(op);
                 verifier.verify_tree(op);
             }
         }
         for &op in journal.modified() {
-            if self.seen_ops.insert(op) {
+            if self.seen_ops.insert(op.index()) {
                 verifier.verify_placement(op);
                 verifier.verify_single(op);
             }
         }
         for &block in journal.dirty_blocks() {
-            if self.seen_blocks.insert(block) {
+            if self.seen_blocks.insert(block.index()) {
                 verifier.verify_block_shape(block);
             }
         }
@@ -284,10 +307,11 @@ impl<'a, 'b> Verifier<'a, 'b> {
             let ops = block.ops(ctx);
             for (index, &op) in ops.iter().enumerate() {
                 let is_last = index + 1 == ops.len();
-                if ctx.is_terminator(op) && !is_last {
+                let is_terminator = ctx.is_terminator(op);
+                if is_terminator && !is_last {
                     self.error(op, "terminator operation must be the last in its block");
                 }
-                if is_last && multi_block && !ctx.is_terminator(op) {
+                if is_last && multi_block && !is_terminator {
                     self.error(op, "block in a multi-block region must end with a terminator");
                 }
                 self.verify_single(op);
@@ -307,17 +331,14 @@ impl<'a, 'b> Verifier<'a, 'b> {
         let ctx = self.ctx;
         let name = op.name(ctx);
 
-        // Dialect registration.
-        let dialect_registered = ctx.registry().dialect(name.dialect).is_some();
-        if !dialect_registered && !ctx.allows_unregistered() {
-            self.error(op, "operation belongs to an unregistered dialect");
-            return;
-        }
-        if dialect_registered
-            && ctx.registry().op_info(name.dialect, name.name).is_none()
-            && !ctx.allows_unregistered()
-        {
-            self.error(op, "operation is not registered in its dialect");
+        // Registration: one lookup serves every rule below.
+        let info = ctx.registry().op_info(name.dialect, name.name);
+        if info.is_none() && !ctx.allows_unregistered() {
+            if ctx.registry().dialect(name.dialect).is_none() {
+                self.error(op, "operation belongs to an unregistered dialect");
+            } else {
+                self.error(op, "operation is not registered in its dialect");
+            }
             return;
         }
 
@@ -333,10 +354,8 @@ impl<'a, 'b> Verifier<'a, 'b> {
                 }
                 None => self.error(op, "operation with successors is not inserted in a region"),
             }
-            if let Some(info) = ctx.op_info(op) {
-                if !info.is_terminator {
-                    self.error(op, "non-terminator operation cannot have successors");
-                }
+            if info.is_some_and(|info| !info.is_terminator) {
+                self.error(op, "non-terminator operation cannot have successors");
             }
         }
 
@@ -354,12 +373,9 @@ impl<'a, 'b> Verifier<'a, 'b> {
         if !self.run_hooks {
             return;
         }
-        if let Some(info) = ctx.op_info(op) {
-            if let Some(verifier) = info.verifier.clone() {
-                if let Err(diag) = verifier.verify(ctx, op) {
-                    self.diags
-                        .push(diag.with_note(format!("in operation `{}`", name.display(ctx))));
-                }
+        if let Some(verifier) = info.and_then(|info| info.verifier.as_ref()) {
+            if let Err(diag) = verifier.verify(ctx, op) {
+                self.diags.push(diag.with_note(format!("in operation `{}`", name.display(ctx))));
             }
         }
     }
@@ -431,10 +447,11 @@ impl<'a, 'b> Verifier<'a, 'b> {
         let Some(block) = op.parent_block(ctx) else { return };
         let Some(region) = block.parent_region(ctx) else { return };
         let is_last = block.ops(ctx).last() == Some(&op);
-        if ctx.is_terminator(op) && !is_last {
+        let is_terminator = ctx.is_terminator(op);
+        if is_terminator && !is_last {
             self.error(op, "terminator operation must be the last in its block");
         }
-        if is_last && region.blocks(ctx).len() > 1 && !ctx.is_terminator(op) {
+        if is_last && region.blocks(ctx).len() > 1 && !is_terminator {
             self.error(op, "block in a multi-block region must end with a terminator");
         }
     }

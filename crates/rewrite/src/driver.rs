@@ -1,11 +1,17 @@
 //! The greedy worklist rewrite driver.
-
-use std::collections::HashSet;
+//!
+//! A drive takes its worklist, queued set, journal and incremental
+//! verifier out of the context ([`Context::take_drive_scratch`]) and parks
+//! them again when it returns, so a drive over a warmed context allocates
+//! nothing. A checked drive establishes its valid-before baseline once: by
+//! a full walk, or by trusting the stamp a just-finished
+//! [`ModuleVerifier::verify`] left on the same, unchanged module.
 
 use irdl_ir::diag::Diagnostic;
-use irdl_ir::verify::{IncrementalVerifier, ModuleVerifier};
-use irdl_ir::walk::collect_ops;
-use irdl_ir::{ChangeJournal, Context, OpRef};
+use irdl_ir::journal::DriveScratch;
+use irdl_ir::verify::ModuleVerifier;
+use irdl_ir::walk::{walk_ops, WalkResult};
+use irdl_ir::{Context, OpRef};
 
 use crate::pattern::{PatternSet, Rewriter};
 
@@ -30,9 +36,12 @@ pub enum CheckLevel {
     #[default]
     Off,
     /// Journal-driven incremental verification after every application:
-    /// the container is fully verified once up front, then each rewrite
+    /// the container is verified once up front, then each rewrite
     /// re-checks only what it touched — O(touched) per rewrite instead of
-    /// O(module).
+    /// O(module). The up-front check is free when a hooked
+    /// [`ModuleVerifier::verify`] accepted the same container and nothing
+    /// has changed since (the context's verified stamp,
+    /// [`Context::is_verified`]); otherwise it walks the container.
     Incremental,
     /// Full re-verification of the whole container after every
     /// application (and once up front). The conservative oracle —
@@ -89,19 +98,21 @@ pub fn rewrite_greedily(
         .expect("unchecked drive cannot fail")
 }
 
-/// The checker state for one drive, chosen by [`CheckLevel`].
+/// The checker state for one drive, chosen by [`CheckLevel`]. The
+/// incremental verifier lives in the drive's [`DriveScratch`].
 enum Checker {
     Off,
-    Incremental(IncrementalVerifier),
+    Incremental,
     Full(ModuleVerifier),
 }
 
 /// Greedy rewriting with a configurable verification level.
 ///
-/// Both checked levels verify `container` in full before the first
-/// rewrite: [`CheckLevel::Incremental`] needs a valid starting point for
-/// its valid-before ⇒ valid-after argument, and sharing the behaviour
-/// keeps the two levels verdict-equivalent.
+/// Both checked levels verify `container` before the first rewrite:
+/// [`CheckLevel::Incremental`] needs a valid starting point for its
+/// valid-before ⇒ valid-after argument, and sharing the behaviour keeps
+/// the two levels verdict-equivalent. At `Incremental` a fresh verified
+/// stamp on `container` stands in for that walk.
 ///
 /// # Errors
 ///
@@ -134,15 +145,30 @@ pub fn rewrite_greedily_matched(
     check: CheckLevel,
     mode: MatcherMode,
 ) -> Result<RewriteStats, RewriteVerifyError> {
+    let mut scratch = ctx.take_drive_scratch();
+    let result = drive(ctx, container, patterns, check, mode, &mut scratch);
+    scratch.worklist.clear();
+    ctx.put_drive_scratch(scratch);
+    result
+}
+
+fn drive(
+    ctx: &mut Context,
+    container: OpRef,
+    patterns: &PatternSet,
+    check: CheckLevel,
+    mode: MatcherMode,
+    scratch: &mut DriveScratch,
+) -> Result<RewriteStats, RewriteVerifyError> {
     let mut checker = match check {
         CheckLevel::Off => Checker::Off,
-        CheckLevel::Incremental => Checker::Incremental(IncrementalVerifier::new()),
+        CheckLevel::Incremental => Checker::Incremental,
         CheckLevel::Full => Checker::Full(ModuleVerifier::new()),
     };
-    let stats = RewriteStats::default();
+    let mut stats = RewriteStats::default();
     let upfront = match &mut checker {
         Checker::Off => Ok(()),
-        Checker::Incremental(v) => v.verify_full(ctx, container),
+        Checker::Incremental => scratch.verifier.verify_full(ctx, container),
         Checker::Full(v) => v.verify(ctx, container),
     };
     if let Err(diagnostics) = upfront {
@@ -154,35 +180,30 @@ pub fn rewrite_greedily_matched(
     if patterns.is_empty() {
         return Ok(stats);
     }
-    drive(ctx, container, patterns, mode, checker, stats)
-}
 
-fn drive(
-    ctx: &mut Context,
-    container: OpRef,
-    patterns: &PatternSet,
-    mode: MatcherMode,
-    mut checker: Checker,
-    mut stats: RewriteStats,
-) -> Result<RewriteStats, RewriteVerifyError> {
-    let mut worklist: Vec<OpRef> = collect_ops(ctx, container);
-    // The container itself is not rewritten.
-    worklist.retain(|op| *op != container);
-    let mut enqueued: HashSet<OpRef> = worklist.iter().copied().collect();
     // One journal, recycled across applications: the driver's requeue list
     // and the incremental verifier's dirty set are the same record, so the
-    // hot loop allocates nothing per rewrite.
-    let mut journal = ChangeJournal::new();
+    // hot loop allocates nothing per rewrite. `matched` holds the candidate
+    // positions for the op in hand, ascending — which is
+    // benefit-desc/registration priority order.
+    let DriveScratch { worklist, enqueued, matched, journal, verifier } = scratch;
+    // Every op under the container, pre-order; the container itself is
+    // not rewritten.
+    enqueued.clear();
+    walk_ops(ctx, container, &mut |_, op| {
+        if op != container {
+            worklist.push(op);
+            enqueued.insert(op.index());
+        }
+        WalkResult::Advance
+    });
     let matcher = match mode {
         MatcherMode::Auto => Some(patterns.matcher()),
         MatcherMode::Scan => None,
     };
-    // Candidate positions for the op in hand, ascending — which is
-    // benefit-desc/registration priority order. One buffer, reused.
-    let mut matched: Vec<u32> = Vec::new();
 
     while let Some(op) = worklist.pop() {
-        enqueued.remove(&op);
+        enqueued.remove(op.index());
         if !op.is_live(ctx) {
             continue;
         }
@@ -191,23 +212,23 @@ fn drive(
         // automaton merely prunes candidates whose predicate program
         // already rules the op out.
         match &matcher {
-            Some(automaton) => automaton.matches_into(ctx, op, &mut matched),
+            Some(automaton) => automaton.matches_into(ctx, op, matched),
             None => {
                 matched.clear();
                 let op_name = op.name(ctx);
                 matched.extend(patterns.candidate_positions(op_name).map(|i| i as u32));
             }
         }
-        for &position in &matched {
+        for &position in matched.iter() {
             let pattern = &*patterns.patterns()[position as usize];
             journal.clear();
-            let mut rewriter = Rewriter::new(ctx, op, &mut journal);
+            let mut rewriter = Rewriter::new(ctx, op, journal);
             let changed = pattern.match_and_rewrite(&mut rewriter);
             if changed {
                 stats.rewrites += 1;
                 let verdict = match &mut checker {
                     Checker::Off => Ok(()),
-                    Checker::Incremental(v) => v.verify_changes(ctx, &journal),
+                    Checker::Incremental => verifier.verify_changes(ctx, journal),
                     Checker::Full(v) => v.verify(ctx, container),
                 };
                 if let Err(diagnostics) = verdict {
@@ -223,12 +244,12 @@ fn drive(
                 // scrubbed out by the journal, so no tombstone checks or
                 // use-list copies are needed.
                 for &new_op in journal.created() {
-                    if enqueued.insert(new_op) {
+                    if enqueued.insert(new_op.index()) {
                         worklist.push(new_op);
                     }
                 }
                 for &changed_op in journal.modified() {
-                    if changed_op.is_live(ctx) && enqueued.insert(changed_op) {
+                    if changed_op.is_live(ctx) && enqueued.insert(changed_op.index()) {
                         worklist.push(changed_op);
                     }
                 }

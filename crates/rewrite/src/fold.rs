@@ -26,7 +26,9 @@
 //! reads all happen before anything is allocated, and the operand,
 //! result-type and replacement lists live inline. Evaluation uses a
 //! [`Machine`] whose register file holds a few operands without a heap
-//! table, so only the materialized constants reach the allocator.
+//! table, and the materialized constants wait in the journal's staging
+//! list ([`Rewriter::insert_all_before_root`]), so a warmed fold — applied
+//! or declined — allocates nothing.
 
 use std::sync::Arc;
 
@@ -106,17 +108,14 @@ impl RewritePattern for FoldConstants {
 
         // Materialize every result before touching the IR: all-or-nothing.
         let result_types: InlineVec<Type, 4> = op.result_types(ctx).iter().copied().collect();
-        let mut states = Vec::with_capacity(num_results);
-        for (value, &ty) in values.iter().zip(result_types.iter()) {
-            match self.semantics.materialize(rewriter.ctx_mut(), value, ty) {
-                Some(state) => states.push(state),
-                None => return false,
-            }
-        }
-        let replacements: InlineVec<Value, 4> = states
-            .into_iter()
-            .map(|state| rewriter.insert_before_root(state).result(rewriter.ctx(), 0))
-            .collect();
+        let semantics = &self.semantics;
+        let Some(constants) = rewriter.insert_all_before_root(num_results, |ctx, i| {
+            semantics.materialize(ctx, &values[i], result_types[i])
+        }) else {
+            return false;
+        };
+        let replacements: InlineVec<Value, 4> =
+            constants.iter().map(|constant| constant.result(rewriter.ctx(), 0)).collect();
         rewriter.replace_root(&replacements);
         true
     }

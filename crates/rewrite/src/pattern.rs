@@ -3,7 +3,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use irdl_ir::{BlockRef, ChangeJournal, Context, OpName, OperationState, OpRef, Type, Value};
+use irdl_ir::{
+    BlockRef, ChangeJournal, Context, InlineVec, OpName, OperationState, OpRef, Type, Value,
+};
 
 use crate::matcher::{MatchProgram, PatternMatcher};
 
@@ -230,6 +232,30 @@ impl<'a> Rewriter<'a> {
     pub fn insert_before_root(&mut self, state: OperationState) -> OpRef {
         let root = self.root;
         self.insert_before(root, state)
+    }
+
+    /// Builds the states of `count` new operations with `build` (called
+    /// with `0..count` in order) and, only if every call returned one,
+    /// creates them all before the root, in order. When any call declines,
+    /// nothing is created and `None` is returned: all-or-nothing. The
+    /// states wait in the journal's staging list, so a warmed rewriter
+    /// allocates nothing for them.
+    pub fn insert_all_before_root(
+        &mut self,
+        count: usize,
+        mut build: impl FnMut(&mut Context, usize) -> Option<OperationState>,
+    ) -> Option<InlineVec<OpRef, 4>> {
+        let mut staged = self.journal.take_staged();
+        for i in 0..count {
+            match build(self.ctx, i) {
+                Some(state) => staged.push(state),
+                None => break,
+            }
+        }
+        let created = (staged.len() == count)
+            .then(|| staged.drain(..).map(|state| self.insert_before_root(state)).collect());
+        self.journal.put_staged(staged);
+        created
     }
 
     /// Creates an operation and inserts it immediately before `anchor`.

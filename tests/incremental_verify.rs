@@ -9,11 +9,21 @@
 //!
 //! Random mutation sequences are driven by a deterministic LCG, so every
 //! failure is reproducible from its seed.
+//!
+//! The last group pins the verified stamp: a checked drive trusts a
+//! module that a hooked [`ModuleVerifier`] just accepted, and every kind
+//! of change in between (IR, registry, strictness, another root) must send
+//! it back to a full walk with the diagnostics a walk gives.
 
 use irdl_repro::dialects::showcase::{build_conorm_module, register_showcase};
 use irdl_repro::ir::print::op_to_string;
+use std::sync::Arc;
+
+use irdl_repro::ir::dialect::simple_op_info;
+use irdl_repro::ir::parse::parse_module;
 use irdl_repro::ir::{
-    ChangeJournal, Context, IncrementalVerifier, ModuleVerifier, OpRef, OperationState,
+    ChangeJournal, Context, Diagnostic, IncrementalVerifier, ModuleVerifier, OpRef,
+    OperationState,
 };
 use irdl_repro::rewrite::{
     rewrite_greedily_with, CheckLevel, PatternSet, RewritePattern, Rewriter,
@@ -299,4 +309,139 @@ fn checked_driver_levels_agree_end_to_end() {
         outputs.push(op_to_string(&ctx, module));
     }
     assert_eq!(outputs[0], outputs[1], "Full and Incremental must produce identical IR");
+}
+
+// ---------------------------------------------------------------------------
+// The verified stamp
+// ---------------------------------------------------------------------------
+
+/// Showcase IR with registered ops (a constant, two multiplications, a
+/// norm) between unregistered `test` ops.
+const STAMPED: &str = r#"
+%p = "test.arg"() : () -> !cmath.complex<f32>
+%c = "arith.constant"() {value = 1.5 : f32} : () -> f32
+%a = "arith.mulf"(%c, %c) : (f32, f32) -> f32
+%b = "arith.mulf"(%a, %c) : (f32, f32) -> f32
+%n = "cmath.norm"(%p) : (!cmath.complex<f32>) -> f32
+"test.sink"(%b, %n) : (f32, f32) -> ()
+"#;
+
+/// A showcase context holding [`STAMPED`], verified (so stamped), and the
+/// module's top-level ops.
+fn stamped_workload() -> (Context, OpRef, Vec<OpRef>) {
+    let mut ctx = Context::new();
+    register_showcase(&mut ctx).expect("showcase registers");
+    let module = parse_module(&mut ctx, STAMPED).expect("stamped input parses");
+    ModuleVerifier::new().verify(&ctx, module).expect("stamped input verifies");
+    assert!(ctx.is_verified(module), "a successful verify stamps its root");
+    let ops = ctx.module_block(module).ops(&ctx).to_vec();
+    (ctx, module, ops)
+}
+
+fn rendered(diagnostics: &[Diagnostic]) -> Vec<String> {
+    diagnostics.iter().map(ToString::to_string).collect()
+}
+
+/// A checked drive over `module` must reject it as `<input>`, with exactly
+/// the diagnostics a from-scratch walk reports; returns them.
+fn drive_rejects_input(ctx: &mut Context, module: OpRef) -> Vec<String> {
+    assert!(!ctx.is_verified(module), "the stamp must be stale");
+    let err = rewrite_greedily_with(ctx, module, &PatternSet::new(), CheckLevel::Incremental)
+        .expect_err("the invalid module must be rejected");
+    assert_eq!(err.pattern, "<input>");
+    let walked = ModuleVerifier::new().verify(ctx, module).expect_err("a walk rejects it too");
+    assert_eq!(rendered(&err.diagnostics), rendered(&walked));
+    rendered(&walked)
+}
+
+#[test]
+fn stamp_goes_stale_on_non_dominating_operand() {
+    let (mut ctx, module, ops) = stamped_workload();
+    // `%a = mulf(%c, %c)` now reads `%b`, defined after it.
+    let later = ops[3].result(&ctx, 0);
+    ctx.set_operand(ops[2], 0, later);
+    let diags = drive_rejects_input(&mut ctx, module);
+    assert!(diags[0].contains("operand #0 is used before its definition"), "{diags:?}");
+}
+
+#[test]
+fn stamp_goes_stale_on_use_before_def_insertion() {
+    let (mut ctx, module, ops) = stamped_workload();
+    let b = ops[3].result(&ctx, 0);
+    let use_name = ctx.op_name("test", "use");
+    let user = ctx.create_op(OperationState::new(use_name).add_operands([b]));
+    ctx.insert_op_before(ops[3], user);
+    let diags = drive_rejects_input(&mut ctx, module);
+    assert!(diags[0].contains("dominates the use"), "{diags:?}");
+}
+
+#[test]
+fn stamp_goes_stale_on_constraint_violating_attribute() {
+    let (mut ctx, module, ops) = stamped_workload();
+    let key = ctx.symbol("value");
+    let text = ctx.string_attr("not a float");
+    ctx.set_attr(ops[1], key, text);
+    let diags = drive_rejects_input(&mut ctx, module);
+    assert!(diags[0].contains("arith.constant"), "{diags:?}");
+}
+
+#[test]
+fn stamp_goes_stale_on_registry_change() {
+    let (mut ctx, module, _) = stamped_workload();
+    // Re-register `arith.mulf` with a verifier that rejects every op.
+    let arith = ctx.symbol("arith");
+    let mulf = ctx.symbol("mulf");
+    let mut info = simple_op_info(mulf, "rejects everything");
+    info.verifier = Some(Arc::new(|_: &Context, _: OpRef| -> irdl_repro::ir::Result<()> {
+        Err(Diagnostic::new("mulf is retired"))
+    }));
+    ctx.registry_mut().dialect_mut(arith).expect("arith is registered").add_op(info);
+    let diags = drive_rejects_input(&mut ctx, module);
+    assert!(diags[0].contains("mulf is retired"), "{diags:?}");
+}
+
+#[test]
+fn stamp_goes_stale_when_unregistered_ops_are_forbidden() {
+    let (mut ctx, module, _) = stamped_workload();
+    ctx.set_allow_unregistered(false);
+    let diags = drive_rejects_input(&mut ctx, module);
+    assert!(diags[0].contains("unregistered dialect"), "{diags:?}");
+}
+
+#[test]
+fn stamp_answers_only_for_its_root() {
+    let mut ctx = Context::new();
+    register_showcase(&mut ctx).expect("showcase registers");
+    let invalid = parse_module(&mut ctx, STAMPED).expect("second module parses");
+    let block = ctx.module_block(invalid);
+    let (def, user) = (block.ops(&ctx)[2], block.ops(&ctx)[3]);
+    ctx.detach_op(def);
+    ctx.insert_op_after(user, def);
+    let valid = parse_module(&mut ctx, STAMPED).expect("stamped input parses");
+    ModuleVerifier::new().verify(&ctx, valid).expect("stamped input verifies");
+    assert!(ctx.is_verified(valid));
+    let diags = drive_rejects_input(&mut ctx, invalid);
+    assert!(diags[0].contains("dominates the use"), "{diags:?}");
+}
+
+/// With nothing changed since the verify, the drive's up-front check does
+/// not walk: no registered verifier runs, so the verdict-cache counters
+/// stay put. After any change it walks again and they move.
+#[test]
+fn unchanged_stamped_module_is_not_walked_again() {
+    let (mut ctx, module, ops) = stamped_workload();
+    let before = ctx.verdict_cache_stats();
+    rewrite_greedily_with(&mut ctx, module, &PatternSet::new(), CheckLevel::Incremental)
+        .expect("the stamped module is valid");
+    assert_eq!(ctx.verdict_cache_stats(), before, "the trusted check ran no verifier");
+    assert!(ctx.is_verified(module), "a drive that changed nothing keeps the stamp");
+
+    // A change that keeps the module valid: rewire `%b = mulf(%a, %c)` to
+    // `mulf(%c, %c)`.
+    let c = ops[1].result(&ctx, 0);
+    ctx.set_operand(ops[3], 0, c);
+    assert!(!ctx.is_verified(module));
+    rewrite_greedily_with(&mut ctx, module, &PatternSet::new(), CheckLevel::Incremental)
+        .expect("the rewired module is valid");
+    assert_ne!(ctx.verdict_cache_stats(), before, "a stale stamp means a full walk");
 }
