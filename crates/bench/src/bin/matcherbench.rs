@@ -39,10 +39,11 @@
 
 use std::fmt::Write as _;
 
+use irdl::DialectBundle;
 use irdl_bench::measure::{finish, paired, quick, report_header, timed};
 use irdl_fuzz_lib::{
-    derive_canon_catalog, generate_module, pat_dialect_spec, synthetic_catalog, FuzzTarget,
-    GenConfig, SplitMix64,
+    derive_canon_catalog, generate_module, pat_dialect_spec, synthetic_catalog, GenConfig,
+    OpCatalog, SplitMix64,
 };
 use irdl_ir::print::op_to_string;
 use irdl_ir::Context;
@@ -85,12 +86,12 @@ fn pat_module(cold: usize, hot: usize) -> String {
 /// Parses `text` in a fresh instance and drives it to a fixpoint in
 /// `mode`; returns (drive seconds, rewrites, printed output).
 fn drive(
-    target: &FuzzTarget,
+    bundle: &DialectBundle,
     patterns: &PatternSet,
     text: &str,
     mode: MatcherMode,
 ) -> (f64, usize, String) {
-    let mut ctx = target.bundle.instantiate();
+    let mut ctx = bundle.instantiate();
     let module = irdl_ir::parse::parse_module(&mut ctx, text).expect("bench module parses");
     let (stats, secs) =
         timed(|| rewrite_greedily_matched(&mut ctx, module, patterns, CheckLevel::Off, mode));
@@ -108,12 +109,12 @@ struct SizeResult {
 }
 
 fn measure_size(size: usize, rounds: usize) -> SizeResult {
-    let target = FuzzTarget::from_sources(
+    let bundle = DialectBundle::compile(
         &[("pat".to_string(), pat_dialect_spec(size))],
         &irdl::NativeRegistry::new(),
     )
     .expect("pat dialect compiles");
-    let mut ctx = target.bundle.instantiate();
+    let mut ctx = bundle.instantiate();
     let patterns = parse_patterns(&mut ctx, &synthetic_catalog(size)).expect("catalog parses");
     drop(ctx);
     patterns.seal();
@@ -122,15 +123,15 @@ fn measure_size(size: usize, rounds: usize) -> SizeResult {
     // with exactly one rewrite per hot root.
     let hot = HOT_OPS.min(size);
     let mixed = pat_module(COLD_OPS, hot);
-    let (_, scan_rewrites, scan_out) = drive(&target, &patterns, &mixed, MatcherMode::Scan);
-    let (_, auto_rewrites, auto_out) = drive(&target, &patterns, &mixed, MatcherMode::Auto);
+    let (_, scan_rewrites, scan_out) = drive(&bundle, &patterns, &mixed, MatcherMode::Scan);
+    let (_, auto_rewrites, auto_out) = drive(&bundle, &patterns, &mixed, MatcherMode::Auto);
     let outputs_identical = scan_out == auto_out && scan_rewrites == auto_rewrites;
     assert_eq!(scan_rewrites, hot, "every hot root fires exactly once");
 
     // Timed: cold-only module, paired rounds, best round wins.
     let cold = pat_module(COLD_OPS, 0);
     let cold_drive = |mode| {
-        let (secs, rewrites, _) = drive(&target, &patterns, &cold, mode);
+        let (secs, rewrites, _) = drive(&bundle, &patterns, &cold, mode);
         assert_eq!(rewrites, 0, "cold module must not rewrite");
         secs
     };
@@ -159,9 +160,14 @@ struct CorpusResult {
 /// fuzz-generated corpus modules. Root-diverse, so plain root indexing
 /// already discriminates well — the realistic counterpoint.
 fn measure_corpus(rounds: usize) -> CorpusResult {
-    let target = FuzzTarget::corpus().expect("corpus compiles");
-    let mut ctx: Context = target.bundle.instantiate();
-    let (canon_text, derived) = derive_canon_catalog(&ctx, &target.catalog);
+    let bundle = DialectBundle::compile(
+        &irdl_dialects::corpus_sources(),
+        &irdl_dialects::corpus_natives(),
+    )
+    .expect("corpus compiles");
+    let catalog = OpCatalog::from_ops(bundle.ops());
+    let mut ctx: Context = bundle.instantiate();
+    let (canon_text, derived) = derive_canon_catalog(&ctx, &catalog);
     let patterns = parse_patterns(&mut ctx, &canon_text).expect("canon catalog parses");
     drop(ctx);
     patterns.seal();
@@ -170,8 +176,8 @@ fn measure_corpus(rounds: usize) -> CorpusResult {
     let config = GenConfig::default();
     let texts: Vec<String> = (0..CORPUS_MODULES)
         .map(|_| {
-            let mut ctx = target.bundle.instantiate();
-            let module = generate_module(&mut ctx, &target.catalog, &config, &mut rng);
+            let mut ctx = bundle.instantiate();
+            let module = generate_module(&mut ctx, &catalog, &config, &mut rng);
             op_to_string(&ctx, module)
         })
         .collect();
@@ -183,7 +189,7 @@ fn measure_corpus(rounds: usize) -> CorpusResult {
             texts
                 .iter()
                 .map(|t| {
-                    let (_, r, out) = drive(&target, &patterns, t, mode);
+                    let (_, r, out) = drive(&bundle, &patterns, t, mode);
                     (r, out)
                 })
                 .collect()

@@ -61,42 +61,31 @@ const QUICK_MIN_SIDE_SECS: f64 = 0.5;
 /// [`OPS_PER_MODULE`] generated instances of that operation.
 fn corpus_inputs(bundle: &DialectBundle) -> Vec<String> {
     let mut ctx = bundle.instantiate();
-    let natives = irdl_dialects::corpus_natives();
     let mut texts = Vec::new();
-    for (dialect_name, source) in irdl_dialects::corpus_sources() {
-        let file = irdl::parse_irdl(&source).expect("corpus parses");
-        for dialect in &file.dialects {
-            // Recompile in a scratch context clone only to recover the
-            // structured per-op artifacts; the bundle used for the timed
-            // runs is untouched.
-            let (_, compiled) = irdl::compile_dialect(&mut ctx, dialect, &natives)
-                .unwrap_or_else(|e| panic!("{dialect_name} compiles: {e}"));
-            for op in compiled {
-                let module = ctx.create_module();
-                let block = ctx.module_block(module);
-                let mut built = 0;
-                // Terminators must be last in their block, so they get one
-                // instance per module; everything else is stacked.
-                let mut target = OPS_PER_MODULE;
-                while built < target {
-                    match instantiate_op(&mut ctx, &op, block) {
-                        Instantiation::Built(instance) => {
-                            built += 1;
-                            if ctx.is_terminator(instance) {
-                                target = 1;
-                            }
-                        }
-                        // CFG terminators need successor context; skip, as
-                        // the corpus generation test does.
-                        Instantiation::Skipped(_) => break,
+    for op in bundle.ops() {
+        let module = ctx.create_module();
+        let block = ctx.module_block(module);
+        let mut built = 0;
+        // Terminators must be last in their block, so they get one
+        // instance per module; everything else is stacked.
+        let mut target = OPS_PER_MODULE;
+        while built < target {
+            match instantiate_op(&mut ctx, op, block) {
+                Instantiation::Built(instance) => {
+                    built += 1;
+                    if ctx.is_terminator(instance) {
+                        target = 1;
                     }
                 }
-                if built == target {
-                    texts.push(op_to_string(&ctx, module));
-                }
-                ctx.erase_op(module);
+                // CFG terminators need successor context; skip, as the
+                // corpus generation test does.
+                Instantiation::Skipped(_) => break,
             }
         }
+        if built == target {
+            texts.push(op_to_string(&ctx, module));
+        }
+        ctx.erase_op(module);
     }
     texts
 }

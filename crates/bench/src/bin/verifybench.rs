@@ -27,6 +27,7 @@
 use std::sync::Arc;
 
 use irdl::genir::{instantiate_op, Instantiation};
+use irdl::DialectBundle;
 use irdl::program::EvalScratch;
 use irdl::verifier::CompiledOp;
 use irdl_bench::measure::{
@@ -116,52 +117,46 @@ impl Workload {
 /// Every instantiable operation of the 28-dialect corpus, one instance
 /// each, generated from its own compiled constraints.
 fn corpus_workload() -> Workload {
-    let mut ctx = Context::new();
-    let natives = irdl_dialects::corpus_natives();
+    let bundle = DialectBundle::compile(
+        &irdl_dialects::corpus_sources(),
+        &irdl_dialects::corpus_natives(),
+    )
+    .expect("corpus compiles");
+    let mut ctx = bundle.instantiate();
     let mut kinds = Vec::new();
     let mut instances = Vec::new();
-    for (dialect_name, source) in irdl_dialects::corpus_sources() {
-        let file = irdl::parse_irdl(&source).expect("corpus parses");
-        for dialect in &file.dialects {
-            let (_, compiled) = irdl::compile_dialect(&mut ctx, dialect, &natives)
-                .unwrap_or_else(|e| panic!("{dialect_name} compiles: {e}"));
-            for op in compiled {
-                let module = ctx.create_module();
-                let block = ctx.module_block(module);
-                let built = match instantiate_op(&mut ctx, &op, block) {
-                    Instantiation::Built(built) => built,
-                    // CFG terminators need successor context; skip, as the
-                    // corpus generation test does.
-                    Instantiation::Skipped(_) => continue,
-                };
-                let registered = ctx
-                    .op_info(built)
-                    .and_then(|info| info.verifier.clone())
-                    .expect("compiled op has a registered verifier");
-                instances.push((kinds.len(), built));
-                kinds.push(Kind { compiled: op, registered });
-            }
-        }
+    for op in bundle.ops() {
+        let module = ctx.create_module();
+        let block = ctx.module_block(module);
+        let built = match instantiate_op(&mut ctx, op, block) {
+            Instantiation::Built(built) => built,
+            // CFG terminators need successor context; skip, as the
+            // corpus generation test does.
+            Instantiation::Skipped(_) => continue,
+        };
+        let registered = ctx
+            .op_info(built)
+            .and_then(|info| info.verifier.clone())
+            .expect("compiled op has a registered verifier");
+        instances.push((kinds.len(), built));
+        kinds.push(Kind { compiled: op.clone(), registered });
     }
     Workload { ctx, kinds, instances, listing2: None }
 }
 
 /// A straight-line chain of `n` `cmath.mul` ops over `!cmath.complex<f32>`.
 fn mul_chain_workload(n: usize) -> Workload {
-    let mut ctx = Context::new();
-    let natives = irdl::NativeRegistry::default();
-    let file =
-        irdl::parse_irdl(irdl_dialects::showcase::SHOWCASE_SPEC).expect("showcase parses");
+    let sources = [("showcase".to_string(), irdl_dialects::showcase::SHOWCASE_SPEC.to_string())];
+    let bundle = DialectBundle::compile(&sources, &irdl::NativeRegistry::default())
+        .expect("showcase compiles");
+    let mut ctx = bundle.instantiate();
     let mul_name = ctx.op_name("cmath", "mul");
-    let mut mul = None;
-    for dialect in &file.dialects {
-        for op in irdl::compile_dialect(&mut ctx, dialect, &natives).expect("showcase compiles").1 {
-            if op.op_name() == mul_name {
-                mul = Some(op);
-            }
-        }
-    }
-    let mul = mul.expect("showcase defines cmath.mul");
+    let mul = bundle
+        .ops()
+        .iter()
+        .find(|op| op.op_name() == mul_name)
+        .expect("showcase defines cmath.mul")
+        .clone();
     let registered = ctx
         .registry()
         .op_info(mul_name.dialect, mul_name.name)

@@ -68,31 +68,28 @@ pub fn mul_chain_source(n: usize) -> String {
 /// CFG terminators need successor context and are skipped, as the corpus
 /// generation test does.
 pub fn corpus_texts() -> Vec<String> {
-    let mut ctx = Context::new();
-    let natives = irdl_dialects::corpus_natives();
+    let bundle = irdl::DialectBundle::compile(
+        &irdl_dialects::corpus_sources(),
+        &irdl_dialects::corpus_natives(),
+    )
+    .expect("corpus compiles");
+    let mut ctx = bundle.instantiate();
     let mut texts = Vec::new();
 
     let big_module = ctx.create_module();
     let big_block = ctx.module_block(big_module);
 
-    for (dialect_name, source) in irdl_dialects::corpus_sources() {
-        let file = irdl::parse_irdl(&source).expect("corpus parses");
-        for dialect in &file.dialects {
-            let (_, compiled) = irdl::compile_dialect(&mut ctx, dialect, &natives)
-                .unwrap_or_else(|e| panic!("{dialect_name} compiles: {e}"));
-            for op in compiled {
-                let module = ctx.create_module();
-                let block = ctx.module_block(module);
-                match instantiate_op(&mut ctx, &op, block) {
-                    Instantiation::Built(_) => {
-                        texts.push(op_to_string(&ctx, module));
-                        ctx.erase_op(module);
-                        let again = instantiate_op(&mut ctx, &op, big_block);
-                        assert!(matches!(again, Instantiation::Built(_)));
-                    }
-                    Instantiation::Skipped(_) => ctx.erase_op(module),
-                }
+    for op in bundle.ops() {
+        let module = ctx.create_module();
+        let block = ctx.module_block(module);
+        match instantiate_op(&mut ctx, op, block) {
+            Instantiation::Built(_) => {
+                texts.push(op_to_string(&ctx, module));
+                ctx.erase_op(module);
+                let again = instantiate_op(&mut ctx, op, big_block);
+                assert!(matches!(again, Instantiation::Built(_)));
             }
+            Instantiation::Skipped(_) => ctx.erase_op(module),
         }
     }
     texts.push(op_to_string(&ctx, big_module));

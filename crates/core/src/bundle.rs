@@ -7,6 +7,9 @@
 //! resolves each dialect into a [`DialectRecipe`] and registers it with
 //! [`register_recipe`]; loading a saved bundle decodes the recipes and
 //! runs the same registration, so both produce the same registry.
+//! A bundle holds exactly what that made: the template context, the
+//! recipes and the compiled ops, so a consumer that needs op shapes reads
+//! [`DialectBundle::ops`] instead of compiling the dialects again.
 //! Registration produces artifacts — [`crate::verifier::CompiledOp`]s, flat
 //! [`crate::program::ConstraintProgram`]s, format specs, native hooks —
 //! that embed context-relative uniqued indices (`Symbol`s, `Type`s, verdict
@@ -29,9 +32,7 @@
 //! `Mutex`, taken once per [`DialectBundle::instantiate`] or
 //! [`DialectBundle::save`] and never while IR is processed.
 
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 use irdl_ir::diag::{Diagnostic, Result};
 use irdl_ir::Context;
@@ -40,6 +41,7 @@ use crate::artifact::{decode_bundle, encode_bundle, DialectRecipe};
 use crate::compile::{compile_dialect, register_recipe};
 use crate::native::NativeRegistry;
 use crate::parser::parse_irdl;
+use crate::verifier::CompiledOp;
 
 /// An immutable, thread-shareable set of compiled dialects.
 ///
@@ -53,11 +55,10 @@ pub struct DialectBundle {
     /// bundle can be persisted with [`DialectBundle::save`]. Empty for
     /// hand-captured bundles.
     recipes: Vec<DialectRecipe>,
-    /// Typed side-artifacts derived from the bundle (compiled pattern
-    /// catalogs, matcher automata, analysis tables, ...), keyed by type.
-    /// Like the dialect artifacts themselves: built once, `Arc`-shared by
-    /// every consumer.
-    artifacts: RwLock<HashMap<TypeId, Arc<dyn Any + Send + Sync>>>,
+    /// Every compiled op, in declaration order across the recipes: the
+    /// very `Arc`s the template's registry holds as op verifiers. Empty
+    /// for hand-captured bundles.
+    ops: Vec<Arc<CompiledOp>>,
 }
 
 impl std::fmt::Debug for DialectBundle {
@@ -81,22 +82,19 @@ impl DialectBundle {
         let mut ctx = Context::new();
         let mut names = Vec::new();
         let mut recipes = Vec::new();
+        let mut ops = Vec::new();
         for (label, source) in sources {
             let file = parse_irdl(source)
                 .map_err(|d| d.with_note(format!("while compiling `{label}`")))?;
             for dialect in &file.dialects {
-                let (recipe, _) = compile_dialect(&mut ctx, dialect, natives)
+                let (recipe, compiled) = compile_dialect(&mut ctx, dialect, natives)
                     .map_err(|d| d.with_note(format!("while compiling `{label}`")))?;
                 names.push(dialect.name.clone());
                 recipes.push(recipe);
+                ops.extend(compiled);
             }
         }
-        Ok(DialectBundle {
-            template: Mutex::new(ctx),
-            names,
-            recipes,
-            artifacts: RwLock::new(HashMap::new()),
-        })
+        Ok(DialectBundle { template: Mutex::new(ctx), names, recipes, ops })
     }
 
     /// Seals an already-compiled context as a bundle.
@@ -106,12 +104,7 @@ impl DialectBundle {
     /// native syntaxes. The context should be treated as consumed: IR state
     /// (modules, ops) present in it will be cloned into every instance.
     pub fn capture(ctx: Context, names: Vec<String>) -> Self {
-        DialectBundle {
-            template: Mutex::new(ctx),
-            names,
-            recipes: Vec::new(),
-            artifacts: RwLock::new(HashMap::new()),
-        }
+        DialectBundle { template: Mutex::new(ctx), names, recipes: Vec::new(), ops: Vec::new() }
     }
 
     /// Serializes the bundle's compiled dialects into a persistable
@@ -120,9 +113,6 @@ impl DialectBundle {
     ///
     /// Native hooks are closures and travel by *name*: the loader's
     /// [`NativeRegistry`] must register every hook the dialects use.
-    /// Likewise, rewrite-pattern artifacts attached via
-    /// [`DialectBundle::attach_artifact`] contain closures and are not
-    /// persisted — only the dialects themselves.
     ///
     /// # Errors
     ///
@@ -164,16 +154,12 @@ impl DialectBundle {
         let mut ctx = Context::new();
         let recipes = decode_bundle(&mut ctx, bytes, natives)?;
         let mut names = Vec::with_capacity(recipes.len());
+        let mut ops = Vec::new();
         for recipe in &recipes {
-            register_recipe(&mut ctx, recipe, natives)?;
+            ops.extend(register_recipe(&mut ctx, recipe, natives)?);
             names.push(recipe.name.clone());
         }
-        Ok(DialectBundle {
-            template: Mutex::new(ctx),
-            names,
-            recipes,
-            artifacts: RwLock::new(HashMap::new()),
-        })
+        Ok(DialectBundle { template: Mutex::new(ctx), names, recipes, ops })
     }
 
     /// [`DialectBundle::load`] straight from a file.
@@ -193,6 +179,14 @@ impl DialectBundle {
         &self.recipes
     }
 
+    /// Every compiled op in declaration order, each the verifier the
+    /// registry holds for its name (empty for hand-captured bundles).
+    /// Their symbols and types resolve in every [`DialectBundle::instantiate`]d
+    /// context.
+    pub fn ops(&self) -> &[Arc<CompiledOp>] {
+        &self.ops
+    }
+
     /// Creates a private [`Context`] carrying every compiled dialect.
     ///
     /// No recompilation happens: the registry (and all `Arc`'d verifier,
@@ -207,46 +201,6 @@ impl DialectBundle {
     /// The names of the dialects compiled into this bundle.
     pub fn names(&self) -> &[String] {
         &self.names
-    }
-
-    /// Attaches (or replaces) the artifact of type `T`.
-    ///
-    /// One artifact per type: wrap same-typed artifacts in distinct
-    /// newtypes to store several.
-    pub fn attach_artifact<T: Any + Send + Sync>(&self, artifact: Arc<T>) {
-        self.artifacts
-            .write()
-            .expect("bundle artifact lock poisoned")
-            .insert(TypeId::of::<T>(), artifact);
-    }
-
-    /// The attached artifact of type `T`, if any.
-    pub fn artifact<T: Any + Send + Sync>(&self) -> Option<Arc<T>> {
-        let artifacts = self.artifacts.read().expect("bundle artifact lock poisoned");
-        artifacts
-            .get(&TypeId::of::<T>())
-            .cloned()
-            .map(|a| a.downcast::<T>().expect("artifact stored under its own TypeId"))
-    }
-
-    /// The attached artifact of type `T`, building and attaching it first
-    /// if absent. `build` runs at most once per bundle under the write
-    /// lock, so concurrent callers share one construction.
-    pub fn artifact_or_insert<T: Any + Send + Sync>(
-        &self,
-        build: impl FnOnce() -> T,
-    ) -> Arc<T> {
-        if let Some(existing) = self.artifact::<T>() {
-            return existing;
-        }
-        let mut artifacts = self.artifacts.write().expect("bundle artifact lock poisoned");
-        // Double-check: another thread may have built it while we waited.
-        if let Some(existing) = artifacts.get(&TypeId::of::<T>()) {
-            return existing.clone().downcast::<T>().expect("artifact stored under its own TypeId");
-        }
-        let built = Arc::new(build());
-        artifacts.insert(TypeId::of::<T>(), built.clone());
-        built
     }
 }
 
@@ -330,6 +284,7 @@ Dialect cmath {
         let bundle = DialectBundle::capture(ctx, vec!["hand".to_string()]);
         let err = bundle.save().unwrap_err();
         assert!(err.message().contains("hand-captured"), "{err}");
+        assert!(bundle.ops().is_empty());
     }
 
     #[test]
@@ -353,37 +308,5 @@ Dialect cmath {
     fn bundle_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<DialectBundle>();
-    }
-
-    #[test]
-    fn artifact_store_builds_once_and_shares() {
-        #[derive(Debug, PartialEq)]
-        struct Table(Vec<u32>);
-        struct Other(&'static str);
-
-        let bundle = DialectBundle::capture(Context::new(), Vec::new());
-        assert!(bundle.artifact::<Table>().is_none());
-
-        let built = std::sync::atomic::AtomicUsize::new(0);
-        let first = bundle.artifact_or_insert(|| {
-            built.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Table(vec![1, 2, 3])
-        });
-        let second = bundle.artifact_or_insert(|| {
-            built.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Table(Vec::new())
-        });
-        assert_eq!(built.load(std::sync::atomic::Ordering::Relaxed), 1);
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(*first, Table(vec![1, 2, 3]));
-
-        // Distinct types occupy distinct slots.
-        bundle.attach_artifact(Arc::new(Other("aux")));
-        assert_eq!(bundle.artifact::<Other>().unwrap().0, "aux");
-        assert_eq!(*bundle.artifact::<Table>().unwrap(), Table(vec![1, 2, 3]));
-
-        // Replacement swaps the artifact for later consumers.
-        bundle.attach_artifact(Arc::new(Table(vec![9])));
-        assert_eq!(*bundle.artifact::<Table>().unwrap(), Table(vec![9]));
     }
 }

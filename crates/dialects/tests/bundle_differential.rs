@@ -3,15 +3,13 @@
 //! A dialect compiled from IRDL source and the same dialect loaded from its
 //! saved `IRDB` artifact register through one driver (`register_recipe`),
 //! so the two registries must describe every definition identically, and
-//! every registered op verifier must share the recipe it was built from.
+//! each bundle's ops must be its registered op verifiers, each sharing the
+//! recipe it was built from.
 
 use std::sync::Arc;
 
-use irdl::artifact::decode_bundle;
 use irdl::introspect::report;
-use irdl::verifier::CompiledOp;
 use irdl::{DialectBundle, DialectRecipe, OpRecipe};
-use irdl_ir::Context;
 
 #[test]
 fn compiled_and_loaded_corpus_registries_agree() {
@@ -39,11 +37,16 @@ fn compiled_and_loaded_corpus_registries_agree() {
     assert!(ops > 900, "only {ops} ops compared");
 }
 
-/// Asserts that each of `ops` is the verifier registered for its op on
-/// `ctx` and holds the very recipe `recipe` lists for it.
-fn assert_shared(ctx: &Context, recipe: &DialectRecipe, ops: &[Arc<CompiledOp>]) {
-    assert_eq!(ops.len(), recipe.ops.len(), "ops of `{}`", recipe.name);
-    for (op, entry) in ops.iter().zip(&recipe.ops) {
+/// Asserts that `bundle.ops()` lists, in recipe order, the verifier an
+/// instance of `bundle` registers for each op, and that each holds the
+/// very recipe `bundle.recipes()` lists for it.
+fn assert_shared(bundle: &DialectBundle) {
+    let ctx = bundle.instantiate();
+    let entries: Vec<(&DialectRecipe, &Arc<OpRecipe>)> =
+        bundle.recipes().iter().flat_map(|r| r.ops.iter().map(move |e| (r, e))).collect();
+    assert_eq!(bundle.ops().len(), entries.len());
+    assert!(entries.len() > 900, "only {} ops compared", entries.len());
+    for (op, (recipe, entry)) in bundle.ops().iter().zip(entries) {
         let what = format!("`{}.{}`", recipe.name, entry.name);
         let shared: &OpRecipe = op;
         assert!(std::ptr::eq(shared, Arc::as_ptr(entry)), "{what} holds a copy of its recipe");
@@ -58,24 +61,8 @@ fn assert_shared(ctx: &Context, recipe: &DialectRecipe, ops: &[Arc<CompiledOp>])
 #[test]
 fn registered_verifiers_share_their_recipes() {
     let natives = irdl_dialects::corpus_natives();
-
-    // From source: each compiled op shares the recipe compilation returns.
-    let mut ctx = Context::new();
-    for (_, source) in irdl_dialects::corpus_sources() {
-        for dialect in &irdl::parse_irdl(&source).unwrap().dialects {
-            let (recipe, ops) = irdl::compile_dialect(&mut ctx, dialect, &natives).unwrap();
-            assert_shared(&ctx, &recipe, &ops);
-        }
-    }
-
-    // From an artifact, registered the way `DialectBundle::load` does.
-    let bundle = DialectBundle::compile(&irdl_dialects::corpus_sources(), &natives).unwrap();
-    let bytes = bundle.save().unwrap();
-    let mut ctx = Context::new();
-    let recipes = decode_bundle(&mut ctx, &bytes, &natives).unwrap();
-    assert_eq!(recipes.len(), bundle.recipes().len());
-    for recipe in &recipes {
-        let ops = irdl::register_recipe(&mut ctx, recipe, &natives).unwrap();
-        assert_shared(&ctx, recipe, &ops);
-    }
+    let compiled = DialectBundle::compile(&irdl_dialects::corpus_sources(), &natives).unwrap();
+    let loaded = DialectBundle::load(&compiled.save().unwrap(), &natives).unwrap();
+    assert_shared(&compiled);
+    assert_shared(&loaded);
 }

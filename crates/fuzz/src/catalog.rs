@@ -4,7 +4,9 @@
 //! (paper §3); the fuzzer leans on exactly that: every operation shape is
 //! available as an [`irdl::verifier::CompiledOp`], so one generator covers
 //! every dialect ever compiled — the 28-dialect corpus and randomly
-//! generated specs alike — with no per-dialect code.
+//! generated specs alike — with no per-dialect code. The shapes are the
+//! ones a [`irdl::DialectBundle`] kept when it compiled its dialects
+//! ([`irdl::DialectBundle::ops`]); the catalog compiles nothing itself.
 //!
 //! Ordering matters: the catalog lists operations in *source order* (the
 //! order the IRDL text declares them), never in registry-map order, so
@@ -14,8 +16,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use irdl::verifier::CompiledOp;
-use irdl::NativeRegistry;
-use irdl_ir::{Context, OpName};
+use irdl_ir::OpName;
 
 /// All operation definitions of one or more compiled dialects, in
 /// deterministic (source) order.
@@ -32,34 +33,10 @@ pub struct OpCatalog {
 }
 
 impl OpCatalog {
-    /// Compiles `sources` (pairs of `(display name, IRDL text)`) into
-    /// `ctx`, registering every dialect and collecting every op shape.
-    ///
-    /// The same context must be the one modules are later generated in —
-    /// compiled shapes hold symbols interned in `ctx` (clones of `ctx`,
-    /// e.g. [`irdl::DialectBundle`] instances captured from it, stay
-    /// compatible because interning is append-only).
-    pub fn compile(
-        ctx: &mut Context,
-        sources: &[(String, String)],
-        natives: &NativeRegistry,
-    ) -> Result<OpCatalog, String> {
-        let mut ops: Vec<Arc<CompiledOp>> = Vec::new();
-        for (name, source) in sources {
-            let file = irdl::parse_irdl(source)
-                .map_err(|e| format!("{name}: {}", e.render(source)))?;
-            for dialect in &file.dialects {
-                let (_, compiled) = irdl::compile_dialect(ctx, dialect, natives)
-                    .map_err(|e| format!("{name}: {}", e.render(source)))?;
-                ops.extend(compiled);
-            }
-        }
-        Ok(OpCatalog::from_ops(ops))
-    }
-
-    /// Wraps an already-compiled op list (assumed to be in a
-    /// deterministic order).
-    pub fn from_ops(ops: Vec<Arc<CompiledOp>>) -> OpCatalog {
+    /// Catalogs an already-compiled op list (assumed to be in a
+    /// deterministic order), such as [`irdl::DialectBundle::ops`].
+    pub fn from_ops(ops: &[Arc<CompiledOp>]) -> OpCatalog {
+        let ops = ops.to_vec();
         let by_name = ops.iter().enumerate().map(|(i, op)| (op.op_name(), i)).collect();
         let generatable = ops
             .iter()

@@ -183,6 +183,7 @@ mod tests {
         FuzzTarget::from_sources(
             &[("pat".to_string(), pat_dialect_spec(unary_ops))],
             &irdl::NativeRegistry::new(),
+            irdl_interp::EvalRegistry::new(),
         )
         .expect("pat dialect compiles")
     }

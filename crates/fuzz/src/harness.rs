@@ -1,5 +1,10 @@
 //! The fuzzing loop: generation, mutation, oracles, reporting.
 //!
+//! A [`FuzzTarget`] is made once per dialect set: it compiles one
+//! [`DialectBundle`], catalogs the ops that compile kept, and builds what
+//! every oracle shares (execution semantics and the sealed pattern sets).
+//! The oracles then only instantiate contexts from it.
+//!
 //! Everything downstream of the seed is deterministic: the corpus bundle
 //! is compiled once in declaration order, per-iteration PRNG streams are
 //! forked from a single base stream, and the log contains no timestamps
@@ -8,12 +13,14 @@
 //! `(seed, iteration)` alone.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use irdl::DialectBundle;
+use irdl_interp::EvalRegistry;
 use irdl_ir::print::op_to_string;
 use irdl_ir::verify::ModuleVerifier;
-use irdl_ir::Context;
+use irdl_rewrite::PatternSet;
 
 use crate::catalog::OpCatalog;
 use crate::genmod::{generate_module, GenConfig};
@@ -21,8 +28,8 @@ use crate::genpat::{derive_canon_catalog, pat_dialect_spec, random_catalog};
 use crate::genspec::generate_spec;
 use crate::mutate::mutate_text;
 use crate::oracle::{
-    check_jobs, check_matcher, OracleFailure, OracleScope, OracleSeeds,
-    JOBS_ORACLE_WORKERS, ORACLES,
+    check_jobs, check_matcher, oracle_patterns, tv_patterns, OracleFailure, OracleScope,
+    OracleSeeds, JOBS_ORACLE_WORKERS, ORACLES,
 };
 use crate::rng::SplitMix64;
 
@@ -78,42 +85,57 @@ pub struct FuzzReport {
     pub log: String,
 }
 
-/// The fuzzing target: a sealed bundle plus the op catalog compiled from
-/// the same context lineage (compiled shapes hold context-interned
-/// symbols, so catalog and bundle must share ancestry).
+/// The fuzzing target: a compiled bundle, the op catalog read from the
+/// ops it compiled, and what every oracle run against it shares, all
+/// built once when the target is made.
 pub struct FuzzTarget {
-    /// Sealed dialects every oracle instantiates from.
+    /// Compiled dialects every oracle instantiates from.
     pub bundle: DialectBundle,
     /// Op shapes for the structured generator.
     pub catalog: OpCatalog,
+    /// Execution semantics translation validation interprets ops with;
+    /// ops without any run uninterpreted.
+    pub semantics: Arc<EvalRegistry>,
+    /// The pattern set the drive and jobs oracles run.
+    pub patterns: PatternSet,
+    /// The translation-validation catalog: constant folding over
+    /// `semantics` plus source DCE.
+    pub tv_patterns: PatternSet,
 }
 
 impl FuzzTarget {
-    /// Compiles IRDL sources into a fresh context and seals it.
+    /// Compiles IRDL sources into a bundle and catalogs its ops; the
+    /// oracles execute with `semantics`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the compile diagnostic, rendered against the source when
+    /// there is only one (a generated spec).
     pub fn from_sources(
         sources: &[(String, String)],
         natives: &irdl::NativeRegistry,
+        semantics: EvalRegistry,
     ) -> Result<FuzzTarget, String> {
-        let mut ctx = Context::new();
-        let catalog = OpCatalog::compile(&mut ctx, sources, natives)?;
-        let names = sources.iter().map(|(name, _)| name.clone()).collect();
-        Ok(FuzzTarget { bundle: DialectBundle::capture(ctx, names), catalog })
+        let bundle = DialectBundle::compile(sources, natives).map_err(|e| match sources {
+            [(name, source)] => format!("{name}: {}", e.render(source)),
+            _ => e.to_string(),
+        })?;
+        let catalog = OpCatalog::from_ops(bundle.ops());
+        let semantics = Arc::new(semantics);
+        let tv_patterns = tv_patterns(&semantics);
+        Ok(FuzzTarget { bundle, catalog, semantics, patterns: oracle_patterns(), tv_patterns })
     }
 
-    /// The 28-dialect evaluation corpus, with the corpus execution
-    /// semantics attached as the bundle's
-    /// [`Semantics`](irdl_interp::Semantics) artifact so the
-    /// translation-validation oracle interprets `builtin`/`scf`/`complex`
-    /// ops for real (everything else runs uninterpreted).
+    /// The 28-dialect evaluation corpus with the corpus execution
+    /// semantics, so the translation-validation oracle interprets
+    /// `builtin`/`scf`/`complex` ops for real (everything else runs
+    /// uninterpreted).
     pub fn corpus() -> Result<FuzzTarget, String> {
-        let target = FuzzTarget::from_sources(
+        FuzzTarget::from_sources(
             &irdl_dialects::corpus_sources(),
             &irdl_dialects::corpus_natives(),
-        )?;
-        target
-            .bundle
-            .artifact_or_insert(|| irdl_interp::Semantics(irdl_dialects::corpus_semantics()));
-        Ok(target)
+            irdl_dialects::corpus_semantics(),
+        )
     }
 }
 
@@ -146,6 +168,7 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
     let pat_target = FuzzTarget::from_sources(
         &[("pat".to_string(), pat_dialect_spec(PAT_UNARY_OPS))],
         &irdl::NativeRegistry::new(),
+        EvalRegistry::new(),
     )?;
     let canon_ctx = target.bundle.instantiate();
     let (canon_catalog, canon_patterns) = derive_canon_catalog(&canon_ctx, &target.catalog);
@@ -177,6 +200,7 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
             match FuzzTarget::from_sources(
                 &[(format!("fz{iter}"), spec.clone())],
                 &irdl::NativeRegistry::new(),
+                EvalRegistry::new(),
             ) {
                 Ok(t) => {
                     generated_target = t;
@@ -222,7 +246,7 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
         let input = rng.next_u64();
         let seeds = OracleSeeds { mutation, input };
         for oracle in ORACLES.iter().filter(|oracle| oracle.scope != OracleScope::Batches) {
-            if let Err(failure) = (oracle.check)(&iter_target.bundle, &text, seeds) {
+            if let Err(failure) = (oracle.check)(iter_target, &text, seeds) {
                 let _ = writeln!(report.log, "iter {iter}: oracle `{}` diverged", oracle.name);
                 report.failures.push(failure);
                 break 'iterations;
@@ -243,14 +267,14 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
             report.modules += 1;
             let catalog = random_catalog(PAT_UNARY_OPS, 1 + rng.below(8), &mut rng);
             report.catalogs += 1;
-            if let Err(failure) = check_matcher(&pat_target.bundle, &catalog, &pat_text) {
+            if let Err(failure) = check_matcher(&pat_target, &catalog, &pat_text) {
                 let _ = writeln!(report.log, "iter {iter}: matcher oracle diverged");
                 report.failures.push(failure);
                 break 'iterations;
             }
         }
         if iter % 8 != 7 && canon_patterns > 0 {
-            if let Err(failure) = check_matcher(&target.bundle, &canon_catalog, &text) {
+            if let Err(failure) = check_matcher(target, &canon_catalog, &text) {
                 let _ = writeln!(
                     report.log,
                     "iter {iter}: matcher oracle diverged on the canon catalog"
@@ -269,7 +293,7 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
             // placements, broken dominance, mutated attribute payloads and
             // operand rewires are what they stress.
             for oracle in ORACLES.iter().filter(|oracle| oracle.scope == OracleScope::Mutants) {
-                if let Err(failure) = (oracle.check)(&iter_target.bundle, &mutant, seeds) {
+                if let Err(failure) = (oracle.check)(iter_target, &mutant, seeds) {
                     let _ = writeln!(
                         report.log,
                         "iter {iter}: oracle `{}` diverged on a text mutant",
@@ -287,7 +311,7 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
         if iter % 8 != 7 {
             batch_texts.push(text);
             if batch_texts.len() >= opts.batch.max(1) {
-                let checked = check_jobs(&target.bundle, &batch_texts, JOBS_ORACLE_WORKERS);
+                let checked = check_jobs(target, &batch_texts, JOBS_ORACLE_WORKERS);
                 if let Err(failure) = checked {
                     let _ = writeln!(report.log, "iter {iter}: jobs oracle diverged");
                     report.failures.push(failure);
@@ -311,7 +335,7 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
     }
 
     if report.failures.is_empty() && !batch_texts.is_empty() {
-        if let Err(failure) = check_jobs(&target.bundle, &batch_texts, JOBS_ORACLE_WORKERS) {
+        if let Err(failure) = check_jobs(target, &batch_texts, JOBS_ORACLE_WORKERS) {
             let _ = writeln!(report.log, "final batch: jobs oracle diverged");
             report.failures.push(failure);
         }
@@ -335,22 +359,22 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
 /// verification) and `spec-compile` (the smallest spec the frontend still
 /// rejects). Any other name (the matcher oracle, which needs its catalog)
 /// never reproduces, so its input is stored unreduced.
-pub fn oracle_fails(bundle: &DialectBundle, name: &str, seed: u64, text: &str) -> bool {
+pub fn oracle_fails(target: &FuzzTarget, name: &str, seed: u64, text: &str) -> bool {
     match name {
         "generate" => {
-            let mut ctx = bundle.instantiate();
+            let mut ctx = target.bundle.instantiate();
             match irdl_ir::parse::parse_module(&mut ctx, text) {
                 Ok(module) => ModuleVerifier::new().verify(&ctx, module).is_err(),
                 Err(_) => false,
             }
         }
-        "spec-compile" => FuzzTarget::from_sources(
+        "spec-compile" => DialectBundle::compile(
             &[("reduced".to_string(), text.to_string())],
             &irdl::NativeRegistry::new(),
         )
         .is_err(),
         _ => ORACLES.iter().any(|oracle| {
-            oracle.name == name && (oracle.check)(bundle, text, OracleSeeds::same(seed)).is_err()
+            oracle.name == name && (oracle.check)(target, text, OracleSeeds::same(seed)).is_err()
         }),
     }
 }

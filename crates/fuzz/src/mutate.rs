@@ -121,7 +121,8 @@ fn later_values(ctx: &Context, anchor: OpRef) -> Vec<Value> {
 
 /// Applies one random journaled mutation somewhere in `module`. Returns
 /// the name of the mutation applied, or `None` if the drawn variant was
-/// inapplicable at the drawn anchor (the journal is untouched then).
+/// inapplicable at the drawn anchor or would leave the IR as it was (the
+/// journal is untouched then).
 pub fn mutate_structured(
     ctx: &mut Context,
     module: OpRef,
@@ -185,6 +186,9 @@ pub fn mutate_structured(
                 return None;
             }
             let value = *rng.choose(&candidates);
+            if value == anchor.operand(ctx, slot) {
+                return None;
+            }
             let mut rewriter = Rewriter::new(ctx, anchor, journal);
             rewriter.set_operand(anchor, slot, value);
             Some("retarget-earlier")
@@ -206,6 +210,9 @@ pub fn mutate_structured(
                 return None;
             }
             let replacement = *rng.choose(&candidates);
+            if result.is_unused(ctx) {
+                return None;
+            }
             let mut rewriter = Rewriter::new(ctx, anchor, journal);
             rewriter.replace_all_uses(result, replacement);
             Some("forward-uses")
@@ -265,5 +272,51 @@ pub fn mutate_structured(
             journal.note_modified(anchor);
             Some("poison-attr")
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use irdl_ir::print::op_to_string;
+
+    use super::*;
+    use crate::genmod::{generate_module, GenConfig};
+    use crate::harness::FuzzTarget;
+
+    /// A reported mutation always changes the module; an unreported one
+    /// journals nothing. Variants 3 and 4 draw no-ops often on generated
+    /// modules (an operand's own value, a result nobody uses).
+    #[test]
+    fn every_reported_mutation_changes_the_module() {
+        let target = FuzzTarget::corpus().expect("corpus compiles");
+        let mut rng = SplitMix64::new(0x5eed_0029);
+        let (mut reported, mut declined) = (0, 0);
+        for _ in 0..24 {
+            let mut ctx = target.bundle.instantiate();
+            let module = generate_module(&mut ctx, &target.catalog, &GenConfig::default(), &mut rng);
+            let mut journal = ChangeJournal::new();
+            for _ in 0..32 {
+                journal.clear();
+                let before = op_to_string(&ctx, module);
+                let mutation = mutate_structured(
+                    &mut ctx,
+                    module,
+                    &mut journal,
+                    MutationPolicy::ValidOnly,
+                    &mut rng,
+                );
+                match mutation {
+                    Some(name) => {
+                        reported += 1;
+                        assert_ne!(op_to_string(&ctx, module), before, "{name} changed nothing");
+                    }
+                    None => {
+                        declined += 1;
+                        assert!(journal.is_empty(), "a declined mutation journaled a change");
+                    }
+                }
+            }
+        }
+        assert!(reported > 100 && declined > 0, "{reported} reported, {declined} declined");
     }
 }

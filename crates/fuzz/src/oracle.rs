@@ -12,9 +12,9 @@
 //!    [`IncrementalVerifier::verify_changes`] must equal a from-scratch
 //!    [`ModuleVerifier`] walk. Each mutation lands on a module that walk
 //!    has just stamped as verified, and must leave the stamp stale
-//!    ([`Context::is_verified`]), or a checked drive would trust it —
-//!    unless it changed nothing (say, an operand set to the value it
-//!    already held) and the module prints exactly as before.
+//!    ([`Context::is_verified`]), or a checked drive would trust it (a
+//!    mutation that would change nothing is not reported, see
+//!    [`mutate_structured`]).
 //! 3. **cache** — verification with a warm verdict cache, a re-verify
 //!    (pure cache hits), and a cleared cache must produce identical
 //!    verdicts and identical diagnostics.
@@ -42,7 +42,7 @@
 
 use std::sync::Arc;
 
-use irdl::DialectBundle;
+use irdl_interp::EvalRegistry;
 use irdl_ir::bytecode::{decode_module, encode_module};
 use irdl_ir::parse::parse_module;
 use irdl_ir::print::{op_to_string, op_to_string_generic};
@@ -54,6 +54,7 @@ use irdl_rewrite::{
     FoldConstants, MatcherMode, PatternSet, PipelineOptions, RewritePattern, Rewriter,
 };
 
+use crate::harness::FuzzTarget;
 use crate::mutate::{mutate_structured, MutationPolicy};
 use crate::rng::SplitMix64;
 
@@ -112,20 +113,13 @@ impl RewritePattern for DceSourcePattern {
     }
 }
 
-/// The shared pattern set the drive/jobs oracles run, built (and its
-/// matcher automaton compiled) once per bundle through the bundle's typed
-/// artifact store; every oracle invocation after the first reuses the
-/// same `Arc`.
-pub struct OraclePatterns(pub PatternSet);
-
-/// The pattern set the drive/jobs oracles run.
-pub fn oracle_patterns(bundle: &DialectBundle) -> Arc<OraclePatterns> {
-    bundle.artifact_or_insert(|| {
-        let mut patterns = PatternSet::new();
-        patterns.add(Arc::new(DceSourcePattern));
-        patterns.seal();
-        OraclePatterns(patterns)
-    })
+/// The pattern set the drive/jobs oracles run, sealed (its matcher
+/// automaton compiled) once per [`FuzzTarget`].
+pub(crate) fn oracle_patterns() -> PatternSet {
+    let mut patterns = PatternSet::new();
+    patterns.add(Arc::new(DceSourcePattern));
+    patterns.seal();
+    patterns
 }
 
 fn render_errors(errors: &[irdl_ir::Diagnostic]) -> String {
@@ -141,7 +135,8 @@ fn parse_in(ctx: &mut Context, text: &str) -> Option<OpRef> {
 /// Inputs the parser rejects pass vacuously — rejection is a legitimate
 /// outcome for text mutants; what must never happen is accepting text
 /// whose print does not reach a fixpoint.
-pub fn check_fixpoint(bundle: &DialectBundle, text: &str) -> Result<(), OracleFailure> {
+pub fn check_fixpoint(target: &FuzzTarget, text: &str) -> Result<(), OracleFailure> {
+    let bundle = &target.bundle;
     let mut ctx = bundle.instantiate();
     let Some(module) = parse_in(&mut ctx, text) else { return Ok(()) };
     let printed = op_to_string(&ctx, module);
@@ -183,15 +178,15 @@ pub fn check_fixpoint(bundle: &DialectBundle, text: &str) -> Result<(), OracleFa
 }
 
 /// Oracle 2: incremental ≡ full verification verdict under a random
-/// journaled mutation sequence seeded by `seed`, and no journaled mutation
-/// that changes the module leaves its verified stamp fresh.
+/// journaled mutation sequence seeded by `seed`, and every reported
+/// mutation leaves the module's verified stamp stale.
 pub fn check_incremental(
-    bundle: &DialectBundle,
+    target: &FuzzTarget,
     text: &str,
     seed: u64,
     steps: usize,
 ) -> Result<(), OracleFailure> {
-    let mut ctx = bundle.instantiate();
+    let mut ctx = target.bundle.instantiate();
     let Some(module) = parse_in(&mut ctx, text) else { return Ok(()) };
 
     let mut incremental = IncrementalVerifier::new();
@@ -218,7 +213,6 @@ pub fn check_incremental(
     let mut journal = ChangeJournal::new();
     for step in 0..steps {
         journal.clear();
-        let before = op_to_string(&ctx, module);
         let Some(mutation) =
             mutate_structured(&mut ctx, module, &mut journal, MutationPolicy::AllowInvalid, &mut rng)
         else {
@@ -226,12 +220,12 @@ pub fn check_incremental(
         };
         // The last full walk accepted and stamped the module; a change
         // must have invalidated that stamp.
-        if ctx.is_verified(module) && op_to_string(&ctx, module) != before {
+        if ctx.is_verified(module) {
             return Err(OracleFailure::new(
                 "incremental",
                 format!(
                     "verified stamp still fresh after step {step} ({mutation}, seed {seed:#x}) \
-                     changed the module:\nbefore:\n{before}\nafter:\n{}",
+                     changed the module:\n{}",
                     op_to_string(&ctx, module),
                 ),
                 text,
@@ -265,8 +259,8 @@ pub fn check_incremental(
 
 /// Oracle 3: warm-cache, pure-hit, and cleared-cache verification agree
 /// on verdict and diagnostics.
-pub fn check_cache(bundle: &DialectBundle, text: &str) -> Result<(), OracleFailure> {
-    let mut ctx = bundle.instantiate();
+pub fn check_cache(target: &FuzzTarget, text: &str) -> Result<(), OracleFailure> {
+    let mut ctx = target.bundle.instantiate();
     let Some(module) = parse_in(&mut ctx, text) else { return Ok(()) };
 
     let as_key = |r: &Result<(), Vec<irdl_ir::Diagnostic>>| match r {
@@ -293,11 +287,10 @@ pub fn check_cache(bundle: &DialectBundle, text: &str) -> Result<(), OracleFailu
 /// Oracle 4: the batch pipeline at 1 worker and at `jobs` workers
 /// produces identical per-module results, in input order.
 pub fn check_jobs(
-    bundle: &DialectBundle,
+    target: &FuzzTarget,
     inputs: &[String],
     jobs: usize,
 ) -> Result<(), OracleFailure> {
-    let patterns = oracle_patterns(bundle);
     let run = |jobs: usize| {
         let opts = PipelineOptions {
             jobs,
@@ -306,7 +299,7 @@ pub fn check_jobs(
             generic: false,
             matcher: MatcherMode::Auto,
         };
-        run_batch(bundle, &patterns.0, inputs, &opts)
+        run_batch(&target.bundle, &target.patterns, inputs, &opts)
     };
     let sequential = run(1);
     let parallel = run(jobs.max(2));
@@ -334,13 +327,12 @@ pub fn check_jobs(
 
 /// Oracle 5: the checked driver at `Full` and `Incremental` agrees on
 /// rewrite count, success, and printed output.
-pub fn check_drive(bundle: &DialectBundle, text: &str) -> Result<(), OracleFailure> {
-    let patterns = oracle_patterns(bundle);
+pub fn check_drive(target: &FuzzTarget, text: &str) -> Result<(), OracleFailure> {
     let mut outcomes: Vec<Result<(usize, String), String>> = Vec::new();
     for check in [CheckLevel::Full, CheckLevel::Incremental] {
-        let mut ctx = bundle.instantiate();
+        let mut ctx = target.bundle.instantiate();
         let Some(module) = parse_in(&mut ctx, text) else { return Ok(()) };
-        let outcome = match rewrite_greedily_with(&mut ctx, module, &patterns.0, check) {
+        let outcome = match rewrite_greedily_with(&mut ctx, module, &target.patterns, check) {
             Ok(stats) => Ok((stats.rewrites, op_to_string(&ctx, module))),
             Err(e) => Err(format!("pattern `{}`: {}", e.pattern, render_errors(&e.diagnostics))),
         };
@@ -364,13 +356,13 @@ pub fn check_drive(bundle: &DialectBundle, text: &str) -> Result<(), OracleFailu
 /// catalog must parse — the harness only feeds generated catalogs, so a
 /// parse failure is itself a generator bug worth reporting.
 pub fn check_matcher(
-    bundle: &DialectBundle,
+    target: &FuzzTarget,
     catalog: &str,
     text: &str,
 ) -> Result<(), OracleFailure> {
     let mut outcomes: Vec<(usize, String)> = Vec::new();
     for mode in [MatcherMode::Scan, MatcherMode::Auto] {
-        let mut ctx = bundle.instantiate();
+        let mut ctx = target.bundle.instantiate();
         let patterns = match parse_patterns(&mut ctx, catalog) {
             Ok(patterns) => patterns,
             Err(e) => {
@@ -406,7 +398,8 @@ pub fn check_matcher(
 /// bundle instance (the load path a distributed pipeline would take), and
 /// the decoded module must print exactly the original's printed form —
 /// both pretty and generic.
-pub fn check_bytecode(bundle: &DialectBundle, text: &str) -> Result<(), OracleFailure> {
+pub fn check_bytecode(target: &FuzzTarget, text: &str) -> Result<(), OracleFailure> {
+    let bundle = &target.bundle;
     let mut ctx = bundle.instantiate();
     let Some(module) = parse_in(&mut ctx, text) else { return Ok(()) };
     let printed = op_to_string(&ctx, module);
@@ -446,28 +439,18 @@ pub fn check_bytecode(bundle: &DialectBundle, text: &str) -> Result<(), OracleFa
     Ok(())
 }
 
-/// The translation-validation pattern catalog: constant folding over the
-/// bundle's semantics artifact plus source DCE. Both patterns are
-/// semantics-preserving by design, so the oracle can demand bit-identical
-/// observable behavior. (The random `pat`-dialect catalogs and the
-/// derived canonicalization catalog are deliberately *not* validated this
-/// way — operand-forwarding rewrites change behavior by construction.)
-pub struct TvPatterns(pub PatternSet);
-
-/// The TV catalog for `bundle`, built once through the typed artifact
-/// store (alongside the bundle's [`Semantics`](irdl_interp::Semantics)).
-pub fn tv_patterns(bundle: &DialectBundle) -> Arc<TvPatterns> {
-    // Resolve the semantics artifact *before* entering `artifact_or_insert`:
-    // the builder closure runs under the bundle's artifact write lock, and
-    // `bundle_semantics` takes that same lock.
-    let semantics = irdl_interp::bundle_semantics(bundle);
-    bundle.artifact_or_insert(|| {
-        let mut patterns = PatternSet::new();
-        patterns.add(Arc::new(FoldConstants::new(Arc::new(semantics.0.clone()))));
-        patterns.add(Arc::new(DceSourcePattern));
-        patterns.seal();
-        TvPatterns(patterns)
-    })
+/// The translation-validation pattern catalog: constant folding over
+/// `semantics` plus source DCE. Both patterns are semantics-preserving by
+/// design, so the oracle can demand bit-identical observable behavior.
+/// (The random `pat`-dialect catalogs and the derived canonicalization
+/// catalog are deliberately *not* validated this way — operand-forwarding
+/// rewrites change behavior by construction.)
+pub(crate) fn tv_patterns(semantics: &Arc<EvalRegistry>) -> PatternSet {
+    let mut patterns = PatternSet::new();
+    patterns.add(Arc::new(FoldConstants::new(semantics.clone())));
+    patterns.add(Arc::new(DceSourcePattern));
+    patterns.seal();
+    patterns
 }
 
 /// Oracle 8: rewrites preserve observable behavior.
@@ -479,25 +462,24 @@ pub fn tv_patterns(bundle: &DialectBundle) -> Arc<TvPatterns> {
 /// op, in order, plus the trap kind — must match exactly. Inputs the
 /// parser rejects pass vacuously.
 pub fn check_translation_validation(
-    bundle: &DialectBundle,
+    target: &FuzzTarget,
     text: &str,
     seed: u64,
 ) -> Result<(), OracleFailure> {
-    let semantics = irdl_interp::bundle_semantics(bundle);
     let opts = EvalOptions { input_seed: seed, ..EvalOptions::default() };
 
-    let mut ctx = bundle.instantiate();
+    let mut ctx = target.bundle.instantiate();
     let Some(module) = parse_in(&mut ctx, text) else { return Ok(()) };
-    let baseline = run_module(&ctx, &semantics.0, module, opts);
+    let baseline = run_module(&ctx, &target.semantics, module, opts);
     drop(ctx);
 
-    let patterns = tv_patterns(bundle);
     for mode in [MatcherMode::Scan, MatcherMode::Auto] {
-        let mut ctx = bundle.instantiate();
+        let mut ctx = target.bundle.instantiate();
         let Some(module) = parse_in(&mut ctx, text) else { return Ok(()) };
-        let stats = rewrite_greedily_matched(&mut ctx, module, &patterns.0, CheckLevel::Off, mode)
-            .expect("unchecked drive cannot fail");
-        let after = run_module(&ctx, &semantics.0, module, opts);
+        let stats =
+            rewrite_greedily_matched(&mut ctx, module, &target.tv_patterns, CheckLevel::Off, mode)
+                .expect("unchecked drive cannot fail");
+        let after = run_module(&ctx, &target.semantics, module, opts);
         if after.digest() != baseline.digest() {
             return Err(OracleFailure::new(
                 "translation-validation",
@@ -554,7 +536,7 @@ pub struct Oracle {
     /// The name failures and stored cases carry.
     pub name: &'static str,
     /// Runs the oracle on one input.
-    pub check: fn(&DialectBundle, &str, OracleSeeds) -> Result<(), OracleFailure>,
+    pub check: fn(&FuzzTarget, &str, OracleSeeds) -> Result<(), OracleFailure>,
     /// Which inputs the fuzz loop runs it on.
     pub scope: OracleScope,
 }
@@ -565,48 +547,48 @@ pub struct Oracle {
 pub const ORACLES: &[Oracle] = &[
     Oracle {
         name: "fixpoint",
-        check: |bundle, text, _| check_fixpoint(bundle, text),
+        check: |target, text, _| check_fixpoint(target, text),
         scope: OracleScope::Mutants,
     },
     Oracle {
         name: "incremental",
-        check: |bundle, text, seeds| check_incremental(bundle, text, seeds.mutation, 24),
+        check: |target, text, seeds| check_incremental(target, text, seeds.mutation, 24),
         scope: OracleScope::Modules,
     },
     Oracle {
         name: "cache",
-        check: |bundle, text, _| check_cache(bundle, text),
+        check: |target, text, _| check_cache(target, text),
         scope: OracleScope::Mutants,
     },
     Oracle {
         name: "drive",
-        check: |bundle, text, _| check_drive(bundle, text),
+        check: |target, text, _| check_drive(target, text),
         scope: OracleScope::Modules,
     },
     Oracle {
         name: "bytecode",
-        check: |bundle, text, _| check_bytecode(bundle, text),
+        check: |target, text, _| check_bytecode(target, text),
         scope: OracleScope::Mutants,
     },
     Oracle {
         name: "jobs",
-        check: |bundle, text, _| {
-            check_jobs(bundle, &[text.to_string()], JOBS_ORACLE_WORKERS)
+        check: |target, text, _| {
+            check_jobs(target, &[text.to_string()], JOBS_ORACLE_WORKERS)
         },
         scope: OracleScope::Batches,
     },
     Oracle {
         name: "translation-validation",
-        check: |bundle, text, seeds| check_translation_validation(bundle, text, seeds.input),
+        check: |target, text, seeds| check_translation_validation(target, text, seeds.input),
         scope: OracleScope::Mutants,
     },
 ];
 
 /// Runs every oracle in [`ORACLES`] on `text`, collecting all
 /// divergences.
-pub fn replay_all(bundle: &DialectBundle, text: &str, seed: u64) -> Vec<OracleFailure> {
+pub fn replay_all(target: &FuzzTarget, text: &str, seed: u64) -> Vec<OracleFailure> {
     ORACLES
         .iter()
-        .filter_map(|oracle| (oracle.check)(bundle, text, OracleSeeds::same(seed)).err())
+        .filter_map(|oracle| (oracle.check)(target, text, OracleSeeds::same(seed)).err())
         .collect()
 }

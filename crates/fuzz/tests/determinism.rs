@@ -16,7 +16,7 @@ fn options(seed: u64, iters: u64) -> FuzzOptions {
     FuzzOptions { seed, iters, ..FuzzOptions::default() }
 }
 
-/// 64-bit FNV-1a, folded over every generated module's generic text.
+/// 64-bit FNV-1a over `text`, continuing from `hash`.
 fn fnv1a(hash: u64, text: &str) -> u64 {
     text.bytes().fold(hash, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
@@ -72,12 +72,18 @@ fn instantiated_corpus_ops_match_pinned_digest() {
     );
 }
 
+/// Two runs of one build agree, and the log is pinned absolutely, like
+/// the generator digests above: a change to the generator, the mutation
+/// engine, an oracle or the fuzz target's construction that moves the
+/// log must update this pin deliberately.
 #[test]
 fn same_seed_is_byte_identical() {
     let target = FuzzTarget::corpus().expect("corpus compiles");
     let a = run_fuzz_on(&target, &options(0xD15EA5E, 24)).expect("run");
     let b = run_fuzz_on(&target, &options(0xD15EA5E, 24)).expect("run");
     assert_eq!(a.log, b.log, "logs must be byte-identical for equal seeds");
+    let digest = fnv1a(FNV_OFFSET, &a.log);
+    assert_eq!(digest, 0x6b24_01fd_591c_8053, "fuzz log drifted: {digest:#018x}\n{}", a.log);
     assert_eq!(a.iters, b.iters);
     assert_eq!(a.modules, b.modules);
     assert_eq!(a.mutants, b.mutants);

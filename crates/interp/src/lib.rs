@@ -3,11 +3,10 @@
 //! The interpreter gives the in-memory IR *executable semantics*: a
 //! [`Machine`] walks a module with a [`Value`](irdl_ir::Value)-indexed
 //! register file, dispatching each op to an [`OpEvaluator`] registered in
-//! an [`EvalRegistry`] — the same name-keyed registration model the
-//! verifier uses for native hooks, so compiled
-//! [`DialectBundle`](irdl::DialectBundle)s carry semantics as a typed
-//! artifact ([`Semantics`]) next to their verifier hooks and pattern
-//! catalogs.
+//! an [`EvalRegistry`] under its qualified op name — the registration
+//! model the verifier uses for native hooks — so one registry serves
+//! every context instantiated from a compiled
+//! [`DialectBundle`](irdl::DialectBundle).
 //!
 //! Three properties make the interpreter usable as a *translation
 //! validation* oracle over the rewrite engine:
@@ -36,9 +35,7 @@ mod trap;
 mod value;
 
 pub use machine::{float_kind, int_width, run_module, EvalOptions, Execution, Machine};
-pub use registry::{
-    bundle_semantics, ConstMaterializer, EvalRegistry, EvalValues, OpEvaluator, Semantics,
-};
+pub use registry::{ConstMaterializer, EvalRegistry, EvalValues, OpEvaluator};
 pub use trap::{Trap, TrapKind};
 pub use irdl_ir::types::FloatKind;
 pub use value::{canon_float_bits, hash_str, mix, wrap_int, EvalValue};

@@ -6,9 +6,9 @@
 //! *qualified name* (`"cmath.mul"`). Names — not context-relative symbols —
 //! key the table, so one registry serves every [`Context`] instantiated
 //! from a bundle, hand-built test contexts, and rehydrated bytecode
-//! bundles alike. A compiled [`DialectBundle`](irdl::DialectBundle) carries
-//! its semantics as a typed bundle artifact (see [`crate::Semantics`]),
-//! mirroring how native verifier hooks travel by name.
+//! bundles alike, the way native verifier hooks travel by name. A
+//! consumer holds its registry next to the bundle it runs; the bundle
+//! itself holds only what compiling the dialects made.
 //!
 //! The registry also owns the *constant model* used by constant folding:
 //! which ops denote compile-time constants ([`OpEvaluator::constant`]) and
@@ -213,17 +213,6 @@ impl EvalRegistry {
     pub fn is_empty(&self) -> bool {
         self.evaluators.is_empty()
     }
-}
-
-/// The bundle-artifact wrapper carrying a registry on a
-/// [`DialectBundle`](irdl::DialectBundle): compiled dialects and their
-/// executable semantics travel together, the way native verifier hooks do.
-pub struct Semantics(pub EvalRegistry);
-
-/// The semantics artifact attached to `bundle`, defaulting to an empty
-/// registry (every op uninterpreted) when none was attached.
-pub fn bundle_semantics(bundle: &irdl::DialectBundle) -> Arc<Semantics> {
-    bundle.artifact_or_insert(|| Semantics(EvalRegistry::new()))
 }
 
 #[cfg(test)]

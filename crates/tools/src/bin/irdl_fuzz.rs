@@ -150,7 +150,7 @@ fn cmd_run(opts: FuzzOptions, out: &Path) -> i32 {
     eprintln!("irdl-fuzz: oracle `{}` diverged:\n{}", failure.oracle, failure.detail);
     let case_seed = if failure.seed != 0 { failure.seed } else { opts.seed };
     let mut predicate =
-        |text: &str| oracle_fails(&target.bundle, failure.oracle, case_seed, text);
+        |text: &str| oracle_fails(&target, failure.oracle, case_seed, text);
     let reduced = if predicate(&failure.input) {
         reduce(&target.bundle, &failure.input, &mut predicate)
     } else {
@@ -181,7 +181,7 @@ fn cmd_replay(path: &Path) -> i32 {
             return 2;
         }
     };
-    let failures = replay_all(&target.bundle, &case.text, case.seed);
+    let failures = replay_all(&target, &case.text, case.seed);
     if failures.is_empty() {
         println!("{}: all oracles green", path.display());
         0
@@ -209,7 +209,7 @@ fn cmd_reduce(path: &Path, out: Option<&Path>) -> i32 {
         }
     };
     let mut predicate =
-        |text: &str| oracle_fails(&target.bundle, &case.oracle, case.seed, text);
+        |text: &str| oracle_fails(&target, &case.oracle, case.seed, text);
     if !predicate(&case.text) {
         eprintln!(
             "irdl-fuzz: {} no longer reproduces oracle `{}`; nothing to reduce",

@@ -12,15 +12,19 @@ use irdl_repro::ir::bytecode::{decode_module, encode_module, is_module_bytecode}
 use irdl_repro::ir::print::{op_to_string, op_to_string_generic};
 use irdl_repro::ir::Context;
 use irdl_repro::irdl::genir::{instantiate_op, Instantiation};
+use irdl_repro::irdl::DialectBundle;
 
 #[test]
 fn every_corpus_module_round_trips_through_bytecode() {
-    let mut ctx = Context::new();
-    let natives = irdl_repro::dialects::corpus_natives();
-    // Decoding context: the full corpus registered once, as a reader that
-    // received the bytes would have it.
-    let mut ctx2 = Context::new();
-    irdl_repro::dialects::register_corpus(&mut ctx2).unwrap();
+    let bundle = DialectBundle::compile(
+        &irdl_repro::dialects::corpus_sources(),
+        &irdl_repro::dialects::corpus_natives(),
+    )
+    .unwrap();
+    let mut ctx = bundle.instantiate();
+    // Decoding context: a second instance of the same bundle, as a reader
+    // that received the bytes would have it.
+    let mut ctx2 = bundle.instantiate();
 
     let big_module = ctx.create_module();
     let big_block = ctx.module_block(big_module);
@@ -46,27 +50,19 @@ fn every_corpus_module_round_trips_through_bytecode() {
         bytecode_total += bytes.len();
     };
 
-    for (dialect_name, source) in irdl_repro::dialects::corpus_sources() {
-        let file = irdl_repro::irdl::parse_irdl(&source).unwrap();
-        for dialect in &file.dialects {
-            let (_, compiled) =
-                irdl_repro::irdl::compile_dialect(&mut ctx, dialect, &natives)
-                    .unwrap_or_else(|e| panic!("{dialect_name} compiles: {e}"));
-            for op in compiled {
-                let module = ctx.create_module();
-                let block = ctx.module_block(module);
-                match instantiate_op(&mut ctx, &op, block) {
-                    Instantiation::Built(_) => {
-                        check(&ctx, &mut ctx2, module);
-                        ctx.erase_op(module);
-                        let again = instantiate_op(&mut ctx, &op, big_block);
-                        assert!(matches!(again, Instantiation::Built(_)));
-                    }
-                    // CFG terminators need successor context, as in the
-                    // corpus generation test.
-                    Instantiation::Skipped(_) => ctx.erase_op(module),
-                }
+    for op in bundle.ops() {
+        let module = ctx.create_module();
+        let block = ctx.module_block(module);
+        match instantiate_op(&mut ctx, op, block) {
+            Instantiation::Built(_) => {
+                check(&ctx, &mut ctx2, module);
+                ctx.erase_op(module);
+                let again = instantiate_op(&mut ctx, op, big_block);
+                assert!(matches!(again, Instantiation::Built(_)));
             }
+            // CFG terminators need successor context, as in the corpus
+            // generation test.
+            Instantiation::Skipped(_) => ctx.erase_op(module),
         }
     }
     check(&ctx, &mut ctx2, big_module);

@@ -23,9 +23,7 @@ use irdl_repro::fuzz::{
     check_translation_validation, generate_module, load_case, oracle_fails, reduce, FuzzTarget,
     GenConfig, SplitMix64,
 };
-use irdl_repro::interp::{
-    int_width, run_module, EvalOptions, EvalRegistry, EvalValue, Semantics,
-};
+use irdl_repro::interp::{int_width, run_module, EvalOptions, EvalRegistry, EvalValue};
 use irdl_repro::ir::print::op_to_string;
 use irdl_repro::ir::{Context, OperationState, Type};
 use irdl_repro::rewrite::{fold_patterns, rewrite_greedily};
@@ -38,17 +36,17 @@ fn corpus_dir() -> PathBuf {
 /// seeds. Returns `false` without checking anything when `text` does not
 /// parse (some stored regression cases pin parser rejections).
 fn assert_fold_equivalent(target: &FuzzTarget, text: &str, label: &str) -> bool {
-    let semantics = irdl_repro::dialects::corpus_semantics();
+    let semantics = &target.semantics;
     for seed in [0u64, 0x5EED, 0xFEED_F00D] {
         let opts = EvalOptions { input_seed: seed, ..EvalOptions::default() };
         let mut ctx = target.bundle.instantiate();
         let Ok(module) = irdl_repro::ir::parse::parse_module(&mut ctx, text) else {
             return false;
         };
-        let before = run_module(&ctx, &semantics, module, opts);
-        let patterns = fold_patterns(Arc::new(semantics.clone()));
+        let before = run_module(&ctx, semantics, module, opts);
+        let patterns = fold_patterns(semantics.clone());
         rewrite_greedily(&mut ctx, module, &patterns);
-        let after = run_module(&ctx, &semantics, module, opts);
+        let after = run_module(&ctx, semantics, module, opts);
         assert_eq!(
             before.digest(),
             after.digest(),
@@ -148,10 +146,15 @@ fn sabotaged_semantics() -> EvalRegistry {
 
 #[test]
 fn planted_fold_bug_is_caught_and_reduced_to_the_stored_case() {
-    let target = FuzzTarget::corpus().expect("corpus compiles");
-    // Replace the bundle's semantics artifact before the TV catalog is
-    // first built, so the fold materializes through the planted bug.
-    target.bundle.attach_artifact(Arc::new(Semantics(sabotaged_semantics())));
+    // The target's translation-validation catalog folds over the
+    // sabotaged semantics, so the fold materializes through the planted
+    // bug.
+    let target = FuzzTarget::from_sources(
+        &irdl_repro::dialects::corpus_sources(),
+        &irdl_repro::dialects::corpus_natives(),
+        sabotaged_semantics(),
+    )
+    .expect("corpus compiles");
 
     // The unreduced reproducer: the miscompiled constant chain plus
     // unrelated live ops for the reducer to strip.
@@ -167,7 +170,7 @@ fn planted_fold_bug_is_caught_and_reduced_to_the_stored_case() {
     let seed = 0xD11A_u64;
 
     // Drill step 1: the oracle must catch the miscompile.
-    let failure = check_translation_validation(&target.bundle, text, seed)
+    let failure = check_translation_validation(&target, text, seed)
         .expect_err("planted fold bug must diverge");
     assert_eq!(failure.oracle, "translation-validation");
     assert!(
@@ -179,7 +182,7 @@ fn planted_fold_bug_is_caught_and_reduced_to_the_stored_case() {
     // Drill step 2: ddmin must strip the decoys while the divergence
     // keeps reproducing, under the predicate `irdl-fuzz` reduces with.
     let mut predicate =
-        |candidate: &str| oracle_fails(&target.bundle, failure.oracle, seed, candidate);
+        |candidate: &str| oracle_fails(&target, failure.oracle, seed, candidate);
     let reduced = reduce(&target.bundle, text, &mut predicate);
     assert!(predicate(&reduced), "reduction must preserve the failure");
     assert!(!reduced.contains("fuzz.src"), "decoy ops must be stripped:\n{reduced}");

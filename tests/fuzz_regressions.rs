@@ -38,7 +38,7 @@ fn every_stored_case_replays_green() {
     let target = FuzzTarget::corpus().expect("corpus compiles");
     for path in cases() {
         let case = load_case(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let failures = replay_all(&target.bundle, &case.text, case.seed);
+        let failures = replay_all(&target, &case.text, case.seed);
         assert!(
             failures.is_empty(),
             "{} (oracle `{}`, seed {:#x}) diverges again:\n{}",

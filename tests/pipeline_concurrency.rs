@@ -18,22 +18,14 @@ use irdl_rewrite::PatternSet;
 /// this test is about ordering and identity, not throughput).
 fn corpus_module_texts(bundle: &DialectBundle) -> Vec<String> {
     let mut ctx = bundle.instantiate();
-    let natives = irdl_dialects::corpus_natives();
     let mut texts = Vec::new();
-    for (dialect_name, source) in irdl_dialects::corpus_sources() {
-        let file = irdl::parse_irdl(&source).expect("corpus parses");
-        for dialect in &file.dialects {
-            let (_, compiled) = irdl::compile_dialect(&mut ctx, dialect, &natives)
-                .unwrap_or_else(|e| panic!("{dialect_name} compiles: {e}"));
-            for op in compiled {
-                let module = ctx.create_module();
-                let block = ctx.module_block(module);
-                if let Instantiation::Built(_) = instantiate_op(&mut ctx, &op, block) {
-                    texts.push(op_to_string(&ctx, module));
-                }
-                ctx.erase_op(module);
-            }
+    for op in bundle.ops() {
+        let module = ctx.create_module();
+        let block = ctx.module_block(module);
+        if let Instantiation::Built(_) = instantiate_op(&mut ctx, op, block) {
+            texts.push(op_to_string(&ctx, module));
         }
+        ctx.erase_op(module);
     }
     texts
 }
